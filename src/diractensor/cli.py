@@ -3,7 +3,8 @@ datasets and the analytic-vs-numeric verification matrix.
 
 Output is data-level (CSV or JSON tables), deterministic byte for byte:
 floats are written in shortest round-trip form, rows in a fixed order.
-Exit codes: 0 success, 1 usage error, 2 verification failure.
+Exit codes: 0 success, 1 usage error or numeric overflow, 2 verification
+failure, including a level the shooting oracle could not solve.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .analytic import (
 from .core import Channel, ModelParams, UnboundChannelError, bound_states_exist
 from .oracle import (
     NoBracketError,
+    ShootingError,
     count_nodes,
     integrate_first_order,
     solve_bound_level,
@@ -682,7 +684,10 @@ def main(argv=None) -> int:
     except (UnboundChannelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except VerificationFailure as exc:
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
+        return 1
+    except (VerificationFailure, ShootingError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,13 @@ Two pieces of machinery, both blind to the closed-form solutions:
   v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4), with node-count
   bisection to pick the level and a matching-defect Newton step to refine it;
 
-* an outward integrator for the coupled first-order (g, f) system with
-  compensated (Kahan) updates, used to confirm decay at the analytic
-  energies, divergence away from them, and the vanishing component of the
-  |E| = M special states.
+* an outward RK4 integrator for the coupled first-order (g, f) system, used
+  to confirm decay at the analytic energies, divergence away from them, and
+  the vanishing component of the |E| = M special states.  The system is
+  linear and the step schedule depends on r alone, so each step is a fixed
+  2x2 matrix; the integrator forms these in extended precision a chunk at a
+  time, multiplies them by a prefix scan within short blocks and carries the
+  state across block boundaries with an exact power-of-two renormalisation.
 
 The separation eigenvalue is lambda = E^2 - M^2 - b^2, negative for every
 bound state since |E| < sqrt(M^2 + b^2).
@@ -473,7 +476,12 @@ def solve_bound_level(
 
 @dataclass(frozen=True)
 class IntegrationReport:
-    """Growth/decay diagnostic of one outward pass of the first-order system."""
+    """Growth/decay diagnostic of one outward pass of the first-order system.
+
+    ``steps`` counts the RK4 steps of the pass and ``renormalizations`` the
+    block boundaries at which the marching state was rescaled; both depend on
+    the inputs only.
+    """
 
     energy: float
     lambda_: float
@@ -481,12 +489,88 @@ class IntegrationReport:
     classification: str  # "bound" or "growing"
     peak_radius: float
     renormalizations: int
+    steps: int
 
 
-def _kahan_add(value: float, comp: float, increment: float) -> tuple[float, float]:
-    y = increment - comp
-    t = value + y
-    return t, (t - value) - y
+# Step matrices are formed and multiplied at most _CHUNK_STEPS at a time, so the
+# working memory is bounded by the chunk, not by the step count.  The scan runs
+# within blocks of _BLOCK_STEPS steps (a power of two); the state is carried
+# across block boundaries one at a time and renormalised there.  The step
+# schedule comes from the phase integral tabulated on _PHASE_POINTS points.
+_CHUNK_STEPS = 2048
+_BLOCK_STEPS = 64
+_PHASE_POINTS = 1025
+
+
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """D of (I + later)(I + earlier) = I + D for 2x2 matrices stored as (2, 2, ...) arrays.
+
+    D = earlier + later + later @ earlier keeps increments far below 1 that
+    forming the product of I + D would round away.
+    """
+    return earlier + later + (later[:, :1] * earlier[0] + later[:, 1:] * earlier[1])
+
+
+def _renormalised(g, f):
+    """(g, f) rescaled exactly by a power of two to max(|g|, |f|) in [1/2, 1), and the exponent."""
+    shift = int(np.frexp(max(abs(g), abs(f)))[1])
+    return np.ldexp(g, -shift), np.ldexp(f, -shift), shift
+
+
+def _rk4_step_deltas(r, h, kb, b, mp, mm) -> np.ndarray:
+    """D = P - I for the RK4 step matrices P of (g, f)' = A(r) (g, f).
+
+    A(r) = -w Z + N with w = kb / r + b, Z = diag(1, -1) and the constant
+    N = [[0, M + E], [M - E, 0]].  Since A(u) A(v) = (u v + pm) I + (v - u) Z N
+    with pm = (M + E)(M - E), the four RK4 stages collapse to
+    D = h/6 (c_I I + c_Z Z + c_N N + c_J Z N).  A zero coupling M -/+ E
+    leaves D exactly triangular, so the decoupled component of a special
+    state stays exactly zero.
+    """
+    w0, wm, w1 = kb / r + b, kb / (r + h / 2) + b, kb / (r + h) + b
+    pm = mp * mm
+    qm = wm * wm + pm  # A(r + h/2)^2 = qm I
+    s = h * h * qm / 4
+    outer = w0 + w1
+    c_z = -(outer * (1 + 2 * s) + 4 * wm)
+    c_n = 6 + 4 * s
+    c_i = h * (qm + wm * outer + 2 * pm + s * (w0 * w1 + pm))
+    c_j = h * (w0 - w1) * (1 + s)
+    return h / 6 * np.array([[c_i + c_z, (c_n + c_j) * mp], [(c_n - c_j) * mm, c_i - c_z]])
+
+
+class _Recorder:
+    """Amplitude peak and radial samples of the marching state.
+
+    States arrive in runs, in order of increasing r, each state carrying the
+    log of the scale factor it is stored under.  A sample target is filled by
+    the first state with r >= target * (1 - 1e-12).
+    """
+
+    def __init__(self, targets: np.ndarray):
+        self.thresholds = targets * (1.0 - 1e-12)
+        self.r = np.empty(targets.size)
+        self.g = np.empty(targets.size)
+        self.f = np.empty(targets.size)
+        self.log_scale = np.empty(targets.size)
+        self.taken = 0
+        self.peak_log = -math.inf
+        self.peak_radius = math.nan
+
+    def visit(self, r: np.ndarray, g: np.ndarray, f: np.ndarray, log_scale: np.ndarray):
+        g, f = g.astype(float), f.astype(float)
+        with np.errstate(divide="ignore"):
+            amp_log = 0.5 * np.log(g * g + f * f) + log_scale
+        i = int(np.argmax(amp_log))
+        if amp_log[i] > self.peak_log:
+            self.peak_log = float(amp_log[i])
+            self.peak_radius = float(r[i])
+        idx = np.searchsorted(r, self.thresholds[self.taken:], side="left")
+        idx = idx[idx < r.size]
+        fill = slice(self.taken, self.taken + idx.size)
+        self.r[fill], self.g[fill], self.f[fill] = r[idx], g[idx], f[idx]
+        self.log_scale[fill] = log_scale[idx]
+        self.taken = fill.stop
 
 
 def integrate_first_order(
@@ -500,18 +584,31 @@ def integrate_first_order(
     """Integrate the coupled (g, f) system outward at a given trial energy.
 
     Starts from the two-term series of the regular solution at r_min and
-    marches a fourth-order Runge-Kutta scheme with compensated updates and a
-    step schedule tied to the local variation rate.  The marching state is
-    kept in extended precision: any local error injected near the turning
-    point gets amplified by the growing solution, roughly exp(30) over the
-    default domain, and the 64-bit floor of ~1e-16 would leave a visible
-    spurious tail at r_max.  A true bound energy decays to a tiny fraction of
-    the peak by r_max = 30/gamma; a detuned one is flagged as growing (the
-    overflow guard renormalizes, it never aborts).  ``fineness`` is the phase
-    advanced per step; the default keeps the truncation error per step at the
-    extended-precision roundoff level.
+    marches a fourth-order Runge-Kutta scheme whose steps advance the phase
+    integral of the local variation rate (power-law rise plus oscillation or
+    decay) by ``fineness`` each.  The system is linear and the schedule
+    depends on r alone, so every step is a fixed 2x2 matrix P = I + D.  The
+    matrices of one chunk of steps are formed at once in extended precision.
+    Within each block of steps a work-efficient scan (Blelloch 1990) first
+    multiplies neighbouring pairs up to the block product, composing in the
+    form (I + D_b)(I + D_a) = I + D_a + D_b + D_b D_a, which keeps the small
+    increments that rounding I + D would drop; the state then crosses the
+    block in one step and is renormalised by a power of two, an exact
+    rescaling; finally the pair products carry the block's start state down
+    to every step, whose amplitude feeds the peak and the samples.  Memory
+    is bounded by the chunk, not by the step count.
+
+    Extended precision matters because any local error injected near the
+    turning point gets amplified by the growing solution, roughly exp(30)
+    over the default domain, and the 64-bit floor of ~1e-16 would leave a
+    visible spurious tail at r_max.  A true bound energy decays to a tiny
+    fraction of the peak by r_max = 30/gamma; a detuned one is flagged as
+    growing.  The default ``fineness`` keeps the truncation error per step at
+    the extended-precision roundoff level.
     """
     _require_shootable(channel)
+    if not fineness > 0.0:
+        raise ValueError("fineness must be positive")
     kb_f = channel.kappa_bar
     lam = energy_value * energy_value - params.mass**2 - params.b**2
     gamma_ref = math.sqrt(-lam) if lam < 0.0 else max(abs(params.b), 0.1 * params.mass)
@@ -520,88 +617,82 @@ def integrate_first_order(
     if config is not None:
         fineness = fineness * 20000.0 / config.step_count
 
-    ld = np.longdouble
-    kb, b, m_mass, e_val = ld(kb_f), ld(params.b), ld(params.mass), ld(energy_value)
-    half, sixth = ld(0.5), ld(1.0) / ld(6.0)
-    mp, mm = m_mass + e_val, m_mass - e_val
-    r_max = ld(r_hi)
-
+    # step k ends where the phase integral of the variation rate reaches k * fineness
     abs_b, abs_kb = abs(params.b), abs(kb_f)
     angular = max(abs(kb_f * (kb_f + 1.0)), abs(kb_f * (kb_f - 1.0)))
+    x = np.linspace(math.log(r_lo), math.log(r_hi), _PHASE_POINTS)
+    rx = np.exp(x)
+    rate_dx = (1.0 + abs_kb + np.sqrt(abs(float(lam)) * rx * rx + 2.0 * abs_b * abs_kb * rx + angular)
+               + (abs_b + gamma_ref) * rx)
+    phase = np.concatenate(([0.0], np.cumsum(0.5 * (rate_dx[1:] + rate_dx[:-1]) * np.diff(x))))
+    steps = max(1, math.ceil(phase[-1] / fineness))
 
-    def rate(r: float) -> float:
-        # local variation scale of the solution: power-law rise + oscillation/decay
-        local_q = abs(lam) + 2.0 * abs_b * abs_kb / r + angular / (r * r)
-        return (1.0 + abs_kb) / r + math.sqrt(local_q) + abs_b + gamma_ref
-
-    def rhs(r, g, f):
-        w = kb / r + b
-        return (-w * g + mp * f, w * f + mm * g)
+    ld = np.longdouble
+    kb, b, e_val = ld(kb_f), ld(params.b), ld(energy_value)
+    mp, mm = ld(params.mass) + e_val, ld(params.mass) - e_val
 
     # series start: the dominant component carries the lower power of r
-    r = ld(r_lo)
+    r0 = ld(r_lo)
     if kb_f < 0:
-        g = r ** (-kb) * (1.0 - b * r)
-        f = mm / (1.0 - 2.0 * kb) * r ** (1.0 - kb)
+        g = r0 ** (-kb) * (1.0 - b * r0)
+        f = mm / (1.0 - 2.0 * kb) * r0 ** (1.0 - kb)
     else:
-        f = r**kb * (1.0 + b * r)
-        g = mp / (1.0 + 2.0 * kb) * r ** (1.0 + kb)
+        f = r0**kb * (1.0 + b * r0)
+        g = mp / (1.0 + 2.0 * kb) * r0 ** (1.0 + kb)
 
-    targets = np.geomspace(r_lo, r_hi, sample_count)
-    out_r: list[float] = []
-    out_g: list[float] = []
-    out_f: list[float] = []
-    out_scale: list[float] = []
-
-    cg = cf = ld(0.0)
-    log_scale = 0.0
-    peak_log = -math.inf
-    peak_radius = r_lo
+    g, f, exponent = _renormalised(g, f)  # the state is (g, f) * 2**exponent
+    ln2 = math.log(2.0)
+    recorder = _Recorder(np.geomspace(r_lo, r_hi, sample_count))
     renorms = 0
-    next_target = 0
-    big_cap = ld(1e120)
+    for k0 in range(0, steps, _CHUNK_STEPS):
+        k1 = min(k0 + _CHUNK_STEPS, steps)
+        n = k1 - k0
+        r = np.exp(np.interp(np.arange(k0, k1 + 1) * fineness, phase, x))
+        if k0 == 0:
+            r[0] = r_lo
+        if k1 == steps:
+            r[-1] = r_hi
+        r = np.minimum(r, r_hi).astype(ld)
+        blocks = -(-n // _BLOCK_STEPS)
+        d = np.zeros((2, 2, blocks * _BLOCK_STEPS), dtype=ld)  # padding steps are identities
+        d[..., :n] = _rk4_step_deltas(r[:-1], np.diff(r), kb, b, mp, mm)
 
-    while True:
-        while next_target < targets.size and r >= targets[next_target] * (1.0 - 1e-12):
-            out_r.append(float(r))
-            out_g.append(float(g))
-            out_f.append(float(f))
-            out_scale.append(log_scale)
-            next_target += 1
-        amp2 = float(g * g + f * f)
-        if amp2 > 0.0:
-            amp_log = 0.5 * math.log(amp2) + log_scale
-            if amp_log > peak_log:
-                peak_log = amp_log
-                peak_radius = float(r)
-        if r >= r_max:
-            break
-        h = ld(min(fineness / rate(float(r)), float(r_max - r)))
-        k1g, k1f = rhs(r, g, f)
-        k2g, k2f = rhs(r + half * h, g + half * h * k1g, f + half * h * k1f)
-        k3g, k3f = rhs(r + half * h, g + half * h * k2g, f + half * h * k2f)
-        k4g, k4f = rhs(r + h, g + h * k3g, f + h * k3f)
-        g, cg = _kahan_add(g, cg, sixth * h * (k1g + 2.0 * k2g + 2.0 * k3g + k4g))
-        f, cf = _kahan_add(f, cf, sixth * h * (k1f + 2.0 * k2f + 2.0 * k3f + k4f))
-        r = r + h
-        big = max(abs(g), abs(f))
-        if big > big_cap:
-            g /= big
-            f /= big
-            cg /= big
-            cf /= big
-            log_scale += float(np.log(big))
-            renorms += 1
+        # up-sweep: products of 2, 4, ... consecutive steps, up to one per block
+        levels = [d.reshape(2, 2, blocks, _BLOCK_STEPS)]
+        while levels[-1].shape[-1] > 1:
+            levels.append(_compose(levels[-1][..., 1::2], levels[-1][..., ::2]))
+        totals = levels.pop().reshape(4, blocks).tolist()
+
+        start = np.empty((2, blocks), dtype=ld)
+        start_exponent = np.empty(blocks)
+        for j, (t00, t01, t10, t11) in enumerate(zip(*totals)):
+            start[0, j], start[1, j], start_exponent[j] = g, f, exponent
+            g, f = g + (t00 * g + t01 * f), f + (t10 * g + t11 * f)
+            g, f, shift = _renormalised(g, f)
+            exponent += shift
+            renorms += shift != 0
+
+        # down-sweep: the state before every step of a block from its start state
+        y = start[:, :, None]
+        for level in reversed(levels):
+            earlier = level[..., ::2]
+            after = y + (earlier[:, 0] * y[0] + earlier[:, 1] * y[1])
+            y = np.stack((y, after), axis=-1).reshape(2, blocks, -1)
+        y = y.reshape(2, -1)[:, :n]
+        recorder.visit(r[:-1], y[0], y[1], np.repeat(start_exponent * ln2, _BLOCK_STEPS)[:n])
+    recorder.visit(np.array([r_hi]), np.array([g]), np.array([f]), np.array([exponent * ln2]))
 
     amp2_end = float(g * g + f * f)
-    end_log = 0.5 * math.log(amp2_end) + log_scale if amp2_end > 0.0 else -math.inf
+    end_log = 0.5 * math.log(amp2_end) + exponent * ln2 if amp2_end > 0.0 else -math.inf
+    peak_log = recorder.peak_log
     decay_ratio = math.exp(end_log - peak_log) if peak_log > -math.inf else math.inf
     classification = "bound" if (lam < 0.0 and decay_ratio < 1e-3) else "growing"
 
-    rr = np.asarray(out_r)
-    scales = np.exp(np.asarray(out_scale) - peak_log)
-    gg = np.asarray(out_g) * scales
-    ff = np.asarray(out_f) * scales
+    taken = slice(recorder.taken)
+    rr = recorder.r[taken]
+    scales = np.exp(recorder.log_scale[taken] - peak_log)
+    gg = recorder.g[taken] * scales
+    ff = recorder.f[taken] * scales
     norm = float(np.trapezoid(gg * gg + ff * ff, rr))
     if classification == "bound" and norm > 0.0:
         gg = gg / math.sqrt(norm)
@@ -620,7 +711,8 @@ def integrate_first_order(
         lambda_=lam,
         decay_ratio=decay_ratio,
         classification=classification,
-        peak_radius=peak_radius,
+        peak_radius=recorder.peak_radius,
         renormalizations=renorms,
+        steps=steps,
     )
     return samples, report

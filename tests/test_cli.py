@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from diractensor import NoBracketError, cli
 from diractensor.cli import (
     RunConfig,
     load_config_file,
@@ -172,6 +173,15 @@ class TestWavefunctionCommand:
         err = capsys.readouterr().err
         assert "b*kappa_bar < 0" in err and "|kappa_bar| > 1/2" in err
 
+    def test_overflow_is_an_error_exit(self, monkeypatch, capsys):
+        # stands in for overflows such as the closed-form normaliser's at kappa = -150
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "sample_state", overflow)
+        assert run_cli("wavefunction", "--kappa", "-2", "--n", "1") == 1
+        assert capsys.readouterr().err.startswith("error: numeric overflow:")
+
     def test_mirror_special_flag(self, tmp_path):
         out = tmp_path / "wf.csv"
         assert run_cli("wavefunction", "--b", "-1", "--kappa", "2", "--special",
@@ -208,6 +218,17 @@ class TestVerifyCommand:
         assert code == 2
         rows = read_csv_rows(out)
         assert any(r["passed"] == "false" for r in rows)
+
+    def test_oracle_failure_is_a_verification_exit(self, monkeypatch, capsys):
+        # stands in for shooting failures such as the missing bracket at n >= 10
+        def no_bracket(*args, **kwargs):
+            raise NoBracketError("no level with 10 nodes")
+
+        monkeypatch.setattr(cli, "solve_bound_level", no_bracket)
+        code = run_cli("verify", "--b", "1", "--a", "0", "--kappa-min", "-1",
+                       "--kappa-max", "-1", "--n-max", "1")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("verification failed: no level")
 
     def test_b_zero_sweep(self, tmp_path):
         out = tmp_path / "verify.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from diractensor import (
     state_wavefunctions,
 )
 from diractensor.analytic import default_radial_grid
+from diractensor.oracle import _rk4_step_deltas
 
 PARAMS_POS = ModelParams(1.0, 0.0, 1.0)
 PARAMS_NEG = ModelParams(1.0, 0.0, -1.0)
@@ -220,6 +222,87 @@ class TestIntegrateFirstOrder:
         samples, report = integrate_first_order(PARAMS_NEG, ch, st.energy, fineness=5e-3)
         assert np.max(np.abs(samples.g)) == 0.0
         assert np.max(np.abs(samples.f)) > 0.0
+
+
+class TestFirstOrderPropagator:
+    def test_step_matrices_match_scalar_rk4(self):
+        # reference: one RK4 step of (g, f)' = A(r)(g, f), stage by stage, applied
+        # to each unit vector; the closed-form step matrix must reproduce it
+        ld = np.longdouble
+        rng = np.random.default_rng(7)
+        tolerance = 64 * np.finfo(ld).eps
+        for _ in range(20):
+            kb, b, mp, mm = (ld(v) for v in rng.uniform(-4.0, 4.0, 4))
+            r = np.exp(rng.uniform(-12.0, 4.0, 3)).astype(ld)
+            h = r * rng.uniform(1e-4, 5e-2, 3).astype(ld)
+            d = _rk4_step_deltas(r, h, kb, b, mp, mm)
+
+            def rhs(x, y):
+                w = kb / x + b
+                return np.array([-w * y[0] + mp * y[1], w * y[1] + mm * y[0]])
+
+            for i in range(3):
+                for column in range(2):
+                    y = np.zeros(2, dtype=ld)
+                    y[column] = 1
+                    k1 = rhs(r[i], y)
+                    k2 = rhs(r[i] + h[i] / 2, y + h[i] / 2 * k1)
+                    k3 = rhs(r[i] + h[i] / 2, y + h[i] / 2 * k2)
+                    k4 = rhs(r[i] + h[i], y + h[i] * k3)
+                    increment = h[i] / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                    scale = np.max(np.abs(increment))
+                    assert np.max(np.abs(d[:, column, i] - increment)) <= tolerance * scale
+
+    @pytest.mark.parametrize("kappa,level", [(-1, None), (-3, 2), (2, None)])
+    def test_samples_follow_closed_form(self, kappa, level):
+        # shape only: both are scaled to agree at the peak of the closed form
+        params = PARAMS_POS if kappa < 0 else PARAMS_NEG
+        ch = Channel.from_kappa(kappa)
+        if level is None:
+            st = special_state(params, ch)
+            e = st.energy
+        else:
+            st = bound_state(params, ch, level)
+            e = energy(params, ch, level, dtype=np.longdouble)
+        samples, report = integrate_first_order(params, ch, e, sample_count=240, fineness=2e-2)
+        assert report.classification == "bound"
+        g_form, f_form = state_wavefunctions(params, st)
+        g, f = g_form(samples.r), f_form(samples.r)
+        main, main_form = (samples.g, g) if kappa < 0 else (samples.f, f)
+        peak = np.argmax(np.abs(main_form))
+        c = main_form[peak] / main[peak]
+        inner = samples.r < 0.5 * samples.r[-1]
+        err = max(np.max(np.abs(c * samples.g - g)[inner]), np.max(np.abs(c * samples.f - f)[inner]))
+        assert err <= 1e-9 * abs(main_form[peak])
+
+    def test_rejects_nonpositive_fineness(self):
+        ch = Channel.from_kappa(-1)
+        for fineness in (0.0, -1e-2):
+            with pytest.raises(ValueError):
+                integrate_first_order(PARAMS_POS, ch, 1.0, fineness=fineness)
+
+    def test_step_count_is_deterministic(self):
+        ch = Channel.from_kappa(-1)
+        e = special_state(PARAMS_POS, ch).energy
+        steps = [integrate_first_order(PARAMS_POS, ch, e, sample_count=240, fineness=2e-2)[1].steps
+                 for _ in range(2)]
+        assert steps[0] == steps[1]
+        # the per-step scalar march placed 7381 steps on this domain
+        assert abs(steps[0] - 7381) <= 0.02 * 7381
+
+    def test_memory_bounded_by_chunk(self):
+        # about 361k steps; keeping per-step arrays for all of them would need
+        # tens of megabytes
+        ch = Channel.from_kappa(-1)
+        e = energy(PARAMS_POS, ch, 1, dtype=np.longdouble)
+        tracemalloc.start()
+        try:
+            _, report = integrate_first_order(PARAMS_POS, ch, e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.steps > 300_000
+        assert peak <= 8e6
 
 
 class TestCountNodes:
