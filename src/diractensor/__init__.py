@@ -62,7 +62,6 @@ from .oracle import (
     count_sign_changes,
     default_shooting_config,
     effective_potential,
-    effective_potential_general,
     integrate_first_order,
     shoot_eigenvalue,
     solve_bound_level,

@@ -25,7 +25,7 @@ admissible kappa_bar.  Charge conjugation flips (a, b, kappa_bar, E) jointly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Optional
 
 import numpy as np
@@ -40,6 +40,7 @@ from .core import (
     RadialSamples,
     UnboundChannelError,
     ZeroKappaBarError,
+    angular_strength,
     bound_states_exist,
 )
 from .special import (
@@ -130,19 +131,6 @@ def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "pa
     return dtype(BRANCH_SIGN[branch]) * magnitude
 
 
-def _energy_factored(params: ModelParams, channel: Channel, n_g: int) -> float:
-    """|E| from the factored radicands; must agree with energy() to roundoff."""
-    kb = _require_bound(params, channel)
-    b2 = params.b**2
-    if kb < -0.5:
-        num = n_g * (n_g - 2.0 * kb)
-        den = (n_g - kb) ** 2
-    else:
-        num = (n_g + 1.0) * (n_g + 1.0 + 2.0 * kb)
-        den = (n_g + 1.0 + kb) ** 2
-    return math.sqrt(params.mass**2 + b2 * num / den)
-
-
 def special_state(params: ModelParams, channel: Channel) -> BoundState:
     """The nodeless |E| = M level with one identically vanishing component.
 
@@ -151,26 +139,15 @@ def special_state(params: ModelParams, channel: Channel) -> BoundState:
     the mirror state with E = -M and zero upper component.  Every admissible
     kappa_bar yields the same energy, an infinitely degenerate family.
     """
-    kb = _require_bound(params, channel)
-    gamma = abs(params.b)
-    if kb < -0.5:
-        return BoundState(
-            channel=channel,
-            energy=params.mass,
-            branch="particle",
-            gamma=gamma,
-            effective_mass=params.effective_mass,
-            n_g=0,
-            n_f=None,
-        )
+    upper = _require_bound(params, channel) < -0.5  # g survives and f = 0, else the mirror
     return BoundState(
         channel=channel,
-        energy=-params.mass,
-        branch="antiparticle",
-        gamma=gamma,
+        energy=params.mass if upper else -params.mass,
+        branch="particle" if upper else "antiparticle",
+        gamma=abs(params.b),
         effective_mass=params.effective_mass,
-        n_g=None,
-        n_f=0,
+        n_g=0 if upper else None,
+        n_f=None if upper else 0,
     )
 
 
@@ -266,67 +243,57 @@ def wavefunctions(
     kb = _require_bound(params, channel)
     if n_g < 0:
         raise ValueError(f"n_g must be nonnegative, got {n_g!r}")
-    if kb < -0.5:
-        if n_g == 0:
-            if branch != "particle":
-                raise ValueError(
-                    "E = -M with kappa_bar < -1/2 is not normalizable; the mirror "
-                    "special state lives in the charge-conjugated family"
-                )
-            e = params.mass
-            ratio_f = 0.0
-            gamma = abs(params.b)
-        else:
-            e = energy(params, channel, n_g, branch)
-            ratio_f = _component_ratio(params, kb, n_g, e)
-            gamma = decay_rate(params, kb, n_g)
-        p_g, alpha_g = -kb, -1.0 - 2.0 * kb
-        p_f, alpha_f = 1.0 - kb, 1.0 - 2.0 * kb
-        n_f = max(n_g - 1, 0)
+    if kb < -0.5 and n_g == 0:
+        if branch != "particle":
+            raise ValueError(
+                "E = -M with kappa_bar < -1/2 is not normalizable; the mirror "
+                "special state lives in the charge-conjugated family"
+            )
+        state = special_state(params, channel)
     else:
-        e = energy(params, channel, n_g, branch)
-        ratio_f = _component_ratio(params, kb, n_g, e)
-        gamma = decay_rate(params, kb, n_g)
-        p_g, alpha_g = 1.0 + kb, 1.0 + 2.0 * kb
-        p_f, alpha_f = kb, 2.0 * kb - 1.0
-        n_f = n_g + 1
-
-    h_g = laguerre_weighted_norm(n_g, alpha_g)
-    h_f = laguerre_weighted_norm(n_f, alpha_f) if ratio_f != 0.0 else 0.0
-    n_upper = math.sqrt(2.0 * gamma / (h_g + ratio_f**2 * h_f))
-    g_form = WavefunctionForm(p_g, LaguerreSpec(n_g, alpha_g), gamma, n_upper)
-    f_form = WavefunctionForm(p_f, LaguerreSpec(n_f, alpha_f), gamma, ratio_f * n_upper)
-    return g_form, f_form
+        state = bound_state(params, channel, n_g, branch)
+    return state_wavefunctions(params, state)
 
 
 def state_wavefunctions(params: ModelParams, state: BoundState) -> tuple[WavefunctionForm, WavefunctionForm]:
-    """Radial forms for any BoundState, including both special families."""
-    if state.n_g is not None:
-        return wavefunctions(params, state.channel, state.n_g, state.branch)
-    # Mirror special state: zero upper component, f = N r^kappa_bar e^(-|b| r).
+    """Unit-norm radial forms for any BoundState, including both special families.
+
+    A special state's missing component (n_g or n_f of None) gets amplitude 0.
+    """
     kb = state.channel.kappa_bar
-    gamma = abs(params.b)
-    alpha_f = 2.0 * kb - 1.0
-    h_f = laguerre_weighted_norm(0, alpha_f)
-    amp_f = math.sqrt(2.0 * gamma / h_f)
-    g_form = WavefunctionForm(1.0 + kb, LaguerreSpec(0, 1.0 + 2.0 * kb), gamma, 0.0)
-    f_form = WavefunctionForm(kb, LaguerreSpec(0, alpha_f), gamma, amp_f)
-    return g_form, f_form
+    if kb < 0:
+        p_g, alpha_g, p_f, alpha_f = -kb, -1.0 - 2.0 * kb, 1.0 - kb, 1.0 - 2.0 * kb
+    else:
+        p_g, alpha_g, p_f, alpha_f = 1.0 + kb, 1.0 + 2.0 * kb, kb, 2.0 * kb - 1.0
+    g_spec = LaguerreSpec(state.n_g or 0, alpha_g)
+    f_spec = LaguerreSpec(state.n_f or 0, alpha_f)
+    gamma = state.gamma
+    if state.n_g is None:
+        amp_g = 0.0
+        amp_f = math.sqrt(2.0 * gamma / laguerre_weighted_norm(0, alpha_f))
+    else:
+        ratio = 0.0 if state.n_f is None else _component_ratio(params, kb, state.n_g, state.energy)
+        h_g = laguerre_weighted_norm(g_spec.degree, alpha_g)
+        h_f = laguerre_weighted_norm(f_spec.degree, alpha_f) if ratio != 0.0 else 0.0
+        amp_g = math.sqrt(2.0 * gamma / (h_g + ratio**2 * h_f))
+        amp_f = ratio * amp_g
+    return WavefunctionForm(p_g, g_spec, gamma, amp_g), WavefunctionForm(p_f, f_spec, gamma, amp_f)
 
 
-def norm_quadrature(g_form: WavefunctionForm, f_form: WavefunctionForm, n_nodes: int = 128) -> float:
+def norm_quadrature(g_form: WavefunctionForm, f_form: WavefunctionForm) -> float:
     """integral (g^2 + f^2) dr by order-matched Gauss-Laguerre quadrature.
 
     Each component contributes amplitude^2/(2 gamma) * integral x^(alpha+1)
     e^(-x) L_n^2 dx, evaluated with the weight x^alpha so the remaining
-    integrand is a polynomial and the rule is exact.
+    integrand x L_n^2 is a polynomial of degree 2n + 1, which the n + 1 node
+    rule integrates exactly.
     """
     total = 0.0
     for form in (g_form, f_form):
         if form.amplitude == 0.0:
             continue
         spec = form.laguerre
-        x, w = gauss_laguerre(n_nodes, spec.order)
+        x, w = gauss_laguerre(spec.degree + 1, spec.order)
         vals = laguerre(spec, x)
         total += form.amplitude**2 * float(np.sum(w * x * vals * vals)) / (2.0 * form.gamma)
     return total
@@ -355,26 +322,25 @@ def sample_state(
     )
 
 
-def default_radial_grid(state: BoundState, points: int = 1200, r_min_factor: float = 1e-7,
-                        r_max_factor: float = 30.0) -> np.ndarray:
+def default_radial_grid(state: BoundState, points: int = 1200) -> np.ndarray:
     """Log-spaced grid spanning the rise at the origin and the decaying tail."""
-    return np.geomspace(r_min_factor / state.gamma, r_max_factor / state.gamma, points)
+    return np.geomspace(1e-7 / state.gamma, 30.0 / state.gamma, points)
 
 
 @dataclass(frozen=True)
 class SpectrumRow:
-    """One (channel, level) record; unbound channels appear with bound=False."""
+    """One (channel, level) record; an unbound channel's row sets only kappa and kappa_bar."""
 
     kappa: int
     kappa_bar: float
-    n_g: Optional[int]
-    n_f: Optional[int]
-    n_bar: Optional[float]
-    energy: Optional[float]
-    e_over_m: Optional[float]
-    branch: Optional[Branch]
-    is_special: bool
-    bound: bool
+    n_g: Optional[int] = None
+    n_f: Optional[int] = None
+    n_bar: Optional[float] = None
+    energy: Optional[float] = None
+    e_over_m: Optional[float] = None
+    branch: Optional[Branch] = None
+    is_special: bool = False
+    bound: bool = False
 
 
 def _row_from_state(params: ModelParams, state: BoundState) -> SpectrumRow:
@@ -421,20 +387,7 @@ def spectrum(
     for kappa in kappas:
         channel = Channel.from_kappa(kappa, params.a)
         if not bound_states_exist(params, channel):
-            rows.append(
-                SpectrumRow(
-                    kappa=channel.kappa,
-                    kappa_bar=channel.kappa_bar,
-                    n_g=None,
-                    n_f=None,
-                    n_bar=None,
-                    energy=None,
-                    e_over_m=None,
-                    branch=None,
-                    is_special=False,
-                    bound=False,
-                )
-            )
+            rows.append(SpectrumRow(kappa=channel.kappa, kappa_bar=channel.kappa_bar))
             continue
         kb = channel.kappa_bar
         for level in range(n_max + 1):
@@ -592,16 +545,7 @@ def map_to_singular_coulomb(
     if m_map <= 0:
         raise ValueError("m_map must be positive")
     kb = channel.kappa_bar
-    if abs(kb) <= 0.5:
-        raise UnboundChannelError(
-            f"|kappa_bar| = {abs(kb)} <= 1/2: the mapped centrifugal term degenerates"
-        )
-    if component == "upper":
-        beta = kb * (kb + 1.0)
-    elif component == "lower":
-        beta = kb * (kb - 1.0)
-    else:
-        raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
+    beta = angular_strength(kb, component)
     m = SingularCoulombMap(
         Z=params.b * kb / m_map,
         beta=beta,
@@ -611,7 +555,5 @@ def map_to_singular_coulomb(
         m_map=m_map,
     )
     if level is not None:
-        m = SingularCoulombMap(
-            Z=m.Z, beta=m.beta, S=m.S, epsilon=m.epsilon_at(level), component=component, m_map=m_map
-        )
+        m = replace(m, epsilon=m.epsilon_at(level))
     return m

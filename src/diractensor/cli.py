@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -34,9 +34,11 @@ from .analytic import (
 from .core import Channel, ModelParams, UnboundChannelError, bound_states_exist
 from .oracle import (
     NoBracketError,
+    ShootingConfig,
     ShootingError,
-    count_nodes,
+    effective_potential,
     integrate_first_order,
+    shoot_eigenvalue,
     solve_bound_level,
 )
 
@@ -51,6 +53,7 @@ __all__ = [
     "run_wavefunction",
     "run_verification",
     "verification_grid_rows",
+    "VerifyRow",
     "PRESETS",
 ]
 
@@ -294,12 +297,27 @@ def run_wavefunction(cfg: RunConfig) -> tuple[list[dict], dict]:
     return rows, meta
 
 
+@dataclass
+class VerifyRow:
+    """One row of the verify table; the fields are its columns, in order."""
+
+    check: Optional[str] = None
+    b: Optional[float] = None
+    a: Optional[float] = None
+    kappa: Optional[int] = None
+    kappa_bar: Optional[float] = None
+    n: Optional[int] = None
+    e_analytic: Optional[float] = None
+    e_shoot: Optional[float] = None
+    delta_e: Optional[float] = None
+    residual: Optional[float] = None
+    node_ok: Optional[bool] = None
+    passed: Optional[bool] = None
+
+
 def _residual_scale(params, channel, state, r):
     """Max relative residual of the first- and second-order equations."""
-    from .analytic import state_wavefunctions as forms
-    from .oracle import effective_potential
-
-    g_form, f_form = forms(params, state)
+    g_form, f_form = state_wavefunctions(params, state)
     g, f = g_form(r), f_form(r)
     dg, df = g_form.derivative(r), f_form.derivative(r)
     kb = channel.kappa_bar
@@ -326,9 +344,7 @@ def verification_grid_rows(
     tolerance: float = 1e-7,
     inject_energy_error: float = 0.0,
     step_count: int = 6000,
-    with_specials: bool = True,
-    residual_points: int = 120,
-) -> list[dict]:
+) -> list[VerifyRow]:
     """One verification row per (b, a, kappa, level) state.
 
     Each row compares the closed-form energy against the shooting eigenvalue,
@@ -338,7 +354,7 @@ def verification_grid_rows(
     component verified by outward integration.
     """
     rows = []
-    r_residual = np.geomspace(0.01, 30.0, residual_points)
+    r_residual = np.geomspace(0.01, 30.0, 120)
     for b in b_values:
         for a in a_values:
             params = ModelParams(mass, a, b)
@@ -370,125 +386,72 @@ def verification_grid_rows(
                     window_ok = mass <= abs(state.energy) < mstar
                     residual = _residual_scale(params, channel, state, r_residual)
                     passed = delta <= tolerance and node_ok and window_ok and residual < 1e-8
-                    rows.append(
-                        {
-                            "check": "special" if is_special else "oracle",
-                            "b": b,
-                            "a": a,
-                            "kappa": kappa,
-                            "kappa_bar": kb,
-                            "n": level,
-                            "e_analytic": e_analytic,
-                            "e_shoot": shot.energy_pair[0],
-                            "delta_e": delta,
-                            "residual": residual,
-                            "node_ok": node_ok,
-                            "passed": bool(passed),
-                        }
-                    )
-                if with_specials:
-                    # vanishing-component check of the edge state by direct integration
-                    state = special_state(params, channel)
-                    samp, rep = integrate_first_order(
-                        params, channel, state.energy, sample_count=240, fineness=2e-2
-                    )
-                    if kb < 0:
-                        main_peak = float(np.max(np.abs(samp.g)))
-                        zero_part = float(np.max(np.abs(samp.f)))
-                    else:
-                        main_peak = float(np.max(np.abs(samp.f)))
-                        zero_part = float(np.max(np.abs(samp.g)))
-                    ratio = zero_part / main_peak if main_peak > 0 else math.inf
-                    ok = ratio <= 1e-8 and rep.classification == "bound"
-                    rows.append(
-                        {
-                            "check": "zero_component",
-                            "b": b,
-                            "a": a,
-                            "kappa": kappa,
-                            "kappa_bar": kb,
-                            "n": 0,
-                            "e_analytic": state.energy,
-                            "e_shoot": None,
-                            "delta_e": None,
-                            "residual": ratio,
-                            "node_ok": None,
-                            "passed": bool(ok),
-                        }
-                    )
+                    rows.append(VerifyRow(
+                        check="special" if is_special else "oracle", b=b, a=a, kappa=kappa,
+                        kappa_bar=kb, n=level, e_analytic=e_analytic,
+                        e_shoot=shot.energy_pair[0], delta_e=delta, residual=residual,
+                        node_ok=node_ok, passed=bool(passed),
+                    ))
+                # vanishing-component check of the edge state by direct integration
+                state = special_state(params, channel)
+                samp, rep = integrate_first_order(
+                    params, channel, state.energy, sample_count=240, fineness=2e-2
+                )
+                if kb < 0:
+                    main_peak = float(np.max(np.abs(samp.g)))
+                    zero_part = float(np.max(np.abs(samp.f)))
+                else:
+                    main_peak = float(np.max(np.abs(samp.f)))
+                    zero_part = float(np.max(np.abs(samp.g)))
+                ratio = zero_part / main_peak if main_peak > 0 else math.inf
+                ok = ratio <= 1e-8 and rep.classification == "bound"
+                rows.append(VerifyRow(
+                    check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
+                    e_analytic=state.energy, residual=ratio, passed=bool(ok),
+                ))
     return rows
 
 
-def _no_binding_rows(mass, a_values, kappas, lambda_floor=0.99) -> list[dict]:
+def _no_binding_rows(mass, a_values, kappas) -> list[VerifyRow]:
     """b = 0 sweep: shooting must find no square-integrable state with |E| < M."""
     rows = []
-    params_b0 = lambda a: ModelParams(mass, a, 0.0)
-    from .oracle import ShootingConfig, shoot_eigenvalue
-
     for a in a_values:
-        params = params_b0(a)
+        params = ModelParams(mass, a, 0.0)
         for kappa in kappas:
             channel = Channel.from_kappa(kappa, a)
             kb = channel.kappa_bar
-            if abs(kb) <= 0.5:
-                rows.append(
-                    {
-                        "check": "no_binding",
-                        "b": 0.0,
-                        "a": a,
-                        "kappa": kappa,
-                        "kappa_bar": kb,
-                        "n": None,
-                        "e_analytic": None,
-                        "e_shoot": None,
-                        "delta_e": None,
-                        "residual": None,
-                        "node_ok": None,
-                        "passed": True,
-                    }
-                )
-                continue
-            config = ShootingConfig(
-                r_min=1e-6 / mass,
-                r_max=60.0 / mass,
-                step_count=4000,
-                match_point=1.0 / mass,
-                lambda_bracket=(-lambda_floor * mass * mass, -1e-4 * mass * mass),
-                tolerance=1e-9,
-            )
             found = None
-            for node_target in range(3):
-                try:
-                    found = shoot_eigenvalue(params, channel, "upper", node_target, config)
-                    break
-                except NoBracketError:
-                    continue
-            rows.append(
-                {
-                    "check": "no_binding",
-                    "b": 0.0,
-                    "a": a,
-                    "kappa": kappa,
-                    "kappa_bar": kb,
-                    "n": None,
-                    "e_analytic": None,
-                    "e_shoot": None if found is None else found.energy_pair[0],
-                    "delta_e": None,
-                    "residual": None,
-                    "node_ok": None,
-                    "passed": found is None,
-                }
-            )
+            if abs(kb) > 0.5:
+                config = ShootingConfig(
+                    r_min=1e-6 / mass,
+                    r_max=60.0 / mass,
+                    step_count=4000,
+                    match_point=1.0 / mass,
+                    lambda_bracket=(-0.99 * mass * mass, -1e-4 * mass * mass),
+                    tolerance=1e-9,
+                )
+                for node_target in range(3):
+                    try:
+                        found = shoot_eigenvalue(params, channel, "upper", node_target, config)
+                        break
+                    except NoBracketError:
+                        continue
+            rows.append(VerifyRow(
+                check="no_binding", b=0.0, a=a, kappa=kappa, kappa_bar=kb,
+                e_shoot=None if found is None else found.energy_pair[0], passed=found is None,
+            ))
     return rows
 
 
-def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list[dict], str]:
+def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list[VerifyRow], str]:
     kappas = _kappa_list(cfg)
     if cfg.b == 0.0 and b_given:
         a_values = (cfg.a,) if a_given else (0.0, 0.5, -0.5)
         rows = _no_binding_rows(cfg.mass, a_values, kappas)
         summary = f"b = 0 sweep over {len(rows)} channels: no bound states expected"
         return rows, summary
+    if cfg.n_max < 0:
+        raise UsageError("n_max must be nonnegative")
     b_values = cfg.b_values or ((cfg.b,) if b_given else (0.5, 1.0, 2.0, -0.5, -1.0, -2.0))
     a_values = cfg.a_grid or ((cfg.a,) if a_given else (0.0, 0.5, -0.5, 2.0, -2.0))
     rows = verification_grid_rows(
@@ -501,9 +464,14 @@ def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list
         inject_energy_error=cfg.inject_energy_error,
         step_count=cfg.step_count,
     )
-    oracle_rows = [r for r in rows if r["check"] in ("oracle", "special")]
-    max_delta = max((r["delta_e"] for r in oracle_rows), default=0.0)
-    n_fail = sum(1 for r in rows if not r["passed"])
+    if not rows:
+        raise UsageError(
+            "no channel of the grid binds (bound states need b*kappa_bar < 0 and "
+            "|kappa_bar| > 1/2): there is nothing to verify"
+        )
+    oracle_rows = [r for r in rows if r.check in ("oracle", "special")]
+    max_delta = max((r.delta_e for r in oracle_rows), default=0.0)
+    n_fail = sum(1 for r in rows if not r.passed)
     summary = (
         f"verified {len(oracle_rows)} states "
         f"({len(rows) - len(oracle_rows)} zero-component checks): "
@@ -512,36 +480,22 @@ def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list
     return rows, summary
 
 
-_FLOAT_KEYS = {
-    "mass", "a", "b", "r_min", "r_max", "tolerance", "inject_energy_error",
-    "kappa_bar_min", "kappa_bar_max",
-}
-_INT_KEYS = {"kappa_min", "kappa_max", "n_max", "kappa", "n", "points", "step_count"}
-_BOOL_KEYS = {"conjugate", "special"}
-_TUPLE_KEYS = {"a_values", "b_values", "a_grid"}
-_STR_KEYS = {"branch", "output_format", "out", "grid"}
-
-
-def _convert(key: str, raw: str):
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise UsageError(f"boolean expected for {key}, got {raw!r}")
-    if key in _TUPLE_KEYS:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    if key in _STR_KEYS:
-        return raw
-    raise UsageError(f"unknown config key {key!r}")
+def float_list(text: str) -> tuple:
+    """A comma-separated list of floats, as --a-values, --b-values and --a-grid take."""
+    return tuple(float(part) for part in text.split(",") if part.strip())
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key=value text; '#' starts a comment, keys match the CLI flags."""
+    """Flat key=value text; '#' starts a comment.
+
+    Keys are RunConfig field names, with '-' read as '_': ``output_format=json``,
+    not the flag name ``format``.  Each value is converted to the type its
+    field is annotated with (Optional[X] read as X).
+    """
+    types = {}
+    for name, hint in get_type_hints(RunConfig).items():
+        inner = [t for t in get_args(hint) if t is not type(None)]
+        types[name] = inner[0] if inner else hint
     values = {}
     try:
         with open(path) as fh:
@@ -555,8 +509,18 @@ def load_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = stripped.split("=", 1)
-        key = key.strip().replace("-", "_")
-        values[key] = _convert(key, raw.strip())
+        key, raw = key.strip().replace("-", "_"), raw.strip()
+        kind = types.get(key)
+        if kind is None:
+            raise UsageError(f"unknown config key {key!r}")
+        if kind is bool:
+            if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+                raise UsageError(f"boolean expected for {key}, got {raw!r}")
+            values[key] = raw.lower() in ("1", "true", "yes")
+        elif kind is tuple:
+            values[key] = float_list(raw)
+        else:
+            values[key] = kind(raw)
     return values
 
 
@@ -594,7 +558,8 @@ def build_parser() -> _Parser:
     f3 = subs.add_parser("fig3", help="fixed-level energies vs kappa for several a")
     _add_common(f3)
     f3.add_argument("--n", type=int, default=None, help="upper-component node count (default 1)")
-    f3.add_argument("--a-values", default=None, help="comma-separated Coulomb strengths")
+    f3.add_argument("--a-values", type=float_list, default=None,
+                    help="comma-separated Coulomb strengths")
     f3.add_argument("--kappa-bar-min", type=float, default=None)
     f3.add_argument("--kappa-bar-max", type=float, default=None)
 
@@ -614,8 +579,10 @@ def build_parser() -> _Parser:
     vf.add_argument("--tolerance", type=float, default=None)
     vf.add_argument("--inject-energy-error", type=float, default=None,
                     help="test mode: offset analytic energies to prove failures are caught")
-    vf.add_argument("--b-values", default=None, help="comma-separated grid of b values")
-    vf.add_argument("--a-grid", default=None, help="comma-separated grid of a values")
+    vf.add_argument("--b-values", type=float_list, default=None,
+                    help="comma-separated grid of b values")
+    vf.add_argument("--a-grid", type=float_list, default=None,
+                    help="comma-separated grid of a values")
     vf.add_argument("--step-count", type=int, default=None)
 
     return parser
@@ -644,8 +611,6 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
     for key, value in vars(args).items():
         if key in ("command", "preset", "config") or value is None:
             continue
-        if key in _TUPLE_KEYS and isinstance(value, str):
-            value = _convert(key, value)
         if key not in valid:
             continue
         merged[key] = value
@@ -673,9 +638,9 @@ def main(argv=None) -> int:
             _emit(rows, cfg.output_format, cfg.out, meta=meta)
         elif args.command == "verify":
             rows, summary = run_verification(cfg, "b" in explicit, "a" in explicit)
-            _emit(rows, cfg.output_format, cfg.out)
+            _emit([vars(row) for row in rows], cfg.output_format, cfg.out)
             print(summary, file=sys.stderr)
-            if any(not row["passed"] for row in rows):
+            if any(not row.passed for row in rows):
                 raise VerificationFailure(summary)
         return 0
     except UsageError as exc:

@@ -129,6 +129,22 @@ def bound_states_exist(params: ModelParams, channel: Channel) -> bool:
     return params.b * kb < 0.0 and abs(kb) > 0.5
 
 
+def angular_strength(kappa_bar: float, component: Component) -> float:
+    """kappa_bar*(kappa_bar +/- 1), the 1/r^2 strength in the second-order equation
+    of the upper (+) or lower (-) component.  Raises UnboundChannelError for
+    |kappa_bar| <= 1/2, where the centrifugal term degenerates and no level exists."""
+    if abs(kappa_bar) <= 0.5:
+        raise UnboundChannelError(
+            f"|kappa_bar| = {abs(kappa_bar)} <= 1/2: the centrifugal term degenerates, "
+            "no level exists"
+        )
+    if component == "upper":
+        return kappa_bar * (kappa_bar + 1.0)
+    if component == "lower":
+        return kappa_bar * (kappa_bar - 1.0)
+    raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
+
+
 @dataclass(frozen=True)
 class KappaRange:
     """Open half-line of admissible integer kappa for one sign of b."""

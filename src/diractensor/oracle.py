@@ -35,7 +35,7 @@ from .core import (
     Component,
     ModelParams,
     RadialSamples,
-    UnboundChannelError,
+    angular_strength,
 )
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "ConvergenceError",
     "NodeMismatchError",
     "effective_potential",
-    "effective_potential_general",
     "shoot_eigenvalue",
     "default_shooting_config",
     "solve_bound_level",
@@ -107,27 +106,9 @@ class EigenResult:
     residual: float
 
 
-def _angular_strength(channel: Channel, component: Component) -> float:
-    kb = channel.kappa_bar
-    if component == "upper":
-        return kb * (kb + 1.0)
-    if component == "lower":
-        return kb * (kb - 1.0)
-    raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
-
-
-def _require_shootable(channel: Channel):
-    if abs(channel.kappa_bar) <= 0.5:
-        raise UnboundChannelError(
-            f"|kappa_bar| = {abs(channel.kappa_bar)} <= 1/2: the effective "
-            "centrifugal term degenerates, no level exists"
-        )
-
-
 def effective_potential(params: ModelParams, channel: Channel, component: Component) -> Callable:
     """V(r) = kb*(kb +/- 1)/r^2 + 2*b*kb/r entering -u'' + V u = lambda u."""
-    _require_shootable(channel)
-    angular = _angular_strength(channel, component)
+    angular = angular_strength(channel.kappa_bar, component)
     coulomb = 2.0 * params.b * channel.kappa_bar
 
     def potential(r):
@@ -135,34 +116,6 @@ def effective_potential(params: ModelParams, channel: Channel, component: Compon
         if np.any(arr <= 0):
             raise ValueError("the radial coordinate must be positive")
         val = angular / (arr * arr) + coulomb / arr
-        return float(val) if np.ndim(r) == 0 else val
-
-    return potential
-
-
-def effective_potential_general(params: ModelParams, channel: Channel, component: Component) -> Callable:
-    """Same potential built from the raw tensor field U = a/r + b.
-
-    Uses the unshifted kappa and the full kappa(kappa +/- 1)/r^2
-    + 2*kappa*U/r -/+ U' + U^2 combination (minus b^2 to line up with the
-    lambda = E^2 - M^2 - b^2 convention); regression target for the
-    specialized form above.
-    """
-    _require_shootable(channel)
-    kappa = float(channel.kappa)
-    a, b = params.a, params.b
-    sign_up = -1.0 if component == "upper" else 1.0
-    if component not in ("upper", "lower"):
-        raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
-    angular = kappa * (kappa + 1.0) if component == "upper" else kappa * (kappa - 1.0)
-
-    def potential(r):
-        arr = np.asarray(r, dtype=float)
-        if np.any(arr <= 0):
-            raise ValueError("the radial coordinate must be positive")
-        u = a / arr + b
-        u_prime = -a / (arr * arr)
-        val = angular / (arr * arr) + 2.0 * kappa * u / arr + sign_up * u_prime + u * u - b * b
         return float(val) if np.ndim(r) == 0 else val
 
     return potential
@@ -195,10 +148,17 @@ def _numerov_march(f: np.ndarray, y0: float, y1: float) -> np.ndarray:
     return y
 
 
+def _sign_changes(v: np.ndarray) -> np.ndarray:
+    """Mask of strict sign changes between neighbours, found by comparing signs
+    rather than multiplying, which under- or overflows at extreme magnitudes.
+    Exact zeros break runs and NaN never changes sign."""
+    pos, neg = v > 0.0, v < 0.0
+    return (pos[1:] & neg[:-1]) | (neg[1:] & pos[:-1])
+
+
 def count_sign_changes(values) -> int:
     """Strict sign changes between consecutive samples (exact zeros break runs)."""
-    v = np.asarray(values, dtype=float)
-    return int(np.count_nonzero(v[1:] * v[:-1] < 0.0))
+    return int(np.count_nonzero(_sign_changes(np.asarray(values, dtype=float))))
 
 
 def count_nodes(samples: RadialSamples, component: Component = "upper") -> int:
@@ -215,7 +175,7 @@ def count_nodes(samples: RadialSamples, component: Component = "upper") -> int:
     if nonzero.size == 0:
         return 0
     yy = y[nonzero[0] : nonzero[-1] + 1]
-    crossings = np.nonzero(yy[1:] * yy[:-1] < 0.0)[0]
+    crossings = np.nonzero(_sign_changes(yy))[0]
     scale = float(np.max(np.abs(yy)))
     for i in crossings:
         lo, hi = max(i - 3, 0), min(i + 5, yy.size)
@@ -235,14 +195,12 @@ class _ShootingWorkspace:
 
     def __init__(self, params: ModelParams, channel: Channel, component: Component,
                  config: ShootingConfig):
-        _require_shootable(channel)
         n = config.step_count
         x = np.linspace(math.log(config.r_min), math.log(config.r_max), n + 1)
         self.h = (x[-1] - x[0]) / n
         self.r = np.exp(x)
         self.r2 = self.r * self.r
-        angular = _angular_strength(channel, component)
-        self.S = math.sqrt(angular + 0.25)
+        self.S = math.sqrt(angular_strength(channel.kappa_bar, component) + 0.25)
         self.B = 2.0 * params.b * channel.kappa_bar
         self.base = self.S * self.S + self.B * self.r
         ddx12 = self.h * self.h / 12.0
@@ -397,8 +355,8 @@ def shoot_eigenvalue(
     )
 
 
-def _outer_radius(gamma: float, tail_exponent: float, suppression: float = 30.0) -> float:
-    """Box radius at which the WKB tail sits e^(-suppression) below its peak.
+def _outer_radius(gamma: float, tail_exponent: float) -> float:
+    """Box radius at which the WKB tail sits e^(-30) below its peak.
 
     The decaying solution behaves like r^p e^(-gamma r) with the Coulomb
     exponent p = |b kappa_bar| / gamma; for large p the polynomial factor
@@ -406,8 +364,8 @@ def _outer_radius(gamma: float, tail_exponent: float, suppression: float = 30.0)
     the box and the Dirichlet wall shifts the eigenvalue visibly.
     """
     p = max(tail_exponent, 0.0)
-    target = suppression + p - (p * math.log(p) if p > 0 else 0.0)
-    t = suppression + 2.0 * p
+    target = 30.0 + p - (p * math.log(p) if p > 0 else 0.0)
+    t = 30.0 + 2.0 * p
     for _ in range(4):
         t = target + (p * math.log(t) if p > 0 else 0.0)
     return t / gamma
@@ -426,7 +384,7 @@ def default_shooting_config(
     |b| / (2 n + 3), which fixes a generous first-pass box; the bracket spans
     the whole physical window -b^2 < lambda < 0.
     """
-    _require_shootable(channel)
+    angular_strength(channel.kappa_bar, component)  # rejects |kappa_bar| <= 1/2
     b = abs(params.b)
     if b == 0.0:
         raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
@@ -449,29 +407,25 @@ def solve_bound_level(
     component: Component,
     node_target: int,
     step_count: int = 6000,
-    passes: int = 2,
 ) -> EigenResult:
-    """Shoot with domain adaptation: rescale r_min = 1e-6/gamma and
-    r_max = 30/gamma to the decay rate gamma = sqrt(-lambda) found on the
-    previous pass, then re-solve with a tightened bracket.  The first pass
-    only needs to locate the level, so it runs on a coarser grid."""
-    locator_steps = min(3000, step_count) if passes > 1 else step_count
-    config = default_shooting_config(params, channel, component, node_target, locator_steps)
-    result = shoot_eigenvalue(params, channel, component, node_target, config)
-    for _ in range(1, passes):
-        gamma = math.sqrt(-result.lambda_)
-        r_min = 1e-6 / gamma
-        r_max = _outer_radius(gamma, abs(params.b * channel.kappa_bar) / gamma)
-        config = ShootingConfig(
-            r_min=r_min,
-            r_max=r_max,
-            step_count=step_count,
-            match_point=math.sqrt(r_min * r_max),
-            lambda_bracket=(1.5 * result.lambda_, 0.5 * result.lambda_),
-            tolerance=config.tolerance,
-        )
-        result = shoot_eigenvalue(params, channel, component, node_target, config)
-    return result
+    """Shoot in two passes.  The first only locates the level, so it runs on
+    a coarser grid; the second rescales r_min = 1e-6/gamma and the box radius
+    to the decay rate gamma = sqrt(-lambda) found by the first and re-solves
+    with a tightened bracket."""
+    config = default_shooting_config(params, channel, component, node_target, min(3000, step_count))
+    located = shoot_eigenvalue(params, channel, component, node_target, config)
+    gamma = math.sqrt(-located.lambda_)
+    r_min = 1e-6 / gamma
+    r_max = _outer_radius(gamma, abs(params.b * channel.kappa_bar) / gamma)
+    config = ShootingConfig(
+        r_min=r_min,
+        r_max=r_max,
+        step_count=step_count,
+        match_point=math.sqrt(r_min * r_max),
+        lambda_bracket=(1.5 * located.lambda_, 0.5 * located.lambda_),
+        tolerance=config.tolerance,
+    )
+    return shoot_eigenvalue(params, channel, component, node_target, config)
 
 
 @dataclass(frozen=True)
@@ -577,7 +531,6 @@ def integrate_first_order(
     params: ModelParams,
     channel: Channel,
     energy_value: float,
-    config: Optional[ShootingConfig] = None,
     sample_count: int = 800,
     fineness: float = 5e-4,
 ) -> tuple[RadialSamples, IntegrationReport]:
@@ -606,20 +559,17 @@ def integrate_first_order(
     growing.  The default ``fineness`` keeps the truncation error per step at
     the extended-precision roundoff level.
     """
-    _require_shootable(channel)
+    kb_f = channel.kappa_bar
+    angular = max(abs(angular_strength(kb_f, "upper")), abs(angular_strength(kb_f, "lower")))
     if not fineness > 0.0:
         raise ValueError("fineness must be positive")
-    kb_f = channel.kappa_bar
     lam = energy_value * energy_value - params.mass**2 - params.b**2
     gamma_ref = math.sqrt(-lam) if lam < 0.0 else max(abs(params.b), 0.1 * params.mass)
-    r_lo = config.r_min if config is not None else 1e-6 / gamma_ref
-    r_hi = config.r_max if config is not None else 30.0 / gamma_ref
-    if config is not None:
-        fineness = fineness * 20000.0 / config.step_count
+    r_lo = 1e-6 / gamma_ref
+    r_hi = 30.0 / gamma_ref
 
     # step k ends where the phase integral of the variation rate reaches k * fineness
     abs_b, abs_kb = abs(params.b), abs(kb_f)
-    angular = max(abs(kb_f * (kb_f + 1.0)), abs(kb_f * (kb_f - 1.0)))
     x = np.linspace(math.log(r_lo), math.log(r_hi), _PHASE_POINTS)
     rx = np.exp(x)
     rate_dx = (1.0 + abs_kb + np.sqrt(abs(float(lam)) * rx * rx + 2.0 * abs_b * abs_kb * rx + angular)

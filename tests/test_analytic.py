@@ -23,7 +23,7 @@ from diractensor import (
     state_wavefunctions,
     wavefunctions,
 )
-from diractensor.analytic import _energy_factored, default_radial_grid, n_bar
+from diractensor.analytic import _require_bound, default_radial_grid, n_bar
 
 
 def channel_for(kappa, a=0.0):
@@ -32,6 +32,19 @@ def channel_for(kappa, a=0.0):
 
 PARAMS_POS = ModelParams(1.0, 0.0, 1.0)
 PARAMS_NEG = ModelParams(1.0, 0.0, -1.0)
+
+
+def _energy_factored(params: ModelParams, channel: Channel, n_g: int) -> float:
+    """|E| from the factored radicands; must agree with energy() to roundoff."""
+    kb = _require_bound(params, channel)
+    b2 = params.b**2
+    if kb < -0.5:
+        num = n_g * (n_g - 2.0 * kb)
+        den = (n_g - kb) ** 2
+    else:
+        num = (n_g + 1.0) * (n_g + 1.0 + 2.0 * kb)
+        den = (n_g + 1.0 + kb) ** 2
+    return math.sqrt(params.mass**2 + b2 * num / den)
 
 
 class TestEnergy:
@@ -178,6 +191,9 @@ class TestWavefunctions:
             assert norm_quadrature(g, f) == pytest.approx(1.0, abs=1e-12)
             total, _ = quad(lambda rr: g(rr) ** 2 + f(rr) ** 2, 0.0, 300.0, limit=400)
             assert total == pytest.approx(1.0, abs=1e-9)
+        # degree 150: a fixed 128-node rule is no longer exact here and read 0.44
+        g, f = wavefunctions(PARAMS_POS, channel_for(-1), 150)
+        assert norm_quadrature(g, f) == pytest.approx(1.0, abs=1e-12)
 
     def test_node_counts_match_degrees(self):
         cases = [

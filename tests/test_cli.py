@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -132,6 +133,13 @@ class TestFig3Command:
     def test_level_zero_rejected(self):
         assert run_cli("fig3", "--preset", "fig3a", "--n", "0") == 1
 
+    def test_a_values_flag_is_a_comma_list(self, tmp_path):
+        out = tmp_path / "f3.csv"
+        assert run_cli("fig3", "--preset", "fig3a", "--a-values", "0, 1.5",
+                       "--out", str(out)) == 0
+        assert {r["a"] for r in read_csv_rows(out)} == {"0.0", "1.5"}
+        assert run_cli("fig3", "--preset", "fig3a", "--a-values", "x") == 1
+
 
 class TestWavefunctionCommand:
     def test_special_state_lower_column_zero(self, tmp_path):
@@ -238,6 +246,21 @@ class TestVerifyCommand:
         rows = read_csv_rows(out)
         assert rows and all(r["check"] == "no_binding" and r["passed"] == "true" for r in rows)
 
+    def test_grid_without_binding_channel_is_usage_error(self, tmp_path, capsys):
+        # b > 0 binds only kappa_bar < -1/2, so kappa 1..3 leave nothing to check
+        out = tmp_path / "verify.csv"
+        code = run_cli("verify", "--b", "1", "--a", "0", "--kappa-min", "1",
+                       "--kappa-max", "3", "--out", str(out))
+        assert code == 1
+        assert "nothing to verify" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_n_max_is_usage_error(self, capsys):
+        code = run_cli("verify", "--b", "1", "--a", "0", "--kappa-min", "-1",
+                       "--kappa-max", "-1", "--n-max", "-1")
+        assert code == 1
+        assert "n_max" in capsys.readouterr().err
+
 
 class TestOutputHygiene:
     def test_byte_determinism(self, tmp_path):
@@ -310,3 +333,29 @@ class TestConfigHandling:
         cfg.write_text("a_values=-2,-1,0\nconjugate=true\nbranch=both\n")
         values = load_config_file(str(cfg))
         assert values == {"a_values": (-2.0, -1.0, 0.0), "conjugate": True, "branch": "both"}
+
+    def test_load_config_file_every_field(self, tmp_path):
+        expected = {
+            "mass": 2.5, "a": -0.5, "b": 1.5, "kappa_min": -7, "kappa_max": -2, "n_max": 3,
+            "branch": "minus", "output_format": "json", "out": "table.json", "conjugate": False,
+            "kappa": -3, "n": 2, "special": True, "r_min": 0.001, "r_max": 40.0, "points": 250,
+            "grid": "linear", "a_values": (-1.0, 0.5), "kappa_bar_min": -8.0,
+            "kappa_bar_max": -1.5, "tolerance": 1e-6, "inject_energy_error": 0.002,
+            "b_values": (0.5, -2.0), "a_grid": (0.0,), "step_count": 5000,
+        }
+        assert set(expected) == {f.name for f in fields(RunConfig)}
+        text = "".join(f"{key}={value}\n" for key, value in expected.items()
+                       if not isinstance(value, tuple))
+        text += "a_values=-1,0.5\nb-values=0.5, -2\na_grid=0\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        values = load_config_file(str(cfg))
+        assert values == expected
+        for key, value in values.items():
+            assert type(value) is type(expected[key]), key
+
+    def test_bad_boolean_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("conjugate=maybe\n")
+        assert run_cli("spectrum", "--config", str(cfg)) == 1
+        assert "boolean expected for conjugate" in capsys.readouterr().err

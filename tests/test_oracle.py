@@ -1,11 +1,14 @@
 import math
 import tracemalloc
+import warnings
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from diractensor import (
     Channel,
+    Component,
     ModelParams,
     NoBracketError,
     RadialSamples,
@@ -13,9 +16,9 @@ from diractensor import (
     UnboundChannelError,
     bound_state,
     count_nodes,
+    count_sign_changes,
     default_shooting_config,
     effective_potential,
-    effective_potential_general,
     energy,
     integrate_first_order,
     sample_state,
@@ -25,10 +28,39 @@ from diractensor import (
     state_wavefunctions,
 )
 from diractensor.analytic import default_radial_grid
+from diractensor.core import angular_strength
 from diractensor.oracle import _rk4_step_deltas
 
 PARAMS_POS = ModelParams(1.0, 0.0, 1.0)
 PARAMS_NEG = ModelParams(1.0, 0.0, -1.0)
+
+
+def effective_potential_general(params: ModelParams, channel: Channel, component: Component) -> Callable:
+    """Same potential built from the raw tensor field U = a/r + b.
+
+    Uses the unshifted kappa and the full kappa(kappa +/- 1)/r^2
+    + 2*kappa*U/r -/+ U' + U^2 combination (minus b^2 to line up with the
+    lambda = E^2 - M^2 - b^2 convention); regression target for the
+    specialized form, ``diractensor.oracle.effective_potential``.
+    """
+    angular_strength(channel.kappa_bar, component)  # rejects |kappa_bar| <= 1/2
+    kappa = float(channel.kappa)
+    a, b = params.a, params.b
+    sign_up = -1.0 if component == "upper" else 1.0
+    if component not in ("upper", "lower"):
+        raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
+    angular = kappa * (kappa + 1.0) if component == "upper" else kappa * (kappa - 1.0)
+
+    def potential(r):
+        arr = np.asarray(r, dtype=float)
+        if np.any(arr <= 0):
+            raise ValueError("the radial coordinate must be positive")
+        u = a / arr + b
+        u_prime = -a / (arr * arr)
+        val = angular / (arr * arr) + 2.0 * kappa * u / arr + sign_up * u_prime + u * u - b * b
+        return float(val) if np.ndim(r) == 0 else val
+
+    return potential
 
 
 class TestEffectivePotential:
@@ -303,6 +335,21 @@ class TestFirstOrderPropagator:
             tracemalloc.stop()
         assert report.steps > 300_000
         assert peak <= 8e6
+
+
+class TestCountSignChanges:
+    def test_tiny_values_do_not_underflow(self):
+        # the product 1e-200 * -1e-200 underflows to -0.0 and hid this change
+        assert count_sign_changes([1e-200, -1e-200, 1e-200]) == 2
+
+    def test_huge_values_do_not_overflow(self):
+        # outward Numerov sweeps of high levels reach magnitudes like these
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert count_sign_changes([1e200, -1e200, 1e300, 2.0]) == 2
+
+    def test_zeros_break_runs_and_nan_never_changes_sign(self):
+        assert count_sign_changes([1.0, 0.0, -1.0, math.nan, 1.0, -1.0]) == 1
 
 
 class TestCountNodes:
