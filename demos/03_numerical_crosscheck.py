@@ -64,7 +64,7 @@ print("4. Without the constant term (b = 0) nothing binds")
 print("=" * 68)
 free = ModelParams(mass=1.0, a=0.0, b=0.0)
 config = ShootingConfig(
-    r_min=1e-6, r_max=60.0, step_count=4000, match_point=1.0,
+    r_min=1e-6, r_max=60.0, step_count=4000,
     lambda_bracket=(-0.99, -1e-4), tolerance=1e-9,
 )
 for kappa in (-2, -1, 1, 2):

@@ -344,8 +344,9 @@ def verification_grid_rows(
     tolerance: float = 1e-7,
     inject_energy_error: float = 0.0,
     step_count: int = 6000,
-) -> list[VerifyRow]:
-    """One verification row per (b, a, kappa, level) state.
+) -> tuple[list[VerifyRow], int, int]:
+    """One verification row per (b, a, kappa, level) state, with the Numerov
+    sweeps and Newton steps the shooting oracle took over all of them.
 
     Each row compares the closed-form energy against the shooting eigenvalue,
     recounts nodes from the sampled wavefunctions, checks the energy window
@@ -354,6 +355,7 @@ def verification_grid_rows(
     component verified by outward integration.
     """
     rows = []
+    sweeps = newton_steps = 0
     r_residual = np.geomspace(0.01, 30.0, 120)
     for b in b_values:
         for a in a_values:
@@ -374,6 +376,8 @@ def verification_grid_rows(
                     shot = solve_bound_level(
                         params, channel, "upper", level, step_count=step_count
                     )
+                    sweeps += shot.sweeps
+                    newton_steps += shot.newton_steps
                     delta = abs(e_analytic - shot.energy_pair[0])
                     samples = sample_state(
                         params, state, np.geomspace(1e-6 / state.gamma, 30.0 / state.gamma, 2400)
@@ -409,7 +413,7 @@ def verification_grid_rows(
                     check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
                     e_analytic=state.energy, residual=ratio, passed=bool(ok),
                 ))
-    return rows
+    return rows, sweeps, newton_steps
 
 
 def _no_binding_rows(mass, a_values, kappas) -> list[VerifyRow]:
@@ -426,7 +430,6 @@ def _no_binding_rows(mass, a_values, kappas) -> list[VerifyRow]:
                     r_min=1e-6 / mass,
                     r_max=60.0 / mass,
                     step_count=4000,
-                    match_point=1.0 / mass,
                     lambda_bracket=(-0.99 * mass * mass, -1e-4 * mass * mass),
                     tolerance=1e-9,
                 )
@@ -454,7 +457,7 @@ def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list
         raise UsageError("n_max must be nonnegative")
     b_values = cfg.b_values or ((cfg.b,) if b_given else (0.5, 1.0, 2.0, -0.5, -1.0, -2.0))
     a_values = cfg.a_grid or ((cfg.a,) if a_given else (0.0, 0.5, -0.5, 2.0, -2.0))
-    rows = verification_grid_rows(
+    rows, sweeps, newton_steps = verification_grid_rows(
         cfg.mass,
         b_values,
         a_values,
@@ -475,7 +478,8 @@ def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list
     summary = (
         f"verified {len(oracle_rows)} states "
         f"({len(rows) - len(oracle_rows)} zero-component checks): "
-        f"max |dE| = {max_delta:.3e}, failures = {n_fail}"
+        f"max |dE| = {max_delta:.3e}, failures = {n_fail}; "
+        f"shooting took {sweeps} Numerov sweeps and {newton_steps} Newton steps"
     )
     return rows, summary
 

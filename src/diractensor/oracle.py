@@ -6,7 +6,9 @@ Two pieces of machinery, both blind to the closed-form solutions:
   Numerov integration on a logarithmic grid (substituting x = ln r and
   v = u / sqrt(r) turns u'' = [A/r^2 + B/r - lambda] u into
   v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4), with node-count
-  bisection to pick the level and a matching-defect Newton step to refine it;
+  bisection to pick the level and a matching-defect Newton step, taken from
+  either side of the level, to refine it; one outward march per trial lambda
+  serves both the node count and the match;
 
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
   to confirm decay at the analytic energies, divergence away from them, and
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,13 +81,12 @@ class ShootingConfig:
     r_min: float
     r_max: float
     step_count: int
-    match_point: float
     lambda_bracket: tuple[float, float]
     tolerance: float
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.match_point < self.r_max):
-            raise ValueError("need 0 < r_min < match_point < r_max")
+        if not (0.0 < self.r_min < self.r_max):
+            raise ValueError("need 0 < r_min < r_max")
         if self.step_count < 32:
             raise ValueError("step_count must be at least 32")
         lo, hi = self.lambda_bracket
@@ -97,13 +98,20 @@ class ShootingConfig:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged separation eigenvalue and its energy pair."""
+    """Converged separation eigenvalue and its energy pair.
+
+    ``sweeps`` counts the Numerov marches of the search and ``newton_steps``
+    the matching-defect Newton corrections it computed; both depend on the
+    inputs only.
+    """
 
     lambda_: float
     energy_pair: tuple[float, float]
     node_count: int
     converged: bool
     residual: float
+    sweeps: int
+    newton_steps: int
 
 
 def effective_potential(params: ModelParams, channel: Channel, component: Component) -> Callable:
@@ -217,9 +225,19 @@ class _ShootingWorkspace:
         margin = max(4, int(round(math.log(2.0) / self.h)))
         self.idx_lo = margin
         self.idx_hi = n - margin
+        self.sweeps = 0
+
+    def _march(self, f: np.ndarray, y0: float, y1: float) -> np.ndarray:
+        self.sweeps += 1
+        return _numerov_march(f, y0, y1)
 
     def coeffs(self, lam: float) -> np.ndarray:
         return self.f_base + lam * self.f_lam
+
+    def sweep(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients at ``lam`` and the outward sweep over the whole domain."""
+        f = self.coeffs(lam)
+        return f, self.outward(f, f.size - 1)
 
     def match_index(self, lam: float) -> int:
         inside = np.nonzero(self.base - lam * self.r2 < 0.0)[0]
@@ -227,9 +245,9 @@ class _ShootingWorkspace:
         return min(max(m, self.idx_lo), self.idx_hi)
 
     def outward(self, f: np.ndarray, upto: int) -> np.ndarray:
-        y = _numerov_march(f[: upto + 1], self.v0, self.v1)
+        y = self._march(f[: upto + 1], self.v0, self.v1)
         if not np.all(np.isfinite(y)):
-            y = _numerov_march(f[: upto + 1], self.v0 * 1e-150, self.v1 * 1e-150)
+            y = self._march(f[: upto + 1], self.v0 * 1e-150, self.v1 * 1e-150)
             if not np.all(np.isfinite(y)):
                 raise ShootingError("outward sweep overflowed even after rescaling")
         return y
@@ -237,23 +255,25 @@ class _ShootingWorkspace:
     def inward(self, f: np.ndarray, downto: int) -> np.ndarray:
         tail = f[downto:][::-1]
         y1 = (12.0 - 10.0 * tail[0]) / tail[1]  # treats the value beyond r_max as 0
-        y = _numerov_march(tail, 1.0, y1)
+        y = self._march(tail, 1.0, y1)
         if not np.all(np.isfinite(y)):
             raise ShootingError("inward sweep overflowed")
         return y[::-1]
 
 
-def _matched_solution(ws: _ShootingWorkspace, lam: float):
-    """Join outward and inward sweeps at the turning point.
+def _matched_solution(ws: _ShootingWorkspace, lam: float, f: np.ndarray, outward: np.ndarray):
+    """Join the outward sweep at ``lam`` (coefficients ``f``) to an inward
+    sweep at the turning point.
 
+    Forward substitution makes the outward march up to any index a prefix of
+    the whole-domain march, so ``outward`` is cut rather than marched again.
     Returns (combined y normalized to 1 at the match index, match index,
     matching defect F, Newton denominator).
     """
-    f = ws.coeffs(lam)
     m = ws.match_index(lam)
     for shift in (0, 1, -1, 2, -2, 3):
         mm = min(max(m + shift, ws.idx_lo), ws.idx_hi)
-        left = ws.outward(f, mm + 1)
+        left = outward[: mm + 2]
         right = ws.inward(f, mm - 1)
         if left[mm] != 0.0 and right[1] != 0.0:
             m = mm
@@ -277,13 +297,18 @@ def shoot_eigenvalue(
 ) -> EigenResult:
     """Find the level whose interior solution carries ``node_target`` nodes.
 
-    Bisection on the node count of the regular solution (counted up to the
-    outer turning point) brackets the level; once the count matches, the
-    mismatch of the two Numerov sweeps at the turning point drives a Newton
-    correction delta-lambda = -F / (h^2 sum w y^2).  Raises NoBracketError
-    when the bracket contains no such level (the b = 0 case in particular),
-    ConvergenceError on iteration cap, NodeMismatchError if the converged
-    solution violates Sturm ordering.
+    Bisection on the node count of the regular solution (counted over the
+    whole domain) brackets the level.  Wherever the count puts lambda next to
+    the level, at ``node_target`` (below it) or ``node_target + 1`` (above
+    it), the mismatch of the two Numerov sweeps at the outer turning point
+    drives a Newton correction delta-lambda = -F / (h^2 sum w y^2), kept only
+    when it lands inside the bracket.  Newton from both sides converges
+    quadratically; from one side only, the convex defect makes each step
+    overshoot and the bisection that follows merely halves the error.  One
+    outward march per trial lambda serves both the count and the match.
+    Raises NoBracketError when the bracket contains no such level (the b = 0
+    case in particular), ConvergenceError on iteration cap,
+    NodeMismatchError if the converged solution violates Sturm ordering.
     """
     if node_target < 0:
         raise ValueError("node_target must be nonnegative")
@@ -294,31 +319,30 @@ def shoot_eigenvalue(
         )
     ws = _ShootingWorkspace(params, channel, component, config)
 
-    def nodes_at(lam: float) -> int:
-        # full-domain sweep: the zero count of the regular solution equals the
-        # number of boxed levels strictly below lam (Sturm oscillation)
-        f = ws.coeffs(lam)
-        return count_sign_changes(ws.outward(f, f.size - 1))
-
-    if nodes_at(hi) <= node_target:
+    # the zero count of the regular solution over the whole domain equals the
+    # number of boxed levels strictly below lambda (Sturm oscillation)
+    if count_sign_changes(ws.sweep(hi)[1]) <= node_target:
         raise NoBracketError(
             f"no level with {node_target} nodes below the bracket top {hi}"
         )
-    if nodes_at(lo) > node_target:
+    if count_sign_changes(ws.sweep(lo)[1]) > node_target:
         raise NoBracketError(
             f"the bracket floor {lo} already lies above the {node_target}-node level"
         )
 
     lam = 0.5 * (lo + hi)
     best: Optional[float] = None
+    newton_steps = 0
     for _ in range(300):
-        count = nodes_at(lam)
+        f, outward = ws.sweep(lam)
+        count = count_sign_changes(outward)
         if count > node_target:
             hi = lam
         else:
             lo = lam
-        if count == node_target:
-            _, _, defect, denom = _matched_solution(ws, lam)
+        if count - node_target in (0, 1):
+            _, _, defect, denom = _matched_solution(ws, lam, f, outward)
+            newton_steps += 1
             delta = -defect / denom
             if abs(delta) <= config.tolerance:
                 best = min(max(lam + delta, lo), hi)
@@ -336,13 +360,13 @@ def shoot_eigenvalue(
             f"(bracket [{lo}, {hi}])"
         )
 
-    y, m, defect, _ = _matched_solution(ws, best)
+    f, outward = ws.sweep(best)
+    y, m, defect, _ = _matched_solution(ws, best, f, outward)
     found = count_sign_changes(y)
     if found != node_target:
         raise NodeMismatchError(
             f"converged solution has {found} nodes, expected {node_target}"
         )
-    f = ws.coeffs(best)
     scale = abs(f[m - 1] * y[m - 1]) + abs(f[m + 1] * y[m + 1]) + abs(12.0 - 10.0 * f[m])
     e2 = best + params.mass**2 + params.b**2
     e = math.sqrt(max(e2, 0.0))
@@ -352,6 +376,8 @@ def shoot_eigenvalue(
         node_count=found,
         converged=True,
         residual=abs(defect) / scale,
+        sweeps=ws.sweeps,
+        newton_steps=newton_steps,
     )
 
 
@@ -389,13 +415,10 @@ def default_shooting_config(
     if b == 0.0:
         raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
     gamma_seed = b / (2.0 * (node_target + 1.0) + 1.0)
-    r_min = 1e-6 / gamma_seed
-    r_max = 30.0 / gamma_seed
     return ShootingConfig(
-        r_min=r_min,
-        r_max=r_max,
+        r_min=1e-6 / gamma_seed,
+        r_max=30.0 / gamma_seed,
         step_count=step_count,
-        match_point=math.sqrt(r_min * r_max),
         lambda_bracket=(-b * b * (1.0 + 1e-6), -b * b * 1e-8),
         tolerance=1e-10 * b * b,
     )
@@ -411,21 +434,24 @@ def solve_bound_level(
     """Shoot in two passes.  The first only locates the level, so it runs on
     a coarser grid; the second rescales r_min = 1e-6/gamma and the box radius
     to the decay rate gamma = sqrt(-lambda) found by the first and re-solves
-    with a tightened bracket."""
+    with a tightened bracket.  The result's sweeps and Newton steps are the
+    totals of both passes."""
     config = default_shooting_config(params, channel, component, node_target, min(3000, step_count))
     located = shoot_eigenvalue(params, channel, component, node_target, config)
     gamma = math.sqrt(-located.lambda_)
-    r_min = 1e-6 / gamma
-    r_max = _outer_radius(gamma, abs(params.b * channel.kappa_bar) / gamma)
     config = ShootingConfig(
-        r_min=r_min,
-        r_max=r_max,
+        r_min=1e-6 / gamma,
+        r_max=_outer_radius(gamma, abs(params.b * channel.kappa_bar) / gamma),
         step_count=step_count,
-        match_point=math.sqrt(r_min * r_max),
         lambda_bracket=(1.5 * located.lambda_, 0.5 * located.lambda_),
         tolerance=config.tolerance,
     )
-    return shoot_eigenvalue(params, channel, component, node_target, config)
+    refined = shoot_eigenvalue(params, channel, component, node_target, config)
+    return replace(
+        refined,
+        sweeps=located.sweeps + refined.sweeps,
+        newton_steps=located.newton_steps + refined.newton_steps,
+    )
 
 
 @dataclass(frozen=True)

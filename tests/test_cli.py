@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from diractensor import NoBracketError, cli
+from diractensor import Channel, ModelParams, NoBracketError, cli, solve_bound_level
 from diractensor.cli import (
     RunConfig,
     load_config_file,
@@ -208,7 +208,7 @@ class TestWavefunctionCommand:
 
 
 class TestVerifyCommand:
-    def test_small_grid_passes(self, tmp_path):
+    def test_small_grid_passes(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
         code = run_cli("verify", "--b", "1", "--a", "0", "--kappa-min", "-2",
                        "--kappa-max", "-1", "--n-max", "1", "--out", str(out))
@@ -217,6 +217,14 @@ class TestVerifyCommand:
         assert rows and all(r["passed"] == "true" for r in rows)
         oracle_rows = [r for r in rows if r["check"] in ("oracle", "special")]
         assert max(float(r["delta_e"]) for r in oracle_rows) < 1e-7
+        # the summary line ends with the shooting work over the grid
+        params = ModelParams(1.0, 0.0, 1.0)
+        shots = [solve_bound_level(params, Channel.from_kappa(kappa), "upper", n)
+                 for kappa in (-2, -1) for n in (0, 1)]
+        sweeps = sum(shot.sweeps for shot in shots)
+        newton_steps = sum(shot.newton_steps for shot in shots)
+        assert capsys.readouterr().err.strip().endswith(
+            f"shooting took {sweeps} Numerov sweeps and {newton_steps} Newton steps")
 
     def test_injected_error_detected(self, tmp_path):
         out = tmp_path / "verify.csv"

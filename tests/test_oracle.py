@@ -29,7 +29,7 @@ from diractensor import (
 )
 from diractensor.analytic import default_radial_grid
 from diractensor.core import angular_strength
-from diractensor.oracle import _rk4_step_deltas
+from diractensor.oracle import _rk4_step_deltas, _ShootingWorkspace
 
 PARAMS_POS = ModelParams(1.0, 0.0, 1.0)
 PARAMS_NEG = ModelParams(1.0, 0.0, -1.0)
@@ -147,10 +147,28 @@ class TestShootEigenvalue:
             res = solve_bound_level(params, ch, "upper", n)
             assert res.energy_pair[0] == pytest.approx(energy(params, ch, n), abs=1e-8)
 
+    def test_work_counters_pinned(self):
+        # totals of both passes; Newton taken from below the level only needs
+        # 78 sweeps and 25 Newton steps here, each overshoot followed by a halving
+        for _ in range(2):
+            res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
+            assert (res.sweeps, res.newton_steps) == (26, 9)
+
+    def test_matching_reuses_a_prefix_of_the_counting_sweep(self):
+        # the outward march up to m + 1 must be bit for bit the head of the
+        # whole-domain march, since the match cuts it instead of marching
+        ch = Channel.from_kappa(-3)
+        config = default_shooting_config(PARAMS_POS, ch, "upper", 2, 3000)
+        ws = _ShootingWorkspace(PARAMS_POS, ch, "upper", config)
+        for lam in np.linspace(*config.lambda_bracket, 9):
+            f, whole = ws.sweep(lam)
+            for m in (ws.idx_lo, ws.match_index(lam), ws.idx_hi):
+                np.testing.assert_array_equal(ws.outward(f, m + 1), whole[: m + 2])
+
     def test_b_zero_finds_nothing(self):
         # no square-integrable level with |E| < M exists without the constant term
         config = ShootingConfig(
-            r_min=1e-6, r_max=60.0, step_count=4000, match_point=1.0,
+            r_min=1e-6, r_max=60.0, step_count=4000,
             lambda_bracket=(-0.99, -1e-4), tolerance=1e-9,
         )
         for a in (0.0, 0.5):
@@ -166,7 +184,7 @@ class TestShootEigenvalue:
     def test_degenerate_bracket_rejected(self):
         ch = Channel.from_kappa(-1)
         config = ShootingConfig(
-            r_min=1e-6, r_max=60.0, step_count=4000, match_point=1.0,
+            r_min=1e-6, r_max=60.0, step_count=4000,
             lambda_bracket=(-1e-9, -1e-9), tolerance=1e-9,
         )
         with pytest.raises(NoBracketError):
@@ -175,7 +193,7 @@ class TestShootEigenvalue:
     def test_bracket_must_contain_level(self):
         ch = Channel.from_kappa(-1)
         config = ShootingConfig(
-            r_min=1e-6, r_max=60.0, step_count=4000, match_point=1.0,
+            r_min=1e-6, r_max=60.0, step_count=4000,
             lambda_bracket=(-0.26, -0.24), tolerance=1e-10,
         )
         # the window holds the one-node level but not the three-node one
@@ -190,13 +208,13 @@ class TestShootEigenvalue:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ShootingConfig(r_min=1.0, r_max=0.5, step_count=4000, match_point=0.7,
+            ShootingConfig(r_min=1.0, r_max=0.5, step_count=4000,
                            lambda_bracket=(-1.0, -0.1), tolerance=1e-9)
         with pytest.raises(ValueError):
-            ShootingConfig(r_min=1e-6, r_max=60.0, step_count=4000, match_point=1.0,
+            ShootingConfig(r_min=1e-6, r_max=60.0, step_count=4000,
                            lambda_bracket=(-0.1, -1.0), tolerance=1e-9)
         with pytest.raises(ValueError):
-            ShootingConfig(r_min=1e-6, r_max=60.0, step_count=4, match_point=1.0,
+            ShootingConfig(r_min=1e-6, r_max=60.0, step_count=4,
                            lambda_bracket=(-1.0, -0.1), tolerance=1e-9)
 
 
