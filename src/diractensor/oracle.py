@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 from .core import (
     Channel,
@@ -134,15 +133,18 @@ def _numerov_march(f: np.ndarray, y0: float, y1: float) -> np.ndarray:
 
     The recurrence f[i+1] y[i+1] = (12 - 10 f[i]) y[i] - f[i-1] y[i-1] is a
     lower-triangular banded system, handed to the BLAS triangular solver
-    instead of a Python loop.
+    instead of a Python loop.  The band is built in Fortran order, the layout
+    BLAS reads, so f2py passes it without a copy.
     """
+    from scipy.linalg.blas import dtbsv  # here, not at the top: scipy is slow to import
+
     n = f.size
     y = np.empty(n)
     y[0], y[1] = y0, y1
     if n == 2:
         return y
     count = n - 2
-    ab = np.zeros((3, count))
+    ab = np.zeros((3, count), order="F")
     ab[0] = f[2:]
     if count > 1:
         ab[1, : count - 1] = -(12.0 - 10.0 * f[2 : n - 1])

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 
 @dataclass(frozen=True)
@@ -103,5 +102,7 @@ def gauss_laguerre(n_nodes: int = 128, order: float = 0.0):
         raise ValueError("n_nodes must be positive")
     if not order > -1.0:
         raise ValueError(f"order must exceed -1, got {order!r}")
+    from scipy.special import roots_genlaguerre  # here, not at the top: slow to import
+
     nodes, weights = roots_genlaguerre(n_nodes, order)
     return nodes, weights

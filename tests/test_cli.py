@@ -2,14 +2,20 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diractensor
 from diractensor import Channel, ModelParams, NoBracketError, cli, solve_bound_level
 from diractensor.cli import (
     RunConfig,
+    build_parser,
     load_config_file,
     main,
     run_fig3,
@@ -296,6 +302,95 @@ class TestOutputHygiene:
                        "--n-max", "0") == 0
         out = capsys.readouterr().out
         assert out.startswith("kappa,")
+
+    MIXED_ROWS = [
+        {"text": 'a "quoted", cell', "x": -0.0, "k": 3, "flag": True, "f64": np.float64(0.1),
+         "mixed": None},
+        {"text": "plain", "x": math.inf, "k": -7, "flag": False, "f64": np.float64(-2.5),
+         "mixed": 5e-324},
+        {"text": "", "x": math.nan, "k": 0, "flag": True, "f64": np.float64(1e300),
+         "mixed": 1e300},
+        {"text": "tail", "x": 5e-324, "k": 10**20, "flag": False, "f64": np.float64(0.0),
+         "mixed": False},
+    ]
+    MIXED_META = {"none": None, "flag": True, "count": 12, "value": -0.0, "f64": np.float64(0.5),
+                  "name": "x,y"}
+
+    @staticmethod
+    def reference_csv(rows, meta):
+        """The row-by-row, cell-by-cell formatter that column-wise output must match."""
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return repr(value)
+            return str(value)
+
+        buf = io.StringIO()
+        for key, value in meta.items():
+            buf.write(f"# {key}={cell(value)}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        for row in rows:
+            writer.writerow([cell(v) for v in row.values()])
+        return buf.getvalue()
+
+    def test_columnwise_csv_matches_rowwise_reference(self, tmp_path):
+        out = tmp_path / "mixed.csv"
+        text = cli._emit(self.MIXED_ROWS, "csv", str(out), meta=self.MIXED_META)
+        expected = self.reference_csv(self.MIXED_ROWS, self.MIXED_META)
+        assert text == expected
+        assert out.read_bytes() == expected.encode()
+        assert '"a ""quoted"", cell"' in text
+
+    def test_json_matches_reference(self, tmp_path):
+        out = tmp_path / "mixed.json"
+        text = cli._emit(self.MIXED_ROWS, "json", str(out), meta=self.MIXED_META)
+        expected = json.dumps({"meta": self.MIXED_META, "rows": self.MIXED_ROWS}, indent=2) + "\n"
+        assert text == expected
+        assert out.read_bytes() == expected.encode()
+
+
+class TestStartupAndParserReuse:
+    GOLDEN = Path(__file__).resolve().parent / "golden"
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(diractensor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, diractensor.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flag_does_not_carry_over(self, tmp_path):
+        fig2, fig1 = tmp_path / "fig2.csv", tmp_path / "fig1.csv"
+        assert run_cli("spectrum", "--conjugate", "--out", str(fig2)) == 0
+        assert run_cli("spectrum", "--out", str(fig1)) == 0
+        assert fig2.read_bytes() == (self.GOLDEN / "fig2.csv").read_bytes()
+        assert fig1.read_bytes() == (self.GOLDEN / "fig1.csv").read_bytes()
+
+    def test_option_value_does_not_carry_over(self, tmp_path):
+        short, full = tmp_path / "short.csv", tmp_path / "full.csv"
+        assert run_cli("wavefunction", "--kappa", "-2", "--points", "50", "--out", str(short)) == 0
+        assert run_cli("wavefunction", "--kappa", "-2", "--out", str(full)) == 0
+        assert len(read_csv_rows(short)) == 50
+        assert len(read_csv_rows(full)) == 600
+
+    def test_usage_error_leaves_next_request_alone(self, tmp_path, capsys):
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        assert run_cli("spectrum", "--out", str(before)) == 0
+        assert run_cli("spectrum", "--conjugate", "--n-max", "many", "--out", str(after)) == 1
+        assert "--n-max" in capsys.readouterr().err
+        assert not after.exists()
+        assert run_cli("spectrum", "--out", str(after)) == 0
+        assert after.read_bytes() == before.read_bytes()
 
 
 class TestConfigHandling:
