@@ -35,7 +35,7 @@ from .analytic import (
     spectrum,
     state_wavefunctions,
 )
-from .core import Channel, ModelParams, UnboundChannelError, bound_states_exist
+from .core import Channel, ModelParams, UnboundChannelError, bound_states_exist, box_radius
 from .oracle import (
     NoBracketError,
     ShootingConfig,
@@ -137,12 +137,12 @@ _CELL_FORMAT = {
 
 def _format_cell(value) -> str:
     """One CSV cell.  Outside ``_CELL_FORMAT`` a float subclass (numpy.float64
-    among them) is written by its repr and anything else by str; bool and
-    None have no subclasses."""
+    among them) is written by ``float.__repr__``, as JSON writes it, and
+    anything else by str; bool and None have no subclasses."""
     exact = _CELL_FORMAT.get(type(value))
     if exact is not None:
         return exact(value)
-    return repr(value) if isinstance(value, float) else str(value)
+    return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
 def _format_column(values) -> list[str]:
@@ -364,18 +364,20 @@ def verification_grid_rows(
     tolerance: float = 1e-7,
     inject_energy_error: float = 0.0,
     step_count: int = 6000,
-) -> tuple[list[VerifyRow], int, int]:
+) -> tuple[list[VerifyRow], int, int, int]:
     """One verification row per (b, a, kappa, level) state, with the Numerov
-    sweeps and Newton steps the shooting oracle took over all of them.
+    sweeps and Newton steps the shooting oracle took over all of them and the
+    RK4 steps of the edge-state integrations.
 
     Each row compares the closed-form energy against the shooting eigenvalue,
-    recounts nodes from the sampled wavefunctions, checks the energy window
-    M <= |E| < M*, and measures the worst relative residual of the radial
-    equations.  Special |E| = M states additionally get their vanishing
-    component verified by outward integration.
+    recounts nodes from the wavefunctions sampled out to where their tail has
+    fallen e^(-30) below its peak, checks the energy window M <= |E| < M*,
+    and measures the worst relative residual of the radial equations.
+    Special |E| = M states additionally get their vanishing component
+    verified by outward integration.
     """
     rows = []
-    sweeps = newton_steps = 0
+    sweeps = newton_steps = rk4_steps = 0
     r_residual = np.geomspace(0.01, 30.0, 120)
     for b in b_values:
         for a in a_values:
@@ -399,8 +401,9 @@ def verification_grid_rows(
                     sweeps += shot.sweeps
                     newton_steps += shot.newton_steps
                     delta = abs(e_analytic - shot.energy_pair[0])
+                    r_box = box_radius(state.gamma, abs(params.b * kb) / state.gamma, 30.0)
                     samples = sample_state(
-                        params, state, np.geomspace(1e-6 / state.gamma, 30.0 / state.gamma, 2400)
+                        params, state, np.geomspace(1e-6 / state.gamma, r_box, 2400)
                     )
                     expected_f = 0 if state.n_f is None else state.n_f
                     node_ok = (
@@ -421,6 +424,7 @@ def verification_grid_rows(
                 samp, rep = integrate_first_order(
                     params, channel, state.energy, sample_count=240, fineness=2e-2
                 )
+                rk4_steps += rep.steps
                 if kb < 0:
                     main_peak = float(np.max(np.abs(samp.g)))
                     zero_part = float(np.max(np.abs(samp.f)))
@@ -433,7 +437,7 @@ def verification_grid_rows(
                     check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
                     e_analytic=state.energy, residual=ratio, passed=bool(ok),
                 ))
-    return rows, sweeps, newton_steps
+    return rows, sweeps, newton_steps, rk4_steps
 
 
 def _no_binding_rows(mass, a_values, kappas) -> list[VerifyRow]:
@@ -477,7 +481,7 @@ def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list
         raise UsageError("n_max must be nonnegative")
     b_values = cfg.b_values or ((cfg.b,) if b_given else (0.5, 1.0, 2.0, -0.5, -1.0, -2.0))
     a_values = cfg.a_grid or ((cfg.a,) if a_given else (0.0, 0.5, -0.5, 2.0, -2.0))
-    rows, sweeps, newton_steps = verification_grid_rows(
+    rows, sweeps, newton_steps, rk4_steps = verification_grid_rows(
         cfg.mass,
         b_values,
         a_values,
@@ -499,7 +503,8 @@ def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list
         f"verified {len(oracle_rows)} states "
         f"({len(rows) - len(oracle_rows)} zero-component checks): "
         f"max |dE| = {max_delta:.3e}, failures = {n_fail}; "
-        f"shooting took {sweeps} Numerov sweeps and {newton_steps} Newton steps"
+        f"shooting took {sweeps} Numerov sweeps and {newton_steps} Newton steps; "
+        f"edge-state integration took {rk4_steps} RK4 steps"
     )
     return rows, summary
 

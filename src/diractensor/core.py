@@ -145,6 +145,23 @@ def angular_strength(kappa_bar: float, component: Component) -> float:
     raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
 
 
+def box_radius(gamma: float, tail_exponent: float, suppression: float) -> float:
+    """Radius at which the bound-state tail r^p e^(-gamma r) has fallen
+    e^(-suppression) below its peak, p = |b kappa_bar| / gamma the Coulomb
+    exponent.
+
+    The tail peaks at r = p / gamma, so for large p the polynomial factor
+    postpones the decay well beyond suppression / gamma, and a box of that
+    plain size would cut the state off near its peak.
+    """
+    p = max(tail_exponent, 0.0)
+    target = suppression + p - (p * math.log(p) if p > 0 else 0.0)
+    t = suppression + 2.0 * p
+    for _ in range(4):
+        t = target + (p * math.log(t) if p > 0 else 0.0)
+    return t / gamma
+
+
 @dataclass(frozen=True)
 class KappaRange:
     """Open half-line of admissible integer kappa for one sign of b."""

@@ -17,6 +17,10 @@ Two pieces of machinery, both blind to the closed-form solutions:
   2x2 matrix; the integrator forms these in extended precision a chunk at a
   time, multiplies them by a prefix scan within short blocks and carries the
   state across block boundaries with an exact power-of-two renormalisation.
+  At |E| = M exactly one coupling vanishes and the system decouples into a
+  single first-order equation with no growing mode, so those special states
+  are marched in float64 instead: there is no second solution for roundoff
+  to seed, and the zero component stays exactly zero.
 
 The separation eigenvalue is lambda = E^2 - M^2 - b^2, negative for every
 bound state since |E| < sqrt(M^2 + b^2).
@@ -37,6 +41,7 @@ from .core import (
     ModelParams,
     RadialSamples,
     angular_strength,
+    box_radius,
 )
 
 __all__ = [
@@ -383,22 +388,6 @@ def shoot_eigenvalue(
     )
 
 
-def _outer_radius(gamma: float, tail_exponent: float) -> float:
-    """Box radius at which the WKB tail sits e^(-30) below its peak.
-
-    The decaying solution behaves like r^p e^(-gamma r) with the Coulomb
-    exponent p = |b kappa_bar| / gamma; for large p the polynomial factor
-    postpones the decay well beyond 30/gamma, so the plain rule undersizes
-    the box and the Dirichlet wall shifts the eigenvalue visibly.
-    """
-    p = max(tail_exponent, 0.0)
-    target = 30.0 + p - (p * math.log(p) if p > 0 else 0.0)
-    t = 30.0 + 2.0 * p
-    for _ in range(4):
-        t = target + (p * math.log(t) if p > 0 else 0.0)
-    return t / gamma
-
-
 def default_shooting_config(
     params: ModelParams,
     channel: Channel,
@@ -443,7 +432,7 @@ def solve_bound_level(
     gamma = math.sqrt(-located.lambda_)
     config = ShootingConfig(
         r_min=1e-6 / gamma,
-        r_max=_outer_radius(gamma, abs(params.b * channel.kappa_bar) / gamma),
+        r_max=box_radius(gamma, abs(params.b * channel.kappa_bar) / gamma, 30.0),
         step_count=step_count,
         lambda_bracket=(1.5 * located.lambda_, 0.5 * located.lambda_),
         tolerance=config.tolerance,
@@ -462,7 +451,8 @@ class IntegrationReport:
 
     ``steps`` counts the RK4 steps of the pass and ``renormalizations`` the
     block boundaries at which the marching state was rescaled; both depend on
-    the inputs only.
+    the inputs only.  ``precision`` names the arithmetic of the march:
+    "float64" when a zero coupling decouples the system, else "longdouble".
     """
 
     energy: float
@@ -472,6 +462,7 @@ class IntegrationReport:
     peak_radius: float
     renormalizations: int
     steps: int
+    precision: str
 
 
 # Step matrices are formed and multiplied at most _CHUNK_STEPS at a time, so the
@@ -582,10 +573,19 @@ def integrate_first_order(
     Extended precision matters because any local error injected near the
     turning point gets amplified by the growing solution, roughly exp(30)
     over the default domain, and the 64-bit floor of ~1e-16 would leave a
-    visible spurious tail at r_max.  A true bound energy decays to a tiny
-    fraction of the peak by r_max = 30/gamma; a detuned one is flagged as
-    growing.  The default ``fineness`` keeps the truncation error per step at
-    the extended-precision roundoff level.
+    visible spurious tail at r_max.  At E = M or E = -M one coupling M -/+ E
+    is exactly zero: every step matrix is then exactly triangular, one
+    component stays exactly zero, and the other obeys a single first-order
+    equation with no second solution for roundoff to seed.  Those edge states
+    are marched in float64 (the series start is still formed in extended
+    precision, where r_min**|kappa_bar| does not underflow, and renormalised
+    before the cast); every other energy is marched in extended precision.
+
+    The box reaches r_max = 30/gamma, or further where the r^p tail, p =
+    |b kappa_bar| / gamma, is still within e^(-20) of its peak there.  A
+    true bound energy decays to a tiny fraction of the peak by r_max; a
+    detuned one is flagged as growing.  The default ``fineness`` keeps the
+    truncation error per step at the extended-precision roundoff level.
     """
     kb_f = channel.kappa_bar
     angular = max(abs(angular_strength(kb_f, "upper")), abs(angular_strength(kb_f, "lower")))
@@ -594,7 +594,7 @@ def integrate_first_order(
     lam = energy_value * energy_value - params.mass**2 - params.b**2
     gamma_ref = math.sqrt(-lam) if lam < 0.0 else max(abs(params.b), 0.1 * params.mass)
     r_lo = 1e-6 / gamma_ref
-    r_hi = 30.0 / gamma_ref
+    r_hi = max(30.0 / gamma_ref, box_radius(gamma_ref, abs(params.b * kb_f) / gamma_ref, 20.0))
 
     # step k ends where the phase integral of the variation rate reaches k * fineness
     abs_b, abs_kb = abs(params.b), abs(kb_f)
@@ -619,6 +619,11 @@ def integrate_first_order(
         g = mp / (1.0 + 2.0 * kb) * r0 ** (1.0 + kb)
 
     g, f, exponent = _renormalised(g, f)  # the state is (g, f) * 2**exponent
+
+    # a zero coupling leaves no growing mode for roundoff to seed: march in float64
+    decoupled = mp == 0 or mm == 0
+    dtype = np.float64 if decoupled else ld
+    kb, b, mp, mm, g, f = (dtype(v) for v in (kb, b, mp, mm, g, f))
     ln2 = math.log(2.0)
     recorder = _Recorder(np.geomspace(r_lo, r_hi, sample_count))
     renorms = 0
@@ -630,9 +635,9 @@ def integrate_first_order(
             r[0] = r_lo
         if k1 == steps:
             r[-1] = r_hi
-        r = np.minimum(r, r_hi).astype(ld)
+        r = np.minimum(r, r_hi).astype(dtype)
         blocks = -(-n // _BLOCK_STEPS)
-        d = np.zeros((2, 2, blocks * _BLOCK_STEPS), dtype=ld)  # padding steps are identities
+        d = np.zeros((2, 2, blocks * _BLOCK_STEPS), dtype=dtype)  # padding steps are identities
         d[..., :n] = _rk4_step_deltas(r[:-1], np.diff(r), kb, b, mp, mm)
 
         # up-sweep: products of 2, 4, ... consecutive steps, up to one per block
@@ -641,7 +646,7 @@ def integrate_first_order(
             levels.append(_compose(levels[-1][..., 1::2], levels[-1][..., ::2]))
         totals = levels.pop().reshape(4, blocks).tolist()
 
-        start = np.empty((2, blocks), dtype=ld)
+        start = np.empty((2, blocks), dtype=dtype)
         start_exponent = np.empty(blocks)
         for j, (t00, t01, t10, t11) in enumerate(zip(*totals)):
             start[0, j], start[1, j], start_exponent[j] = g, f, exponent
@@ -692,5 +697,6 @@ def integrate_first_order(
         peak_radius=recorder.peak_radius,
         renormalizations=renorms,
         steps=steps,
+        precision="float64" if decoupled else "longdouble",
     )
     return samples, report

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import diractensor
-from diractensor import Channel, ModelParams, NoBracketError, cli, solve_bound_level
+from diractensor import (
+    Channel,
+    ModelParams,
+    NoBracketError,
+    cli,
+    integrate_first_order,
+    solve_bound_level,
+)
 from diractensor.cli import (
     RunConfig,
     build_parser,
@@ -223,14 +230,29 @@ class TestVerifyCommand:
         assert rows and all(r["passed"] == "true" for r in rows)
         oracle_rows = [r for r in rows if r["check"] in ("oracle", "special")]
         assert max(float(r["delta_e"]) for r in oracle_rows) < 1e-7
-        # the summary line ends with the shooting work over the grid
+        # the summary line ends with the shooting work and the edge-state
+        # integration work over the grid
         params = ModelParams(1.0, 0.0, 1.0)
         shots = [solve_bound_level(params, Channel.from_kappa(kappa), "upper", n)
                  for kappa in (-2, -1) for n in (0, 1)]
         sweeps = sum(shot.sweeps for shot in shots)
         newton_steps = sum(shot.newton_steps for shot in shots)
+        reports = [integrate_first_order(params, Channel.from_kappa(kappa), params.mass,
+                                         sample_count=240, fineness=2e-2)[1]
+                   for kappa in (-2, -1)]
+        rk4_steps = sum(report.steps for report in reports)
+        assert rk4_steps > 0
         assert capsys.readouterr().err.strip().endswith(
-            f"shooting took {sweeps} Numerov sweeps and {newton_steps} Newton steps")
+            f"shooting took {sweeps} Numerov sweeps and {newton_steps} Newton steps; "
+            f"edge-state integration took {rk4_steps} RK4 steps")
+
+    def test_large_kappa_grid_passes(self):
+        # the edge states at kappa <= -13 and the oracle levels at kappa <= -26
+        # peak beyond 30/gamma; the integration box and the node sampling
+        # follow the r^p tail there
+        rows, *_ = cli.verification_grid_rows(1.0, (1.0,), (0.0,), [-60, -40, -26, -20, -13], 2)
+        assert len(rows) == 20
+        assert [(row.check, row.kappa, row.n) for row in rows if not row.passed] == []
 
     def test_injected_error_detected(self, tmp_path):
         out = tmp_path / "verify.csv"
@@ -325,7 +347,7 @@ class TestOutputHygiene:
             if isinstance(value, bool):
                 return "true" if value else "false"
             if isinstance(value, float):
-                return repr(value)
+                return float.__repr__(value)
             return str(value)
 
         buf = io.StringIO()
@@ -344,6 +366,15 @@ class TestOutputHygiene:
         assert text == expected
         assert out.read_bytes() == expected.encode()
         assert '"a ""quoted"", cell"' in text
+
+    def test_float_subclass_cells_parse_back(self, tmp_path):
+        # numpy.float64 cells are written as plain decimals, as JSON writes them,
+        # not as their repr "np.float64(0.1)"
+        out = tmp_path / "mixed.csv"
+        cli._emit(self.MIXED_ROWS, "csv", str(out), meta=self.MIXED_META)
+        rows = read_csv_rows(out)
+        assert [float(row["f64"]) for row in rows] == [row["f64"] for row in self.MIXED_ROWS]
+        assert float(read_meta(out)["f64"]) == self.MIXED_META["f64"]
 
     def test_json_matches_reference(self, tmp_path):
         out = tmp_path / "mixed.json"

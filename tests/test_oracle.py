@@ -303,7 +303,8 @@ class TestFirstOrderPropagator:
                     scale = np.max(np.abs(increment))
                     assert np.max(np.abs(d[:, column, i] - increment)) <= tolerance * scale
 
-    @pytest.mark.parametrize("kappa,level", [(-1, None), (-3, 2), (2, None)])
+    @pytest.mark.parametrize("kappa,level", [(-1, None), (-3, 2), (2, None), (-60, None),
+                                             (20, None)])
     def test_samples_follow_closed_form(self, kappa, level):
         # shape only: both are scaled to agree at the peak of the closed form
         params = PARAMS_POS if kappa < 0 else PARAMS_NEG
@@ -316,6 +317,7 @@ class TestFirstOrderPropagator:
             e = energy(params, ch, level, dtype=np.longdouble)
         samples, report = integrate_first_order(params, ch, e, sample_count=240, fineness=2e-2)
         assert report.classification == "bound"
+        assert report.precision == ("float64" if level is None else "longdouble")
         g_form, f_form = state_wavefunctions(params, st)
         g, f = g_form(samples.r), f_form(samples.r)
         main, main_form = (samples.g, g) if kappa < 0 else (samples.f, f)
@@ -324,6 +326,16 @@ class TestFirstOrderPropagator:
         inner = samples.r < 0.5 * samples.r[-1]
         err = max(np.max(np.abs(c * samples.g - g)[inner]), np.max(np.abs(c * samples.f - f)[inner]))
         assert err <= 1e-9 * abs(main_form[peak])
+
+    @pytest.mark.parametrize("kappa", [-1, 2])
+    def test_least_detuning_marches_in_extended_precision(self, kappa):
+        # float64 only where M - E or M + E is exactly zero; a few ulp of
+        # detuning couple the components again and bring back the growing mode
+        params = PARAMS_POS if kappa < 0 else PARAMS_NEG
+        ch = Channel.from_kappa(kappa)
+        e = special_state(params, ch).energy * (1.0 + 1e-15)
+        _, report = integrate_first_order(params, ch, e, sample_count=240, fineness=2e-2)
+        assert report.precision == "longdouble"
 
     def test_rejects_nonpositive_fineness(self):
         ch = Channel.from_kappa(-1)
