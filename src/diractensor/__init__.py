@@ -25,7 +25,6 @@ from .special import (
     laguerre_derivative,
     laguerre_second_derivative,
     laguerre_weighted_norm,
-    log_gamma,
 )
 from .analytic import (
     ConjugationPair,

@@ -19,7 +19,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -35,7 +35,7 @@ from .analytic import (
     spectrum,
     state_wavefunctions,
 )
-from .core import Channel, ModelParams, UnboundChannelError, bound_states_exist, box_radius
+from .core import Channel, ModelParams, bound_states_exist, box_radius
 from .oracle import (
     NoBracketError,
     ShootingConfig,
@@ -74,36 +74,62 @@ _BRANCH_NAME = {"plus": "particle", "minus": "antiparticle", "both": "both"}
 _FLIP = {"particle": "antiparticle", "antiparticle": "particle", "both": "both"}
 
 
+_SUBCOMMANDS = {
+    "spectrum": "level table (fig1/fig2 presets)",
+    "fig3": "fixed-level energies vs kappa for several a",
+    "wavefunction": "sampled radial components of one level",
+    "verify": "analytic vs shooting-oracle agreement matrix",
+}
+_EVERY = " ".join(_SUBCOMMANDS)
+
+
+def _option(default, reads: str, help=None, choices=None, flag=None):
+    """A RunConfig field read by the subcommands named in ``reads``: each of
+    them, and no other, takes its flag (``--flag``, else the field name with
+    '-' for '_') and its config key (the field name)."""
+    return field(default=default,
+                 metadata=dict(reads=reads.split(), help=help, choices=choices, flag=flag))
+
+
 @dataclass
 class RunConfig:
-    mass: float = 1.0
-    a: float = 0.0
-    b: float = 1.0
-    kappa_min: int = -10
-    kappa_max: int = -1
-    n_max: int = 4
-    branch: str = "plus"
-    output_format: str = "csv"
-    out: Optional[str] = None
-    conjugate: bool = False
-    # wavefunction options
-    kappa: Optional[int] = None
-    n: int = 0
-    special: bool = False
-    r_min: Optional[float] = None
-    r_max: Optional[float] = None
-    points: int = 600
-    grid: str = "log"
-    # fig3 options
-    a_values: tuple = (-2.0, -1.0, 0.0, 1.0, 2.0)
-    kappa_bar_min: float = -10.0
-    kappa_bar_max: float = -0.5
-    # verify options
-    tolerance: float = 1e-7
-    inject_energy_error: float = 0.0
-    b_values: Optional[tuple] = None
-    a_grid: Optional[tuple] = None
-    step_count: int = 6000
+    """The options of every subcommand; the parser and the config-file
+    reader are derived from these fields."""
+
+    mass: float = _option(1.0, _EVERY)
+    a: float = _option(0.0, "spectrum wavefunction verify")
+    b: float = _option(1.0, _EVERY)
+    kappa_min: int = _option(-10, "spectrum verify")
+    kappa_max: int = _option(-1, "spectrum verify")
+    n_max: int = _option(4, "spectrum verify")
+    branch: str = _option("plus", "spectrum wavefunction", choices=("plus", "minus", "both"))
+    output_format: str = _option("csv", _EVERY, choices=("csv", "json"), flag="format")
+    out: Optional[str] = _option(None, _EVERY)
+    conjugate: bool = _option(False, "spectrum",
+                              help="emit the charge-conjugated (antifermion) spectrum")
+    kappa: Optional[int] = _option(None, "wavefunction")
+    n: int = _option(0, "fig3 wavefunction",
+                     help="upper-component node count (default 1 for fig3, 0 for wavefunction)")
+    special: bool = _option(False, "wavefunction",
+                            help="the zero-upper-component edge state (kappa_bar > 1/2 side)")
+    r_min: Optional[float] = _option(None, "wavefunction")
+    r_max: Optional[float] = _option(None, "wavefunction")
+    points: int = _option(600, "wavefunction")
+    grid: str = _option("log", "wavefunction", choices=("log", "linear"))
+    a_values: tuple = _option((-2.0, -1.0, 0.0, 1.0, 2.0), "fig3",
+                              help="comma-separated Coulomb strengths")
+    kappa_bar_min: float = _option(-10.0, "fig3")
+    kappa_bar_max: float = _option(-0.5, "fig3")
+    tolerance: float = _option(1e-7, "verify")
+    inject_energy_error: float = _option(
+        0.0, "verify", help="test mode: offset analytic energies to prove failures are caught")
+    b_values: Optional[tuple] = _option(None, "verify", help="comma-separated grid of b values")
+    a_grid: Optional[tuple] = _option(None, "verify", help="comma-separated grid of a values")
+    step_count: int = _option(6000, "verify")
+
+
+# Defaults of one subcommand that differ from RunConfig's.
+_COMMAND_DEFAULTS = {"fig3": dict(n=1), "verify": dict(kappa_min=-5, kappa_max=5)}
 
 
 PRESETS = {
@@ -171,8 +197,11 @@ def _emit(rows: list[dict], fmt: str, out: Optional[str], meta: Optional[dict] =
     else:
         raise UsageError(f"unknown output format {fmt!r} (use csv or json)")
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return text
@@ -514,6 +543,21 @@ def float_list(text: str) -> tuple:
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+@functools.cache
+def _field_types() -> dict:
+    """The type each RunConfig field's values convert to: its annotation,
+    Optional[X] read as X."""
+    types = {}
+    for name, hint in get_type_hints(RunConfig).items():
+        inner = [t for t in get_args(hint) if t is not type(None)]
+        types[name] = inner[0] if inner else hint
+    return types
+
+
+def _fields_read_by(command: str) -> list:
+    return [f for f in fields(RunConfig) if command in f.metadata["reads"]]
+
+
 def load_config_file(path: str) -> dict:
     """Flat key=value text; '#' starts a comment.
 
@@ -521,10 +565,7 @@ def load_config_file(path: str) -> dict:
     not the flag name ``format``.  Each value is converted to the type its
     field is annotated with (Optional[X] read as X).
     """
-    types = {}
-    for name, hint in get_type_hints(RunConfig).items():
-        inner = [t for t in get_args(hint) if t is not type(None)]
-        types[name] = inner[0] if inner else hint
+    types = _field_types()
     values = {}
     try:
         with open(path) as fh:
@@ -558,100 +599,57 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--mass", type=float, default=None)
-    sub.add_argument("--a", type=float, default=None)
-    sub.add_argument("--b", type=float, default=None)
-    sub.add_argument("--kappa-min", type=int, default=None)
-    sub.add_argument("--kappa-max", type=int, default=None)
-    sub.add_argument("--n-max", type=int, default=None)
-    sub.add_argument("--branch", choices=("plus", "minus", "both"), default=None)
-    sub.add_argument("--format", dest="output_format", choices=("csv", "json"), default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--preset", choices=tuple(PRESETS), default=None)
-    sub.add_argument("--config", default=None, help="flat key=value file; flags override it")
-
-
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser, built once per process.  Parsing leaves it
-    unchanged: every default is None and each parse returns a fresh
-    Namespace."""
+    """The argument parser, built once per process from the RunConfig fields:
+    each subcommand takes the flags of the fields it reads, plus --preset and
+    --config.  Parsing leaves it unchanged: every default is None and each
+    parse returns a fresh Namespace."""
     parser = _Parser(
         prog="diractensor",
         description="Bound states of the Dirac equation with tensor potential a/r + b",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("spectrum", help="level table (fig1/fig2 presets)")
-    _add_common(sp)
-    sp.add_argument("--conjugate", action="store_true", default=None,
-                    help="emit the charge-conjugated (antifermion) spectrum")
-
-    f3 = subs.add_parser("fig3", help="fixed-level energies vs kappa for several a")
-    _add_common(f3)
-    f3.add_argument("--n", type=int, default=None, help="upper-component node count (default 1)")
-    f3.add_argument("--a-values", type=float_list, default=None,
-                    help="comma-separated Coulomb strengths")
-    f3.add_argument("--kappa-bar-min", type=float, default=None)
-    f3.add_argument("--kappa-bar-max", type=float, default=None)
-
-    wf = subs.add_parser("wavefunction", help="sampled radial components of one level")
-    _add_common(wf)
-    wf.add_argument("--kappa", type=int, default=None)
-    wf.add_argument("--n", type=int, default=None, help="upper-component node count")
-    wf.add_argument("--special", action="store_true", default=None,
-                    help="the zero-upper-component edge state (kappa_bar > 1/2 side)")
-    wf.add_argument("--r-min", type=float, default=None)
-    wf.add_argument("--r-max", type=float, default=None)
-    wf.add_argument("--points", type=int, default=None)
-    wf.add_argument("--grid", choices=("log", "linear"), default=None)
-
-    vf = subs.add_parser("verify", help="analytic vs shooting-oracle agreement matrix")
-    _add_common(vf)
-    vf.add_argument("--tolerance", type=float, default=None)
-    vf.add_argument("--inject-energy-error", type=float, default=None,
-                    help="test mode: offset analytic energies to prove failures are caught")
-    vf.add_argument("--b-values", type=float_list, default=None,
-                    help="comma-separated grid of b values")
-    vf.add_argument("--a-grid", type=float_list, default=None,
-                    help="comma-separated grid of a values")
-    vf.add_argument("--step-count", type=int, default=None)
-
+    types = _field_types()
+    for command, help_text in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=help_text, allow_abbrev=False)
+        for f in _fields_read_by(command):
+            meta, kind = f.metadata, types[f.name]
+            flag = "--" + (meta["flag"] or f.name.replace("_", "-"))
+            if kind is bool:
+                sub.add_argument(flag, dest=f.name, action="store_true", default=None,
+                                 help=meta["help"])
+            else:
+                sub.add_argument(flag, dest=f.name, type=float_list if kind is tuple else kind,
+                                 choices=meta["choices"], default=None, help=meta["help"])
+        sub.add_argument("--preset", choices=tuple(PRESETS), default=None)
+        sub.add_argument("--config", default=None, help="flat key=value file; flags override it")
     return parser
 
 
-_VERIFY_DEFAULTS = dict(kappa_min=-5, kappa_max=5)
-
-
 def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
-    """Merge precedence: dataclass defaults < config file < preset < flags."""
-    merged: dict = {}
-    if args.command == "verify":
-        merged.update(_VERIFY_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        merged.update(load_config_file(config_path))
-    preset_name = getattr(args, "preset", None)
-    if preset_name:
-        preset = dict(PRESETS[preset_name])
+    """The run's config and the keys a config file or a flag gave.
+
+    Merge precedence: RunConfig defaults < the subcommand's defaults < config
+    file < preset < flags.  A config key the subcommand does not read is a
+    usage error, as its flag would be.
+    """
+    merged = dict(_COMMAND_DEFAULTS.get(args.command, {}))
+    from_file = load_config_file(args.config) if args.config else {}
+    foreign = set(from_file) - {f.name for f in _fields_read_by(args.command)}
+    if foreign:
+        raise UsageError(f"the {args.command} subcommand reads no config key {sorted(foreign)}")
+    merged.update(from_file)
+    if args.preset:
+        preset = dict(PRESETS[args.preset])
         expected = preset.pop("command")
         if expected != args.command:
-            raise UsageError(f"preset {preset_name} belongs to the {expected} subcommand")
+            raise UsageError(f"preset {args.preset} belongs to the {expected} subcommand")
         merged.update(preset)
-    explicit = set()
-    valid = {f.name for f in fields(RunConfig)}
-    for key, value in vars(args).items():
-        if key in ("command", "preset", "config") or value is None:
-            continue
-        if key not in valid:
-            continue
-        merged[key] = value
-        explicit.add(key)
-    unknown = set(merged) - valid
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return replace(RunConfig(), **merged), explicit
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "preset", "config") and value is not None}
+    merged.update(flags)
+    return RunConfig(**merged), set(from_file) | set(flags)
 
 
 def main(argv=None) -> int:
@@ -661,7 +659,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help lands here with code 0
             return int(exc.code or 0)
-        cfg, explicit = _resolve_config(args)
+        cfg, given = _resolve_config(args)
         if args.command == "spectrum":
             _emit(run_spectrum(cfg), cfg.output_format, cfg.out)
         elif args.command == "fig3":
@@ -670,16 +668,13 @@ def main(argv=None) -> int:
             rows, meta = run_wavefunction(cfg)
             _emit(rows, cfg.output_format, cfg.out, meta=meta)
         elif args.command == "verify":
-            rows, summary = run_verification(cfg, "b" in explicit, "a" in explicit)
+            rows, summary = run_verification(cfg, "b" in given, "a" in given)
             _emit([vars(row) for row in rows], cfg.output_format, cfg.out)
             print(summary, file=sys.stderr)
             if any(not row.passed for row in rows):
                 raise VerificationFailure(summary)
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UnboundChannelError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # UnboundChannelError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:

@@ -15,8 +15,8 @@ Two pieces of machinery, both blind to the closed-form solutions:
   the vanishing component of the |E| = M special states.  The system is
   linear and the step schedule depends on r alone, so each step is a fixed
   2x2 matrix; the integrator forms these in extended precision a chunk at a
-  time, multiplies them by a prefix scan within short blocks and carries the
-  state across block boundaries with an exact power-of-two renormalisation.
+  time, multiplies them by one prefix scan per chunk and carries the state
+  across chunk boundaries with an exact power-of-two renormalisation.
   At |E| = M exactly one coupling vanishes and the system decouples into a
   single first-order equation with no growing mode, so those special states
   are marched in float64 instead: there is no second solution for roundoff
@@ -466,12 +466,13 @@ class IntegrationReport:
 
 
 # Step matrices are formed and multiplied at most _CHUNK_STEPS at a time, so the
-# working memory is bounded by the chunk, not by the step count.  The scan runs
-# within blocks of _BLOCK_STEPS steps (a power of two); the state is carried
-# across block boundaries one at a time and renormalised there.  The step
-# schedule comes from the phase integral tabulated on _PHASE_POINTS points.
+# working memory is bounded by the chunk, not by the step count.  One scan runs
+# over each chunk, and the state is renormalised once per chunk.  A step grows
+# the state by about e^fineness at most, so _MAX_FINENESS keeps one chunk's
+# growth below e^512, inside float64's range.  The step schedule comes from
+# the phase integral tabulated on _PHASE_POINTS points.
 _CHUNK_STEPS = 2048
-_BLOCK_STEPS = 64
+_MAX_FINENESS = 0.25
 _PHASE_POINTS = 1025
 
 
@@ -515,9 +516,9 @@ def _rk4_step_deltas(r, h, kb, b, mp, mm) -> np.ndarray:
 class _Recorder:
     """Amplitude peak and radial samples of the marching state.
 
-    States arrive in runs, in order of increasing r, each state carrying the
-    log of the scale factor it is stored under.  A sample target is filled by
-    the first state with r >= target * (1 - 1e-12).
+    States arrive in runs, in order of increasing r, each run carrying the
+    log of the scale factor its states are stored under.  A sample target is
+    filled by the first state with r >= target * (1 - 1e-12).
     """
 
     def __init__(self, targets: np.ndarray):
@@ -530,10 +531,10 @@ class _Recorder:
         self.peak_log = -math.inf
         self.peak_radius = math.nan
 
-    def visit(self, r: np.ndarray, g: np.ndarray, f: np.ndarray, log_scale: np.ndarray):
+    def visit(self, r: np.ndarray, g: np.ndarray, f: np.ndarray, log_scale: float):
         g, f = g.astype(float), f.astype(float)
         with np.errstate(divide="ignore"):
-            amp_log = 0.5 * np.log(g * g + f * f) + log_scale
+            amp_log = np.log(np.hypot(g, f)) + log_scale
         i = int(np.argmax(amp_log))
         if amp_log[i] > self.peak_log:
             self.peak_log = float(amp_log[i])
@@ -542,7 +543,7 @@ class _Recorder:
         idx = idx[idx < r.size]
         fill = slice(self.taken, self.taken + idx.size)
         self.r[fill], self.g[fill], self.f[fill] = r[idx], g[idx], f[idx]
-        self.log_scale[fill] = log_scale[idx]
+        self.log_scale[fill] = log_scale
         self.taken = fill.stop
 
 
@@ -560,15 +561,17 @@ def integrate_first_order(
     integral of the local variation rate (power-law rise plus oscillation or
     decay) by ``fineness`` each.  The system is linear and the schedule
     depends on r alone, so every step is a fixed 2x2 matrix P = I + D.  The
-    matrices of one chunk of steps are formed at once in extended precision.
-    Within each block of steps a work-efficient scan (Blelloch 1990) first
-    multiplies neighbouring pairs up to the block product, composing in the
-    form (I + D_b)(I + D_a) = I + D_a + D_b + D_b D_a, which keeps the small
-    increments that rounding I + D would drop; the state then crosses the
-    block in one step and is renormalised by a power of two, an exact
-    rescaling; finally the pair products carry the block's start state down
-    to every step, whose amplitude feeds the peak and the samples.  Memory
-    is bounded by the chunk, not by the step count.
+    matrices of one chunk of steps are formed at once in extended precision,
+    and a work-efficient scan (Blelloch 1990) over the chunk, padded with
+    identity steps to a power of two, first multiplies neighbouring pairs up
+    to the chunk's product, composing in the form
+    (I + D_b)(I + D_a) = I + D_a + D_b + D_b D_a, which keeps the small
+    increments that rounding I + D would drop; the pair products then carry
+    the chunk's start state down to every step, whose amplitude feeds the
+    peak and the samples.  The state crosses the chunk in one step and is
+    renormalised by a power of two, an exact rescaling.  Memory is bounded by
+    the chunk, not by the step count, and ``fineness`` may not exceed 0.25,
+    so that the state grows by at most about e^512 within one chunk.
 
     Extended precision matters because any local error injected near the
     turning point gets amplified by the growing solution, roughly exp(30)
@@ -589,8 +592,8 @@ def integrate_first_order(
     """
     kb_f = channel.kappa_bar
     angular = max(abs(angular_strength(kb_f, "upper")), abs(angular_strength(kb_f, "lower")))
-    if not fineness > 0.0:
-        raise ValueError("fineness must be positive")
+    if not 0.0 < fineness <= _MAX_FINENESS:
+        raise ValueError(f"fineness must lie in (0, {_MAX_FINENESS}], got {fineness!r}")
     lam = energy_value * energy_value - params.mass**2 - params.b**2
     gamma_ref = math.sqrt(-lam) if lam < 0.0 else max(abs(params.b), 0.1 * params.mass)
     r_lo = 1e-6 / gamma_ref
@@ -636,34 +639,28 @@ def integrate_first_order(
         if k1 == steps:
             r[-1] = r_hi
         r = np.minimum(r, r_hi).astype(dtype)
-        blocks = -(-n // _BLOCK_STEPS)
-        d = np.zeros((2, 2, blocks * _BLOCK_STEPS), dtype=dtype)  # padding steps are identities
+        d = np.zeros((2, 2, 1 << (n - 1).bit_length()), dtype=dtype)  # padding steps are identities
         d[..., :n] = _rk4_step_deltas(r[:-1], np.diff(r), kb, b, mp, mm)
 
-        # up-sweep: products of 2, 4, ... consecutive steps, up to one per block
-        levels = [d.reshape(2, 2, blocks, _BLOCK_STEPS)]
+        # up-sweep: products of 2, 4, ... consecutive steps, up to the chunk's product
+        levels = [d]
         while levels[-1].shape[-1] > 1:
             levels.append(_compose(levels[-1][..., 1::2], levels[-1][..., ::2]))
-        totals = levels.pop().reshape(4, blocks).tolist()
+        (t00, t01), (t10, t11) = levels.pop()[..., 0]
 
-        start = np.empty((2, blocks), dtype=dtype)
-        start_exponent = np.empty(blocks)
-        for j, (t00, t01, t10, t11) in enumerate(zip(*totals)):
-            start[0, j], start[1, j], start_exponent[j] = g, f, exponent
-            g, f = g + (t00 * g + t01 * f), f + (t10 * g + t11 * f)
-            g, f, shift = _renormalised(g, f)
-            exponent += shift
-            renorms += shift != 0
-
-        # down-sweep: the state before every step of a block from its start state
-        y = start[:, :, None]
+        # down-sweep: the state before every step from the chunk's start state
+        y = np.array([[g], [f]], dtype=dtype)
         for level in reversed(levels):
             earlier = level[..., ::2]
             after = y + (earlier[:, 0] * y[0] + earlier[:, 1] * y[1])
-            y = np.stack((y, after), axis=-1).reshape(2, blocks, -1)
-        y = y.reshape(2, -1)[:, :n]
-        recorder.visit(r[:-1], y[0], y[1], np.repeat(start_exponent * ln2, _BLOCK_STEPS)[:n])
-    recorder.visit(np.array([r_hi]), np.array([g]), np.array([f]), np.array([exponent * ln2]))
+            y = np.stack((y, after), axis=-1).reshape(2, -1)
+        recorder.visit(r[:-1], y[0, :n], y[1, :n], exponent * ln2)
+
+        g, f = g + (t00 * g + t01 * f), f + (t10 * g + t11 * f)
+        g, f, shift = _renormalised(g, f)
+        exponent += shift
+        renorms += shift != 0
+    recorder.visit(np.array([r_hi]), np.array([g]), np.array([f]), exponent * ln2)
 
     amp2_end = float(g * g + f * f)
     end_log = 0.5 * math.log(amp2_end) + exponent * ln2 if amp2_end > 0.0 else -math.inf

@@ -70,13 +70,6 @@ def laguerre_second_derivative(spec: LaguerreSpec, x):
     return float(val) if scalar else val
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 def laguerre_weighted_norm(degree: int, order: float) -> float:
     """The first-moment norm integral of a generalized Laguerre polynomial:
 
@@ -88,7 +81,7 @@ def laguerre_weighted_norm(degree: int, order: float) -> float:
     """
     spec = LaguerreSpec(degree, order)  # validates the arguments
     n, alpha = spec.degree, spec.order
-    return (2.0 * n + alpha + 1.0) * math.exp(log_gamma(n + alpha + 1.0) - log_gamma(n + 1.0))
+    return (2.0 * n + alpha + 1.0) * math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
 
 
 def gauss_laguerre(n_nodes: int = 128, order: float = 0.0):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -319,6 +320,11 @@ class TestOutputHygiene:
             assert float(c["E"]) == j["E"]
             assert float(c["kappa_bar"]) == j["kappa_bar"]
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("spectrum", "--preset", "fig1", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_stdout_emission(self, capsys):
         assert run_cli("spectrum", "--kappa-min", "-1", "--kappa-max", "-1",
                        "--n-max", "0") == 0
@@ -493,3 +499,67 @@ class TestConfigHandling:
         cfg.write_text("conjugate=maybe\n")
         assert run_cli("spectrum", "--config", str(cfg)) == 1
         assert "boolean expected for conjugate" in capsys.readouterr().err
+
+
+class TestOptionsPerSubcommand:
+    """Each subcommand takes the flags and config keys of the RunConfig fields
+    it reads, and no others."""
+
+    SUBCOMMANDS = ("spectrum", "fig3", "wavefunction", "verify")
+    SMALL_GRID = ("--b", "1", "--a", "0", "--kappa-min", "-1", "--kappa-max", "-1",
+                  "--n-max", "0")
+
+    def test_flags_are_the_fields_each_subcommand_reads(self):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(self.SUBCOMMANDS)
+        read = set()
+        for command in self.SUBCOMMANDS:
+            sub = subparsers.choices[command]
+            dests = {action.dest for action in sub._actions if action.dest != "help"}
+            names = {f.name for f in fields(RunConfig) if command in f.metadata["reads"]}
+            assert dests == names | {"preset", "config"}, command
+            read |= names
+        assert read == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("argv", [
+        ("fig3", "--preset", "fig3a", "--a", "1"),
+        ("fig3", "--preset", "fig3a", "--branch", "minus"),
+        ("fig3", "--preset", "fig3a", "--kappa-min", "-3"),
+        ("wavefunction", "--kappa", "-2", "--n-max", "3"),
+        ("verify", *SMALL_GRID, "--branch", "minus"),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
+        assert run_cli(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_key_the_subcommand_does_not_read_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b=2\npoints=5\n")
+        assert run_cli("spectrum", "--config", str(cfg)) == 1
+        assert "points" in capsys.readouterr().err
+
+    def test_fig3_level_defaults_to_one(self, tmp_path):
+        bare, explicit = tmp_path / "bare.csv", tmp_path / "explicit.csv"
+        assert run_cli("fig3", "--b", "1", "--a-values", "0", "--out", str(bare)) == 0
+        assert run_cli("fig3", "--b", "1", "--a-values", "0", "--n", "1",
+                       "--out", str(explicit)) == 0
+        assert bare.read_bytes() == explicit.read_bytes()
+
+    def test_verify_reads_b_zero_from_config(self, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "verify.csv"
+        cfg.write_text("b=0\nkappa_min=-1\nkappa_max=1\n")
+        assert run_cli("verify", "--config", str(cfg), "--out", str(out)) == 0
+        rows = read_csv_rows(out)
+        assert rows and {r["check"] for r in rows} == {"no_binding"}
+
+    def test_verify_reads_b_and_a_from_config(self, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "verify.csv"
+        cfg.write_text("b=2\na=0\nkappa_min=-2\nkappa_max=-1\nn_max=0\n")
+        assert run_cli("verify", "--config", str(cfg), "--out", str(out)) == 0
+        rows = read_csv_rows(out)
+        assert rows and {(r["b"], r["a"]) for r in rows} == {("2.0", "0.0")}
+
+    def test_no_abbreviated_flags(self):
+        # --a-v would otherwise stand for --a-values
+        assert run_cli("fig3", "--preset", "fig3a", "--a-v", "0") == 1

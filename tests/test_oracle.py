@@ -343,6 +343,18 @@ class TestFirstOrderPropagator:
             with pytest.raises(ValueError):
                 integrate_first_order(PARAMS_POS, ch, 1.0, fineness=fineness)
 
+    def test_coarsest_fineness_stays_finite_within_a_chunk(self):
+        # the state is renormalised once per 2048-step chunk; at fineness 0.25
+        # the edge state at kappa = -60 rises by ~e^250 within one chunk
+        ch = Channel.from_kappa(-60)
+        e = special_state(PARAMS_POS, ch).energy
+        samples, report = integrate_first_order(PARAMS_POS, ch, e, sample_count=240, fineness=0.25)
+        assert report.classification == "bound"
+        assert np.all(np.isfinite(samples.g)) and np.all(samples.f == 0.0)
+        assert math.isfinite(report.peak_radius) and 0.0 < report.decay_ratio < 1e-3
+        with pytest.raises(ValueError, match="fineness"):
+            integrate_first_order(PARAMS_POS, ch, e, sample_count=240, fineness=0.3)
+
     def test_step_count_is_deterministic(self):
         ch = Channel.from_kappa(-1)
         e = special_state(PARAMS_POS, ch).energy

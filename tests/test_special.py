@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import eval_genlaguerre
 
 from diractensor import (
     LaguerreSpec,
@@ -12,7 +12,6 @@ from diractensor import (
     laguerre_derivative,
     laguerre_second_derivative,
     laguerre_weighted_norm,
-    log_gamma,
 )
 
 
@@ -116,34 +115,6 @@ class TestLaguerreDerivative:
             fd = (laguerre_derivative(spec, x + h) - laguerre_derivative(spec, x - h)) / (2.0 * h)
             assert laguerre_second_derivative(spec, x) == pytest.approx(fd, rel=1e-6)
         assert laguerre_second_derivative(LaguerreSpec(1, 0.5), 2.0) == 0.0
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_at_five(self):
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-
-    def test_half_integer_product_recursion(self):
-        # Gamma(10.5) built from Gamma(0.5) = sqrt(pi) by Gamma(x+1) = x Gamma(x)
-        value = math.sqrt(math.pi)
-        x = 0.5
-        while x < 10.5 - 1e-9:
-            value *= x
-            x += 1.0
-        assert log_gamma(10.5) == pytest.approx(math.log(value), rel=1e-14)
-        assert log_gamma(10.5) == pytest.approx(13.940625219403763, rel=1e-14)
-
-    def test_sweep_against_scipy(self):
-        xs = np.geomspace(0.5, 200.0, 400)
-        ours = np.array([log_gamma(float(x)) for x in xs])
-        assert np.allclose(ours, gammaln(xs), rtol=1e-12, atol=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 class TestWeightedNorm:
