@@ -11,7 +11,6 @@ from diractensor import (
     Channel,
     ModelParams,
     bound_state,
-    count_nodes,
     norm_quadrature,
     sample_state,
     special_state,
@@ -36,8 +35,8 @@ print(f"f: amplitude {f_form.amplitude:+.6f} * (2 g r)^{f_form.prefactor_exponen
 print(f"unit norm check (Gauss-Laguerre): {norm_quadrature(g_form, f_form)!r}")
 
 samples = sample_state(params, state, default_radial_grid(state, 2000))
-print(f"node counts: g has {count_nodes(samples, 'upper')} (expect n_g = 2), "
-      f"f has {count_nodes(samples, 'lower')} (expect n_f = n_g - 1 = 1)")
+print(f"node counts: g has {samples.node_count_g} (expect n_g = 2), "
+      f"f has {samples.node_count_f} (expect n_f = n_g - 1 = 1)")
 
 print()
 print("=" * 64)

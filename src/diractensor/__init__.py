@@ -57,7 +57,6 @@ from .oracle import (
     NodeMismatchError,
     ShootingConfig,
     ShootingError,
-    count_nodes,
     count_sign_changes,
     default_shooting_config,
     effective_potential,

@@ -152,9 +152,23 @@ def special_state(params: ModelParams, channel: Channel) -> BoundState:
 
 
 def bound_state(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "particle") -> BoundState:
-    """Regular (non-special) bound level indexed by the upper-component degree."""
-    e = energy(params, channel, n_g, branch)
+    """The bound level indexed by the upper-component degree n_g.
+
+    For kappa_bar < -1/2, n_g = 0 is the E = +M edge state of
+    :func:`special_state` (f identically 0).  Only the particle branch
+    exists there: its antiparticle twin E = -M is not normalizable, and the
+    mirror edge state belongs to the charge-conjugated family.
+    """
     kb = channel.kappa_bar
+    if kb < -0.5 and n_g == 0:
+        state = special_state(params, channel)
+        if branch != "particle":
+            raise ValueError(
+                "E = -M with kappa_bar < -1/2 is not normalizable; the mirror "
+                "special state lives in the charge-conjugated family"
+            )
+        return state
+    e = energy(params, channel, n_g, branch)
     n_f = n_g - 1 if kb < -0.5 else n_g + 1
     return BoundState(
         channel=channel,
@@ -213,13 +227,6 @@ class WavefunctionForm:
         val = self.amplitude * (2.0 * self.gamma) ** 2 * np.exp(-0.5 * x) * x ** (p - 2.0) * poly
         return float(val) if np.ndim(r) == 0 else val
 
-    def squared_norm(self) -> float:
-        """integral_0^inf (component)^2 dr via the closed-form moment integral."""
-        if self.amplitude == 0.0:
-            return 0.0
-        h = laguerre_weighted_norm(self.laguerre.degree, self.laguerre.order)
-        return self.amplitude**2 * h / (2.0 * self.gamma)
-
 
 def _component_ratio(params: ModelParams, kb: float, n_g: int, e: float) -> float:
     """Amplitude of f relative to g, with the printed sign conventions."""
@@ -233,26 +240,12 @@ def _component_ratio(params: ModelParams, kb: float, n_g: int, e: float) -> floa
 def wavefunctions(
     params: ModelParams, channel: Channel, n_g: int, branch: Branch = "particle"
 ) -> tuple[WavefunctionForm, WavefunctionForm]:
-    """Both radial components of the level indexed by the upper degree n_g.
+    """Both radial components of the level :func:`bound_state` selects.
 
     Unit total norm integral (g^2 + f^2) dr = 1 with positive upper-component
-    amplitude.  For kappa_bar < -1/2 with n_g = 0 only the particle branch
-    exists (E = +M, f identically 0); requesting its antiparticle twin raises,
-    since the E = -M edge belongs to the conjugate family.
+    amplitude.
     """
-    kb = _require_bound(params, channel)
-    if n_g < 0:
-        raise ValueError(f"n_g must be nonnegative, got {n_g!r}")
-    if kb < -0.5 and n_g == 0:
-        if branch != "particle":
-            raise ValueError(
-                "E = -M with kappa_bar < -1/2 is not normalizable; the mirror "
-                "special state lives in the charge-conjugated family"
-            )
-        state = special_state(params, channel)
-    else:
-        state = bound_state(params, channel, n_g, branch)
-    return state_wavefunctions(params, state)
+    return state_wavefunctions(params, bound_state(params, channel, n_g, branch))
 
 
 def state_wavefunctions(params: ModelParams, state: BoundState) -> tuple[WavefunctionForm, WavefunctionForm]:

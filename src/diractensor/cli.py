@@ -97,8 +97,8 @@ class RunConfig:
     reader are derived from these fields."""
 
     mass: float = _option(1.0, _EVERY)
-    a: float = _option(0.0, "spectrum wavefunction verify")
-    b: float = _option(1.0, _EVERY)
+    a: Optional[float] = _option(0.0, "spectrum wavefunction verify")
+    b: Optional[float] = _option(1.0, _EVERY)
     kappa_min: int = _option(-10, "spectrum verify")
     kappa_max: int = _option(-1, "spectrum verify")
     n_max: int = _option(4, "spectrum verify")
@@ -120,35 +120,30 @@ class RunConfig:
                               help="comma-separated Coulomb strengths")
     kappa_bar_min: float = _option(-10.0, "fig3")
     kappa_bar_max: float = _option(-0.5, "fig3")
-    tolerance: float = _option(1e-7, "verify")
     inject_energy_error: float = _option(
         0.0, "verify", help="test mode: offset analytic energies to prove failures are caught")
-    b_values: Optional[tuple] = _option(None, "verify", help="comma-separated grid of b values")
-    a_grid: Optional[tuple] = _option(None, "verify", help="comma-separated grid of a values")
-    step_count: int = _option(6000, "verify")
 
 
-# Defaults of one subcommand that differ from RunConfig's.
-_COMMAND_DEFAULTS = {"fig3": dict(n=1), "verify": dict(kappa_min=-5, kappa_max=5)}
+# Defaults of one subcommand that differ from RunConfig's.  verify's a or b
+# of None selects its default grid of that parameter.
+_COMMAND_DEFAULTS = {"fig3": dict(n=1),
+                     "verify": dict(a=None, b=None, kappa_min=-5, kappa_max=5)}
 
 
+# The presets of each subcommand that has any.
 PRESETS = {
-    "fig1": dict(
-        command="spectrum", mass=1.0, a=0.0, b=1.0, kappa_min=-10, kappa_max=-1,
-        n_max=4, branch="plus", conjugate=False,
-    ),
-    "fig2": dict(
-        command="spectrum", mass=1.0, a=0.0, b=1.0, kappa_min=-10, kappa_max=-1,
-        n_max=4, branch="plus", conjugate=True,
-    ),
-    "fig3a": dict(
-        command="fig3", mass=1.0, b=1.0, n=1,
-        a_values=(-2.0, -1.0, 0.0, 1.0, 2.0), kappa_bar_min=-10.0, kappa_bar_max=-0.5,
-    ),
-    "fig3b": dict(
-        command="fig3", mass=1.0, b=-1.0, n=1,
-        a_values=(-2.0, -1.0, 0.0, 1.0, 2.0), kappa_bar_min=0.5, kappa_bar_max=10.0,
-    ),
+    "spectrum": {
+        "fig1": dict(mass=1.0, a=0.0, b=1.0, kappa_min=-10, kappa_max=-1, n_max=4,
+                     branch="plus", conjugate=False),
+        "fig2": dict(mass=1.0, a=0.0, b=1.0, kappa_min=-10, kappa_max=-1, n_max=4,
+                     branch="plus", conjugate=True),
+    },
+    "fig3": {
+        "fig3a": dict(mass=1.0, b=1.0, n=1, a_values=(-2.0, -1.0, 0.0, 1.0, 2.0),
+                      kappa_bar_min=-10.0, kappa_bar_max=-0.5),
+        "fig3b": dict(mass=1.0, b=-1.0, n=1, a_values=(-2.0, -1.0, 0.0, 1.0, 2.0),
+                      kappa_bar_min=0.5, kappa_bar_max=10.0),
+    },
 }
 
 
@@ -390,18 +385,17 @@ def verification_grid_rows(
     a_values,
     kappas,
     n_max: int,
-    tolerance: float = 1e-7,
     inject_energy_error: float = 0.0,
-    step_count: int = 6000,
 ) -> tuple[list[VerifyRow], int, int, int]:
     """One verification row per (b, a, kappa, level) state, with the Numerov
     sweeps and Newton steps the shooting oracle took over all of them and the
     RK4 steps of the edge-state integrations.
 
-    Each row compares the closed-form energy against the shooting eigenvalue,
-    recounts nodes from the wavefunctions sampled out to where their tail has
-    fallen e^(-30) below its peak, checks the energy window M <= |E| < M*,
-    and measures the worst relative residual of the radial equations.
+    Each row compares the closed-form energy against the shooting eigenvalue
+    (acceptance criterion 1: |dE| <= 1e-7), recounts nodes from the
+    wavefunctions sampled out to where their tail has fallen e^(-30) below
+    its peak, checks the energy window M <= |E| < M*, and measures the worst
+    relative residual of the radial equations.
     Special |E| = M states additionally get their vanishing component
     verified by outward integration.
     """
@@ -418,15 +412,9 @@ def verification_grid_rows(
                 kb = channel.kappa_bar
                 mstar = params.effective_mass
                 for level in range(n_max + 1):
-                    is_special = kb < -0.5 and level == 0
-                    if is_special:
-                        state = special_state(params, channel)
-                    else:
-                        state = bound_state(params, channel, level, "particle")
+                    state = bound_state(params, channel, level)
                     e_analytic = abs(state.energy) + inject_energy_error
-                    shot = solve_bound_level(
-                        params, channel, "upper", level, step_count=step_count
-                    )
+                    shot = solve_bound_level(params, channel, "upper", level)
                     sweeps += shot.sweeps
                     newton_steps += shot.newton_steps
                     delta = abs(e_analytic - shot.energy_pair[0])
@@ -441,9 +429,9 @@ def verification_grid_rows(
                     )
                     window_ok = mass <= abs(state.energy) < mstar
                     residual = _residual_scale(params, channel, state, r_residual)
-                    passed = delta <= tolerance and node_ok and window_ok and residual < 1e-8
+                    passed = delta <= 1e-7 and node_ok and window_ok and residual < 1e-8
                     rows.append(VerifyRow(
-                        check="special" if is_special else "oracle", b=b, a=a, kappa=kappa,
+                        check="special" if state.is_special else "oracle", b=b, a=a, kappa=kappa,
                         kappa_bar=kb, n=level, e_analytic=e_analytic,
                         e_shoot=shot.energy_pair[0], delta_e=delta, residual=residual,
                         node_ok=node_ok, passed=bool(passed),
@@ -499,26 +487,22 @@ def _no_binding_rows(mass, a_values, kappas) -> list[VerifyRow]:
     return rows
 
 
-def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list[VerifyRow], str]:
+def run_verification(cfg: RunConfig) -> tuple[list[VerifyRow], str]:
+    """The verify table and its summary line.  An a or b of None selects
+    that parameter's default grid."""
     kappas = _kappa_list(cfg)
-    if cfg.b == 0.0 and b_given:
-        a_values = (cfg.a,) if a_given else (0.0, 0.5, -0.5)
+    if cfg.b == 0.0:
+        a_values = (0.0, 0.5, -0.5) if cfg.a is None else (cfg.a,)
         rows = _no_binding_rows(cfg.mass, a_values, kappas)
         summary = f"b = 0 sweep over {len(rows)} channels: no bound states expected"
         return rows, summary
     if cfg.n_max < 0:
         raise UsageError("n_max must be nonnegative")
-    b_values = cfg.b_values or ((cfg.b,) if b_given else (0.5, 1.0, 2.0, -0.5, -1.0, -2.0))
-    a_values = cfg.a_grid or ((cfg.a,) if a_given else (0.0, 0.5, -0.5, 2.0, -2.0))
+    b_values = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0) if cfg.b is None else (cfg.b,)
+    a_values = (0.0, 0.5, -0.5, 2.0, -2.0) if cfg.a is None else (cfg.a,)
     rows, sweeps, newton_steps, rk4_steps = verification_grid_rows(
-        cfg.mass,
-        b_values,
-        a_values,
-        kappas,
-        cfg.n_max,
-        tolerance=cfg.tolerance,
+        cfg.mass, b_values, a_values, kappas, cfg.n_max,
         inject_energy_error=cfg.inject_energy_error,
-        step_count=cfg.step_count,
     )
     if not rows:
         raise UsageError(
@@ -539,7 +523,7 @@ def run_verification(cfg: RunConfig, b_given: bool, a_given: bool) -> tuple[list
 
 
 def float_list(text: str) -> tuple:
-    """A comma-separated list of floats, as --a-values, --b-values and --a-grid take."""
+    """A comma-separated list of floats, as --a-values takes."""
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
@@ -602,9 +586,9 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process from the RunConfig fields:
-    each subcommand takes the flags of the fields it reads, plus --preset and
-    --config.  Parsing leaves it unchanged: every default is None and each
-    parse returns a fresh Namespace."""
+    each subcommand takes the flags of the fields it reads, --preset where
+    it has presets, and --config.  Parsing leaves it unchanged: every default
+    is None and each parse returns a fresh Namespace."""
     parser = _Parser(
         prog="diractensor",
         description="Bound states of the Dirac equation with tensor potential a/r + b",
@@ -622,34 +606,31 @@ def build_parser() -> _Parser:
             else:
                 sub.add_argument(flag, dest=f.name, type=float_list if kind is tuple else kind,
                                  choices=meta["choices"], default=None, help=meta["help"])
-        sub.add_argument("--preset", choices=tuple(PRESETS), default=None)
+        if command in PRESETS:
+            sub.add_argument("--preset", choices=tuple(PRESETS[command]), default=None)
         sub.add_argument("--config", default=None, help="flat key=value file; flags override it")
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set]:
-    """The run's config and the keys a config file or a flag gave.
+def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The run's config.
 
     Merge precedence: RunConfig defaults < the subcommand's defaults < config
     file < preset < flags.  A config key the subcommand does not read is a
     usage error, as its flag would be.
     """
-    merged = dict(_COMMAND_DEFAULTS.get(args.command, {}))
-    from_file = load_config_file(args.config) if args.config else {}
-    foreign = set(from_file) - {f.name for f in _fields_read_by(args.command)}
+    flags = dict(vars(args))
+    command, config, preset = flags.pop("command"), flags.pop("config"), flags.pop("preset", None)
+    merged = dict(_COMMAND_DEFAULTS.get(command, {}))
+    from_file = load_config_file(config) if config else {}
+    foreign = set(from_file) - {f.name for f in _fields_read_by(command)}
     if foreign:
-        raise UsageError(f"the {args.command} subcommand reads no config key {sorted(foreign)}")
+        raise UsageError(f"the {command} subcommand reads no config key {sorted(foreign)}")
     merged.update(from_file)
-    if args.preset:
-        preset = dict(PRESETS[args.preset])
-        expected = preset.pop("command")
-        if expected != args.command:
-            raise UsageError(f"preset {args.preset} belongs to the {expected} subcommand")
-        merged.update(preset)
-    flags = {key: value for key, value in vars(args).items()
-             if key not in ("command", "preset", "config") and value is not None}
-    merged.update(flags)
-    return RunConfig(**merged), set(from_file) | set(flags)
+    if preset:
+        merged.update(PRESETS[command][preset])
+    merged.update((key, value) for key, value in flags.items() if value is not None)
+    return RunConfig(**merged)
 
 
 def main(argv=None) -> int:
@@ -659,7 +640,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help lands here with code 0
             return int(exc.code or 0)
-        cfg, given = _resolve_config(args)
+        cfg = _resolve_config(args)
         if args.command == "spectrum":
             _emit(run_spectrum(cfg), cfg.output_format, cfg.out)
         elif args.command == "fig3":
@@ -668,7 +649,7 @@ def main(argv=None) -> int:
             rows, meta = run_wavefunction(cfg)
             _emit(rows, cfg.output_format, cfg.out, meta=meta)
         elif args.command == "verify":
-            rows, summary = run_verification(cfg, "b" in given, "a" in given)
+            rows, summary = run_verification(cfg)
             _emit([vars(row) for row in rows], cfg.output_format, cfg.out)
             print(summary, file=sys.stderr)
             if any(not row.passed for row in rows):

@@ -29,7 +29,6 @@ bound state since |E| < sqrt(M^2 + b^2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -57,7 +56,6 @@ __all__ = [
     "default_shooting_config",
     "solve_bound_level",
     "integrate_first_order",
-    "count_nodes",
     "count_sign_changes",
 ]
 
@@ -174,35 +172,6 @@ def _sign_changes(v: np.ndarray) -> np.ndarray:
 def count_sign_changes(values) -> int:
     """Strict sign changes between consecutive samples (exact zeros break runs)."""
     return int(np.count_nonzero(_sign_changes(np.asarray(values, dtype=float))))
-
-
-def count_nodes(samples: RadialSamples, component: Component = "upper") -> int:
-    """Interior node count of one sampled component, ignoring boundary zeros.
-
-    Warns when a sign change shows no small value near the crossing, the
-    signature of an undersampled oscillation.
-    """
-    names = {"upper": "g", "lower": "f", "g": "g", "f": "f"}
-    if component not in names:
-        raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
-    y = np.asarray(getattr(samples, names[component]), dtype=float)
-    nonzero = np.nonzero(y != 0.0)[0]
-    if nonzero.size == 0:
-        return 0
-    yy = y[nonzero[0] : nonzero[-1] + 1]
-    crossings = np.nonzero(_sign_changes(yy))[0]
-    scale = float(np.max(np.abs(yy)))
-    for i in crossings:
-        lo, hi = max(i - 3, 0), min(i + 5, yy.size)
-        local = float(np.max(np.abs(yy[lo:hi])))
-        if local > 1e-12 * scale and min(abs(yy[i]), abs(yy[i + 1])) > 0.25 * local:
-            warnings.warn(
-                f"sign change near grid index {nonzero[0] + i} never approaches zero; "
-                "the sampling looks too coarse there",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return int(crossings.size)
 
 
 class _ShootingWorkspace:

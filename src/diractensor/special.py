@@ -1,4 +1,4 @@
-"""Generalized Laguerre polynomials, log-gamma and Gauss-Laguerre quadrature.
+"""Laguerre polynomials, their weighted norms and Gauss-Laguerre quadrature.
 
 Everything here is classical special-function machinery used by the analytic
 solver (wavefunction evaluation, normalization integrals).  Polynomials are

@@ -131,6 +131,12 @@ class TestSpecialState:
         with pytest.raises(UnboundChannelError):
             special_state(PARAMS_POS, channel_for(2))
 
+    def test_bound_state_at_the_edge_is_the_special_state(self):
+        edge = special_state(PARAMS_POS, channel_for(-1))
+        assert bound_state(PARAMS_POS, channel_for(-1), 0) == edge
+        with pytest.raises(ValueError, match="not normalizable"):
+            bound_state(PARAMS_POS, channel_for(-1), 0, "antiparticle")
+
 
 class TestWavefunctions:
     def test_special_state_has_zero_lower_amplitude(self):

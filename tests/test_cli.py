@@ -480,13 +480,12 @@ class TestConfigHandling:
             "branch": "minus", "output_format": "json", "out": "table.json", "conjugate": False,
             "kappa": -3, "n": 2, "special": True, "r_min": 0.001, "r_max": 40.0, "points": 250,
             "grid": "linear", "a_values": (-1.0, 0.5), "kappa_bar_min": -8.0,
-            "kappa_bar_max": -1.5, "tolerance": 1e-6, "inject_energy_error": 0.002,
-            "b_values": (0.5, -2.0), "a_grid": (0.0,), "step_count": 5000,
+            "kappa_bar_max": -1.5, "inject_energy_error": 0.002,
         }
         assert set(expected) == {f.name for f in fields(RunConfig)}
         text = "".join(f"{key}={value}\n" for key, value in expected.items()
                        if not isinstance(value, tuple))
-        text += "a_values=-1,0.5\nb-values=0.5, -2\na_grid=0\n"
+        text += "a_values=-1, 0.5\n"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         values = load_config_file(str(cfg))
@@ -518,7 +517,8 @@ class TestOptionsPerSubcommand:
             sub = subparsers.choices[command]
             dests = {action.dest for action in sub._actions if action.dest != "help"}
             names = {f.name for f in fields(RunConfig) if command in f.metadata["reads"]}
-            assert dests == names | {"preset", "config"}, command
+            presets = {"preset"} if command in ("spectrum", "fig3") else set()
+            assert dests == names | presets | {"config"}, command
             read |= names
         assert read == {f.name for f in fields(RunConfig)}
 
@@ -528,6 +528,12 @@ class TestOptionsPerSubcommand:
         ("fig3", "--preset", "fig3a", "--kappa-min", "-3"),
         ("wavefunction", "--kappa", "-2", "--n-max", "3"),
         ("verify", *SMALL_GRID, "--branch", "minus"),
+        ("verify", *SMALL_GRID, "--tolerance", "1"),
+        ("verify", *SMALL_GRID, "--step-count", "800"),
+        ("verify", *SMALL_GRID, "--b-values", "1,2"),
+        ("verify", *SMALL_GRID, "--a-grid", "0"),
+        ("verify", *SMALL_GRID, "--preset", "fig1"),
+        ("wavefunction", "--kappa", "-2", "--preset", "fig1"),
     ])
     def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
         assert run_cli(*argv) == 1
@@ -538,6 +544,28 @@ class TestOptionsPerSubcommand:
         cfg.write_text("b=2\npoints=5\n")
         assert run_cli("spectrum", "--config", str(cfg)) == 1
         assert "points" in capsys.readouterr().err
+
+    def test_verify_tolerance_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tolerance=1\n")
+        assert run_cli("verify", "--config", str(cfg)) == 1
+        assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, b_values, a_values", [
+        ((), (0.5, 1.0, 2.0, -0.5, -1.0, -2.0), (0.0, 0.5, -0.5, 2.0, -2.0)),
+        (("--b", "2"), (2.0,), (0.0, 0.5, -0.5, 2.0, -2.0)),
+        (("--a", "0.5"), (0.5, 1.0, 2.0, -0.5, -1.0, -2.0), (0.5,)),
+    ])
+    def test_verify_grid_of_b_and_a(self, argv, b_values, a_values, monkeypatch):
+        grids = []
+
+        def record(mass, b_grid, a_grid, *args, **kwargs):
+            grids.append((tuple(b_grid), tuple(a_grid)))
+            return [cli.VerifyRow(passed=True)], 0, 0, 0
+
+        monkeypatch.setattr(cli, "verification_grid_rows", record)
+        assert run_cli("verify", *argv) == 0
+        assert grids == [(b_values, a_values)]
 
     def test_fig3_level_defaults_to_one(self, tmp_path):
         bare, explicit = tmp_path / "bare.csv", tmp_path / "explicit.csv"

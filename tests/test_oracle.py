@@ -11,23 +11,19 @@ from diractensor import (
     Component,
     ModelParams,
     NoBracketError,
-    RadialSamples,
     ShootingConfig,
     UnboundChannelError,
     bound_state,
-    count_nodes,
     count_sign_changes,
     default_shooting_config,
     effective_potential,
     energy,
     integrate_first_order,
-    sample_state,
     shoot_eigenvalue,
     solve_bound_level,
     special_state,
     state_wavefunctions,
 )
-from diractensor.analytic import default_radial_grid
 from diractensor.core import angular_strength
 from diractensor.oracle import _rk4_step_deltas, _ShootingWorkspace
 
@@ -392,45 +388,4 @@ class TestCountSignChanges:
 
     def test_zeros_break_runs_and_nan_never_changes_sign(self):
         assert count_sign_changes([1.0, 0.0, -1.0, math.nan, 1.0, -1.0]) == 1
-
-
-class TestCountNodes:
-    def test_special_state_is_nodeless(self):
-        st = special_state(PARAMS_POS, Channel.from_kappa(-1))
-        samples = sample_state(PARAMS_POS, st, default_radial_grid(st, 1500))
-        assert count_nodes(samples, "upper") == 0
-        assert count_nodes(samples, "lower") == 0  # identically zero component
-
-    def test_node_law_negative_family(self):
-        st = bound_state(PARAMS_POS, Channel.from_kappa(-2), 3)
-        samples = sample_state(PARAMS_POS, st, default_radial_grid(st, 3000))
-        assert count_nodes(samples, "upper") == 3
-        assert count_nodes(samples, "lower") == 2
-
-    def test_node_law_positive_family(self):
-        st = bound_state(PARAMS_NEG, Channel.from_kappa(2), 1)
-        samples = sample_state(PARAMS_NEG, st, default_radial_grid(st, 3000))
-        assert count_nodes(samples, "upper") == 1
-        assert count_nodes(samples, "lower") == 2
-
-    def test_boundary_zeros_ignored(self):
-        r = np.linspace(0.1, 1.0, 7)
-        g = np.array([0.0, 1.0, 0.1, -0.1, -1.0, 0.2, 0.0])
-        samples = RadialSamples(r=r, g=g, f=np.zeros(7), node_count_g=2,
-                                node_count_f=0, l2_norm=1.0)
-        assert count_nodes(samples, "upper") == 2
-
-    def test_undersampling_warning(self):
-        st = bound_state(PARAMS_POS, Channel.from_kappa(-1), 4)
-        g_form, f_form = state_wavefunctions(PARAMS_POS, st)
-        coarse = np.linspace(3.0, 40.0, 9)
-        samples = RadialSamples(r=coarse, g=g_form(coarse), f=f_form(coarse),
-                                node_count_g=0, node_count_f=0, l2_norm=1.0)
-        with pytest.warns(RuntimeWarning, match="coarse"):
-            count_nodes(samples, "upper")
-
-    def test_rejects_unknown_component(self):
-        st = special_state(PARAMS_POS, Channel.from_kappa(-1))
-        samples = sample_state(PARAMS_POS, st, default_radial_grid(st, 100))
-        with pytest.raises(ValueError):
-            count_nodes(samples, "middle")
+        assert count_sign_changes([0.0, 1.0, 0.1, -0.1, -1.0, 0.2, 0.0]) == 2  # zeros at the ends
