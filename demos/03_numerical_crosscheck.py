@@ -1,8 +1,9 @@
 """Independent verification: shooting eigensolver vs the closed forms.
 
-The second-order radial equations are solved numerically (Numerov on a log
-grid, node-count bisection, matching-defect Newton refinement) with no input
-from the analytic spectrum beyond quantum numbers.  The outward integration
+The second-order radial equations are solved numerically (a Sturm-count
+estimate on a tridiagonal pencil, then Numerov on a log grid with node-count
+bisection and matching-defect Newton refinement) with no input from the
+analytic spectrum beyond quantum numbers.  The outward integration
 of the coupled first-order system then confirms decay at the closed-form
 energies and divergence away from them.
 """

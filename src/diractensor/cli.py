@@ -457,8 +457,9 @@ def verification_grid_rows(
     return rows, sweeps, newton_steps, rk4_steps
 
 
-def _no_binding_rows(mass, a_values, kappas) -> list[VerifyRow]:
-    """b = 0 sweep: shooting must find no square-integrable state with |E| < M."""
+def _no_binding_rows(mass, a_values, kappas, n_max: int) -> list[VerifyRow]:
+    """b = 0 sweep: shooting must find no square-integrable state with |E| < M
+    and at most ``n_max`` nodes."""
     rows = []
     for a in a_values:
         params = ModelParams(mass, a, 0.0)
@@ -474,7 +475,7 @@ def _no_binding_rows(mass, a_values, kappas) -> list[VerifyRow]:
                     lambda_bracket=(-0.99 * mass * mass, -1e-4 * mass * mass),
                     tolerance=1e-9,
                 )
-                for node_target in range(3):
+                for node_target in range(n_max + 1):
                     try:
                         found = shoot_eigenvalue(params, channel, "upper", node_target, config)
                         break
@@ -491,13 +492,13 @@ def run_verification(cfg: RunConfig) -> tuple[list[VerifyRow], str]:
     """The verify table and its summary line.  An a or b of None selects
     that parameter's default grid."""
     kappas = _kappa_list(cfg)
-    if cfg.b == 0.0:
-        a_values = (0.0, 0.5, -0.5) if cfg.a is None else (cfg.a,)
-        rows = _no_binding_rows(cfg.mass, a_values, kappas)
-        summary = f"b = 0 sweep over {len(rows)} channels: no bound states expected"
-        return rows, summary
     if cfg.n_max < 0:
         raise UsageError("n_max must be nonnegative")
+    if cfg.b == 0.0:
+        a_values = (0.0, 0.5, -0.5) if cfg.a is None else (cfg.a,)
+        rows = _no_binding_rows(cfg.mass, a_values, kappas, cfg.n_max)
+        summary = f"b = 0 sweep over {len(rows)} channels: no bound states expected"
+        return rows, summary
     b_values = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0) if cfg.b is None else (cfg.b,)
     a_values = (0.0, 0.5, -0.5, 2.0, -2.0) if cfg.a is None else (cfg.a,)
     rows, sweeps, newton_steps, rk4_steps = verification_grid_rows(

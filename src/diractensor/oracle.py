@@ -2,13 +2,15 @@
 
 Two pieces of machinery, both blind to the closed-form solutions:
 
-* a shooting eigensolver for the second-order radial equations, run as
-  Numerov integration on a logarithmic grid (substituting x = ln r and
-  v = u / sqrt(r) turns u'' = [A/r^2 + B/r - lambda] u into
-  v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4), with node-count
-  bisection to pick the level and a matching-defect Newton step, taken from
-  either side of the level, to refine it; one outward march per trial lambda
-  serves both the node count and the match;
+* an eigensolver for the second-order radial equations.  Substituting
+  x = ln r and v = u / sqrt(r) turns u'' = [A/r^2 + B/r - lambda] u into
+  v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4.  A Sturm count on the
+  three-point form of that equation, a symmetric tridiagonal pencil, gives
+  a first estimate of the level (LAPACK ``stebz``); Numerov shooting on a
+  grid boxed for that estimate then finds it, with node-count bisection to
+  keep the level and a matching-defect Newton step, taken from either side
+  of the level, to refine it; one outward march per trial lambda serves
+  both the node count and the match;
 
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
   to confirm decay at the analytic energies, divergence away from them, and
@@ -367,8 +369,9 @@ def default_shooting_config(
     """Search domain seeded from coarse scales only.
 
     The slowest conceivable decay rate over admissible channels is about
-    |b| / (2 n + 3), which fixes a generous first-pass box; the bracket spans
-    the whole physical window -b^2 < lambda < 0.
+    |b| / (2 n + 3), which fixes a generous box, the one on which
+    ``solve_bound_level`` first estimates the level; the bracket spans the
+    whole physical window -b^2 < lambda < 0.
     """
     angular_strength(channel.kappa_bar, component)  # rejects |kappa_bar| <= 1/2
     b = abs(params.b)
@@ -384,6 +387,50 @@ def default_shooting_config(
     )
 
 
+# interior points of the pencil that estimates a level, and shots of its polish
+_PENCIL_POINTS = 300
+_MAX_SHOTS = 3
+
+
+def _pencil_level(
+    params: ModelParams,
+    channel: Channel,
+    component: Component,
+    node_target: int,
+) -> float:
+    """Blind estimate of the separation eigenvalue of the ``node_target`` level.
+
+    On the seed box of ``default_shooting_config`` with Dirichlet ends, the
+    three-point form of -v'' + (S^2 + B r) v = lambda r^2 v (x = ln r),
+    scaled by 1/r on each side, is the symmetric tridiagonal matrix with
+    d_i = (2/h^2 + S^2 + B r_i) / r_i^2 and e_i = -1/(h^2 r_i r_{i+1}).
+    LAPACK ``stebz`` bisects its Sturm count (Kahan bisection) for the
+    (node_target + 1)-th eigenvalue.  Its tolerance is absolute: the default
+    one scales with the norm of the matrix, about 1e16, and merges levels.
+    """
+    from scipy.linalg.lapack import dstebz  # here, not at the top: scipy is slow to import
+
+    if node_target < 0:
+        raise ValueError("node_target must be nonnegative")
+    if node_target >= _PENCIL_POINTS:
+        raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {node_target}-node level")
+    seed = default_shooting_config(params, channel, component, node_target)
+    x = np.linspace(math.log(seed.r_min), math.log(seed.r_max), _PENCIL_POINTS + 2)
+    h2 = (x[1] - x[0]) ** 2
+    r = np.exp(x[1:-1])
+    s2 = angular_strength(channel.kappa_bar, component) + 0.25
+    d = (2.0 / h2 + s2 + 2.0 * params.b * channel.kappa_bar * r) / (r * r)
+    e = -1.0 / (h2 * r[:-1] * r[1:])
+    index = node_target + 1
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, index, index, 1e-9 * params.b * params.b, "E")
+    top = seed.lambda_bracket[1]
+    if info != 0 or m != 1 or not w[0] < top:
+        raise NoBracketError(
+            f"the pencil puts no {node_target}-node level below the window top {top}"
+        )
+    return float(w[0])
+
+
 def solve_bound_level(
     params: ModelParams,
     channel: Channel,
@@ -391,26 +438,36 @@ def solve_bound_level(
     node_target: int,
     step_count: int = 6000,
 ) -> EigenResult:
-    """Shoot in two passes.  The first only locates the level, so it runs on
-    a coarser grid; the second rescales r_min = 1e-6/gamma and the box radius
-    to the decay rate gamma = sqrt(-lambda) found by the first and re-solves
-    with a tightened bracket.  The result's sweeps and Newton steps are the
-    totals of both passes."""
-    config = default_shooting_config(params, channel, component, node_target, min(3000, step_count))
-    located = shoot_eigenvalue(params, channel, component, node_target, config)
-    gamma = math.sqrt(-located.lambda_)
-    config = ShootingConfig(
-        r_min=1e-6 / gamma,
-        r_max=box_radius(gamma, abs(params.b * channel.kappa_bar) / gamma, 30.0),
-        step_count=step_count,
-        lambda_bracket=(1.5 * located.lambda_, 0.5 * located.lambda_),
-        tolerance=config.tolerance,
-    )
-    refined = shoot_eigenvalue(params, channel, component, node_target, config)
-    return replace(
-        refined,
-        sweeps=located.sweeps + refined.sweeps,
-        newton_steps=located.newton_steps + refined.newton_steps,
+    """Estimate the level blind with a Sturm count on a tridiagonal pencil
+    (``_pencil_level``), then shoot it with Numerov on ``step_count`` steps.
+
+    The shot's box is set by the decay rate gamma = sqrt(-lambda) of the
+    estimate: r_min = 1e-6/gamma, and r_max where the r^p tail has fallen
+    e^(-30) below its peak; its bracket is (1.5, 0.5) times the estimate.
+    A shot that lands more than 10% from the lambda that set its box was
+    boxed for another decay rate, so it is re-boxed from its own lambda and
+    shot again; ConvergenceError after three shots.  The result's sweeps and
+    Newton steps are the totals over all shots."""
+    lam_box = _pencil_level(params, channel, component, node_target)
+    sweeps = newton_steps = 0
+    for _ in range(_MAX_SHOTS):
+        gamma = math.sqrt(-lam_box)
+        config = ShootingConfig(
+            r_min=1e-6 / gamma,
+            r_max=box_radius(gamma, abs(params.b * channel.kappa_bar) / gamma, 30.0),
+            step_count=step_count,
+            lambda_bracket=(1.5 * lam_box, 0.5 * lam_box),
+            tolerance=1e-10 * params.b * params.b,
+        )
+        shot = shoot_eigenvalue(params, channel, component, node_target, config)
+        sweeps += shot.sweeps
+        newton_steps += shot.newton_steps
+        if abs(shot.lambda_ - lam_box) <= 0.1 * abs(lam_box):
+            return replace(shot, sweeps=sweeps, newton_steps=newton_steps)
+        lam_box = shot.lambda_
+    raise ConvergenceError(
+        f"the {node_target}-node level still moved more than 10% from its box "
+        f"after {_MAX_SHOTS} shots (last lambda {lam_box})"
     )
 
 
@@ -486,8 +543,10 @@ class _Recorder:
     """Amplitude peak and radial samples of the marching state.
 
     States arrive in runs, in order of increasing r, each run carrying the
-    log of the scale factor its states are stored under.  A sample target is
-    filled by the first state with r >= target * (1 - 1e-12).
+    log of the scale factor its states are stored under.  Each sample target
+    is consumed by the first state with r >= target * (1 - 1e-12), and each
+    state is recorded once: targets that fall between the same two steps
+    share one sample, so there may be fewer samples than targets.
     """
 
     def __init__(self, targets: np.ndarray):
@@ -496,6 +555,7 @@ class _Recorder:
         self.g = np.empty(targets.size)
         self.f = np.empty(targets.size)
         self.log_scale = np.empty(targets.size)
+        self.consumed = 0
         self.taken = 0
         self.peak_log = -math.inf
         self.peak_radius = math.nan
@@ -508,8 +568,10 @@ class _Recorder:
         if amp_log[i] > self.peak_log:
             self.peak_log = float(amp_log[i])
             self.peak_radius = float(r[i])
-        idx = np.searchsorted(r, self.thresholds[self.taken:], side="left")
+        idx = np.searchsorted(r, self.thresholds[self.consumed:], side="left")
         idx = idx[idx < r.size]
+        self.consumed += idx.size
+        idx = np.unique(idx)
         fill = slice(self.taken, self.taken + idx.size)
         self.r[fill], self.g[fill], self.f[fill] = r[idx], g[idx], f[idx]
         self.log_scale[fill] = log_scale
@@ -540,7 +602,10 @@ def integrate_first_order(
     peak and the samples.  The state crosses the chunk in one step and is
     renormalised by a power of two, an exact rescaling.  Memory is bounded by
     the chunk, not by the step count, and ``fineness`` may not exceed 0.25,
-    so that the state grows by at most about e^512 within one chunk.
+    so that the state grows by at most about e^512 within one chunk.  The
+    samples sit at the first step at or past each of ``sample_count``
+    log-spaced radii; where the steps are sparser than those radii, one step
+    serves several of them and is sampled once, so fewer samples come back.
 
     Extended precision matters because any local error injected near the
     turning point gets amplified by the growing solution, roughly exp(30)

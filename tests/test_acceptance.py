@@ -78,15 +78,16 @@ def test_criterion_1_oracle_agreement(oracle_grid):
 
 
 def test_shooting_work_per_level(oracle_grid):
-    """Newton converges from both sides of a level: few sweeps per level.
+    """One shot from the pencil estimate, with Newton converging from both
+    sides of the level: few sweeps per level.
 
     Newton steps taken from below the level only, each overshoot followed by
     a bisection, take 69 Numerov sweeps per level on this grid.
     """
     mean = sum(shot.sweeps for *_, shot in oracle_grid) / len(oracle_grid)
-    print(f"\n[{'PASS' if mean <= 30 else 'FAIL'}] shooting work: "
-          f"{mean:.1f} Numerov sweeps per level <= 30 over {len(oracle_grid)} levels")
-    assert mean <= 30
+    print(f"\n[{'PASS' if mean <= 15 else 'FAIL'}] shooting work: "
+          f"{mean:.1f} Numerov sweeps per level <= 15 over {len(oracle_grid)} levels")
+    assert mean <= 15
 
 
 def test_criterion_2_special_states():

@@ -264,8 +264,16 @@ class TestVerifyCommand:
         rows = read_csv_rows(out)
         assert any(r["passed"] == "false" for r in rows)
 
+    def test_deep_levels_pass(self, tmp_path):
+        out = tmp_path / "verify.csv"
+        code = run_cli("verify", "--b", "1", "--a", "0", "--kappa-min", "-2",
+                       "--kappa-max", "-2", "--n-max", "12", "--out", str(out))
+        assert code == 0
+        rows = read_csv_rows(out)
+        assert [int(r["n"]) for r in rows if r["check"] == "oracle"] == list(range(1, 13))
+
     def test_oracle_failure_is_a_verification_exit(self, monkeypatch, capsys):
-        # stands in for shooting failures such as the missing bracket at n >= 10
+        # stands in for a shooting failure, such as a level the pencil cannot hold
         def no_bracket(*args, **kwargs):
             raise NoBracketError("no level with 10 nodes")
 
@@ -282,6 +290,25 @@ class TestVerifyCommand:
         assert code == 0
         rows = read_csv_rows(out)
         assert rows and all(r["check"] == "no_binding" and r["passed"] == "true" for r in rows)
+
+    def test_b_zero_sweep_tries_node_targets_up_to_n_max(self, monkeypatch):
+        targets = []
+
+        def nothing_found(params, channel, component, node_target, config):
+            targets.append(node_target)
+            raise NoBracketError("no level")
+
+        monkeypatch.setattr(cli, "shoot_eigenvalue", nothing_found)
+        code = run_cli("verify", "--b", "0", "--a", "0", "--kappa-min", "-1",
+                       "--kappa-max", "-1", "--n-max", "5")
+        assert code == 0
+        assert targets == list(range(6))
+
+    def test_b_zero_sweep_rejects_negative_n_max(self, capsys):
+        code = run_cli("verify", "--b", "0", "--kappa-min", "-1", "--kappa-max", "1",
+                       "--n-max", "-1")
+        assert code == 1
+        assert "n_max" in capsys.readouterr().err
 
     def test_grid_without_binding_channel_is_usage_error(self, tmp_path, capsys):
         # b > 0 binds only kappa_bar < -1/2, so kappa 1..3 leave nothing to check

@@ -9,6 +9,8 @@ import pytest
 from diractensor import (
     Channel,
     Component,
+    ConvergenceError,
+    EigenResult,
     ModelParams,
     NoBracketError,
     ShootingConfig,
@@ -24,6 +26,7 @@ from diractensor import (
     special_state,
     state_wavefunctions,
 )
+from diractensor import oracle
 from diractensor.core import angular_strength
 from diractensor.oracle import _rk4_step_deltas, _ShootingWorkspace
 
@@ -144,11 +147,67 @@ class TestShootEigenvalue:
             assert res.energy_pair[0] == pytest.approx(energy(params, ch, n), abs=1e-8)
 
     def test_work_counters_pinned(self):
-        # totals of both passes; Newton taken from below the level only needs
-        # 78 sweeps and 25 Newton steps here, each overshoot followed by a halving
+        # one shot from the pencil estimate
         for _ in range(2):
             res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
-            assert (res.sweeps, res.newton_steps) == (26, 9)
+            assert (res.sweeps, res.newton_steps) == (12, 4)
+
+    # two (b, a) pairs of each sign of b; kappa takes the sign that binds
+    LADDER_PARAMS = [ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, -0.6, 1.7),
+                     ModelParams(1.0, 0.3, -0.8), ModelParams(1.0, -0.2, -1.4)]
+
+    @pytest.mark.parametrize("params", LADDER_PARAMS, ids=lambda p: f"b={p.b}_a={p.a}")
+    @pytest.mark.parametrize("size", [1, 7, 20, 40])
+    def test_deep_ladder_matches_closed_forms(self, params, size):
+        # at |kappa| = 40 and n >= 20, 6000 steps leave |dE| up to 3.4e-7,
+        # a grid-accuracy limit of the shot, not of the estimate
+        ch = Channel.from_kappa(size if params.b < 0 else -size, params.a)
+        for n in range(0, 31, 5):
+            steps = 24000 if size == 40 and n >= 20 else 6000
+            res = solve_bound_level(params, ch, "upper", n, step_count=steps)
+            assert res.node_count == n
+            assert abs(res.energy_pair[0] - abs(bound_state(params, ch, n).energy)) <= 1e-7, n
+
+    def test_estimate_off_by_40_percent_is_reboxed(self, monkeypatch):
+        ch = Channel.from_kappa(-3)
+        exact = energy(PARAMS_POS, ch, 2)
+        true_lam = exact**2 - PARAMS_POS.mass**2 - PARAMS_POS.b**2
+        shots = []
+
+        def recorded(*args):
+            shots.append(shoot_eigenvalue(*args))
+            return shots[-1]
+
+        monkeypatch.setattr(oracle, "_pencil_level", lambda *args: 1.4 * true_lam)
+        monkeypatch.setattr(oracle, "shoot_eigenvalue", recorded)
+        res = solve_bound_level(PARAMS_POS, ch, "upper", 2)
+        assert len(shots) == 2
+        assert abs(res.energy_pair[0] - exact) <= 1e-8
+        assert res.sweeps == sum(shot.sweeps for shot in shots)
+        assert res.newton_steps == sum(shot.newton_steps for shot in shots)
+
+    def test_shot_that_never_settles_raises(self, monkeypatch):
+        configs = []
+
+        def drifting(params, channel, component, node_target, config):
+            # lands 30% below the lambda that set the box, every time
+            configs.append(config)
+            lam = 0.65 * sum(config.lambda_bracket)
+            return EigenResult(lam, (1.0, -1.0), node_target, True, 0.0, 1, 1)
+
+        monkeypatch.setattr(oracle, "shoot_eigenvalue", drifting)
+        with pytest.raises(ConvergenceError):
+            solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
+        assert len(configs) == 3
+
+    def test_pencil_rejects_levels_it_cannot_hold(self, capfd):
+        ch = Channel.from_kappa(-3)
+        with pytest.raises(ValueError):
+            solve_bound_level(PARAMS_POS, ch, "upper", -1)
+        for n in (150, 300):  # above the window top, and beyond the pencil
+            with pytest.raises(NoBracketError):
+                solve_bound_level(PARAMS_POS, ch, "upper", n)
+        assert capfd.readouterr() == ("", "")  # no LAPACK parameter complaint
 
     def test_matching_reuses_a_prefix_of_the_counting_sweep(self):
         # the outward march up to m + 1 must be bit for bit the head of the
@@ -332,6 +391,17 @@ class TestFirstOrderPropagator:
         e = special_state(params, ch).energy * (1.0 + 1e-15)
         _, report = integrate_first_order(params, ch, e, sample_count=240, fineness=2e-2)
         assert report.precision == "longdouble"
+
+    @pytest.mark.parametrize("fineness, sample_count", [(0.1, 800), (0.25, 240)])
+    def test_steps_sparser_than_samples_are_sampled_once(self, fineness, sample_count):
+        # several sample radii fall between the same two steps here, and a
+        # repeated radius would fail RadialSamples
+        samples, report = integrate_first_order(PARAMS_POS, Channel.from_kappa(-1), 1.0,
+                                                sample_count=sample_count, fineness=fineness)
+        assert report.classification == "bound"
+        assert np.all(np.diff(samples.r) > 0)
+        assert 2 <= samples.r.size < sample_count
+        assert samples.f.size == samples.r.size and np.all(samples.f == 0.0)
 
     def test_rejects_nonpositive_fineness(self):
         ch = Channel.from_kappa(-1)
