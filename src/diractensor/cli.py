@@ -386,10 +386,10 @@ def verification_grid_rows(
     kappas,
     n_max: int,
     inject_energy_error: float = 0.0,
-) -> tuple[list[VerifyRow], int, int, int]:
+) -> tuple[list[VerifyRow], int, int, int, int]:
     """One verification row per (b, a, kappa, level) state, with the Numerov
-    sweeps and Newton steps the shooting oracle took over all of them and the
-    RK4 steps of the edge-state integrations.
+    sweeps, Numerov steps and Newton steps the shooting oracle took over all
+    of them and the RK4 steps of the edge-state integrations.
 
     Each row compares the closed-form energy against the shooting eigenvalue
     (acceptance criterion 1: |dE| <= 1e-7), recounts nodes from the
@@ -400,7 +400,7 @@ def verification_grid_rows(
     verified by outward integration.
     """
     rows = []
-    sweeps = newton_steps = rk4_steps = 0
+    sweeps = steps = newton_steps = rk4_steps = 0
     r_residual = np.geomspace(0.01, 30.0, 120)
     for b in b_values:
         for a in a_values:
@@ -416,6 +416,7 @@ def verification_grid_rows(
                     e_analytic = abs(state.energy) + inject_energy_error
                     shot = solve_bound_level(params, channel, "upper", level)
                     sweeps += shot.sweeps
+                    steps += shot.steps
                     newton_steps += shot.newton_steps
                     delta = abs(e_analytic - shot.energy_pair[0])
                     r_box = box_radius(state.gamma, abs(params.b * kb) / state.gamma, 30.0)
@@ -454,7 +455,7 @@ def verification_grid_rows(
                     check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
                     e_analytic=state.energy, residual=ratio, passed=bool(ok),
                 ))
-    return rows, sweeps, newton_steps, rk4_steps
+    return rows, sweeps, steps, newton_steps, rk4_steps
 
 
 def _no_binding_rows(mass, a_values, kappas, n_max: int) -> list[VerifyRow]:
@@ -501,7 +502,7 @@ def run_verification(cfg: RunConfig) -> tuple[list[VerifyRow], str]:
         return rows, summary
     b_values = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0) if cfg.b is None else (cfg.b,)
     a_values = (0.0, 0.5, -0.5, 2.0, -2.0) if cfg.a is None else (cfg.a,)
-    rows, sweeps, newton_steps, rk4_steps = verification_grid_rows(
+    rows, sweeps, steps, newton_steps, rk4_steps = verification_grid_rows(
         cfg.mass, b_values, a_values, kappas, cfg.n_max,
         inject_energy_error=cfg.inject_energy_error,
     )
@@ -517,7 +518,8 @@ def run_verification(cfg: RunConfig) -> tuple[list[VerifyRow], str]:
         f"verified {len(oracle_rows)} states "
         f"({len(rows) - len(oracle_rows)} zero-component checks): "
         f"max |dE| = {max_delta:.3e}, failures = {n_fail}; "
-        f"shooting took {sweeps} Numerov sweeps and {newton_steps} Newton steps; "
+        f"shooting took {sweeps} Numerov sweeps ({steps} Numerov steps) and "
+        f"{newton_steps} Newton steps; "
         f"edge-state integration took {rk4_steps} RK4 steps"
     )
     return rows, summary

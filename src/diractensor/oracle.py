@@ -10,7 +10,10 @@ Two pieces of machinery, both blind to the closed-form solutions:
   grid boxed for that estimate then finds it, with node-count bisection to
   keep the level and a matching-defect Newton step, taken from either side
   of the level, to refine it; one outward march per trial lambda serves
-  both the node count and the match;
+  both the node count and the match.  The pencil and every shot start at
+  the channel's inner edge, below which no bound solution of the channel
+  rises within e^(-30) of its peak: the regular solution grows like r^S
+  there, and marching through that dead region changes no level;
 
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
   to confirm decay at the analytic energies, divergence away from them, and
@@ -104,9 +107,11 @@ class ShootingConfig:
 class EigenResult:
     """Converged separation eigenvalue and its energy pair.
 
-    ``sweeps`` counts the Numerov marches of the search and ``newton_steps``
-    the matching-defect Newton corrections it computed; both depend on the
-    inputs only.
+    ``sweeps`` counts the Numerov marches of the search, ``steps`` the
+    Numerov steps those marches took and ``newton_steps`` the
+    matching-defect Newton corrections it computed; all three depend on the
+    inputs only.  ``r_min``, ``r_max`` and ``step_count`` give the grid of
+    the shot that found the level.
     """
 
     lambda_: float
@@ -116,6 +121,10 @@ class EigenResult:
     residual: float
     sweeps: int
     newton_steps: int
+    steps: int
+    r_min: float
+    r_max: float
+    step_count: int
 
 
 def effective_potential(params: ModelParams, channel: Channel, component: Component) -> Callable:
@@ -204,9 +213,11 @@ class _ShootingWorkspace:
         self.idx_lo = margin
         self.idx_hi = n - margin
         self.sweeps = 0
+        self.steps = 0
 
     def _march(self, f: np.ndarray, y0: float, y1: float) -> np.ndarray:
         self.sweeps += 1
+        self.steps += f.size - 1
         return _numerov_march(f, y0, y1)
 
     def coeffs(self, lam: float) -> np.ndarray:
@@ -356,6 +367,10 @@ def shoot_eigenvalue(
         residual=abs(defect) / scale,
         sweeps=ws.sweeps,
         newton_steps=newton_steps,
+        steps=ws.steps,
+        r_min=config.r_min,
+        r_max=config.r_max,
+        step_count=config.step_count,
     )
 
 
@@ -371,7 +386,12 @@ def default_shooting_config(
     The slowest conceivable decay rate over admissible channels is about
     |b| / (2 n + 3), which fixes a generous box, the one on which
     ``solve_bound_level`` first estimates the level; the bracket spans the
-    whole physical window -b^2 < lambda < 0.
+    whole physical window -b^2 < lambda < 0.  Its ``step_count`` steps span
+    the whole box from r_min = 1e-6 / gamma_seed, and a shot on this config
+    marches them all.  ``_pencil_level`` puts its points on this box from
+    the channel's inner edge (``_inner_edge``) up, and the shots of
+    ``solve_bound_level`` keep the step that ``step_count`` sets over their
+    own nominal box but do not march the steps below that edge.
     """
     angular_strength(channel.kappa_bar, component)  # rejects |kappa_bar| <= 1/2
     b = abs(params.b)
@@ -387,9 +407,37 @@ def default_shooting_config(
     )
 
 
-# interior points of the pencil that estimates a level, and shots of its polish
+# interior points of the pencil that estimates a level, shots of its polish,
+# and the fewest Numerov steps a shot keeps above the channel's inner edge
 _PENCIL_POINTS = 300
 _MAX_SHOTS = 3
+_MIN_EDGE_STEPS = 64
+
+
+def _inner_edge(params: ModelParams, channel: Channel, component: Component,
+                r_floor: float) -> float:
+    """Where the pencil and the shots of a channel start: r_e, or ``r_floor``
+    when that lies higher.
+
+    In x = ln r the regular solution obeys v'' = Q v with
+    Q = S^2 + B r - lambda r^2, B = 2 b kappa_bar, and rises like r^S from
+    the origin.  Every bound lambda is negative, so Q >= S^2 - |B| r and every
+    level's inner turning point lies above S^2/|B|.  Up to there the
+    solution grows by the WKB factor exp(integral of sqrt(Q) dx), and
+    integral sqrt(S^2 - |B| r) dr/r from r to S^2/|B| is at least
+    S (ln(4/t) - 2), t = |B| r / S^2.  So at r_e = 4 S^2/|B| e^(-2 - 30/S)
+    every level lies e^(-30) or more below its value at that turning point.
+    r_e is also held below (1 + 2S)/(2|B|), where the series start
+    r^S (1 + c1 r), c1 = B/(1 + 2S), keeps at least half its leading term,
+    so the two start values cannot differ in sign and add a node.  With
+    B >= 0 no level binds and there is no edge.
+    """
+    s = math.sqrt(angular_strength(channel.kappa_bar, component) + 0.25)
+    coulomb = 2.0 * params.b * channel.kappa_bar
+    if coulomb >= 0.0:
+        return r_floor
+    edge = min(4.0 * s * s * math.exp(-2.0 - 30.0 / s), 0.5 + s) / -coulomb
+    return max(r_floor, edge)
 
 
 def _pencil_level(
@@ -400,8 +448,9 @@ def _pencil_level(
 ) -> float:
     """Blind estimate of the separation eigenvalue of the ``node_target`` level.
 
-    On the seed box of ``default_shooting_config`` with Dirichlet ends, the
-    three-point form of -v'' + (S^2 + B r) v = lambda r^2 v (x = ln r),
+    On the seed box of ``default_shooting_config``, started at the channel's
+    inner edge (``_inner_edge``) rather than at its r_min, with Dirichlet
+    ends, the three-point form of -v'' + (S^2 + B r) v = lambda r^2 v (x = ln r),
     scaled by 1/r on each side, is the symmetric tridiagonal matrix with
     d_i = (2/h^2 + S^2 + B r_i) / r_i^2 and e_i = -1/(h^2 r_i r_{i+1}).
     LAPACK ``stebz`` bisects its Sturm count (Kahan bisection) for the
@@ -415,7 +464,8 @@ def _pencil_level(
     if node_target >= _PENCIL_POINTS:
         raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {node_target}-node level")
     seed = default_shooting_config(params, channel, component, node_target)
-    x = np.linspace(math.log(seed.r_min), math.log(seed.r_max), _PENCIL_POINTS + 2)
+    r_lo = _inner_edge(params, channel, component, seed.r_min)
+    x = np.linspace(math.log(r_lo), math.log(seed.r_max), _PENCIL_POINTS + 2)
     h2 = (x[1] - x[0]) ** 2
     r = np.exp(x[1:-1])
     s2 = angular_strength(channel.kappa_bar, component) + 0.25
@@ -431,6 +481,35 @@ def _pencil_level(
     return float(w[0])
 
 
+def _shot_config(
+    params: ModelParams,
+    channel: Channel,
+    component: Component,
+    lam_box: float,
+    step_count: int,
+) -> ShootingConfig:
+    """Grid and bracket of one shot, boxed for the decay rate of ``lam_box``.
+
+    ``step_count`` steps of equal width in ln r span the nominal box from
+    1e-6/gamma to where the r^p tail has fallen e^(-30) below its peak; the
+    steps below the channel's inner edge are not marched, though at least
+    ``_MIN_EDGE_STEPS`` are kept.  The grid points kept are those of the
+    nominal box, so the level does not move."""
+    gamma = math.sqrt(-lam_box)
+    r_lo = 1e-6 / gamma
+    r_max = box_radius(gamma, abs(params.b * channel.kappa_bar) / gamma, 30.0)
+    h = math.log(r_max / r_lo) / step_count
+    edge = _inner_edge(params, channel, component, r_lo)
+    skip = max(0, min(int(math.log(edge / r_lo) / h), step_count - _MIN_EDGE_STEPS))
+    return ShootingConfig(
+        r_min=r_lo * math.exp(skip * h),
+        r_max=r_max,
+        step_count=step_count - skip,
+        lambda_bracket=(1.5 * lam_box, 0.5 * lam_box),
+        tolerance=1e-10 * params.b * params.b,
+    )
+
+
 def solve_bound_level(
     params: ModelParams,
     channel: Channel,
@@ -439,31 +518,29 @@ def solve_bound_level(
     step_count: int = 6000,
 ) -> EigenResult:
     """Estimate the level blind with a Sturm count on a tridiagonal pencil
-    (``_pencil_level``), then shoot it with Numerov on ``step_count`` steps.
+    (``_pencil_level``), then shoot it with Numerov.
 
     The shot's box is set by the decay rate gamma = sqrt(-lambda) of the
-    estimate: r_min = 1e-6/gamma, and r_max where the r^p tail has fallen
-    e^(-30) below its peak; its bracket is (1.5, 0.5) times the estimate.
+    estimate: nominally from r_min = 1e-6/gamma, over which ``step_count``
+    sets the step, to r_max where the r^p tail has fallen e^(-30) below its
+    peak.  The steps below the channel's inner edge (``_inner_edge``), where
+    every level of the channel is still e^(-30) below its peak, are not
+    marched; the result's ``r_min`` and ``step_count`` give the grid the
+    shot marched.  Its bracket is (1.5, 0.5) times the estimate.
     A shot that lands more than 10% from the lambda that set its box was
     boxed for another decay rate, so it is re-boxed from its own lambda and
-    shot again; ConvergenceError after three shots.  The result's sweeps and
-    Newton steps are the totals over all shots."""
+    shot again; ConvergenceError after three shots.  The result's sweeps,
+    steps and Newton steps are the totals over all shots."""
     lam_box = _pencil_level(params, channel, component, node_target)
-    sweeps = newton_steps = 0
+    sweeps = steps = newton_steps = 0
     for _ in range(_MAX_SHOTS):
-        gamma = math.sqrt(-lam_box)
-        config = ShootingConfig(
-            r_min=1e-6 / gamma,
-            r_max=box_radius(gamma, abs(params.b * channel.kappa_bar) / gamma, 30.0),
-            step_count=step_count,
-            lambda_bracket=(1.5 * lam_box, 0.5 * lam_box),
-            tolerance=1e-10 * params.b * params.b,
-        )
+        config = _shot_config(params, channel, component, lam_box, step_count)
         shot = shoot_eigenvalue(params, channel, component, node_target, config)
         sweeps += shot.sweeps
+        steps += shot.steps
         newton_steps += shot.newton_steps
         if abs(shot.lambda_ - lam_box) <= 0.1 * abs(lam_box):
-            return replace(shot, sweeps=sweeps, newton_steps=newton_steps)
+            return replace(shot, sweeps=sweeps, steps=steps, newton_steps=newton_steps)
         lam_box = shot.lambda_
     raise ConvergenceError(
         f"the {node_target}-node level still moved more than 10% from its box "

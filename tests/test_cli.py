@@ -237,6 +237,7 @@ class TestVerifyCommand:
         shots = [solve_bound_level(params, Channel.from_kappa(kappa), "upper", n)
                  for kappa in (-2, -1) for n in (0, 1)]
         sweeps = sum(shot.sweeps for shot in shots)
+        steps = sum(shot.steps for shot in shots)
         newton_steps = sum(shot.newton_steps for shot in shots)
         reports = [integrate_first_order(params, Channel.from_kappa(kappa), params.mass,
                                          sample_count=240, fineness=2e-2)[1]
@@ -244,7 +245,8 @@ class TestVerifyCommand:
         rk4_steps = sum(report.steps for report in reports)
         assert rk4_steps > 0
         assert capsys.readouterr().err.strip().endswith(
-            f"shooting took {sweeps} Numerov sweeps and {newton_steps} Newton steps; "
+            f"shooting took {sweeps} Numerov sweeps ({steps} Numerov steps) and "
+            f"{newton_steps} Newton steps; "
             f"edge-state integration took {rk4_steps} RK4 steps")
 
     def test_large_kappa_grid_passes(self):
@@ -588,7 +590,7 @@ class TestOptionsPerSubcommand:
 
         def record(mass, b_grid, a_grid, *args, **kwargs):
             grids.append((tuple(b_grid), tuple(a_grid)))
-            return [cli.VerifyRow(passed=True)], 0, 0, 0
+            return [cli.VerifyRow(passed=True)], 0, 0, 0, 0
 
         monkeypatch.setattr(cli, "verification_grid_rows", record)
         assert run_cli("verify", *argv) == 0

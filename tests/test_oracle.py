@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -147,10 +148,78 @@ class TestShootEigenvalue:
             assert res.energy_pair[0] == pytest.approx(energy(params, ch, n), abs=1e-8)
 
     def test_work_counters_pinned(self):
-        # one shot from the pencil estimate
+        # one shot from the pencil estimate, started at the inner edge
         for _ in range(2):
             res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
-            assert (res.sweeps, res.newton_steps) == (12, 4)
+            assert (res.sweeps, res.newton_steps, res.steps) == (12, 4, 42978)
+            assert res.step_count == 5751
+
+    # kappa_bar and b of opposite signs, so that the channel binds
+    EDGE_CASES = [(-3, 1.0), (-7, 1.7), (-20, 0.8), (30, -1.3)]
+
+    @pytest.mark.parametrize("n", [0, 5, 14])
+    @pytest.mark.parametrize("kappa, b", EDGE_CASES)
+    def test_inner_edge_leaves_the_level_unchanged(self, kappa, b, n):
+        # the shot from the inner edge marches the tail of the nominal grid,
+        # whose first point is 1e-6/gamma, and finds the same level
+        params, ch = ModelParams(1.0, 0.0, b), Channel.from_kappa(kappa)
+        lam_box = oracle._pencil_level(params, ch, "upper", n)
+        edge = oracle._shot_config(params, ch, "upper", lam_box, 6000)
+        nominal = replace(edge, r_min=1e-6 / math.sqrt(-lam_box), step_count=6000)
+        skip = nominal.step_count - edge.step_count
+        h = math.log(nominal.r_max / nominal.r_min) / nominal.step_count
+        assert math.log(edge.r_min / nominal.r_min) == pytest.approx(skip * h, rel=1e-12, abs=1e-12)
+        assert math.log(edge.r_max / edge.r_min) / edge.step_count == pytest.approx(h, rel=1e-12)
+        from_edge = shoot_eigenvalue(params, ch, "upper", n, edge)
+        from_floor = shoot_eigenvalue(params, ch, "upper", n, nominal)
+        assert from_edge.node_count == from_floor.node_count == n
+        assert abs(from_edge.lambda_ - from_floor.lambda_) <= 1e-12 * abs(from_floor.lambda_)
+        assert (from_edge.steps < from_floor.steps) == (skip > 0)
+        if abs(kappa) >= 7:
+            assert skip > 0
+
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3, -1.0])
+    def test_inner_edge_lies_30_e_folds_below_every_turning_point(self, b):
+        # at t = |B| r / S^2 the WKB integral of sqrt(S^2 - |B| r) dr / r up
+        # to the lowest turning point S^2/|B| is S (ln((1 + U)^2 / t) - 2 U),
+        # U = sqrt(1 - t)
+        from scipy.integrate import quad
+
+        params = ModelParams(1.0, 0.0, b)
+        # S = |kappa_bar + 1/2| (upper) or |kappa_bar - 1/2| (lower), so S = s
+        kappa_sign, component = (-1.0, "upper") if b > 0 else (1.0, "lower")
+        for i, s in enumerate(np.linspace(0.5, 60.0, 240)):
+            kappa_bar = kappa_sign * (s + 0.5)
+            kappa = round(kappa_bar)
+            ch = Channel.from_kappa(kappa, kappa_bar - kappa)
+            big_b = abs(2.0 * b * ch.kappa_bar)
+            s_ch = math.sqrt(angular_strength(ch.kappa_bar, component) + 0.25)
+            assert s_ch == pytest.approx(s, rel=1e-12)
+            r_e = oracle._inner_edge(params, ch, component, 0.0)
+            t = big_b * r_e / (s_ch * s_ch)
+            u = math.sqrt(1.0 - t)
+            wkb = s_ch * (math.log((1.0 + u) ** 2 / t) - 2.0 * u)
+            assert wkb >= 30.0 * (1.0 - 1e-12), s  # equality as t -> 0, up to rounding
+            if i % 60 == 0 or s == 60.0:
+                top = s_ch * s_ch / big_b
+                by_quad, _ = quad(lambda r: math.sqrt(max(s_ch**2 - big_b * r, 0.0)) / r,
+                                  r_e, top, limit=200, points=[top * 1e-3, top * 0.5])
+                assert by_quad == pytest.approx(wkb, rel=1e-8)
+
+    def test_inner_edge_keeps_the_series_start_positive(self):
+        # 1 + c1 r >= 1/2 at the edge, c1 = B / (1 + 2 S), so the two start
+        # values share their sign and the start adds no node (the bound is
+        # met with equality where the second term sets the edge, up to rounding)
+        for b in np.geomspace(1e-3, 1e3, 13):
+            for size in np.linspace(0.55, 200.0, 160):
+                for sign, component in ((-1.0, "upper"), (1.0, "lower")):
+                    params = ModelParams(1.0, 0.0, -sign * b)
+                    kappa = sign * round(size)
+                    ch = Channel.from_kappa(kappa, sign * size - kappa)
+                    s_ch = math.sqrt(angular_strength(ch.kappa_bar, component) + 0.25)
+                    c1 = 2.0 * params.b * ch.kappa_bar / (1.0 + 2.0 * s_ch)
+                    r_e = oracle._inner_edge(params, ch, component, 0.0)
+                    assert 1.0 + c1 * r_e >= 0.5 - 1e-12, (b, size, component)
 
     # two (b, a) pairs of each sign of b; kappa takes the sign that binds
     LADDER_PARAMS = [ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, -0.6, 1.7),
@@ -184,7 +253,12 @@ class TestShootEigenvalue:
         assert len(shots) == 2
         assert abs(res.energy_pair[0] - exact) <= 1e-8
         assert res.sweeps == sum(shot.sweeps for shot in shots)
+        assert res.steps == sum(shot.steps for shot in shots)
         assert res.newton_steps == sum(shot.newton_steps for shot in shots)
+        # the grid reported is the final shot's
+        assert (res.r_min, res.r_max, res.step_count) == (
+            shots[-1].r_min, shots[-1].r_max, shots[-1].step_count)
+        assert shots[0].r_max != shots[-1].r_max
 
     def test_shot_that_never_settles_raises(self, monkeypatch):
         configs = []
@@ -193,7 +267,8 @@ class TestShootEigenvalue:
             # lands 30% below the lambda that set the box, every time
             configs.append(config)
             lam = 0.65 * sum(config.lambda_bracket)
-            return EigenResult(lam, (1.0, -1.0), node_target, True, 0.0, 1, 1)
+            return EigenResult(lam, (1.0, -1.0), node_target, True, 0.0, 1, 1, 100,
+                               config.r_min, config.r_max, config.step_count)
 
         monkeypatch.setattr(oracle, "shoot_eigenvalue", drifting)
         with pytest.raises(ConvergenceError):
