@@ -29,18 +29,14 @@ from .special import (
 from .analytic import (
     ConjugationPair,
     ConjugationReport,
-    SingularCoulombMap,
     SpectrumRow,
     WavefunctionForm,
     bound_state,
     charge_conjugate,
     conjugation_report,
-    decay_rate,
     default_radial_grid,
     energy,
-    map_to_singular_coulomb,
     n_bar,
-    no_bound_states,
     nonrelativistic_binding,
     norm_quadrature,
     sample_state,
@@ -58,8 +54,6 @@ from .oracle import (
     ShootingConfig,
     ShootingError,
     count_sign_changes,
-    default_shooting_config,
-    effective_potential,
     integrate_first_order,
     shoot_eigenvalue,
     solve_bound_level,

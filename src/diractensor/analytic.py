@@ -25,7 +25,7 @@ admissible kappa_bar.  Charge conjugation flips (a, b, kappa_bar, E) jointly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ from .core import (
     BoundState,
     Branch,
     Channel,
-    Component,
     ModelParams,
     RadialSamples,
     UnboundChannelError,
@@ -53,13 +52,11 @@ from .special import (
 )
 
 __all__ = [
-    "SingularCoulombMap",
     "WavefunctionForm",
     "SpectrumRow",
     "ConjugationPair",
     "ConjugationReport",
     "n_bar",
-    "decay_rate",
     "energy",
     "bound_state",
     "special_state",
@@ -67,12 +64,11 @@ __all__ = [
     "state_wavefunctions",
     "sample_state",
     "norm_quadrature",
+    "residuals",
     "spectrum",
     "nonrelativistic_binding",
     "charge_conjugate",
     "conjugation_report",
-    "no_bound_states",
-    "map_to_singular_coulomb",
 ]
 
 
@@ -95,11 +91,6 @@ def _require_bound(params: ModelParams, channel: Channel) -> float:
 def n_bar(kappa_bar: float, n_g: int) -> float:
     """Principal-like number n_g + 1/2 + |1/2 + kappa_bar| (upper-component index)."""
     return n_g + 0.5 + abs(0.5 + kappa_bar)
-
-
-def decay_rate(params: ModelParams, kappa_bar: float, n_g: int) -> float:
-    """Exponential decay rate gamma = |b*kappa_bar| / n_bar of the level."""
-    return abs(params.b * kappa_bar) / n_bar(kappa_bar, n_g)
 
 
 def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "particle", dtype=float):
@@ -174,7 +165,7 @@ def bound_state(params: ModelParams, channel: Channel, n_g: int, branch: Branch 
         channel=channel,
         energy=e,
         branch=branch,
-        gamma=decay_rate(params, kb, n_g),
+        gamma=abs(params.b * kb) / n_bar(kb, n_g),
         effective_mass=params.effective_mass,
         n_g=n_g,
         n_f=n_f,
@@ -313,6 +304,33 @@ def sample_state(
         node_count_f=count_sign_changes(f),
         l2_norm=norm,
     )
+
+
+def residuals(params: ModelParams, state: BoundState, r) -> float:
+    """Worst residual of the first- and second-order radial equations on the
+    grid ``r``, relative to the larger component's peak there.  The
+    second-order ones read -u'' + V u = lambda u, lambda = E^2 - M^2 - b^2,
+    V = kappa_bar (kappa_bar +/- 1)/r^2 + 2 b kappa_bar/r."""
+    r = np.asarray(r, dtype=float)
+    g_form, f_form = state_wavefunctions(params, state)
+    g, f = g_form(r), f_form(r)
+    scale = max(float(np.max(np.abs(g))), float(np.max(np.abs(f))))
+    if scale == 0.0:
+        return 0.0
+    kb = state.channel.kappa_bar
+    m, b, e = params.mass, params.b, state.energy
+    w = kb / r + b
+    coulomb = 2.0 * b * kb / r
+    lam = e * e - m * m - b * b
+    v_up = angular_strength(kb, "upper") / (r * r) + coulomb
+    v_lo = angular_strength(kb, "lower") / (r * r) + coulomb
+    worst = max(
+        np.max(np.abs(g_form.derivative(r) + w * g - (m + e) * f)),
+        np.max(np.abs(f_form.derivative(r) - w * f - (m - e) * g)),
+        np.max(np.abs(g_form.second_derivative(r) - (v_up - lam) * g)),
+        np.max(np.abs(f_form.second_derivative(r) - (v_lo - lam) * f)),
+    )
+    return float(worst) / scale
 
 
 def default_radial_grid(state: BoundState, points: int = 1200) -> np.ndarray:
@@ -481,72 +499,3 @@ def conjugation_report(params: ModelParams, kappas: Iterable[int], n_max: int) -
         complete = False
     max_dev = max((p.deviation for p in pairs), default=0.0)
     return ConjugationReport(pairs=tuple(pairs), max_deviation=max_dev, complete=complete)
-
-
-def no_bound_states(params: ModelParams) -> bool:
-    """True iff the potential binds nothing at all, i.e. b = 0.
-
-    Without the constant term the second-order equations reduce to free
-    Bessel form for any a, so no square-integrable level exists.
-    """
-    return params.b == 0.0
-
-
-@dataclass(frozen=True)
-class SingularCoulombMap:
-    """Identification of one second-order radial equation with a Schroedinger
-    problem in the singular Coulomb potential Z/r + beta/(2 m r^2).
-
-    ``m_map`` is a bookkeeping mass with no physical meaning; it cancels in
-    every energy.  ``epsilon`` is filled when a level index is supplied.
-    """
-
-    Z: float
-    beta: float
-    S: float
-    epsilon: Optional[float]
-    component: Component
-    m_map: float
-
-    def epsilon_at(self, level: int) -> float:
-        """Mapped eigenvalue -m Z^2 / (2 (level + 1/2 + S)^2)."""
-        if level < 0:
-            raise ValueError("level must be nonnegative")
-        return -self.m_map * self.Z**2 / (2.0 * (level + 0.5 + self.S) ** 2)
-
-    def energy_pair(self, params: ModelParams, level: int) -> tuple[float, float]:
-        """Dirac energies +/- sqrt(M^2 + b^2 + 2 m epsilon); m_map cancels."""
-        e2 = params.mass**2 + params.b**2 + 2.0 * self.m_map * self.epsilon_at(level)
-        e = math.sqrt(e2)
-        return (e, -e)
-
-    @property
-    def binds(self) -> bool:
-        return self.Z < 0.0 and self.beta > -0.25
-
-
-def map_to_singular_coulomb(
-    params: ModelParams,
-    channel: Channel,
-    component: Component,
-    level: Optional[int] = None,
-    m_map: float = 1.0,
-) -> SingularCoulombMap:
-    """Map the chosen component's second-order equation onto the singular
-    Coulomb problem: Z = b*kappa_bar/m, beta = kappa_bar*(kappa_bar +/- 1)
-    (orbital bookkeeping l = 0), epsilon = (E^2 - M^2 - b^2)/(2m)."""
-    if m_map <= 0:
-        raise ValueError("m_map must be positive")
-    kb = channel.kappa_bar
-    beta = angular_strength(kb, component)
-    m = SingularCoulombMap(
-        Z=params.b * kb / m_map,
-        beta=beta,
-        S=math.sqrt(beta + 0.25),
-        epsilon=None,
-        component=component,
-        m_map=m_map,
-    )
-    if level is not None:
-        m = replace(m, epsilon=m.epsilon_at(level))
-    return m

@@ -28,8 +28,8 @@ from .analytic import (
     bound_state,
     charge_conjugate,
     energy,
-    no_bound_states,
     norm_quadrature,
+    residuals,
     sample_state,
     special_state,
     spectrum,
@@ -40,7 +40,6 @@ from .oracle import (
     NoBracketError,
     ShootingConfig,
     ShootingError,
-    effective_potential,
     integrate_first_order,
     shoot_eigenvalue,
     solve_bound_level,
@@ -203,9 +202,10 @@ def _emit(rows: list[dict], fmt: str, out: Optional[str], meta: Optional[dict] =
 
 
 def _kappa_list(cfg: RunConfig) -> list[int]:
-    if cfg.kappa_min > cfg.kappa_max:
-        raise UsageError(f"empty kappa range [{cfg.kappa_min}, {cfg.kappa_max}]")
-    return [k for k in range(cfg.kappa_min, cfg.kappa_max + 1) if k != 0]
+    kappas = [k for k in range(cfg.kappa_min, cfg.kappa_max + 1) if k != 0]
+    if not kappas:
+        raise UsageError(f"no kappa != 0 in [{cfg.kappa_min}, {cfg.kappa_max}]")
+    return kappas
 
 
 def run_spectrum(cfg: RunConfig) -> list[dict]:
@@ -213,7 +213,7 @@ def run_spectrum(cfg: RunConfig) -> list[dict]:
     E^c = -E of the sign-flipped potential, which mirrors the original in
     kappa_bar with n_bar preserved."""
     params = ModelParams(cfg.mass, cfg.a, cfg.b)
-    if no_bound_states(params):
+    if params.b == 0.0:
         raise UsageError("b = 0: no channel binds, there is no bound spectrum to tabulate")
     branch = _BRANCH_NAME.get(cfg.branch)
     if branch is None:
@@ -274,6 +274,8 @@ def run_fig3(cfg: RunConfig) -> list[dict]:
                     "bound_flag": bound,
                 }
             )
+    if not rows:
+        raise UsageError(f"no kappa != 0 with kappa_bar in [{lo}, {hi}] for a in {cfg.a_values}")
     return rows
 
 
@@ -309,7 +311,7 @@ def run_wavefunction(cfg: RunConfig) -> tuple[list[dict], dict]:
         state = bound_state(params, channel, cfg.n, branch)
     r_lo = cfg.r_min if cfg.r_min is not None else 1e-7 / state.gamma
     r_hi = cfg.r_max if cfg.r_max is not None else 30.0 / state.gamma
-    if not 0 < r_lo < r_hi:
+    if not (0 < r_lo < r_hi and math.isfinite(r_hi)):
         raise UsageError(f"bad radial window [{r_lo}, {r_hi}]")
     if cfg.grid == "log":
         r = np.geomspace(r_lo, r_hi, cfg.points)
@@ -357,26 +359,6 @@ class VerifyRow:
     residual: Optional[float] = None
     node_ok: Optional[bool] = None
     passed: Optional[bool] = None
-
-
-def _residual_scale(params, channel, state, r):
-    """Max relative residual of the first- and second-order equations."""
-    g_form, f_form = state_wavefunctions(params, state)
-    g, f = g_form(r), f_form(r)
-    dg, df = g_form.derivative(r), f_form.derivative(r)
-    kb = channel.kappa_bar
-    m, b, e = params.mass, params.b, state.energy
-    scale = max(float(np.max(np.abs(g))), float(np.max(np.abs(f))))
-    if scale == 0.0:
-        return 0.0
-    res1 = np.max(np.abs(dg + (kb / r + b) * g - (m + e) * f))
-    res2 = np.max(np.abs(df - (kb / r + b) * f - (m - e) * g))
-    lam = e * e - m * m - b * b
-    v_up = effective_potential(params, channel, "upper")
-    v_lo = effective_potential(params, channel, "lower")
-    res3 = np.max(np.abs(g_form.second_derivative(r) - (v_up(r) - lam) * g))
-    res4 = np.max(np.abs(f_form.second_derivative(r) - (v_lo(r) - lam) * f))
-    return float(max(res1, res2, res3, res4)) / scale
 
 
 def verification_grid_rows(
@@ -429,7 +411,7 @@ def verification_grid_rows(
                         and samples.node_count_f == expected_f
                     )
                     window_ok = mass <= abs(state.energy) < mstar
-                    residual = _residual_scale(params, channel, state, r_residual)
+                    residual = residuals(params, state, r_residual)
                     passed = delta <= 1e-7 and node_ok and window_ok and residual < 1e-8
                     rows.append(VerifyRow(
                         check="special" if state.is_special else "oracle", b=b, a=a, kappa=kappa,

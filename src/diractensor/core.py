@@ -69,48 +69,36 @@ class Channel:
     """One spin-orbit channel: kappa together with its shifted kappa_bar.
 
     ``kappa_bar`` must equal ``kappa + a`` with the same floating-point
-    rounding as the construction helpers use; build channels through
-    :meth:`from_kappa` or :meth:`from_j` rather than by hand.
+    rounding as :meth:`from_kappa` uses; build channels through it rather
+    than by hand.  j, ell and the spin alignment follow from kappa.
     """
 
     kappa: int
     kappa_bar: float
-    j: float
-    ell_upper: int
-    spin_aligned: bool
 
     def __post_init__(self):
         if self.kappa == 0:
             raise ValueError("kappa = 0 is not an allowed Dirac quantum number")
-        if self.spin_aligned:
-            ok = self.kappa == -(self.ell_upper + 1) and self.j == self.ell_upper + 0.5
-        else:
-            ok = self.kappa == self.ell_upper and self.j == self.ell_upper - 0.5
-        if not ok:
-            raise ValueError(
-                f"inconsistent channel: kappa={self.kappa}, j={self.j}, "
-                f"ell_upper={self.ell_upper}, spin_aligned={self.spin_aligned}"
-            )
 
     @classmethod
     def from_kappa(cls, kappa: int, a: float = 0.0) -> "Channel":
         kappa = int(kappa)
-        if kappa == 0:
-            raise ValueError("kappa = 0 is not an allowed Dirac quantum number")
-        if kappa < 0:
-            ell = -kappa - 1
-            return cls(kappa, kappa + a, ell + 0.5, ell, True)
-        ell = kappa
-        return cls(kappa, kappa + a, ell - 0.5, ell, False)
+        return cls(kappa, kappa + a)
 
-    @classmethod
-    def from_j(cls, j: float, spin_aligned: bool, a: float = 0.0) -> "Channel":
-        if round(2 * j) != 2 * j or j <= 0 or int(round(2 * j)) % 2 == 0:
-            raise ValueError(f"j must be a positive half-integer, got {j!r}")
-        kappa = int(round(j + 0.5))
-        if spin_aligned:
-            kappa = -kappa
-        return cls.from_kappa(kappa, a)
+    @property
+    def spin_aligned(self) -> bool:
+        """Spin along the orbital momentum, j = ell + 1/2: kappa < 0."""
+        return self.kappa < 0
+
+    @property
+    def ell_upper(self) -> int:
+        """Orbital momentum of the upper component."""
+        return -self.kappa - 1 if self.kappa < 0 else self.kappa
+
+    @property
+    def j(self) -> float:
+        """Total angular momentum |kappa| - 1/2."""
+        return abs(self.kappa) - 0.5
 
 
 def bound_states_exist(params: ModelParams, channel: Channel) -> bool:
@@ -253,7 +241,7 @@ class BoundState:
 
 @dataclass(frozen=True)
 class RadialSamples:
-    """Sampled radial components g(r), f(r) on a strictly increasing grid."""
+    """Sampled radial components g(r), f(r) on a finite, strictly increasing grid."""
 
     r: np.ndarray
     g: np.ndarray
@@ -268,6 +256,8 @@ class RadialSamples:
         f = np.asarray(self.f, dtype=float)
         if not (r.shape == g.shape == f.shape) or r.ndim != 1 or r.size < 2:
             raise ValueError("r, g, f must be 1-d arrays of one common length >= 2")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("the radial grid must be finite")
         if r[0] <= 0:
             raise ValueError("the radial grid must start at r > 0")
         if np.any(np.diff(r) <= 0):

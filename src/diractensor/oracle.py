@@ -4,10 +4,11 @@ Two pieces of machinery, both blind to the closed-form solutions:
 
 * an eigensolver for the second-order radial equations.  Substituting
   x = ln r and v = u / sqrt(r) turns u'' = [A/r^2 + B/r - lambda] u into
-  v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4.  A Sturm count on the
-  three-point form of that equation, a symmetric tridiagonal pencil, gives
-  a first estimate of the level (LAPACK ``stebz``); Numerov shooting on a
-  grid boxed for that estimate then finds it, with node-count bisection to
+  v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4.  ``solve_bound_level``
+  takes a first estimate of the level from a Sturm count on the three-point
+  form of that equation, a symmetric tridiagonal pencil (LAPACK ``stebz``),
+  then finds it with ``shoot_eigenvalue``: Numerov shooting on a grid boxed
+  for that estimate (a ``ShootingConfig``), with node-count bisection to
   keep the level and a matching-defect Newton step, taken from either side
   of the level, to refine it; one outward march per trial lambda serves
   both the node count and the match.  The pencil and every shot start at
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,9 +57,7 @@ __all__ = [
     "NoBracketError",
     "ConvergenceError",
     "NodeMismatchError",
-    "effective_potential",
     "shoot_eigenvalue",
-    "default_shooting_config",
     "solve_bound_level",
     "integrate_first_order",
     "count_sign_changes",
@@ -117,29 +116,12 @@ class EigenResult:
     lambda_: float
     energy_pair: tuple[float, float]
     node_count: int
-    converged: bool
-    residual: float
     sweeps: int
     newton_steps: int
     steps: int
     r_min: float
     r_max: float
     step_count: int
-
-
-def effective_potential(params: ModelParams, channel: Channel, component: Component) -> Callable:
-    """V(r) = kb*(kb +/- 1)/r^2 + 2*b*kb/r entering -u'' + V u = lambda u."""
-    angular = angular_strength(channel.kappa_bar, component)
-    coulomb = 2.0 * params.b * channel.kappa_bar
-
-    def potential(r):
-        arr = np.asarray(r, dtype=float)
-        if np.any(arr <= 0):
-            raise ValueError("the radial coordinate must be positive")
-        val = angular / (arr * arr) + coulomb / arr
-        return float(val) if np.ndim(r) == 0 else val
-
-    return potential
 
 
 def _numerov_march(f: np.ndarray, y0: float, y1: float) -> np.ndarray:
@@ -203,7 +185,6 @@ class _ShootingWorkspace:
             raise ValueError("grid too coarse for the Numerov step on this domain")
         self.f_base = 1.0 - ddx12 * self.base
         self.f_lam = ddx12 * self.r2
-        self.ddx12 = ddx12
         # two-term series start of the regular solution, v ~ r^S (1 + c1 r)
         c1 = self.B / (1.0 + 2.0 * self.S)
         start = 1e-100
@@ -350,60 +331,23 @@ def shoot_eigenvalue(
         )
 
     f, outward = ws.sweep(best)
-    y, m, defect, _ = _matched_solution(ws, best, f, outward)
-    found = count_sign_changes(y)
+    found = count_sign_changes(_matched_solution(ws, best, f, outward)[0])
     if found != node_target:
         raise NodeMismatchError(
             f"converged solution has {found} nodes, expected {node_target}"
         )
-    scale = abs(f[m - 1] * y[m - 1]) + abs(f[m + 1] * y[m + 1]) + abs(12.0 - 10.0 * f[m])
     e2 = best + params.mass**2 + params.b**2
     e = math.sqrt(max(e2, 0.0))
     return EigenResult(
         lambda_=best,
         energy_pair=(e, -e),
         node_count=found,
-        converged=True,
-        residual=abs(defect) / scale,
         sweeps=ws.sweeps,
         newton_steps=newton_steps,
         steps=ws.steps,
         r_min=config.r_min,
         r_max=config.r_max,
         step_count=config.step_count,
-    )
-
-
-def default_shooting_config(
-    params: ModelParams,
-    channel: Channel,
-    component: Component,
-    node_target: int,
-    step_count: int = 6000,
-) -> ShootingConfig:
-    """Search domain seeded from coarse scales only.
-
-    The slowest conceivable decay rate over admissible channels is about
-    |b| / (2 n + 3), which fixes a generous box, the one on which
-    ``solve_bound_level`` first estimates the level; the bracket spans the
-    whole physical window -b^2 < lambda < 0.  Its ``step_count`` steps span
-    the whole box from r_min = 1e-6 / gamma_seed, and a shot on this config
-    marches them all.  ``_pencil_level`` puts its points on this box from
-    the channel's inner edge (``_inner_edge``) up, and the shots of
-    ``solve_bound_level`` keep the step that ``step_count`` sets over their
-    own nominal box but do not march the steps below that edge.
-    """
-    angular_strength(channel.kappa_bar, component)  # rejects |kappa_bar| <= 1/2
-    b = abs(params.b)
-    if b == 0.0:
-        raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
-    gamma_seed = b / (2.0 * (node_target + 1.0) + 1.0)
-    return ShootingConfig(
-        r_min=1e-6 / gamma_seed,
-        r_max=30.0 / gamma_seed,
-        step_count=step_count,
-        lambda_bracket=(-b * b * (1.0 + 1e-6), -b * b * 1e-8),
-        tolerance=1e-10 * b * b,
     )
 
 
@@ -448,14 +392,17 @@ def _pencil_level(
 ) -> float:
     """Blind estimate of the separation eigenvalue of the ``node_target`` level.
 
-    On the seed box of ``default_shooting_config``, started at the channel's
-    inner edge (``_inner_edge``) rather than at its r_min, with Dirichlet
-    ends, the three-point form of -v'' + (S^2 + B r) v = lambda r^2 v (x = ln r),
+    The slowest decay rate of any such level is about gamma_seed =
+    |b| / (2 node_target + 3), which fixes a generous seed box reaching
+    30/gamma_seed.  On that box, started at the channel's inner edge
+    (``_inner_edge``) but not below 1e-6/gamma_seed, with Dirichlet ends,
+    the three-point form of -v'' + (S^2 + B r) v = lambda r^2 v (x = ln r),
     scaled by 1/r on each side, is the symmetric tridiagonal matrix with
     d_i = (2/h^2 + S^2 + B r_i) / r_i^2 and e_i = -1/(h^2 r_i r_{i+1}).
     LAPACK ``stebz`` bisects its Sturm count (Kahan bisection) for the
     (node_target + 1)-th eigenvalue.  Its tolerance is absolute: the default
     one scales with the norm of the matrix, about 1e16, and merges levels.
+    An estimate must lie below the window top -1e-8 b^2; b = 0 has no window.
     """
     from scipy.linalg.lapack import dstebz  # here, not at the top: scipy is slow to import
 
@@ -463,17 +410,20 @@ def _pencil_level(
         raise ValueError("node_target must be nonnegative")
     if node_target >= _PENCIL_POINTS:
         raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {node_target}-node level")
-    seed = default_shooting_config(params, channel, component, node_target)
-    r_lo = _inner_edge(params, channel, component, seed.r_min)
-    x = np.linspace(math.log(r_lo), math.log(seed.r_max), _PENCIL_POINTS + 2)
+    s2 = angular_strength(channel.kappa_bar, component) + 0.25
+    b = abs(params.b)
+    if b == 0.0:
+        raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
+    gamma_seed = b / (2.0 * node_target + 3.0)
+    r_lo = _inner_edge(params, channel, component, 1e-6 / gamma_seed)
+    x = np.linspace(math.log(r_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
     h2 = (x[1] - x[0]) ** 2
     r = np.exp(x[1:-1])
-    s2 = angular_strength(channel.kappa_bar, component) + 0.25
     d = (2.0 / h2 + s2 + 2.0 * params.b * channel.kappa_bar * r) / (r * r)
     e = -1.0 / (h2 * r[:-1] * r[1:])
     index = node_target + 1
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, index, index, 1e-9 * params.b * params.b, "E")
-    top = seed.lambda_bracket[1]
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, index, index, 1e-9 * b * b, "E")
+    top = -b * b * 1e-8
     if info != 0 or m != 1 or not w[0] < top:
         raise NoBracketError(
             f"the pencil puts no {node_target}-node level below the window top {top}"

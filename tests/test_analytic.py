@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from diractensor import (
     charge_conjugate,
     conjugation_report,
     energy,
-    map_to_singular_coulomb,
-    no_bound_states,
     nonrelativistic_binding,
     norm_quadrature,
     sample_state,
@@ -23,7 +23,8 @@ from diractensor import (
     state_wavefunctions,
     wavefunctions,
 )
-from diractensor.analytic import _require_bound, default_radial_grid, n_bar
+from diractensor.analytic import _require_bound, default_radial_grid, n_bar, residuals
+from diractensor.core import Component, angular_strength
 
 
 def channel_for(kappa, a=0.0):
@@ -185,6 +186,15 @@ class TestWavefunctions:
         assert np.max(np.abs(res_up)) < 1e-9 * scale
         assert np.max(np.abs(res_lo)) < 1e-9 * scale
 
+    def test_residual_gate_can_fail(self):
+        # verify's residual gate (< 1e-8 on its window) passes the closed form
+        # and fails the same state with its energy 1e-6 off
+        state = bound_state(PARAMS_POS, channel_for(-3), 2)
+        r = np.geomspace(0.01, 30.0, 120)
+        assert residuals(PARAMS_POS, state, r) < 1e-8
+        detuned = replace(state, energy=state.energy * (1.0 + 1e-6))
+        assert residuals(PARAMS_POS, detuned, r) > 1e-8
+
     def test_unit_norm_by_quadrature(self):
         for params, kappa, a, n_g in [
             (PARAMS_POS, -1, 0.0, 1),
@@ -241,7 +251,6 @@ class TestSpectrum:
         params = ModelParams(1.0, 0.0, 0.0)
         rows = spectrum(params, [-2, -1, 1, 2], 2)
         assert all(not r.bound for r in rows)
-        assert no_bound_states(params)
 
     def test_both_branches(self):
         rows = spectrum(PARAMS_POS, [-1], 2, "both")
@@ -320,6 +329,67 @@ class TestDegeneracy:
         e1 = energy(PARAMS_POS, channel_for(-1), 1)
         e2 = energy(PARAMS_NEG, channel_for(1), 0)
         assert e1 == pytest.approx(e2, rel=1e-15)
+
+
+@dataclass(frozen=True)
+class SingularCoulombMap:
+    """Identification of one second-order radial equation with a Schroedinger
+    problem in the singular Coulomb potential Z/r + beta/(2 m r^2).
+
+    ``m_map`` is a bookkeeping mass with no physical meaning; it cancels in
+    every energy.  ``epsilon`` is filled when a level index is supplied.
+    """
+
+    Z: float
+    beta: float
+    S: float
+    epsilon: Optional[float]
+    component: Component
+    m_map: float
+
+    def epsilon_at(self, level: int) -> float:
+        """Mapped eigenvalue -m Z^2 / (2 (level + 1/2 + S)^2)."""
+        if level < 0:
+            raise ValueError("level must be nonnegative")
+        return -self.m_map * self.Z**2 / (2.0 * (level + 0.5 + self.S) ** 2)
+
+    def energy_pair(self, params: ModelParams, level: int) -> tuple[float, float]:
+        """Dirac energies +/- sqrt(M^2 + b^2 + 2 m epsilon); m_map cancels."""
+        e2 = params.mass**2 + params.b**2 + 2.0 * self.m_map * self.epsilon_at(level)
+        e = math.sqrt(e2)
+        return (e, -e)
+
+    @property
+    def binds(self) -> bool:
+        return self.Z < 0.0 and self.beta > -0.25
+
+
+def map_to_singular_coulomb(
+    params: ModelParams,
+    channel: Channel,
+    component: Component,
+    level: Optional[int] = None,
+    m_map: float = 1.0,
+) -> SingularCoulombMap:
+    """Map the chosen component's second-order equation onto the singular
+    Coulomb problem: Z = b*kappa_bar/m, beta = kappa_bar*(kappa_bar +/- 1)
+    (orbital bookkeeping l = 0), epsilon = (E^2 - M^2 - b^2)/(2m).  An
+    independent route to the closed-form energies."""
+    if m_map <= 0:
+        raise ValueError("m_map must be positive")
+    kb = channel.kappa_bar
+    beta = angular_strength(kb, component)
+    m = SingularCoulombMap(
+        Z=params.b * kb / m_map,
+        beta=beta,
+        S=math.sqrt(beta + 0.25),
+        epsilon=None,
+        component=component,
+        m_map=m_map,
+    )
+    if level is not None:
+        m = replace(m, epsilon=m.epsilon_at(level))
+    return m
 
 
 class TestSingularCoulombMap:

@@ -94,6 +94,12 @@ class TestSpectrumCommand:
     def test_empty_kappa_range_is_usage_error(self):
         assert run_cli("spectrum", "--kappa-min", "3", "--kappa-max", "-3") == 1
 
+    def test_range_holding_only_kappa_zero_is_usage_error(self, capsys):
+        # kappa = 0 is skipped, so [0, 0] selects no row at all
+        assert run_cli("spectrum", "--kappa-min", "0", "--kappa-max", "0") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "no kappa" in err
+
     def test_unbound_channels_flagged(self):
         rows = run_spectrum(RunConfig(b=1.0, kappa_min=-2, kappa_max=2, n_max=1))
         unbound = [r for r in rows if not r["bound_flag"]]
@@ -147,6 +153,13 @@ class TestFig3Command:
     def test_level_zero_rejected(self):
         assert run_cli("fig3", "--preset", "fig3a", "--n", "0") == 1
 
+    @pytest.mark.parametrize("argv", [("--kappa-bar-min", "3", "--kappa-bar-max", "1"),
+                                      ("--a-values= ",)])
+    def test_table_that_selects_nothing_is_usage_error(self, argv, capsys):
+        assert run_cli("fig3", *argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "no kappa" in err
+
     def test_a_values_flag_is_a_comma_list(self, tmp_path):
         out = tmp_path / "f3.csv"
         assert run_cli("fig3", "--preset", "fig3a", "--a-values", "0, 1.5",
@@ -189,6 +202,14 @@ class TestWavefunctionCommand:
         out = tmp_path / "wf.csv"
         run_cli("wavefunction", "--kappa", "-1", "--n", "2", "--out", str(out))
         assert float(read_meta(out)["norm"]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("window", [("--r-max", "inf"),
+                                        ("--r-max", "1e400", "--grid", "linear")])
+    def test_nonfinite_radial_window_is_usage_error(self, window, capsys):
+        # unchecked, an infinite r_max writes rows of inf,nan,nan and node_count_g=0
+        assert run_cli("wavefunction", "--kappa", "-2", "--n", "1", *window) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "bad radial window" in err
 
     def test_unbound_channel_exits_nonzero(self, capsys):
         assert run_cli("wavefunction", "--kappa", "1", "--n", "1") == 1
@@ -305,6 +326,11 @@ class TestVerifyCommand:
                        "--kappa-max", "-1", "--n-max", "5")
         assert code == 0
         assert targets == list(range(6))
+
+    def test_b_zero_sweep_without_channels_is_usage_error(self, capsys):
+        assert run_cli("verify", "--b", "0", "--kappa-min", "0", "--kappa-max", "0") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "no kappa" in err
 
     def test_b_zero_sweep_rejects_negative_n_max(self, capsys):
         code = run_cli("verify", "--b", "0", "--kappa-min", "-1", "--kappa-max", "1",

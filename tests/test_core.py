@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,17 @@ from diractensor import (
     bound_states_exist,
     kappa_range,
 )
+
+
+def channel_from_j(j: float, spin_aligned: bool, a: float = 0.0) -> Channel:
+    """The channel of total angular momentum j: kappa = -(j + 1/2) with the
+    spin aligned, +(j + 1/2) anti-aligned."""
+    if round(2 * j) != 2 * j or j <= 0 or int(round(2 * j)) % 2 == 0:
+        raise ValueError(f"j must be a positive half-integer, got {j!r}")
+    kappa = int(round(j + 0.5))
+    if spin_aligned:
+        kappa = -kappa
+    return Channel.from_kappa(kappa, a)
 
 
 class TestModelParams:
@@ -45,7 +57,7 @@ class TestChannel:
     @pytest.mark.parametrize("kappa", [k for k in range(-12, 13) if k != 0])
     def test_roundtrip_through_j(self, kappa):
         ch = Channel.from_kappa(kappa, a=0.3)
-        back = Channel.from_j(ch.j, ch.spin_aligned, a=0.3)
+        back = channel_from_j(ch.j, ch.spin_aligned, a=0.3)
         assert back == ch
 
     def test_kappa_zero_rejected(self):
@@ -54,9 +66,17 @@ class TestChannel:
 
     def test_from_j_validates(self):
         with pytest.raises(ValueError):
-            Channel.from_j(1.0, True)  # integer j is not allowed
+            channel_from_j(1.0, True)  # integer j is not allowed
         with pytest.raises(ValueError):
-            Channel.from_j(-0.5, True)
+            channel_from_j(-0.5, True)
+
+    def test_stores_kappa_and_kappa_bar_only(self):
+        # j, ell and the spin alignment are derived, so they cannot disagree with kappa
+        ch = Channel(-3, -2.5)
+        assert [f.name for f in dataclasses.fields(ch)] == ["kappa", "kappa_bar"]
+        assert (ch.j, ch.ell_upper, ch.spin_aligned) == (2.5, 2, True)
+        with pytest.raises(ValueError):
+            Channel(0, 0.5)
 
     def test_kappa_bar_shift(self):
         ch = Channel.from_kappa(-1, a=0.7)
@@ -187,3 +207,11 @@ class TestRadialSamples:
         with pytest.raises(ValueError):
             RadialSamples(r=r, g=np.zeros(2), f=g,
                           node_count_g=0, node_count_f=0, l2_norm=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite_radii(self, bad):
+        # neither r[0] <= 0 nor a step <= 0 holds for NaN, and inf ends an increasing grid
+        g = np.zeros(3)
+        for r in (np.array([0.1, 0.2, bad]), np.array([bad, 0.1, 0.2])):
+            with pytest.raises(ValueError, match="finite"):
+                RadialSamples(r=r, g=g, f=g, node_count_g=0, node_count_f=0, l2_norm=0.0)

@@ -18,8 +18,6 @@ from diractensor import (
     UnboundChannelError,
     bound_state,
     count_sign_changes,
-    default_shooting_config,
-    effective_potential,
     energy,
     integrate_first_order,
     shoot_eigenvalue,
@@ -35,13 +33,29 @@ PARAMS_POS = ModelParams(1.0, 0.0, 1.0)
 PARAMS_NEG = ModelParams(1.0, 0.0, -1.0)
 
 
+def effective_potential(params: ModelParams, channel: Channel, component: Component) -> Callable:
+    """V(r) = kb*(kb +/- 1)/r^2 + 2*b*kb/r entering -u'' + V u = lambda u, the
+    potential ``diractensor.analytic.residuals`` writes out."""
+    angular = angular_strength(channel.kappa_bar, component)
+    coulomb = 2.0 * params.b * channel.kappa_bar
+
+    def potential(r):
+        arr = np.asarray(r, dtype=float)
+        if np.any(arr <= 0):
+            raise ValueError("the radial coordinate must be positive")
+        val = angular / (arr * arr) + coulomb / arr
+        return float(val) if np.ndim(r) == 0 else val
+
+    return potential
+
+
 def effective_potential_general(params: ModelParams, channel: Channel, component: Component) -> Callable:
     """Same potential built from the raw tensor field U = a/r + b.
 
     Uses the unshifted kappa and the full kappa(kappa +/- 1)/r^2
     + 2*kappa*U/r -/+ U' + U^2 combination (minus b^2 to line up with the
     lambda = E^2 - M^2 - b^2 convention); regression target for the
-    specialized form, ``diractensor.oracle.effective_potential``.
+    specialized form, ``effective_potential``.
     """
     angular_strength(channel.kappa_bar, component)  # rejects |kappa_bar| <= 1/2
     kappa = float(channel.kappa)
@@ -106,7 +120,6 @@ class TestShootEigenvalue:
     def test_canonical_level(self):
         # lambda = E^2 - M^2 - b^2 = -1/4 for the sqrt(7)/2 level
         res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-1), "upper", 1)
-        assert res.converged
         assert res.lambda_ == pytest.approx(-0.25, abs=1e-8)
         assert res.node_count == 1
         assert res.energy_pair[0] == pytest.approx(math.sqrt(7) / 2, abs=1e-8)
@@ -267,8 +280,9 @@ class TestShootEigenvalue:
             # lands 30% below the lambda that set the box, every time
             configs.append(config)
             lam = 0.65 * sum(config.lambda_bracket)
-            return EigenResult(lam, (1.0, -1.0), node_target, True, 0.0, 1, 1, 100,
-                               config.r_min, config.r_max, config.step_count)
+            return EigenResult(lambda_=lam, energy_pair=(1.0, -1.0), node_count=node_target,
+                               sweeps=1, newton_steps=1, steps=100, r_min=config.r_min,
+                               r_max=config.r_max, step_count=config.step_count)
 
         monkeypatch.setattr(oracle, "shoot_eigenvalue", drifting)
         with pytest.raises(ConvergenceError):
@@ -288,7 +302,9 @@ class TestShootEigenvalue:
         # the outward march up to m + 1 must be bit for bit the head of the
         # whole-domain march, since the match cuts it instead of marching
         ch = Channel.from_kappa(-3)
-        config = default_shooting_config(PARAMS_POS, ch, "upper", 2, 3000)
+        # the seed box of the two-node level: gamma_seed = b/7
+        config = ShootingConfig(r_min=7e-6, r_max=210.0, step_count=3000,
+                                lambda_bracket=(-1.000001, -1e-8), tolerance=1e-10)
         ws = _ShootingWorkspace(PARAMS_POS, ch, "upper", config)
         for lam in np.linspace(*config.lambda_bracket, 9):
             f, whole = ws.sweep(lam)
@@ -332,9 +348,9 @@ class TestShootEigenvalue:
         with pytest.raises(NoBracketError):
             shoot_eigenvalue(PARAMS_POS, ch, "upper", 3, config)
 
-    def test_default_config_rejects_b_zero(self):
+    def test_pencil_rejects_b_zero(self):
         with pytest.raises(NoBracketError):
-            default_shooting_config(ModelParams(1.0, 0.0, 0.0), Channel.from_kappa(-1), "upper", 0)
+            solve_bound_level(ModelParams(1.0, 0.0, 0.0), Channel.from_kappa(-1), "upper", 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
