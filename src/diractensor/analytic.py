@@ -187,8 +187,16 @@ class WavefunctionForm:
     amplitude: float
 
     def __call__(self, r):
+        """The component at ``r``.  Where e^(-x/2) underflows to 0 the value is
+        0.0, its float64 value, even where x^p or the Laguerre factor has
+        overflowed; any other non-finite value raises OverflowError."""
         x = 2.0 * self.gamma * np.asarray(r, dtype=float)
-        val = self.amplitude * x**self.prefactor_exponent * np.exp(-0.5 * x) * laguerre(self.laguerre, x)
+        decay = np.exp(-0.5 * x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = self.amplitude * x**self.prefactor_exponent * decay * laguerre(self.laguerre, x)
+        val = np.where(decay == 0.0, 0.0, val)
+        if not np.isfinite(val).all():
+            raise OverflowError("a wavefunction value overflowed float64")
         return float(val) if np.ndim(r) == 0 else val
 
     def derivative(self, r):

@@ -11,10 +11,15 @@ Two pieces of machinery, both blind to the closed-form solutions:
   for that estimate (a ``ShootingConfig``), with node-count bisection to
   keep the level and a matching-defect Newton step, taken from either side
   of the level, to refine it; one outward march per trial lambda serves
-  both the node count and the match.  The pencil and every shot start at
-  the channel's inner edge, below which no bound solution of the channel
-  rises within e^(-30) of its peak: the regular solution grows like r^S
-  there, and marching through that dead region changes no level;
+  both the node count and the match.  A march solves for w = f y, whose
+  Numerov band has a unit diagonal: each shot allocates that band once,
+  and a march rewrites one row of it and makes one BLAS ``tbsv`` call.
+  The match point comes from the root of the quadratic S^2 + B r - lambda
+  r^2, and the matching defect and Newton denominator from dot products
+  over the two sweeps, with no joined copy.  The pencil and every shot
+  start at the channel's inner edge, below which no bound solution of the
+  channel rises within e^(-30) of its peak: the regular solution grows like
+  r^S there, and marching through that dead region changes no level;
 
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
   to confirm decay at the analytic energies, divergence away from them, and
@@ -35,6 +40,7 @@ bound state since |E| < sqrt(M^2 + b^2).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -110,7 +116,10 @@ class EigenResult:
     Numerov steps those marches took and ``newton_steps`` the
     matching-defect Newton corrections it computed; all three depend on the
     inputs only.  ``r_min``, ``r_max`` and ``step_count`` give the grid of
-    the shot that found the level.
+    the shot that found the level.  ``seconds`` is the wall time of the whole
+    solve and ``pencil_seconds`` the part of it spent estimating the level
+    (0.0 from ``shoot_eigenvalue``, which takes no estimate); these two are
+    the only fields that are not deterministic.
     """
 
     lambda_: float
@@ -122,35 +131,42 @@ class EigenResult:
     r_min: float
     r_max: float
     step_count: int
+    seconds: float = 0.0
+    pencil_seconds: float = 0.0
 
 
-def _numerov_march(f: np.ndarray, y0: float, y1: float) -> np.ndarray:
+def _numerov_march(f: np.ndarray, y0: float, y1: float, band: np.ndarray) -> np.ndarray:
     """Solve the Numerov three-term recurrence given the first two values.
 
-    The recurrence f[i+1] y[i+1] = (12 - 10 f[i]) y[i] - f[i-1] y[i-1] is a
-    lower-triangular banded system, handed to the BLAS triangular solver
-    instead of a Python loop.  The band is built in Fortran order, the layout
-    BLAS reads, so f2py passes it without a copy.
+    In w = f y the recurrence f[i+1] y[i+1] = (12 - 10 f[i]) y[i] - f[i-1] y[i-1]
+    reads w[i+1] - (12/f[i] - 10) w[i] + w[i-1] = 0: a lower-triangular band
+    with a unit diagonal and a second subdiagonal of ones, handed to the BLAS
+    triangular solver, told the diagonal is unit, instead of a Python loop.
+    ``band`` is a Fortran-order (3, N) array, the layout BLAS reads, with
+    N >= f.size - 2 and ones in its last row.  The march rewrites only the
+    first subdiagonal of its leading f.size - 2 columns, which f2py passes
+    without a copy, solves for w in place and returns y = w / f.
     """
     from scipy.linalg.blas import dtbsv  # here, not at the top: scipy is slow to import
 
     n = f.size
-    y = np.empty(n)
+    w = np.zeros(n)
+    w[0], w[1] = f[0] * y0, f[1] * y1
+    if n > 2:
+        count = n - 2
+        ab = band[:, :count]
+        # -(12/f - 10) = -2 - 12 (1 - f)/f: 1 - f is exact, and only the sum
+        # with 2 rounds at the scale of the coefficient
+        excess = np.subtract(1.0, f[2 : n - 1])
+        excess /= f[2 : n - 1]
+        excess *= 12.0
+        np.subtract(-2.0, excess, out=ab[1, : count - 1])
+        w[2] = (2.0 + (1.0 - f[1]) / f[1] * 12.0) * w[1] - w[0]
+        if count > 1:
+            w[3] = -w[1]
+        dtbsv(2, ab, w, offx=2, lower=1, diag=1, overwrite_x=1)
+    y = np.divide(w, f, out=w)
     y[0], y[1] = y0, y1
-    if n == 2:
-        return y
-    count = n - 2
-    ab = np.zeros((3, count), order="F")
-    ab[0] = f[2:]
-    if count > 1:
-        ab[1, : count - 1] = -(12.0 - 10.0 * f[2 : n - 1])
-    if count > 2:
-        ab[2, : count - 2] = f[2 : n - 2]
-    rhs = np.zeros(count)
-    rhs[0] = (12.0 - 10.0 * f[1]) * y1 - f[0] * y0
-    if count > 1:
-        rhs[1] = -f[1] * y1
-    y[2:] = dtbsv(2, ab, rhs, lower=1)
     return y
 
 
@@ -168,7 +184,13 @@ def count_sign_changes(values) -> int:
 
 
 class _ShootingWorkspace:
-    """Grid-dependent arrays shared by every lambda evaluation of one search."""
+    """Grid-dependent arrays shared by every lambda evaluation of one search.
+
+    ``band`` is the Fortran-order Numerov band of ``_numerov_march``, sized
+    for a march over the whole grid and allocated once per shot: its unit
+    diagonal and second subdiagonal of ones never change, and each march
+    rewrites only the first subdiagonal of the columns it uses.
+    """
 
     def __init__(self, params: ModelParams, channel: Channel, component: Component,
                  config: ShootingConfig):
@@ -185,6 +207,7 @@ class _ShootingWorkspace:
             raise ValueError("grid too coarse for the Numerov step on this domain")
         self.f_base = 1.0 - ddx12 * self.base
         self.f_lam = ddx12 * self.r2
+        self.band = np.ones((3, n - 1), order="F")
         # two-term series start of the regular solution, v ~ r^S (1 + c1 r)
         c1 = self.B / (1.0 + 2.0 * self.S)
         start = 1e-100
@@ -199,10 +222,12 @@ class _ShootingWorkspace:
     def _march(self, f: np.ndarray, y0: float, y1: float) -> np.ndarray:
         self.sweeps += 1
         self.steps += f.size - 1
-        return _numerov_march(f, y0, y1)
+        return _numerov_march(f, y0, y1, self.band)
 
     def coeffs(self, lam: float) -> np.ndarray:
-        return self.f_base + lam * self.f_lam
+        f = self.f_lam * lam
+        f += self.f_base
+        return f
 
     def sweep(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients at ``lam`` and the outward sweep over the whole domain."""
@@ -210,15 +235,36 @@ class _ShootingWorkspace:
         return f, self.outward(f, f.size - 1)
 
     def match_index(self, lam: float) -> int:
-        inside = np.nonzero(self.base - lam * self.r2 < 0.0)[0]
-        m = int(inside[-1]) if inside.size else (self.f_base.size // 2)
+        """The last grid index where Q = S^2 + B r - lambda r^2 < 0, or mid-grid
+        where there is none, kept ``idx_lo``..``idx_hi`` from the ends.
+
+        Every trial lambda is negative, so Q is convex in r and negative only
+        between its roots.  With B >= 0, or a discriminant B^2 + 4 lambda S^2
+        below -1e-12 B^2, Q stays positive by far more than its rounding
+        error.  Otherwise ``searchsorted`` places the outer root on the grid,
+        and the test ``base - lambda r2 < 0`` at that point and one point out
+        confirms it, so the index is the one the test gives over the whole
+        grid; where they disagree, which rounding can bring about only within
+        a few ulp of a root, the whole grid is tested.
+        """
+        m = -1
+        disc = self.B * self.B + 4.0 * lam * (self.S * self.S)
+        if self.B < 0.0 and disc >= -1e-12 * self.B * self.B:
+            root = (math.sqrt(max(disc, 0.0)) - self.B) / (-2.0 * lam)
+            m = int(self.r.searchsorted(root)) - 1
+            if not ((m < 0 or self.base[m] - lam * self.r2[m] < 0.0)
+                    and (m + 1 == self.r.size or not self.base[m + 1] - lam * self.r2[m + 1] < 0.0)):
+                inside = np.flatnonzero(self.base - lam * self.r2 < 0.0)
+                m = int(inside[-1]) if inside.size else -1
+        if m < 0:
+            m = self.r.size // 2
         return min(max(m, self.idx_lo), self.idx_hi)
 
     def outward(self, f: np.ndarray, upto: int) -> np.ndarray:
         y = self._march(f[: upto + 1], self.v0, self.v1)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             y = self._march(f[: upto + 1], self.v0 * 1e-150, self.v1 * 1e-150)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise ShootingError("outward sweep overflowed even after rescaling")
         return y
 
@@ -226,36 +272,50 @@ class _ShootingWorkspace:
         tail = f[downto:][::-1]
         y1 = (12.0 - 10.0 * tail[0]) / tail[1]  # treats the value beyond r_max as 0
         y = self._march(tail, 1.0, y1)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise ShootingError("inward sweep overflowed")
         return y[::-1]
 
 
-def _matched_solution(ws: _ShootingWorkspace, lam: float, f: np.ndarray, outward: np.ndarray):
-    """Join the outward sweep at ``lam`` (coefficients ``f``) to an inward
-    sweep at the turning point.
+def _match_point(ws: _ShootingWorkspace, lam: float, f: np.ndarray,
+                 outward: np.ndarray) -> tuple[int, np.ndarray]:
+    """The match index at ``lam`` (coefficients ``f``), moved off any node of
+    either sweep, and the inward sweep from one point inside it.
 
     Forward substitution makes the outward march up to any index a prefix of
     the whole-domain march, so ``outward`` is cut rather than marched again.
-    Returns (combined y normalized to 1 at the match index, match index,
-    matching defect F, Newton denominator).
     """
     m = ws.match_index(lam)
     for shift in (0, 1, -1, 2, -2, 3):
         mm = min(max(m + shift, ws.idx_lo), ws.idx_hi)
-        left = outward[: mm + 2]
-        right = ws.inward(f, mm - 1)
-        if left[mm] != 0.0 and right[1] != 0.0:
-            m = mm
-            break
-    else:
-        raise ShootingError("could not place the match point away from a node")
-    left = left / left[m]
-    right = right / right[1]
-    y = np.concatenate((left[:m], [1.0], right[2:]))
-    defect = f[m - 1] * left[m - 1] + f[m + 1] * right[2] - (12.0 - 10.0 * f[m])
-    denom = ws.h * ws.h * float(np.sum(ws.r2 * y * y))
-    return y, m, float(defect), denom
+        inward = ws.inward(f, mm - 1)
+        if outward[mm] != 0.0 and inward[1] != 0.0:
+            return mm, inward
+    raise ShootingError("could not place the match point away from a node")
+
+
+def _weighted_square(piece: np.ndarray, scale: float, r: np.ndarray) -> float:
+    """sum of (r piece / scale)^2, with one temporary."""
+    scaled = piece / scale
+    scaled *= r
+    return float(scaled @ scaled)
+
+
+def _matching_defect(ws: _ShootingWorkspace, f: np.ndarray, outward: np.ndarray, m: int,
+                     inward: np.ndarray) -> tuple[float, float]:
+    """Matching defect F and Newton denominator h^2 sum r^2 y^2 of the solution
+    y joined at ``m``: outward / outward[m] up to m, inward / inward[1]
+    beyond.  Both come from the two pieces, so the join is never formed."""
+    defect = (f[m - 1] * (outward[m - 1] / outward[m]) + f[m + 1] * (inward[2] / inward[1])
+              - (12.0 - 10.0 * f[m]))
+    weight = (_weighted_square(outward[:m], outward[m], ws.r[:m]) + ws.r2[m]
+              + _weighted_square(inward[2:], inward[1], ws.r[m + 1:]))
+    return float(defect), ws.h * ws.h * float(weight)
+
+
+def _joined(outward: np.ndarray, m: int, inward: np.ndarray) -> np.ndarray:
+    """The solution joined at ``m``, normalised to 1 there."""
+    return np.concatenate((outward[:m] / outward[m], [1.0], inward[2:] / inward[1]))
 
 
 def shoot_eigenvalue(
@@ -280,6 +340,7 @@ def shoot_eigenvalue(
     case in particular), ConvergenceError on iteration cap,
     NodeMismatchError if the converged solution violates Sturm ordering.
     """
+    start = time.perf_counter()
     if node_target < 0:
         raise ValueError("node_target must be nonnegative")
     lo, hi = config.lambda_bracket
@@ -311,7 +372,7 @@ def shoot_eigenvalue(
         else:
             lo = lam
         if count - node_target in (0, 1):
-            _, _, defect, denom = _matched_solution(ws, lam, f, outward)
+            defect, denom = _matching_defect(ws, f, outward, *_match_point(ws, lam, f, outward))
             newton_steps += 1
             delta = -defect / denom
             if abs(delta) <= config.tolerance:
@@ -331,7 +392,7 @@ def shoot_eigenvalue(
         )
 
     f, outward = ws.sweep(best)
-    found = count_sign_changes(_matched_solution(ws, best, f, outward)[0])
+    found = count_sign_changes(_joined(outward, *_match_point(ws, best, f, outward)))
     if found != node_target:
         raise NodeMismatchError(
             f"converged solution has {found} nodes, expected {node_target}"
@@ -348,6 +409,7 @@ def shoot_eigenvalue(
         r_min=config.r_min,
         r_max=config.r_max,
         step_count=config.step_count,
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -480,8 +542,11 @@ def solve_bound_level(
     A shot that lands more than 10% from the lambda that set its box was
     boxed for another decay rate, so it is re-boxed from its own lambda and
     shot again; ConvergenceError after three shots.  The result's sweeps,
-    steps and Newton steps are the totals over all shots."""
+    steps and Newton steps are the totals over all shots, and its seconds
+    the wall time of the estimate and every shot."""
+    start = time.perf_counter()
     lam_box = _pencil_level(params, channel, component, node_target)
+    pencil_seconds = time.perf_counter() - start
     sweeps = steps = newton_steps = 0
     for _ in range(_MAX_SHOTS):
         config = _shot_config(params, channel, component, lam_box, step_count)
@@ -490,7 +555,8 @@ def solve_bound_level(
         steps += shot.steps
         newton_steps += shot.newton_steps
         if abs(shot.lambda_ - lam_box) <= 0.1 * abs(lam_box):
-            return replace(shot, sweeps=sweeps, steps=steps, newton_steps=newton_steps)
+            return replace(shot, sweeps=sweeps, steps=steps, newton_steps=newton_steps,
+                           seconds=time.perf_counter() - start, pencil_seconds=pencil_seconds)
         lam_box = shot.lambda_
     raise ConvergenceError(
         f"the {node_target}-node level still moved more than 10% from its box "
@@ -506,6 +572,8 @@ class IntegrationReport:
     block boundaries at which the marching state was rescaled; both depend on
     the inputs only.  ``precision`` names the arithmetic of the march:
     "float64" when a zero coupling decouples the system, else "longdouble".
+    ``seconds``, the wall time of the whole integration, is the only field
+    that is not deterministic.
     """
 
     energy: float
@@ -516,6 +584,7 @@ class IntegrationReport:
     renormalizations: int
     steps: int
     precision: str
+    seconds: float = 0.0
 
 
 # Step matrices are formed and multiplied at most _CHUNK_STEPS at a time, so the
@@ -651,6 +720,7 @@ def integrate_first_order(
     detuned one is flagged as growing.  The default ``fineness`` keeps the
     truncation error per step at the extended-precision roundoff level.
     """
+    start = time.perf_counter()
     kb_f = channel.kappa_bar
     angular = max(abs(angular_strength(kb_f, "upper")), abs(angular_strength(kb_f, "lower")))
     if not 0.0 < fineness <= _MAX_FINENESS:
@@ -756,5 +826,6 @@ def integrate_first_order(
         renormalizations=renorms,
         steps=steps,
         precision="float64" if decoupled else "longdouble",
+        seconds=time.perf_counter() - start,
     )
     return samples, report

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from diractensor import (
     Channel,
+    LaguerreSpec,
     ModelParams,
     UnboundChannelError,
     ZeroKappaBarError,
@@ -23,7 +25,13 @@ from diractensor import (
     state_wavefunctions,
     wavefunctions,
 )
-from diractensor.analytic import _require_bound, default_radial_grid, n_bar, residuals
+from diractensor.analytic import (
+    WavefunctionForm,
+    _require_bound,
+    default_radial_grid,
+    n_bar,
+    residuals,
+)
 from diractensor.core import Component, angular_strength
 
 
@@ -222,6 +230,25 @@ class TestWavefunctions:
             st = bound_state(params, channel_for(kappa, a), n_g)
             samples = sample_state(params, st, default_radial_grid(st, 3000))
             assert (samples.node_count_g, samples.node_count_f) == (want_g, want_f)
+
+    def test_tail_past_the_decay_underflow_is_zero(self):
+        # e^(-x/2) underflows from x ~ 1490; x^p overflows from x ~ 1e103 at p = 7
+        g, f = wavefunctions(PARAMS_POS, channel_for(-6), 2)
+        assert f.prefactor_exponent == 7.0
+        r = np.array([1e3, 1e106, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g(r).tolist() == [0.0, 0.0, 0.0] and f(r).tolist() == [0.0, 0.0, 0.0]
+            assert f(1e300) == 0.0
+
+    def test_overflow_before_the_decay_underflows_raises(self):
+        # at x = 1000, e^(-x/2) = e^(-500) but x^120 overflows
+        g = WavefunctionForm(120.0, LaguerreSpec(1, 239.0), 0.5, 1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(g(np.array([1.0, 10.0]))).all()
+            with pytest.raises(OverflowError):
+                g(np.array([1.0, 1000.0]))
 
     def test_amplitude_ratio_vanishes_at_special_limit(self):
         # the lower component scales like sqrt(|M - E| / |M + E|), zero at E = M

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -210,6 +211,20 @@ class TestWavefunctionCommand:
         assert run_cli("wavefunction", "--kappa", "-2", "--n", "1", *window) == 1
         out, err = capsys.readouterr()
         assert out == "" and "bad radial window" in err
+
+    def test_huge_finite_window_writes_zero_tail(self, tmp_path, capsys):
+        # x^p overflows where e^(-x/2) has underflowed; the float64 value is 0
+        out = tmp_path / "wf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("wavefunction", "--kappa", "-2", "--n", "1", "--r-max", "1e300",
+                           "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv_rows(out)
+        values = np.array([[float(row["g"]), float(row["f"])] for row in rows])
+        assert np.all(np.isfinite(values))
+        assert float(rows[-1]["r"]) == 1e300 and values[-1].tolist() == [0.0, 0.0]
+        assert read_meta(out)["node_count_g"] == "1"
 
     def test_unbound_channel_exits_nonzero(self, capsys):
         assert run_cli("wavefunction", "--kappa", "1", "--n", "1") == 1

@@ -15,6 +15,7 @@ from diractensor import (
     ModelParams,
     NoBracketError,
     ShootingConfig,
+    ShootingError,
     UnboundChannelError,
     bound_state,
     count_sign_changes,
@@ -166,6 +167,21 @@ class TestShootEigenvalue:
             res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
             assert (res.sweeps, res.newton_steps, res.steps) == (12, 4, 42978)
             assert res.step_count == 5751
+
+    def test_wall_times_are_reported(self):
+        # the only fields that may differ between two identical solves
+        ch = Channel.from_kappa(-3)
+        res = solve_bound_level(PARAMS_POS, ch, "upper", 2)
+        assert 0.0 < res.pencil_seconds < res.seconds
+        again = solve_bound_level(PARAMS_POS, ch, "upper", 2)
+        assert replace(again, seconds=res.seconds, pencil_seconds=res.pencil_seconds) == res
+        config = ShootingConfig(r_min=res.r_min, r_max=res.r_max, step_count=res.step_count,
+                                lambda_bracket=(1.5 * res.lambda_, 0.5 * res.lambda_),
+                                tolerance=1e-10)
+        shot = shoot_eigenvalue(PARAMS_POS, ch, "upper", 2, config)
+        assert shot.seconds > 0.0 and shot.pencil_seconds == 0.0
+        _, report = integrate_first_order(PARAMS_POS, ch, 1.0, sample_count=240, fineness=2e-2)
+        assert report.seconds > 0.0
 
     # kappa_bar and b of opposite signs, so that the channel binds
     EDGE_CASES = [(-3, 1.0), (-7, 1.7), (-20, 0.8), (30, -1.3)]
@@ -362,6 +378,183 @@ class TestShootEigenvalue:
         with pytest.raises(ValueError):
             ShootingConfig(r_min=1e-6, r_max=60.0, step_count=4,
                            lambda_bracket=(-1.0, -0.1), tolerance=1e-9)
+
+
+def reference_march(f, y0, y1):
+    """The Numerov recurrence f[i+1] y[i+1] = (12 - 10 f[i]) y[i] - f[i-1] y[i-1],
+    one step at a time in extended precision."""
+    f = f.astype(np.longdouble)
+    y = [np.longdouble(y0), np.longdouble(y1)]
+    for i in range(1, f.size - 1):
+        y.append(((12 - 10 * f[i]) * y[i] - f[i - 1] * y[i - 1]) / f[i + 1])
+    return np.array(y)
+
+
+def reference_match(ws, f, outward, m, inward):
+    """The joined solution, matching defect and Newton denominator formed from
+    normalised full-length copies, as the search once did."""
+    left = outward[: m + 2] / outward[m]
+    right = inward / inward[1]
+    y = np.concatenate((left[:m], [1.0], right[2:]))
+    defect = f[m - 1] * left[m - 1] + f[m + 1] * right[2] - (12.0 - 10.0 * f[m])
+    return y, float(defect), ws.h * ws.h * float(np.sum(ws.r2 * y * y))
+
+
+# eight channels that bind (b kappa_bar < 0) and two that do not (B > 0, so
+# Q > 0 everywhere), both signs of b
+MATCH_CHANNELS = [(ModelParams(1.0, 0.0, 1.0), -1), (ModelParams(1.0, 0.0, 1.0), -3),
+                  (ModelParams(1.0, 0.5, 1.7), -7), (ModelParams(1.0, -0.6, 0.8), -20),
+                  (ModelParams(1.0, 0.0, -1.0), 1), (ModelParams(1.0, 0.3, -1.4), 4),
+                  (ModelParams(1.0, -0.2, -0.5), 12), (ModelParams(1.0, 0.0, -1.3), 30),
+                  (ModelParams(1.0, 0.0, 1.0), 2), (ModelParams(1.0, 0.0, -1.0), -2)]
+
+
+def array_match_index(ws, lam):
+    """max{i : base_i - lambda r2_i < 0} over the whole grid, mid-grid where
+    the set is empty, clamped to idx_lo..idx_hi."""
+    inside = np.flatnonzero(ws.base - lam * ws.r2 < 0.0)
+    m = int(inside[-1]) if inside.size else ws.r.size // 2
+    return min(max(m, ws.idx_lo), ws.idx_hi)
+
+
+def match_workspace(params, kappa, step_count=3000):
+    ch = Channel.from_kappa(kappa, params.a)
+    gamma_seed = abs(params.b) / 7.0
+    config = ShootingConfig(r_min=1e-6 / gamma_seed, r_max=30.0 / gamma_seed,
+                            step_count=step_count, lambda_bracket=(-params.b**2, -1e-8),
+                            tolerance=1e-10)
+    return _ShootingWorkspace(params, ch, "upper", config)
+
+
+class TestNumerovMarch:
+    @pytest.mark.parametrize("params, kappa", [MATCH_CHANNELS[i] for i in (0, 1, 2, 4, 5)])
+    def test_unit_diagonal_march_matches_the_recurrence(self, params, kappa):
+        # both directions, midway between neighbouring levels, where no sweep
+        # overflows; on 400 steps the rounding of the march stays below 4e-13
+        # of the largest value marched so far (it grows with the step count)
+        ws = match_workspace(params, kappa, step_count=400)
+        ch = Channel.from_kappa(kappa, params.a)
+        levels = np.array([bound_state(params, ch, n).energy ** 2 for n in range(6)])
+        for lam in 0.5 * (levels[:-1] + levels[1:]) - params.mass**2 - params.b**2:
+            f = ws.coeffs(lam)
+            for coeffs, y0, y1 in ((f, ws.v0, ws.v1),
+                                   (f[::-1], 1.0, (12.0 - 10.0 * f[-1]) / f[-2])):
+                got = oracle._numerov_march(coeffs, y0, y1, ws.band)
+                want = reference_march(coeffs, y0, y1)
+                assert np.isfinite(want).all()
+                envelope = np.maximum.accumulate(np.abs(want))
+                assert float(np.max(np.abs(got - want) / envelope)) <= 1e-12, lam
+                assert (got[0], got[1]) == (y0, y1)
+
+    # kappa_bar = -0.544, so S = 0.044 and f = 1 - O(1e-9) near the inner edge
+    NEAR_EDGE = ModelParams(1.0, -1.5444336669909182, 1.8806005627202096)
+
+    def test_coupling_row_rounds_once_at_its_scale(self):
+        # 12/f - 10 in float64 errs by up to half an ulp of 12, 9e-16, and
+        # with f this close to 1 the error runs coherently along the grid;
+        # -2 - 12 (1 - f)/f rounds once, by half an ulp of the coefficient
+        ch = Channel.from_kappa(1, self.NEAR_EDGE.a)
+        lam = -3.5366584765
+        config = oracle._shot_config(self.NEAR_EDGE, ch, "upper", lam, 6000)
+        ws = _ShootingWorkspace(self.NEAR_EDGE, ch, "upper", config)
+        f = ws.coeffs(lam)
+        oracle._numerov_march(f, ws.v0, ws.v1, ws.band)
+        row = ws.band[1, : f.size - 3]
+        want = 10 - 12 / f[2:-1].astype(np.longdouble)
+        assert np.all(np.abs(row - want) <= 0.501 * np.spacing(np.abs(row)))
+        assert 1.0 - f[2] < 1e-8
+
+    def test_near_edge_channel_level_is_not_moved_by_rounding(self):
+        # the coherent rounding of 12/f - 10 put this level 5.9e-10 off; the
+        # closed form and an extended-precision march both put it within 3e-10
+        ch = Channel.from_kappa(1, self.NEAR_EDGE.a)
+        res = solve_bound_level(self.NEAR_EDGE, ch, "upper", 0)
+        assert abs(res.energy_pair[0] - special_state(self.NEAR_EDGE, ch).energy) <= 3e-10
+
+    def test_band_rows_left_by_a_longer_march_do_not_leak(self):
+        ws = match_workspace(*MATCH_CHANNELS[1])
+        f = ws.coeffs(-0.3)
+        short = f[:700]
+
+        def fresh(coeffs):
+            return oracle._numerov_march(coeffs, 1.0, 1.1, np.ones((3, coeffs.size), order="F"))
+
+        for coeffs in (f, short, f[::-1], short, f):
+            np.testing.assert_array_equal(oracle._numerov_march(coeffs, 1.0, 1.1, ws.band),
+                                          fresh(coeffs))
+        assert np.all(ws.band[[0, 2]] == 1.0)
+
+    @pytest.mark.parametrize("params, kappa", MATCH_CHANNELS)
+    def test_match_index_is_the_last_point_inside_the_turning_point(self, params, kappa):
+        ws = match_workspace(params, kappa)
+        lams = list(np.linspace(-1.5, -1e-4, 60) * params.b**2)
+        # outer roots exactly on grid points, a few ulp either side, and the double root
+        for i in range(0, ws.r.size, 97):
+            r = ws.r[i]
+            lams += [-(ws.S**2 + ws.B * r) / r**2 * (1.0 + e) for e in (0.0, 2e-16, -2e-16)]
+        # near the double root, where the two turning points close in
+        double = -ws.B**2 / (4.0 * ws.S**2)
+        lams += [double * (1.0 + sign * 10.0**-k) for k in range(1, 16) for sign in (1, -1)]
+        for lam in lams:
+            if lam < 0.0:
+                assert ws.match_index(lam) == array_match_index(ws, lam), lam
+
+    def test_match_index_follows_the_array_test_where_it_disagrees_with_the_root(self):
+        # rounding in base - lambda r2 could move the last point inside by one
+        # from where the root puts it; the array test decides
+        ws = match_workspace(*MATCH_CHANNELS[1])
+        lam = -0.2
+        m = array_match_index(ws, lam)
+        assert ws.idx_lo < m < ws.idx_hi
+        for i, shift in ((m, 1e-9), (m + 1, -1e-9)):
+            saved = ws.base[i]
+            ws.base[i] = lam * ws.r2[i] + shift * ws.S**2
+            assert ws.match_index(lam) == array_match_index(ws, lam) != m
+            ws.base[i] = saved
+        assert ws.match_index(lam) == m
+
+    @pytest.mark.parametrize("params, kappa", MATCH_CHANNELS[:4])
+    def test_defect_and_denominator_match_the_joined_reference(self, params, kappa):
+        ws = match_workspace(params, kappa)
+        for lam in np.linspace(-0.95, -0.05, 7) * params.b**2:
+            f, outward = ws.sweep(lam)
+            m, inward = oracle._match_point(ws, lam, f, outward)
+            y, defect, denom = reference_match(ws, f, outward, m, inward)
+            got_defect, got_denom = oracle._matching_defect(ws, f, outward, m, inward)
+            assert got_defect == pytest.approx(defect, rel=1e-13, abs=0.0)
+            assert got_denom == pytest.approx(denom, rel=1e-13, abs=0.0)
+            np.testing.assert_array_equal(oracle._joined(outward, m, inward), y)
+
+    # lambda = -1 grows the solution by about e^r beyond its turning point
+    OVERFLOW_PARAMS, OVERFLOW_CHANNEL = ModelParams(1.0, 0.0, 1.0), Channel.from_kappa(-1)
+
+    def overflow_workspace(self, r_max):
+        config = ShootingConfig(r_min=1e-3, r_max=r_max, step_count=20000,
+                                lambda_bracket=(-1.5, -0.5), tolerance=1e-10)
+        return _ShootingWorkspace(self.OVERFLOW_PARAMS, self.OVERFLOW_CHANNEL, "upper", config)
+
+    def test_outward_overflow_is_rescued_by_a_smaller_start(self):
+        # e^1000 overflows from the 1e-100 start but not from 1e-250
+        ws = self.overflow_workspace(1000.0)
+        f = ws.coeffs(-1.0)
+        assert not np.isfinite(oracle._numerov_march(f, ws.v0, ws.v1, ws.band)).all()
+        y = ws.outward(f, f.size - 1)
+        assert np.isfinite(y).all() and np.max(np.abs(y)) > 1e150
+        assert y[0] == ws.v0 * 1e-150
+        assert (ws.sweeps, ws.steps) == (2, 2 * (f.size - 1))
+
+    def test_outward_overflow_from_both_starts_raises(self):
+        ws = self.overflow_workspace(1500.0)  # e^1500 overflows from 1e-250 too
+        with pytest.raises(ShootingError, match="even after rescaling"):
+            ws.sweep(-1.0)
+        assert ws.sweeps == 2
+
+    def test_inward_overflow_raises(self):
+        ws = self.overflow_workspace(1000.0)
+        f = ws.coeffs(-1.0)
+        ws.inward(f, f.size - 500)  # a short inward sweep stays finite
+        with pytest.raises(ShootingError, match="inward sweep overflowed"):
+            ws.inward(f, ws.idx_lo)
 
 
 class TestIntegrateFirstOrder:
