@@ -1,7 +1,9 @@
 """Radial wavefunctions: closed forms, normalization, nodes, special states.
 
-Both components come out as (2 gamma r)^p e^(-gamma r) L_n^(alpha)(2 gamma r);
-the pair is normalized to unit total probability.  The nodeless edge states
+Both components come out as (2 gamma r)^((alpha+1)/2) e^(-gamma r)
+L_n^(alpha)(2 gamma r), evaluated as amplitude * sqrt(x) * psi_n^(alpha)(x),
+x = 2 gamma r, with psi the orthonormal Laguerre function; the pair is
+normalized to unit total probability.  The nodeless edge states
 pin |E| = M exactly and lose one component identically.
 """
 
@@ -28,10 +30,10 @@ print("=" * 64)
 state = bound_state(params, channel, 2)
 g_form, f_form = wavefunctions(params, channel, 2)
 print(f"E = {state.energy!r}, decay rate gamma = {state.gamma!r}")
-print(f"g: amplitude {g_form.amplitude:+.6f} * (2 g r)^{g_form.prefactor_exponent} "
-      f"* exp(-g r) * L_{g_form.laguerre.degree}^({g_form.laguerre.order})")
-print(f"f: amplitude {f_form.amplitude:+.6f} * (2 g r)^{f_form.prefactor_exponent} "
-      f"* exp(-g r) * L_{f_form.laguerre.degree}^({f_form.laguerre.order})")
+for name, form in (("g", g_form), ("f", f_form)):
+    spec = form.laguerre
+    print(f"{name}: amplitude {form.amplitude:+.6f} * sqrt(x) * psi_{spec.degree}^({spec.order})(x)"
+          f"  ~  (2 g r)^{(spec.order + 1) / 2} * exp(-g r) * L_{spec.degree}^({spec.order})")
 print(f"unit norm check (Gauss-Laguerre): {norm_quadrature(g_form, f_form)!r}")
 
 samples = sample_state(params, state, default_radial_grid(state, 2000))
@@ -45,7 +47,7 @@ print("=" * 64)
 edge = special_state(params, channel)
 ge, fe = state_wavefunctions(params, edge)
 print(f"E = {edge.energy!r}  (exactly M), gamma = |b| = {edge.gamma!r}")
-print(f"g ~ r^{ge.prefactor_exponent} e^-|b|r  (nodeless), lower component amplitude = {fe.amplitude!r}")
+print(f"g ~ r^{(ge.laguerre.order + 1) / 2} e^-|b|r  (nodeless), lower component amplitude = {fe.amplitude!r}")
 print("any admissible kappa_bar < -1/2 gives the same energy: infinite degeneracy")
 
 print()
@@ -56,7 +58,7 @@ mirror_params = ModelParams(mass=1.0, a=0.0, b=-1.0)
 mirror = special_state(mirror_params, Channel.from_kappa(2))
 gm, fm = state_wavefunctions(mirror_params, mirror)
 print(f"E = {mirror.energy!r}  (exactly -M), zero upper component: amplitude = {gm.amplitude!r}")
-print(f"f ~ r^{fm.prefactor_exponent} e^-|b|r with n_f = {mirror.n_f}")
+print(f"f ~ r^{(fm.laguerre.order + 1) / 2} e^-|b|r with n_f = {mirror.n_f}")
 
 print()
 print("=" * 64)

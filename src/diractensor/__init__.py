@@ -17,15 +17,9 @@ from .core import (
     ZeroKappaBarError,
     bound_states_exist,
     kappa_range,
+    n_bar,
 )
-from .special import (
-    LaguerreSpec,
-    gauss_laguerre,
-    laguerre,
-    laguerre_derivative,
-    laguerre_second_derivative,
-    laguerre_weighted_norm,
-)
+from .special import LaguerreSpec, gauss_laguerre
 from .analytic import (
     ConjugationPair,
     ConjugationReport,
@@ -36,7 +30,6 @@ from .analytic import (
     conjugation_report,
     default_radial_grid,
     energy,
-    n_bar,
     nonrelativistic_binding,
     norm_quadrature,
     sample_state,

@@ -7,8 +7,9 @@ The first-order radial system for the upper/lower components g, f,
 
 decouples into two second-order equations that map onto a Schroedinger
 problem in a singular Coulomb potential Z/r + beta/(2 m r^2).  Both radial
-components come out as (2*gamma*r)^p * exp(-gamma*r) * L_n^(alpha)(2*gamma*r)
-with
+components come out as (2*gamma*r)^((alpha+1)/2) * exp(-gamma*r) *
+L_n^(alpha)(2*gamma*r), evaluated as sqrt(x) times the orthonormal Laguerre
+function psi_n^(alpha)(x), x = 2*gamma*r, with
 
     E = +/- sqrt(M^2 + b^2 * [1 - (kappa_bar / n_bar)^2]),
     n_bar = n_g + 1/2 + |1/2 + kappa_bar|,
@@ -41,22 +42,15 @@ from .core import (
     ZeroKappaBarError,
     angular_strength,
     bound_states_exist,
+    n_bar,
 )
-from .special import (
-    LaguerreSpec,
-    gauss_laguerre,
-    laguerre,
-    laguerre_derivative,
-    laguerre_second_derivative,
-    laguerre_weighted_norm,
-)
+from .special import LaguerreSpec, laguerre_function, laguerre_function_rule
 
 __all__ = [
     "WavefunctionForm",
     "SpectrumRow",
     "ConjugationPair",
     "ConjugationReport",
-    "n_bar",
     "energy",
     "bound_state",
     "special_state",
@@ -88,9 +82,9 @@ def _require_bound(params: ModelParams, channel: Channel) -> float:
     return kb
 
 
-def n_bar(kappa_bar: float, n_g: int) -> float:
-    """Principal-like number n_g + 1/2 + |1/2 + kappa_bar| (upper-component index)."""
-    return n_g + 0.5 + abs(0.5 + kappa_bar)
+def _require_degree(n_g) -> None:
+    if n_g < 0 or n_g != int(n_g):
+        raise ValueError(f"n_g must be a nonnegative integer, got {n_g!r}")
 
 
 def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "particle", dtype=float):
@@ -103,8 +97,7 @@ def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "pa
     feeding eigenvalue-sensitive numerics like the outward integrator.
     """
     kb = _require_bound(params, channel)
-    if n_g < 0 or n_g != int(n_g):
-        raise ValueError(f"n_g must be a nonnegative integer, got {n_g!r}")
+    _require_degree(n_g)
     if branch not in BRANCH_SIGN:
         raise ValueError(f"branch must be 'particle' or 'antiparticle', got {branch!r}")
     if kb < -0.5 and n_g == 0:
@@ -172,68 +165,65 @@ def bound_state(params: ModelParams, channel: Channel, n_g: int, branch: Branch 
     )
 
 
+_X_MAX = float(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class WavefunctionForm:
-    """One radial component, amplitude * (2*gamma*r)^p * e^(-gamma*r) * L_n^(alpha).
+    """One radial component, amplitude * sqrt(x) * psi_n^(alpha)(x), x = 2*gamma*r.
 
+    psi_n^(alpha) is the orthonormal Laguerre function of :mod:`.special`, so
+    the component is (2*gamma*r)^((alpha+1)/2) e^(-gamma*r) L_n^(alpha)(2*gamma*r)
+    up to a constant factor, and integral x psi_n^2 dx = 2n + alpha + 1.
     ``amplitude`` carries all sign factors and the inter-component ratio; the
     pair of forms returned by :func:`wavefunctions` is normalized so that
     integral (g^2 + f^2) dr = 1.
     """
 
-    prefactor_exponent: float
     laguerre: LaguerreSpec
     gamma: float
     amplitude: float
 
+    def _terms(self, r):
+        """x = 2*gamma*r, held finite (the component is 0.0 there), and the
+        pair psi_n(x), psi_(n-1)(x)."""
+        with np.errstate(over="ignore"):
+            x = np.minimum(2.0 * self.gamma * np.asarray(r, dtype=float), _X_MAX)
+        return (x, *laguerre_function(self.laguerre, x))
+
     def __call__(self, r):
-        """The component at ``r``.  Where e^(-x/2) underflows to 0 the value is
-        0.0, its float64 value, even where x^p or the Laguerre factor has
-        overflowed; any other non-finite value raises OverflowError."""
-        x = 2.0 * self.gamma * np.asarray(r, dtype=float)
-        decay = np.exp(-0.5 * x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = self.amplitude * x**self.prefactor_exponent * decay * laguerre(self.laguerre, x)
-        val = np.where(decay == 0.0, 0.0, val)
-        if not np.isfinite(val).all():
-            raise OverflowError("a wavefunction value overflowed float64")
+        """The component at ``r``; 0.0 where it lies below float64's range."""
+        x, psi, _ = self._terms(r)
+        val = self.amplitude * np.sqrt(x) * psi
         return float(val) if np.ndim(r) == 0 else val
 
     def derivative(self, r):
-        """Exact d/dr of the component (shifted-order Laguerre identity)."""
-        p = self.prefactor_exponent
-        x = 2.0 * self.gamma * np.asarray(r, dtype=float)
-        L = laguerre(self.laguerre, x)
-        dL = laguerre_derivative(self.laguerre, x)
-        val = (
-            self.amplitude
-            * 2.0
-            * self.gamma
-            * np.exp(-0.5 * x)
-            * x ** (p - 1.0)
-            * (p * L - 0.5 * x * L + x * dL)
-        )
+        """Exact d/dr of the component, from the pair psi_n, psi_(n-1):
+        d/dx [sqrt(x) psi_n] = [((alpha + 1)/2 + n - x/2) psi_n
+                                - sqrt(n (n + alpha)) psi_(n-1)] / sqrt(x)."""
+        n, alpha = self.laguerre.degree, self.laguerre.order
+        x, psi, prev = self._terms(r)
+        du = ((0.5 * (alpha + 1.0) + n - 0.5 * x) * psi - math.sqrt(n * (n + alpha)) * prev) / np.sqrt(x)
+        val = self.amplitude * 2.0 * self.gamma * du
         return float(val) if np.ndim(r) == 0 else val
 
     def second_derivative(self, r):
-        """Exact d^2/dr^2 of the component."""
-        p = self.prefactor_exponent
-        x = 2.0 * self.gamma * np.asarray(r, dtype=float)
-        L = laguerre(self.laguerre, x)
-        dL = laguerre_derivative(self.laguerre, x)
-        d2L = laguerre_second_derivative(self.laguerre, x)
-        poly = p * (p - 1.0) * L + p * x * (2.0 * dL - L) + x * x * (0.25 * L - dL + d2L)
-        val = self.amplitude * (2.0 * self.gamma) ** 2 * np.exp(-0.5 * x) * x ** (p - 2.0) * poly
+        """Exact d^2/dr^2 of the component, from the Whittaker equation that
+        u = sqrt(x) psi_n obeys:
+        u'' = [(alpha^2 - 1)/(4 x^2) - (2n + alpha + 1)/(2x) + 1/4] u."""
+        n, alpha = self.laguerre.degree, self.laguerre.order
+        x, psi, _ = self._terms(r)
+        u = np.sqrt(x) * psi
+        d2u = (0.25 * (alpha * alpha - 1.0) * (u / x) - (n + 0.5 * (alpha + 1.0)) * u) / x + 0.25 * u
+        val = self.amplitude * (2.0 * self.gamma) ** 2 * d2u
         return float(val) if np.ndim(r) == 0 else val
 
 
-def _component_ratio(params: ModelParams, kb: float, n_g: int, e: float) -> float:
-    """Amplitude of f relative to g, with the printed sign conventions."""
-    m = params.mass
-    root = math.sqrt(abs((m - e) / (m + e)))
-    if kb < -0.5:
-        return -math.copysign(1.0, m + e) * root / math.sqrt(n_g * (n_g - 2.0 * kb))
-    return -math.sqrt((n_g + 1.0) * (n_g + 1.0 + 2.0 * kb)) * math.copysign(1.0, m - e) * root
+def _component_ratio(mass: float, kb: float, e: float) -> float:
+    """Amplitude of f relative to g on the orthonormal basis, with the printed
+    sign conventions."""
+    sign = math.copysign(1.0, mass + e if kb < -0.5 else mass - e)
+    return -sign * math.sqrt(abs((mass - e) / (mass + e)))
 
 
 def wavefunctions(
@@ -253,41 +243,40 @@ def state_wavefunctions(params: ModelParams, state: BoundState) -> tuple[Wavefun
     A special state's missing component (n_g or n_f of None) gets amplitude 0.
     """
     kb = state.channel.kappa_bar
-    if kb < 0:
-        p_g, alpha_g, p_f, alpha_f = -kb, -1.0 - 2.0 * kb, 1.0 - kb, 1.0 - 2.0 * kb
-    else:
-        p_g, alpha_g, p_f, alpha_f = 1.0 + kb, 1.0 + 2.0 * kb, kb, 2.0 * kb - 1.0
+    alpha_g, alpha_f = (-1.0 - 2.0 * kb, 1.0 - 2.0 * kb) if kb < 0 else (1.0 + 2.0 * kb, 2.0 * kb - 1.0)
     g_spec = LaguerreSpec(state.n_g or 0, alpha_g)
     f_spec = LaguerreSpec(state.n_f or 0, alpha_f)
-    gamma = state.gamma
     if state.n_g is None:
-        amp_g = 0.0
-        amp_f = math.sqrt(2.0 * gamma / laguerre_weighted_norm(0, alpha_f))
+        weight_g, weight_f = 0.0, 1.0
+    elif state.n_f is None:
+        weight_g, weight_f = 1.0, 0.0
     else:
-        ratio = 0.0 if state.n_f is None else _component_ratio(params, kb, state.n_g, state.energy)
-        h_g = laguerre_weighted_norm(g_spec.degree, alpha_g)
-        h_f = laguerre_weighted_norm(f_spec.degree, alpha_f) if ratio != 0.0 else 0.0
-        amp_g = math.sqrt(2.0 * gamma / (h_g + ratio**2 * h_f))
-        amp_f = ratio * amp_g
-    return WavefunctionForm(p_g, g_spec, gamma, amp_g), WavefunctionForm(p_f, f_spec, gamma, amp_f)
+        weight_g, weight_f = 1.0, _component_ratio(params.mass, kb, state.energy)
+    moment = weight_g**2 * (2.0 * g_spec.degree + alpha_g + 1.0) + weight_f**2 * (
+        2.0 * f_spec.degree + alpha_f + 1.0
+    )
+    amplitude = math.sqrt(2.0 * state.gamma / moment)
+    return (
+        WavefunctionForm(g_spec, state.gamma, weight_g * amplitude),
+        WavefunctionForm(f_spec, state.gamma, weight_f * amplitude),
+    )
 
 
 def norm_quadrature(g_form: WavefunctionForm, f_form: WavefunctionForm) -> float:
-    """integral (g^2 + f^2) dr by order-matched Gauss-Laguerre quadrature.
+    """integral (g^2 + f^2) dr by Gauss quadrature, independent of the
+    closed-form amplitudes' moment 2n + alpha + 1.
 
-    Each component contributes amplitude^2/(2 gamma) * integral x^(alpha+1)
-    e^(-x) L_n^2 dx, evaluated with the weight x^alpha so the remaining
-    integrand x L_n^2 is a polynomial of degree 2n + 1, which the n + 1 node
-    rule integrates exactly.
+    Each component contributes amplitude^2/(2 gamma) * integral x psi_n^2 dx.
+    That integrand is x^alpha e^(-x) times a polynomial of degree 2n + 1, so
+    the (n + 1)-node rule of :func:`.special.laguerre_function_rule`
+    integrates it exactly.
     """
     total = 0.0
     for form in (g_form, f_form):
         if form.amplitude == 0.0:
             continue
-        spec = form.laguerre
-        x, w = gauss_laguerre(spec.degree + 1, spec.order)
-        vals = laguerre(spec, x)
-        total += form.amplitude**2 * float(np.sum(w * x * vals * vals)) / (2.0 * form.gamma)
+        x, w, psi = laguerre_function_rule(form.laguerre)
+        total += form.amplitude**2 * float(np.sum(w * x * psi * psi)) / (2.0 * form.gamma)
     return total
 
 
@@ -439,8 +428,7 @@ def nonrelativistic_binding(params: ModelParams, channel: Channel, n_g: int) -> 
     scalar couplings.
     """
     kb = _require_bound(params, channel)
-    if n_g < 0:
-        raise ValueError("n_g must be nonnegative")
+    _require_degree(n_g)
     ratio = kb / n_bar(kb, n_g)
     return 0.5 * (params.b**2 / params.mass) * (1.0 - ratio * ratio)
 

@@ -133,6 +133,12 @@ def angular_strength(kappa_bar: float, component: Component) -> float:
     raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
 
 
+def n_bar(kappa_bar: float, n_g: int) -> float:
+    """Principal-like number n_g + 1/2 + |1/2 + kappa_bar| (upper-component
+    index); from the lower-component index it is n_bar(-kappa_bar, n_f)."""
+    return n_g + 0.5 + abs(0.5 + kappa_bar)
+
+
 def box_radius(gamma: float, tail_exponent: float, suppression: float) -> float:
     """Radius at which the bound-state tail r^p e^(-gamma r) has fallen
     e^(-suppression) below its peak, p = |b kappa_bar| / gamma the Coulomb
@@ -229,8 +235,8 @@ class BoundState:
         """Principal-like number; |E| depends only on |kappa_bar| / n_bar."""
         kb = self.channel.kappa_bar
         if self.n_g is not None:
-            return self.n_g + 0.5 + abs(0.5 + kb)
-        return self.n_f + 0.5 + abs(0.5 - kb)
+            return n_bar(kb, self.n_g)
+        return n_bar(-kb, self.n_f)
 
     @property
     def is_special(self) -> bool:

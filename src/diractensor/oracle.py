@@ -183,6 +183,13 @@ def count_sign_changes(values) -> int:
     return int(np.count_nonzero(_sign_changes(np.asarray(values, dtype=float))))
 
 
+def _channel_constants(params: ModelParams, channel: Channel,
+                       component: Component) -> tuple[float, float]:
+    """S^2 = kappa_bar (kappa_bar +/- 1) + 1/4 and B = 2 b kappa_bar of the
+    x = ln r form v'' = (S^2 + B r - lambda r^2) v."""
+    return angular_strength(channel.kappa_bar, component) + 0.25, 2.0 * params.b * channel.kappa_bar
+
+
 class _ShootingWorkspace:
     """Grid-dependent arrays shared by every lambda evaluation of one search.
 
@@ -199,8 +206,8 @@ class _ShootingWorkspace:
         self.h = (x[-1] - x[0]) / n
         self.r = np.exp(x)
         self.r2 = self.r * self.r
-        self.S = math.sqrt(angular_strength(channel.kappa_bar, component) + 0.25)
-        self.B = 2.0 * params.b * channel.kappa_bar
+        s2, self.B = _channel_constants(params, channel, component)
+        self.S = math.sqrt(s2)
         self.base = self.S * self.S + self.B * self.r
         ddx12 = self.h * self.h / 12.0
         if ddx12 * float(np.max(np.abs(self.base))) > 0.5:
@@ -438,8 +445,8 @@ def _inner_edge(params: ModelParams, channel: Channel, component: Component,
     so the two start values cannot differ in sign and add a node.  With
     B >= 0 no level binds and there is no edge.
     """
-    s = math.sqrt(angular_strength(channel.kappa_bar, component) + 0.25)
-    coulomb = 2.0 * params.b * channel.kappa_bar
+    s2, coulomb = _channel_constants(params, channel, component)
+    s = math.sqrt(s2)
     if coulomb >= 0.0:
         return r_floor
     edge = min(4.0 * s * s * math.exp(-2.0 - 30.0 / s), 0.5 + s) / -coulomb
@@ -472,7 +479,7 @@ def _pencil_level(
         raise ValueError("node_target must be nonnegative")
     if node_target >= _PENCIL_POINTS:
         raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {node_target}-node level")
-    s2 = angular_strength(channel.kappa_bar, component) + 0.25
+    s2, coulomb = _channel_constants(params, channel, component)
     b = abs(params.b)
     if b == 0.0:
         raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
@@ -481,7 +488,7 @@ def _pencil_level(
     x = np.linspace(math.log(r_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
     h2 = (x[1] - x[0]) ** 2
     r = np.exp(x[1:-1])
-    d = (2.0 / h2 + s2 + 2.0 * params.b * channel.kappa_bar * r) / (r * r)
+    d = (2.0 / h2 + s2 + coulomb * r) / (r * r)
     e = -1.0 / (h2 * r[:-1] * r[1:])
     index = node_target + 1
     m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, index, index, 1e-9 * b * b, "E")

@@ -1,9 +1,16 @@
-"""Laguerre polynomials, their weighted norms and Gauss-Laguerre quadrature.
+"""Orthonormal Laguerre functions and Gauss-Laguerre quadrature.
 
-Everything here is classical special-function machinery used by the analytic
-solver (wavefunction evaluation, normalization integrals).  Polynomials are
-evaluated by the three-term recurrence in the degree, which is stable on
-x >= 0; the explicit power series is kept in the test suite as an oracle.
+The closed-form radial components are built on the orthonormal Laguerre
+functions
+
+    psi_n^(alpha)(x) = sqrt(n! / Gamma(n + alpha + 1)) x^(alpha/2) e^(-x/2) L_n^(alpha)(x),
+
+which stay of order 1 in magnitude for every degree and every order
+alpha >= 0, so no Gamma ratio, power x^p or polynomial value that could
+overflow is ever formed.
+They are evaluated by their three-term recurrence in the degree (DLMF 18.9.1
+rescaled; Gil, Segura & Temme, Numerical Methods for Special Functions,
+SIAM 2007, ch. 4), started from psi_0 in log form.
 """
 
 from __future__ import annotations
@@ -30,72 +37,64 @@ class LaguerreSpec:
             )
 
 
-def _prepare_argument(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("Laguerre argument must be nonnegative")
-    return arr, arr.ndim == 0
+def _laguerre_functions(spec: LaguerreSpec, x):
+    """Yield (psi_k, psi_(k-1)) at x >= 0 for k = 0 .. spec.degree, psi_(-1) = 0:
 
+        psi_0 = exp(alpha/2 ln x - x/2 - lgamma(alpha + 1)/2),
+        psi_(k+1) = [(2k + 1 + alpha - x) psi_k - sqrt(k (k + alpha)) psi_(k-1)]
+                    / sqrt((k + 1)(k + 1 + alpha)).
 
-def laguerre(spec: LaguerreSpec, x):
-    """Evaluate L_n^(alpha)(x) for scalar or array x >= 0."""
-    arr, scalar = _prepare_argument(x)
-    n, alpha = spec.degree, spec.order
-    prev = np.ones_like(arr)
-    if n == 0:
-        return float(prev) if scalar else prev
-    cur = 1.0 + alpha - arr
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - arr) * cur - (k + alpha) * prev) / (k + 1.0)
-    return float(cur) if scalar else cur
-
-
-def laguerre_derivative(spec: LaguerreSpec, x):
-    """d/dx L_n^(alpha)(x), via d/dx L_n^(alpha) = -L_{n-1}^(alpha+1)."""
-    arr, scalar = _prepare_argument(x)
-    if spec.degree == 0:
-        zero = np.zeros_like(arr)
-        return float(zero) if scalar else zero
-    val = -laguerre(LaguerreSpec(spec.degree - 1, spec.order + 1.0), arr)
-    return float(val) if scalar else val
-
-
-def laguerre_second_derivative(spec: LaguerreSpec, x):
-    """d^2/dx^2 L_n^(alpha)(x) = L_{n-2}^(alpha+2)(x), zero for n < 2."""
-    arr, scalar = _prepare_argument(x)
-    if spec.degree < 2:
-        zero = np.zeros_like(arr)
-        return float(zero) if scalar else zero
-    val = laguerre(LaguerreSpec(spec.degree - 2, spec.order + 2.0), arr)
-    return float(val) if scalar else val
-
-
-def laguerre_weighted_norm(degree: int, order: float) -> float:
-    """The first-moment norm integral of a generalized Laguerre polynomial:
-
-        integral_0^inf x^(alpha+1) e^(-x) [L_n^(alpha)(x)]^2 dx
-            = (2n + alpha + 1) Gamma(n + alpha + 1) / n!
-
-    This is the integral produced when normalizing the radial components,
-    whose squared prefactor carries one power of x beyond the weight.
+    Where psi_0 underflows (near the origin at large alpha, and in the far
+    tail) every psi_k is 0.0, its float64 value to well below 1e-300.
     """
-    spec = LaguerreSpec(degree, order)  # validates the arguments
-    n, alpha = spec.degree, spec.order
-    return (2.0 * n + alpha + 1.0) * math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("Laguerre argument must be nonnegative")
+    alpha = spec.order
+    with np.errstate(divide="ignore"):
+        cur = np.exp(0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1.0)))
+    prev = np.zeros_like(cur)
+    yield cur, prev
+    for k in range(spec.degree):
+        step = (2.0 * k + 1.0 + alpha - x) * cur - math.sqrt(k * (k + alpha)) * prev
+        prev, cur = cur, step / math.sqrt((k + 1.0) * (k + 1.0 + alpha))
+        yield cur, prev
+
+
+def laguerre_function(spec: LaguerreSpec, x):
+    """The orthonormal Laguerre functions (psi_n, psi_(n-1)) at x >= 0,
+    n = spec.degree, with psi_(-1) = 0."""
+    for pair in _laguerre_functions(spec, x):
+        pass
+    return pair
+
+
+def laguerre_function_rule(spec: LaguerreSpec):
+    """The N = n + 1 point Gauss rule for integral_0^inf F(x) dx, n = spec.degree,
+    exact when F is x^alpha e^(-x) times a polynomial of degree <= 2n + 1
+    (such as x psi_n^2), and psi_n at its nodes: (nodes, weights, psi_n).
+
+    The nodes are the zeros of L_N^(alpha): the eigenvalues of the Jacobi
+    matrix with diagonal 2k + alpha + 1 and off-diagonal -sqrt(k (k + alpha)),
+    k < N.  The weights are the Christoffel numbers 1 / sum_(k<N) psi_k(x)^2,
+    so no Gamma(alpha + 1)-sized factor is formed.
+    """
+    alpha = spec.order
+    k = np.arange(spec.degree + 1, dtype=float)
+    off = -np.sqrt(k[1:] * (k[1:] + alpha))
+    x = np.linalg.eigvalsh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1))
+    squares = 0.0
+    for psi, _ in _laguerre_functions(spec, x):
+        squares = squares + psi * psi
+    return x, 1.0 / squares, psi
 
 
 def gauss_laguerre(n_nodes: int = 128, order: float = 0.0):
-    """Nodes and weights for integral_0^inf x^order e^(-x) phi(x) dx.
-
-    With the order matched to the polynomial being integrated the rule is
-    exact for polynomial phi up to degree 2*n_nodes - 1, which covers every
-    normalization and orthogonality integral used here.
-    """
+    """Nodes and weights for integral_0^inf x^order e^(-x) phi(x) dx, exact
+    for polynomial phi up to degree 2*n_nodes - 1.  The weights sum to
+    Gamma(order + 1), inf in float64 from order ~ 171 on; integrals of the
+    orthonormal functions use :func:`laguerre_function_rule` instead."""
     if n_nodes < 1:
         raise ValueError("n_nodes must be positive")
-    if not order > -1.0:
-        raise ValueError(f"order must exceed -1, got {order!r}")
-    from scipy.special import roots_genlaguerre  # here, not at the top: slow to import
-
-    nodes, weights = roots_genlaguerre(n_nodes, order)
-    return nodes, weights
+    x, weights, _ = laguerre_function_rule(LaguerreSpec(n_nodes - 1, order))
+    return x, weights * np.exp(order * np.log(x) - x)

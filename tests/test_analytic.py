@@ -29,10 +29,9 @@ from diractensor.analytic import (
     WavefunctionForm,
     _require_bound,
     default_radial_grid,
-    n_bar,
     residuals,
 )
-from diractensor.core import Component, angular_strength
+from diractensor.core import Component, angular_strength, n_bar
 
 
 def channel_for(kappa, a=0.0):
@@ -152,10 +151,9 @@ class TestWavefunctions:
         g, f = wavefunctions(PARAMS_POS, channel_for(-1), 0)
         assert f.amplitude == 0.0
         assert g.amplitude > 0
-        # g ~ r e^(-r): exponent of (2 gamma r) is -kappa_bar = 1, gamma = |b|
-        assert g.prefactor_exponent == 1.0
+        # g ~ r e^(-r): exponent (alpha + 1)/2 of (2 gamma r) is -kappa_bar = 1, gamma = |b|
+        assert g.laguerre == LaguerreSpec(0, 1.0)
         assert g.gamma == 1.0
-        assert g.laguerre.degree == 0
 
     def test_special_state_antiparticle_twin_rejected(self):
         with pytest.raises(ValueError):
@@ -166,7 +164,7 @@ class TestWavefunctions:
         g, f = state_wavefunctions(PARAMS_NEG, st)
         assert g.amplitude == 0.0
         assert f.amplitude > 0
-        assert f.prefactor_exponent == 2.0  # kappa_bar
+        assert f.laguerre.order == 3.0  # f ~ (2 gamma r)^kappa_bar, (alpha + 1)/2 = 2
 
     @pytest.mark.parametrize(
         "params, kappa, a, n_g, branch",
@@ -232,23 +230,40 @@ class TestWavefunctions:
             assert (samples.node_count_g, samples.node_count_f) == (want_g, want_f)
 
     def test_tail_past_the_decay_underflow_is_zero(self):
-        # e^(-x/2) underflows from x ~ 1490; x^p overflows from x ~ 1e103 at p = 7
+        # e^(-x/2) underflows from x ~ 1490, and (2 gamma r)^7 would overflow from
+        # x ~ 1e103; 2 gamma r itself overflows at r = 1.5e308 with gamma = 3/4
         g, f = wavefunctions(PARAMS_POS, channel_for(-6), 2)
-        assert f.prefactor_exponent == 7.0
-        r = np.array([1e3, 1e106, 1e300])
+        assert f.laguerre.order == 13.0  # f ~ (2 gamma r)^7
+        r = np.array([1e4, 1e106, 1e300, 1.5e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert g(r).tolist() == [0.0, 0.0, 0.0] and f(r).tolist() == [0.0, 0.0, 0.0]
+            assert g(r).tolist() == [0.0] * 4 and f(r).tolist() == [0.0] * 4
             assert f(1e300) == 0.0
+            # at r = 1e3, x^(11/2) e^(-x/2) ~ e^(-710) is still a float64
+            assert 0.0 < g(1e3) < 1e-300
 
-    def test_overflow_before_the_decay_underflows_raises(self):
-        # at x = 1000, e^(-x/2) = e^(-500) but x^120 overflows
-        g = WavefunctionForm(120.0, LaguerreSpec(1, 239.0), 0.5, 1e-200)
+    def test_value_where_the_power_alone_would_overflow(self):
+        # at x = 1000, x^120 overflows float64 and e^(-x/2) = e^(-500); the
+        # component (x^120 e^(-x/2) L_1^239(x) up to its constant) is finite
+        g = WavefunctionForm(LaguerreSpec(1, 239.0), 0.5, 1.0)
+        x = 1000.0
+        log_value = (120.0 * math.log(x) - 0.5 * x + math.log(x - 240.0)
+                     - 0.5 * (math.lgamma(241.0) - math.lgamma(2.0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(g(np.array([1.0, 10.0]))).all()
-            with pytest.raises(OverflowError):
-                g(np.array([1.0, 1000.0]))
+            value = g(x)
+            assert np.isfinite(g(np.array([1.0, 10.0, x]))).all()
+        assert value == pytest.approx(-math.exp(log_value), rel=1e-12)
+
+    def test_derivatives_stay_finite_in_the_far_tail(self):
+        # 1e300 used to give inf * 0 = nan with overflow warnings
+        for form in wavefunctions(ModelParams(1.0, 0.0, 1.0), Channel.from_kappa(-2), 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                first = form.derivative([10.0, 1e300])
+                second = form.second_derivative([10.0, 1e300])
+            assert np.all(np.isfinite(first)) and np.all(np.isfinite(second))
+            assert first[1] == 0.0 and second[1] == 0.0 and first[0] != 0.0
 
     def test_amplitude_ratio_vanishes_at_special_limit(self):
         # the lower component scales like sqrt(|M - E| / |M + E|), zero at E = M
@@ -312,6 +327,14 @@ class TestNonRelativisticLimit:
 
     def test_special_input_gives_zero(self):
         assert nonrelativistic_binding(PARAMS_POS, channel_for(-1), 0) == 0.0
+
+    @pytest.mark.parametrize("n_g", [1.5, -1])
+    def test_rejects_the_levels_energy_rejects(self, n_g):
+        params, channel = ModelParams(1.0, 0.0, 0.01), channel_for(-2)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            energy(params, channel, n_g)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            nonrelativistic_binding(params, channel, n_g)
 
     def test_supremum_is_half_b2_over_m(self):
         params = ModelParams(1.0, 0.0, 0.1)

@@ -213,7 +213,7 @@ class TestWavefunctionCommand:
         assert out == "" and "bad radial window" in err
 
     def test_huge_finite_window_writes_zero_tail(self, tmp_path, capsys):
-        # x^p overflows where e^(-x/2) has underflowed; the float64 value is 0
+        # (2 gamma r)^p would overflow where e^(-x/2) has underflowed; the float64 value is 0
         out = tmp_path / "wf.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -231,8 +231,20 @@ class TestWavefunctionCommand:
         err = capsys.readouterr().err
         assert "b*kappa_bar < 0" in err and "|kappa_bar| > 1/2" in err
 
+    @pytest.mark.parametrize("argv", [("--kappa", "-150"), ("--kappa", "-89", "--n", "12")])
+    def test_large_order_writes_finite_unit_norm_rows(self, argv, tmp_path):
+        # the Gamma-ratio normaliser overflowed here from alpha ~ 171 (exit 1)
+        out = tmp_path / "wf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("wavefunction", "--b", "1", *argv, "--out", str(out)) == 0
+        values = np.array([[float(row[k]) for k in ("r", "g", "f")] for row in read_csv_rows(out)])
+        assert len(values) == 600 and np.all(np.isfinite(values))
+        assert np.max(np.abs(values[:, 1])) > 0.0
+        assert abs(float(read_meta(out)["norm"]) - 1.0) <= 1e-12
+
     def test_overflow_is_an_error_exit(self, monkeypatch, capsys):
-        # stands in for overflows such as the closed-form normaliser's at kappa = -150
+        # stands in for any float64 overflow raised while sampling
         def overflow(*args, **kwargs):
             raise OverflowError("math range error")
 

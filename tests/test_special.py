@@ -1,18 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, roots_genlaguerre
 
-from diractensor import (
-    LaguerreSpec,
-    gauss_laguerre,
-    laguerre,
-    laguerre_derivative,
-    laguerre_second_derivative,
-    laguerre_weighted_norm,
-)
+from diractensor import LaguerreSpec, gauss_laguerre
+from diractensor.analytic import WavefunctionForm
+from diractensor.special import laguerre_function, laguerre_function_rule
 
 
 def laguerre_series(n, alpha, x):
@@ -26,48 +22,77 @@ def laguerre_series(n, alpha, x):
     return total
 
 
-class TestLaguerre:
-    def test_degree_zero_is_one(self):
-        assert laguerre(LaguerreSpec(0, 1.7), 3.7) == 1.0
+def psi_reference(n, alpha, x):
+    """sqrt(n!/Gamma(n+alpha+1)) x^(alpha/2) e^(-x/2) L_n^(alpha)(x) from scipy's
+    polynomial, the Gamma ratio taken in logs; valid where L_n stays finite."""
+    x = np.asarray(x, dtype=float)
+    log_weight = 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + alpha + 1.0) + alpha * np.log(x) - x)
+    return np.exp(log_weight) * eval_genlaguerre(n, alpha, x)
 
-    def test_degree_one(self):
-        # L_1^(alpha)(x) = 1 + alpha - x
-        assert laguerre(LaguerreSpec(1, 2.0), 1.0) == pytest.approx(2.0, abs=1e-15)
+
+def psi(n, alpha, x):
+    return laguerre_function(LaguerreSpec(n, alpha), x)[0]
+
+
+class TestLaguerreFunction:
+    def test_degree_zero(self):
+        # psi_0 = x^(alpha/2) e^(-x/2) / sqrt(Gamma(alpha + 1))
+        want = 3.7**0.85 * math.exp(-1.85) / math.sqrt(math.gamma(2.7))
+        assert psi(0, 1.7, 3.7) == pytest.approx(want, rel=1e-14)
+
+    def test_degree_one_and_its_predecessor(self):
+        # psi_1 = (1 + alpha - x) x^(alpha/2) e^(-x/2) / sqrt(Gamma(alpha + 2))
+        pair = laguerre_function(LaguerreSpec(1, 2.0), 1.0)
+        assert pair[0] == pytest.approx(2.0 * math.exp(-0.5) / math.sqrt(6.0), rel=1e-14)
+        assert pair[1] == pytest.approx(psi(0, 2.0, 1.0), rel=1e-15)
+        assert laguerre_function(LaguerreSpec(0, 2.0), 1.0)[1] == 0.0
 
     def test_against_series_frozen(self):
         # series oracle gives -43/48 for n=3, alpha=1/2, x=2
-        val = laguerre(LaguerreSpec(3, 0.5), 2.0)
-        assert val == pytest.approx(-0.8958333333333297, rel=1e-13)
-        assert val == pytest.approx(laguerre_series(3, 0.5, 2.0), rel=1e-13)
+        norm = math.exp(0.5 * (math.lgamma(4.0) - math.lgamma(4.5)) + 0.25 * math.log(2.0) - 1.0)
+        assert laguerre_series(3, 0.5, 2.0) == pytest.approx(-43.0 / 48.0, rel=1e-13)
+        assert psi(3, 0.5, 2.0) == pytest.approx(norm * -43.0 / 48.0, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3, 4.0])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
     def test_against_scipy(self, n, alpha):
-        x = np.linspace(0.0, 40.0, 17)
-        ours = laguerre(LaguerreSpec(n, alpha), x)
-        ref = eval_genlaguerre(n, alpha, x)
-        assert np.allclose(ours, ref, rtol=1e-10, atol=1e-10)
+        x = np.linspace(0.5, 40.0, 17)
+        assert np.allclose(psi(n, alpha, x), psi_reference(n, alpha, x), rtol=1e-10, atol=1e-13)
+
+    @pytest.mark.parametrize("n, alpha", [(12, 177.0), (55, 300.0), (100, 399.0)])
+    def test_large_order_stays_bounded_and_exact(self, n, alpha):
+        # the Gamma-ratio form overflows from alpha ~ 171; the recurrence does not
+        x = np.linspace(1.0, 3.0 * (alpha + 2.0 * n), 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = psi(n, alpha, x)
+        assert np.all(np.isfinite(values)) and np.max(np.abs(values)) < 1.0
+        with np.errstate(over="ignore", under="ignore"):
+            ref = psi_reference(n, alpha, x)
+        assert np.max(np.abs(values - ref)) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.1, 1.0, 2.6, 7.0])
-    def test_three_term_recurrence(self, alpha):
+    def test_orthonormal_three_term_recurrence(self, alpha):
         x = np.linspace(0.5, 50.0, 23)
         for n in range(1, 30):
-            left = (n + 1.0) * laguerre(LaguerreSpec(n + 1, alpha), x)
-            right = (2.0 * n + 1.0 + alpha - x) * laguerre(LaguerreSpec(n, alpha), x) - (
-                n + alpha
-            ) * laguerre(LaguerreSpec(n - 1, alpha), x)
-            scale = np.maximum(np.abs(left), 1.0)
-            assert np.all(np.abs(left - right) <= 1e-10 * scale)
+            nxt = psi(n + 1, alpha, x)
+            cur, prev = laguerre_function(LaguerreSpec(n, alpha), x)
+            left = math.sqrt((n + 1.0) * (n + 1.0 + alpha)) * nxt
+            right = (2.0 * n + 1.0 + alpha - x) * cur - math.sqrt(n * (n + alpha)) * prev
+            assert np.all(np.abs(left - right) <= 1e-12 * np.maximum(np.abs(left), 1.0))
+
+    def test_underflow_is_zero_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psi(100, 399.0, np.array([0.0, 1e-3, 1e300])).tolist() == [0.0, 0.0, 0.0]
 
     def test_array_and_scalar_agree(self):
-        spec = LaguerreSpec(4, 0.7)
         xs = np.array([0.0, 1.5, 9.0])
-        arr = laguerre(spec, xs)
-        assert arr[1] == laguerre(spec, 1.5)
+        assert psi(4, 0.7, xs)[1] == psi(4, 0.7, 1.5)
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            laguerre(LaguerreSpec(2, 0.0), -0.1)
+            psi(2, 0.0, -0.1)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
@@ -76,87 +101,70 @@ class TestLaguerre:
             LaguerreSpec(2, -1.0)
 
 
-class TestLaguerreDerivative:
-    def test_degree_zero(self):
-        assert laguerre_derivative(LaguerreSpec(0, 1.0), 5.0) == 0.0
+def richardson(fn, x, h):
+    """Central difference with one Richardson step."""
+    def central(hh):
+        return (fn(x + hh) - fn(x - hh)) / (2.0 * hh)
 
-    def test_degree_one(self):
-        assert laguerre_derivative(LaguerreSpec(1, 2.0), 1.0) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_against_richardson_differences(self):
-        # central differences with one Richardson step, h = 1e-5
-        spec = LaguerreSpec(4, 1.3)
-        x = 0.8
-        h = 1e-5
-
-        def central(hh):
-            return (laguerre(spec, x + hh) - laguerre(spec, x - hh)) / (2.0 * hh)
-
-        fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
-        assert laguerre_derivative(spec, x) == pytest.approx(fd, rel=1e-8)
-
-    @pytest.mark.parametrize("n, alpha", [(2, 0.0), (3, 0.5), (6, 2.2)])
-    def test_derivative_grid(self, n, alpha):
-        spec = LaguerreSpec(n, alpha)
-        h = 1e-5
-        for x in (0.3, 1.7, 4.4, 11.0):
-            def central(hh):
-                return (laguerre(spec, x + hh) - laguerre(spec, x - hh)) / (2.0 * hh)
-
-            fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
-            exact = laguerre_derivative(spec, x)
-            if abs(exact) > 1e-6:  # stay away from roots of the derivative
-                assert exact == pytest.approx(fd, rel=1e-8)
-
-    def test_second_derivative(self):
-        spec = LaguerreSpec(5, 0.9)
-        h = 1e-4
-        for x in (0.5, 2.0, 7.0):
-            fd = (laguerre_derivative(spec, x + h) - laguerre_derivative(spec, x - h)) / (2.0 * h)
-            assert laguerre_second_derivative(spec, x) == pytest.approx(fd, rel=1e-6)
-        assert laguerre_second_derivative(LaguerreSpec(1, 0.5), 2.0) == 0.0
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
-class TestWeightedNorm:
-    def test_simplest(self):
-        # integral x e^(-x) dx = 1
-        assert laguerre_weighted_norm(0, 0.0) == pytest.approx(1.0, rel=1e-15)
+class TestDerivativesFromThePair:
+    """d/dx [sqrt(x) psi_n] from (psi_n, psi_(n-1)) and the Whittaker second
+    derivative, on forms with gamma = 1/2 so that r = x."""
 
-    def test_degree_zero_alpha_two_reconciled_by_quadrature(self):
-        # integral x^3 e^(-x) dx = Gamma(4) = 6; the closed form must agree with
-        # the quadrature, which is the arbiter here
-        by_quad, err = quad(lambda x: x**3 * math.exp(-x), 0.0, 200.0)
-        assert by_quad == pytest.approx(6.0, rel=1e-10)
-        assert laguerre_weighted_norm(0, 2.0) == pytest.approx(by_quad, rel=1e-10)
+    @pytest.mark.parametrize("n, alpha", [(0, 1.0), (2, 0.5), (3, 3.0), (6, 2.2), (12, 177.0)])
+    def test_first_derivative_against_differences(self, n, alpha):
+        form = WavefunctionForm(LaguerreSpec(n, alpha), 0.5, 1.0)
+        for x in np.linspace(0.3, 2.0 * (alpha + 2.0 * n) + 10.0, 9):
+            exact = form.derivative(x)
+            scale = max(abs(form(x)), abs(exact), 1e-300)
+            assert abs(exact - richardson(form, x, 1e-4 * max(x, 1.0))) <= 1e-7 * scale
 
-    def test_degree_two_alpha_one_against_quadrature(self):
-        def integrand(x):
-            return x**2 * math.exp(-x) * laguerre(LaguerreSpec(2, 1.0), x) ** 2
+    @pytest.mark.parametrize("n, alpha", [(0, 1.0), (2, 0.5), (5, 0.9), (12, 177.0)])
+    def test_second_derivative_against_differences(self, n, alpha):
+        form = WavefunctionForm(LaguerreSpec(n, alpha), 0.5, 1.0)
+        for x in np.linspace(0.5, 2.0 * (alpha + 2.0 * n) + 10.0, 7):
+            exact = form.second_derivative(x)
+            scale = max(abs(form(x)), abs(exact), 1e-300)
+            assert abs(exact - richardson(form.derivative, x, 1e-4 * max(x, 1.0))) <= 1e-6 * scale
 
-        by_quad, err = quad(integrand, 0.0, 200.0, limit=200)
-        assert laguerre_weighted_norm(2, 1.0) == pytest.approx(by_quad, rel=1e-10)
+    def test_whittaker_coefficient_does_not_overflow(self):
+        form = WavefunctionForm(LaguerreSpec(3, 2.0), 0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert form.second_derivative(np.array([1e300])).tolist() == [0.0]
+
+
+class TestFirstMoment:
+    """integral x psi_n^2 dx = 2n + alpha + 1, the norm of every closed form."""
+
+    @pytest.mark.parametrize("n, alpha", [(0, 0.0), (0, 2.0), (2, 1.0), (4, 3.5)])
+    def test_against_adaptive_quadrature(self, n, alpha):
+        by_quad, _ = quad(lambda x: x * psi(n, alpha, x) ** 2, 0.0, 200.0, limit=200)
+        assert by_quad == pytest.approx(2.0 * n + alpha + 1.0, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
     @pytest.mark.parametrize("n", range(7))
-    def test_matches_gauss_laguerre(self, n, alpha):
-        # with the weight x^alpha the leftover integrand x * L_n^2 is polynomial
-        x, w = gauss_laguerre(64, alpha)
-        vals = laguerre(LaguerreSpec(n, alpha), x)
-        by_gl = float(np.sum(w * x * vals * vals))
-        assert laguerre_weighted_norm(n, alpha) == pytest.approx(by_gl, rel=1e-12)
+    def test_by_the_function_rule(self, n, alpha):
+        # the rule's nodes are the zeros of psi_(n+1), independent of the moment
+        x, w, values = laguerre_function_rule(LaguerreSpec(n, alpha))
+        assert np.array_equal(values, psi(n, alpha, x))
+        assert float(np.sum(w * x * values * values)) == pytest.approx(2.0 * n + alpha + 1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n, alpha", [(12, 177.0), (55, 300.0), (100, 399.0), (150, 1.0)])
+    def test_by_the_function_rule_at_large_degree_and_order(self, n, alpha):
+        x, w, values = laguerre_function_rule(LaguerreSpec(n, alpha))
+        assert float(np.sum(w * x * values * values)) == pytest.approx(2.0 * n + alpha + 1.0, rel=1e-12)
 
 
-class TestOrthogonality:
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
-    def test_distinct_degrees_integrate_to_zero(self, alpha):
-        x, w = gauss_laguerre(64, alpha)
-        polys = [laguerre(LaguerreSpec(n, alpha), x) for n in range(7)]
-        norms = [laguerre_weighted_norm(n, alpha) for n in range(7)]
-        scale = max(norms)
-        for m in range(7):
-            for n in range(m + 1, 7):
-                overlap = float(np.sum(w * polys[m] * polys[n]))
-                assert abs(overlap) <= 1e-9 * scale
+class TestOrthonormality:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 250.0])
+    def test_gram_matrix_is_the_identity(self, alpha):
+        x, w, _ = laguerre_function_rule(LaguerreSpec(15, alpha))
+        values = np.array([psi(n, alpha, x) for n in range(7)])
+        gram = (values * w) @ values.T
+        assert np.max(np.abs(gram - np.eye(7))) <= 1e-12
 
 
 class TestGaussLaguerre:
@@ -164,6 +172,13 @@ class TestGaussLaguerre:
         x, w = gauss_laguerre(128, 0.0)
         # integral e^(-x) x^5 dx = 120
         assert float(np.sum(w * x**5)) == pytest.approx(120.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n_nodes, order", [(1, 0.0), (16, 0.5), (64, 2.0), (40, 30.0)])
+    def test_matches_golub_welsch(self, n_nodes, order):
+        x, w = gauss_laguerre(n_nodes, order)
+        x_ref, w_ref = roots_genlaguerre(n_nodes, order)
+        assert np.allclose(x, x_ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(w, w_ref, rtol=1e-10, atol=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
