@@ -256,7 +256,7 @@ class TestWavefunctions:
         assert value == pytest.approx(-math.exp(log_value), rel=1e-12)
 
     def test_derivatives_stay_finite_in_the_far_tail(self):
-        # 1e300 used to give inf * 0 = nan with overflow warnings
+        # at r = 1e300, e^(-x/2) underflows where a power x^p would overflow
         for form in wavefunctions(ModelParams(1.0, 0.0, 1.0), Channel.from_kappa(-2), 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

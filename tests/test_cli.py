@@ -233,7 +233,7 @@ class TestWavefunctionCommand:
 
     @pytest.mark.parametrize("argv", [("--kappa", "-150"), ("--kappa", "-89", "--n", "12")])
     def test_large_order_writes_finite_unit_norm_rows(self, argv, tmp_path):
-        # the Gamma-ratio normaliser overflowed here from alpha ~ 171 (exit 1)
+        # alpha = 299 and 177: Gamma(n + alpha + 1) alone overflows float64 from alpha ~ 171
         out = tmp_path / "wf.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
