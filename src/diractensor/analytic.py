@@ -44,7 +44,7 @@ from .core import (
     bound_states_exist,
     n_bar,
 )
-from .special import LaguerreSpec, laguerre_function, laguerre_function_rule
+from .special import LaguerreSpec, laguerre_function, laguerre_function_rule, require_degree
 
 __all__ = [
     "WavefunctionForm",
@@ -82,11 +82,6 @@ def _require_bound(params: ModelParams, channel: Channel) -> float:
     return kb
 
 
-def _require_degree(n_g) -> None:
-    if n_g < 0 or n_g != int(n_g):
-        raise ValueError(f"n_g must be a nonnegative integer, got {n_g!r}")
-
-
 def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "particle", dtype=float):
     """Bound-state energy E = sign * sqrt(M^2 + b^2 [1 - (kappa_bar/n_bar)^2]).
 
@@ -97,7 +92,7 @@ def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "pa
     feeding eigenvalue-sensitive numerics like the outward integrator.
     """
     kb = _require_bound(params, channel)
-    _require_degree(n_g)
+    require_degree("n_g", n_g)
     if branch not in BRANCH_SIGN:
         raise ValueError(f"branch must be 'particle' or 'antiparticle', got {branch!r}")
     if kb < -0.5 and n_g == 0:
@@ -198,7 +193,7 @@ class WavefunctionForm:
         return float(val) if np.ndim(r) == 0 else val
 
     def derivative(self, r):
-        """Exact d/dr of the component, from the pair psi_n, psi_(n-1):
+        """Exact d/dr of the component at r > 0, from the pair psi_n, psi_(n-1):
         d/dx [sqrt(x) psi_n] = [((alpha + 1)/2 + n - x/2) psi_n
                                 - sqrt(n (n + alpha)) psi_(n-1)] / sqrt(x)."""
         n, alpha = self.laguerre.degree, self.laguerre.order
@@ -208,8 +203,8 @@ class WavefunctionForm:
         return float(val) if np.ndim(r) == 0 else val
 
     def second_derivative(self, r):
-        """Exact d^2/dr^2 of the component, from the Whittaker equation that
-        u = sqrt(x) psi_n obeys:
+        """Exact d^2/dr^2 of the component at r > 0, from the Whittaker equation
+        that u = sqrt(x) psi_n obeys:
         u'' = [(alpha^2 - 1)/(4 x^2) - (2n + alpha + 1)/(2x) + 1/4] u."""
         n, alpha = self.laguerre.degree, self.laguerre.order
         x, psi, _ = self._terms(r)
@@ -428,7 +423,7 @@ def nonrelativistic_binding(params: ModelParams, channel: Channel, n_g: int) -> 
     scalar couplings.
     """
     kb = _require_bound(params, channel)
-    _require_degree(n_g)
+    require_degree("n_g", n_g)
     ratio = kb / n_bar(kb, n_g)
     return 0.5 * (params.b**2 / params.mass) * (1.0 - ratio * ratio)
 

@@ -21,6 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def require_degree(name, value):
+    if value < 0 or value != int(value):
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LaguerreSpec:
     """Degree and order of a generalized Laguerre polynomial L_n^(alpha)."""
@@ -29,8 +34,7 @@ class LaguerreSpec:
     order: float
 
     def __post_init__(self):
-        if self.degree < 0 or self.degree != int(self.degree):
-            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
+        require_degree("degree", self.degree)
         if not self.order > -1.0:
             raise ValueError(
                 f"order must exceed -1 for an integrable weight, got {self.order!r}"
@@ -44,6 +48,7 @@ def _laguerre_functions(spec: LaguerreSpec, x):
         psi_(k+1) = [(2k + 1 + alpha - x) psi_k - sqrt(k (k + alpha)) psi_(k-1)]
                     / sqrt((k + 1)(k + 1 + alpha)).
 
+    At x = 0, psi_k is 1 for alpha = 0 (L_k^(0)(0) = 1) and 0 for alpha > 0.
     Where psi_0 underflows (near the origin at large alpha, and in the far
     tail) every psi_k is 0.0, its float64 value to well below 1e-300.
     """
@@ -52,7 +57,8 @@ def _laguerre_functions(spec: LaguerreSpec, x):
         raise ValueError("Laguerre argument must be nonnegative")
     alpha = spec.order
     with np.errstate(divide="ignore"):
-        cur = np.exp(0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1.0)))
+        power = alpha * np.log(x) if alpha != 0.0 else 0.0  # x^0 = 1, also at x = 0
+        cur = np.exp(0.5 * (power - x - math.lgamma(alpha + 1.0)))
     prev = np.zeros_like(cur)
     yield cur, prev
     for k in range(spec.degree):
@@ -77,7 +83,8 @@ def laguerre_function_rule(spec: LaguerreSpec):
     The nodes are the zeros of L_N^(alpha): the eigenvalues of the Jacobi
     matrix with diagonal 2k + alpha + 1 and off-diagonal -sqrt(k (k + alpha)),
     k < N.  The weights are the Christoffel numbers 1 / sum_(k<N) psi_k(x)^2,
-    so no Gamma(alpha + 1)-sized factor is formed.
+    so no Gamma(alpha + 1)-sized factor is formed; they are inf at nodes where
+    every psi_k underflows (x >~ 1,490 at alpha = 0, so N >~ 370).
     """
     alpha = spec.order
     k = np.arange(spec.degree + 1, dtype=float)
@@ -86,15 +93,18 @@ def laguerre_function_rule(spec: LaguerreSpec):
     squares = 0.0
     for psi, _ in _laguerre_functions(spec, x):
         squares = squares + psi * psi
-    return x, 1.0 / squares, psi
+    with np.errstate(divide="ignore", over="ignore"):
+        return x, 1.0 / squares, psi
 
 
 def gauss_laguerre(n_nodes: int = 128, order: float = 0.0):
     """Nodes and weights for integral_0^inf x^order e^(-x) phi(x) dx, exact
     for polynomial phi up to degree 2*n_nodes - 1.  The weights sum to
     Gamma(order + 1), inf in float64 from order ~ 171 on; integrals of the
-    orthonormal functions use :func:`laguerre_function_rule` instead."""
+    orthonormal functions use :func:`laguerre_function_rule` instead, whose
+    inf weights are 0.0 here (below ~1e-300 of the total)."""
     if n_nodes < 1:
         raise ValueError("n_nodes must be positive")
     x, weights, _ = laguerre_function_rule(LaguerreSpec(n_nodes - 1, order))
-    return x, weights * np.exp(order * np.log(x) - x)
+    power_weight = np.exp(order * np.log(x) - x)
+    return x, np.multiply(weights, power_weight, out=np.zeros_like(x), where=np.isfinite(weights))

@@ -26,7 +26,9 @@ def psi_reference(n, alpha, x):
     """sqrt(n!/Gamma(n+alpha+1)) x^(alpha/2) e^(-x/2) L_n^(alpha)(x) from scipy's
     polynomial, the Gamma ratio taken in logs; valid where L_n stays finite."""
     x = np.asarray(x, dtype=float)
-    log_weight = 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + alpha + 1.0) + alpha * np.log(x) - x)
+    with np.errstate(divide="ignore"):
+        power = alpha * np.log(x) if alpha != 0.0 else 0.0
+    log_weight = 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n + alpha + 1.0) + power - x)
     return np.exp(log_weight) * eval_genlaguerre(n, alpha, x)
 
 
@@ -56,8 +58,16 @@ class TestLaguerreFunction:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.3, 4.0])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 12])
     def test_against_scipy(self, n, alpha):
-        x = np.linspace(0.5, 40.0, 17)
+        x = np.linspace(0.0, 40.0, 17)
         assert np.allclose(psi(n, alpha, x), psi_reference(n, alpha, x), rtol=1e-10, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 60])
+    def test_value_at_the_origin(self, n):
+        # psi_n^(0)(0) = L_n^(0)(0) = 1; a positive order puts a zero of x^(alpha/2) there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psi(n, 0.0, 0.0) == pytest.approx(1.0, rel=1e-13)
+            assert psi(n, 0.5, np.array([0.0])).tolist() == [0.0]
 
     @pytest.mark.parametrize("n, alpha", [(12, 177.0), (55, 300.0), (100, 399.0)])
     def test_large_order_stays_bounded_and_exact(self, n, alpha):
@@ -179,6 +189,17 @@ class TestGaussLaguerre:
         x_ref, w_ref = roots_genlaguerre(n_nodes, order)
         assert np.allclose(x, x_ref, rtol=1e-12, atol=0.0)
         assert np.allclose(w, w_ref, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("n_nodes, order", [(400, 0.0), (600, 2.0)])
+    def test_nodes_past_the_underflow_get_zero_weight(self, n_nodes, order):
+        # e^(-x/2) underflows at the outer nodes, where the true weight is below ~1e-600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, w = gauss_laguerre(n_nodes, order)
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0) and np.any(w[x > 1500.0] == 0.0)
+        assert float(np.sum(w)) == pytest.approx(math.gamma(order + 1.0), rel=1e-12)
+        # integral x^order e^(-x) x^3 dx = Gamma(order + 4)
+        assert float(np.sum(w * x**3)) == pytest.approx(math.gamma(order + 4.0), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
