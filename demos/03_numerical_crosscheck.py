@@ -5,7 +5,8 @@ estimate on a tridiagonal pencil, then Numerov on a log grid with node-count
 bisection and matching-defect Newton refinement) with no input from the
 analytic spectrum beyond quantum numbers.  The outward integration
 of the coupled first-order system then confirms decay at the closed-form
-energies and divergence away from them.
+energies and divergence away from them, and brackets the E = M level by
+the sign of its tail.
 """
 
 import numpy as np
@@ -40,11 +41,11 @@ print()
 print("=" * 68)
 print("2. Decay diagnostic of the outward first-order integration")
 print("=" * 68)
-e_exact = energy(params, channel, 1, dtype=np.longdouble)
+e_exact = energy(params, channel, 1)
 for label, e_try in [
     ("closed-form energy", e_exact),
-    ("detuned by +1%", float(e_exact) * 1.01),
-    ("detuned by -1%", float(e_exact) * 0.99),
+    ("detuned by +1%", e_exact * 1.01),
+    ("detuned by -1%", e_exact * 0.99),
 ]:
     _, report = integrate_first_order(params, channel, e_try)
     print(f"  {label:<22} -> {report.classification:<8} "
@@ -52,12 +53,21 @@ for label, e_try in [
 
 print()
 print("=" * 68)
-print("3. Special state: the lower component never turns on")
+print("3. Special state: the lower component never turns on, and a level")
+print("   lies within 1e-9 of E = M")
 print("=" * 68)
 edge = special_state(params, channel)
 samples, report = integrate_first_order(params, channel, edge.energy, fineness=5e-3)
-print(f"  integrated at E = M: max |f| = {np.max(np.abs(samples.f))!r}, "
+print(f"  integrated at E = M: max |f| = {float(np.max(np.abs(samples.f)))!r}, "
       f"max |g| = {np.max(np.abs(samples.g)):.4f}  ({report.classification})")
+signs = []
+for label, side in [("M (1 - 1e-9)", 1.0 - 1e-9), ("M (1 + 1e-9)", 1.0 + 1e-9)]:
+    samples, report = integrate_first_order(params, channel, edge.energy * side,
+                                            sample_count=2, fineness=0.1)
+    signs.append("+" if samples.g[-1] > 0 else "-")
+    print(f"  integrated at E = {label}: {report.classification}, tail of g at r_max {signs[-1]}")
+flips = "changes" if signs[0] != signs[1] else "does not change"
+print(f"the tail {flips} sign across the bracket; it changes across every level")
 
 print()
 print("=" * 68)

@@ -82,14 +82,12 @@ def _require_bound(params: ModelParams, channel: Channel) -> float:
     return kb
 
 
-def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "particle", dtype=float):
+def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "particle") -> float:
     """Bound-state energy E = sign * sqrt(M^2 + b^2 [1 - (kappa_bar/n_bar)^2]).
 
     The nodeless kappa_bar < -1/2 level (n_g = 0) is excluded here: it pins
     E = +M with an identically vanishing lower component and is produced by
-    :func:`special_state` instead.  Passing ``dtype=numpy.longdouble``
-    evaluates the closed form in extended precision, which matters only when
-    feeding eigenvalue-sensitive numerics like the outward integrator.
+    :func:`special_state` instead.
     """
     kb = _require_bound(params, channel)
     require_degree("n_g", n_g)
@@ -100,14 +98,9 @@ def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "pa
             "n_g = 0 with kappa_bar < -1/2 is the special |E| = M level; "
             "use special_state()"
         )
-    if dtype is float:
-        ratio = kb / n_bar(kb, n_g)
-        magnitude = math.sqrt(params.mass**2 + params.b**2 * (1.0 - ratio * ratio))
-        return BRANCH_SIGN[branch] * magnitude
-    ratio = dtype(kb) / dtype(n_bar(kb, n_g))
-    one = dtype(1.0)
-    magnitude = np.sqrt(dtype(params.mass) ** 2 + dtype(params.b) ** 2 * (one - ratio * ratio))
-    return dtype(BRANCH_SIGN[branch]) * magnitude
+    ratio = kb / n_bar(kb, n_g)
+    magnitude = math.sqrt(params.mass**2 + params.b**2 * (1.0 - ratio * ratio))
+    return BRANCH_SIGN[branch] * magnitude
 
 
 def special_state(params: ModelParams, channel: Channel) -> BoundState:
@@ -264,13 +257,19 @@ def norm_quadrature(g_form: WavefunctionForm, f_form: WavefunctionForm) -> float
     Each component contributes amplitude^2/(2 gamma) * integral x psi_n^2 dx.
     That integrand is x^alpha e^(-x) times a polynomial of degree 2n + 1, so
     the (n + 1)-node rule of :func:`.special.laguerre_function_rule`
-    integrates it exactly.
+    integrates it exactly.  From about n = 370 (order 0) some of that rule's
+    weights overflow, and OverflowError is raised rather than a NaN returned.
     """
     total = 0.0
     for form in (g_form, f_form):
         if form.amplitude == 0.0:
             continue
         x, w, psi = laguerre_function_rule(form.laguerre)
+        if not np.isfinite(w).all():
+            raise OverflowError(
+                f"Gauss weights overflow at degree {form.laguerre.degree}: every psi_k "
+                "underflows at the outer nodes, so the norm is not representable"
+            )
         total += form.amplitude**2 * float(np.sum(w * x * psi * psi)) / (2.0 * form.gamma)
     return total
 

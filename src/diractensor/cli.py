@@ -40,6 +40,7 @@ from .oracle import (
     NoBracketError,
     ShootingConfig,
     ShootingError,
+    count_sign_changes,
     integrate_first_order,
     shoot_eigenvalue,
     solve_bound_level,
@@ -361,6 +362,11 @@ class VerifyRow:
     passed: Optional[bool] = None
 
 
+# relative half-width and RK4 fineness of the edge-level bracket
+_EDGE_DELTA = 1e-9
+_EDGE_FINENESS = 0.1
+
+
 def verification_grid_rows(
     mass: float,
     b_values,
@@ -371,15 +377,16 @@ def verification_grid_rows(
 ) -> tuple[list[VerifyRow], int, int, int, int]:
     """One verification row per (b, a, kappa, level) state, with the Numerov
     sweeps, Numerov steps and Newton steps the shooting oracle took over all
-    of them and the RK4 steps of the edge-state integrations.
+    of them and the RK4 steps of the edge-state brackets.
 
     Each row compares the closed-form energy against the shooting eigenvalue
     (acceptance criterion 1: |dE| <= 1e-7), recounts nodes from the
     wavefunctions sampled out to where their tail has fallen e^(-30) below
     its peak, checks the energy window M <= |E| < M*, and measures the worst
     relative residual of the radial equations.
-    Special |E| = M states additionally get their vanishing component
-    verified by outward integration.
+    Each channel's |E| = M edge level also gets a ``zero_component`` row: a
+    bracket of relative half-width ``_EDGE_DELTA`` (its ``delta_e``) around
+    sign(E) (|E| + ``inject_energy_error``), marched at ``_EDGE_FINENESS``.
     """
     rows = []
     sweeps = steps = newton_steps = rk4_steps = 0
@@ -419,23 +426,23 @@ def verification_grid_rows(
                         e_shoot=shot.energy_pair[0], delta_e=delta, residual=residual,
                         node_ok=node_ok, passed=bool(passed),
                     ))
-                # vanishing-component check of the edge state by direct integration
-                state = special_state(params, channel)
-                samp, rep = integrate_first_order(
-                    params, channel, state.energy, sample_count=240, fineness=2e-2
-                )
-                rk4_steps += rep.steps
-                if kb < 0:
-                    main_peak = float(np.max(np.abs(samp.g)))
-                    zero_part = float(np.max(np.abs(samp.f)))
-                else:
-                    main_peak = float(np.max(np.abs(samp.f)))
-                    zero_part = float(np.max(np.abs(samp.g)))
-                ratio = zero_part / main_peak if main_peak > 0 else math.inf
-                ok = ratio <= 1e-8 and rep.classification == "bound"
+                # blind bracket of the edge level: both marches must grow, and the
+                # tail at r_max of the component that survives at the edge changes
+                # sign between them only if a level lies in between
+                edge = special_state(params, channel).energy
+                centre = math.copysign(abs(edge) + inject_energy_error, edge)
+                tails, growing = [], True
+                for side in (1.0 - _EDGE_DELTA, 1.0 + _EDGE_DELTA):
+                    samp, rep = integrate_first_order(
+                        params, channel, centre * side, sample_count=2, fineness=_EDGE_FINENESS
+                    )
+                    tails.append((samp.g if kb < 0 else samp.f)[-1])
+                    rk4_steps += rep.steps
+                    growing = growing and rep.classification == "growing"
                 rows.append(VerifyRow(
                     check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
-                    e_analytic=state.energy, residual=ratio, passed=bool(ok),
+                    e_analytic=centre, delta_e=_EDGE_DELTA * abs(centre),
+                    passed=growing and count_sign_changes(tails) == 1,
                 ))
     return rows, sweeps, steps, newton_steps, rk4_steps
 

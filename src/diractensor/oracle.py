@@ -22,16 +22,13 @@ Two pieces of machinery, both blind to the closed-form solutions:
   r^S there, and marching through that dead region changes no level;
 
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
-  to confirm decay at the analytic energies, divergence away from them, and
-  the vanishing component of the |E| = M special states.  The system is
-  linear and the step schedule depends on r alone, so each step is a fixed
-  2x2 matrix; the integrator forms these in extended precision a chunk at a
+  to confirm decay at the analytic energies and divergence away from them;
+  the sign of the tail of a growing solution tells on which side of a level
+  its energy lies, so two marches bracket the |E| = M special states.  The
+  system is linear and the step schedule depends on r alone, so each step is
+  a fixed 2x2 matrix; the integrator forms these in float64 a chunk at a
   time, multiplies them by one prefix scan per chunk and carries the state
   across chunk boundaries with an exact power-of-two renormalisation.
-  At |E| = M exactly one coupling vanishes and the system decouples into a
-  single first-order equation with no growing mode, so those special states
-  are marched in float64 instead: there is no second solution for roundoff
-  to seed, and the zero component stays exactly zero.
 
 The separation eigenvalue is lambda = E^2 - M^2 - b^2, negative for every
 bound state since |E| < sqrt(M^2 + b^2).
@@ -577,10 +574,8 @@ class IntegrationReport:
 
     ``steps`` counts the RK4 steps of the pass and ``renormalizations`` the
     block boundaries at which the marching state was rescaled; both depend on
-    the inputs only.  ``precision`` names the arithmetic of the march:
-    "float64" when a zero coupling decouples the system, else "longdouble".
-    ``seconds``, the wall time of the whole integration, is the only field
-    that is not deterministic.
+    the inputs only.  ``seconds``, the wall time of the whole integration, is
+    the only field that is not deterministic.
     """
 
     energy: float
@@ -590,7 +585,6 @@ class IntegrationReport:
     peak_radius: float
     renormalizations: int
     steps: int
-    precision: str
     seconds: float = 0.0
 
 
@@ -603,6 +597,7 @@ class IntegrationReport:
 _CHUNK_STEPS = 2048
 _MAX_FINENESS = 0.25
 _PHASE_POINTS = 1025
+_BOUND_DECAY = 1e-3  # largest tail / peak amplitude of a bound march
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -664,7 +659,6 @@ class _Recorder:
         self.peak_radius = math.nan
 
     def visit(self, r: np.ndarray, g: np.ndarray, f: np.ndarray, log_scale: float):
-        g, f = g.astype(float), f.astype(float)
         with np.errstate(divide="ignore"):
             amp_log = np.log(np.hypot(g, f)) + log_scale
         i = int(np.argmax(amp_log))
@@ -695,10 +689,10 @@ def integrate_first_order(
     integral of the local variation rate (power-law rise plus oscillation or
     decay) by ``fineness`` each.  The system is linear and the schedule
     depends on r alone, so every step is a fixed 2x2 matrix P = I + D.  The
-    matrices of one chunk of steps are formed at once in extended precision,
-    and a work-efficient scan (Blelloch 1990) over the chunk, padded with
-    identity steps to a power of two, first multiplies neighbouring pairs up
-    to the chunk's product, composing in the form
+    matrices of one chunk of steps are formed at once, and a work-efficient
+    scan (Blelloch 1990) over the chunk, padded with identity steps to a power
+    of two, first multiplies neighbouring pairs up to the chunk's product,
+    composing in the form
     (I + D_b)(I + D_a) = I + D_a + D_b + D_b D_a, which keeps the small
     increments that rounding I + D would drop; the pair products then carry
     the chunk's start state down to every step, whose amplitude feeds the
@@ -710,61 +704,56 @@ def integrate_first_order(
     log-spaced radii; where the steps are sparser than those radii, one step
     serves several of them and is sampled once, so fewer samples come back.
 
-    Extended precision matters because any local error injected near the
-    turning point gets amplified by the growing solution, roughly exp(30)
-    over the default domain, and the 64-bit floor of ~1e-16 would leave a
-    visible spurious tail at r_max.  At E = M or E = -M one coupling M -/+ E
-    is exactly zero: every step matrix is then exactly triangular, one
-    component stays exactly zero, and the other obeys a single first-order
-    equation with no second solution for roundoff to seed.  Those edge states
-    are marched in float64 (the series start is still formed in extended
-    precision, where r_min**|kappa_bar| does not underflow, and renormalised
-    before the cast); every other energy is marched in extended precision.
-
     The box reaches r_max = 30/gamma, or further where the r^p tail, p =
     |b kappa_bar| / gamma, is still within e^(-20) of its peak there.  A
     true bound energy decays to a tiny fraction of the peak by r_max; a
-    detuned one is flagged as growing.  The default ``fineness`` keeps the
-    truncation error per step at the extended-precision roundoff level.
+    detuned one is flagged as growing, and the sign of its tail tells on
+    which side of the level it lies.  The march is in float64: the rounding
+    of E and the roundoff of the steps seed the growing solution, which
+    amplifies them by roughly e^30 over the box, so a bound energy decays to
+    about 1e-5 of the peak at worst; past the last sample within 1e-3 of the
+    peak that solution may change sign, and a bound march counts no nodes
+    there.  At E = M or E = -M one coupling M -/+ E is exactly zero, every
+    step matrix is triangular and one component stays exactly zero.  The
+    series start r_min^|kappa_bar|, which underflows float64 once |kappa_bar|
+    nears 50, is carried as a mantissa and a power of two.  The default
+    ``fineness`` keeps the truncation error per step near the roundoff level.
     """
     start = time.perf_counter()
-    kb_f = channel.kappa_bar
-    angular = max(abs(angular_strength(kb_f, "upper")), abs(angular_strength(kb_f, "lower")))
+    kb, b = channel.kappa_bar, params.b
+    angular = max(abs(angular_strength(kb, "upper")), abs(angular_strength(kb, "lower")))
     if not 0.0 < fineness <= _MAX_FINENESS:
         raise ValueError(f"fineness must lie in (0, {_MAX_FINENESS}], got {fineness!r}")
-    lam = energy_value * energy_value - params.mass**2 - params.b**2
-    gamma_ref = math.sqrt(-lam) if lam < 0.0 else max(abs(params.b), 0.1 * params.mass)
+    lam = energy_value * energy_value - params.mass**2 - b**2
+    gamma_ref = math.sqrt(-lam) if lam < 0.0 else max(abs(b), 0.1 * params.mass)
     r_lo = 1e-6 / gamma_ref
-    r_hi = max(30.0 / gamma_ref, box_radius(gamma_ref, abs(params.b * kb_f) / gamma_ref, 20.0))
+    r_hi = max(30.0 / gamma_ref, box_radius(gamma_ref, abs(b * kb) / gamma_ref, 20.0))
 
     # step k ends where the phase integral of the variation rate reaches k * fineness
-    abs_b, abs_kb = abs(params.b), abs(kb_f)
+    abs_b, abs_kb = abs(b), abs(kb)
     x = np.linspace(math.log(r_lo), math.log(r_hi), _PHASE_POINTS)
     rx = np.exp(x)
-    rate_dx = (1.0 + abs_kb + np.sqrt(abs(float(lam)) * rx * rx + 2.0 * abs_b * abs_kb * rx + angular)
+    rate_dx = (1.0 + abs_kb + np.sqrt(abs(lam) * rx * rx + 2.0 * abs_b * abs_kb * rx + angular)
                + (abs_b + gamma_ref) * rx)
     phase = np.concatenate(([0.0], np.cumsum(0.5 * (rate_dx[1:] + rate_dx[:-1]) * np.diff(x))))
     steps = max(1, math.ceil(phase[-1] / fineness))
 
-    ld = np.longdouble
-    kb, b, e_val = ld(kb_f), ld(params.b), ld(energy_value)
-    mp, mm = ld(params.mass) + e_val, ld(params.mass) - e_val
+    mp, mm = params.mass + energy_value, params.mass - energy_value
 
-    # series start: the dominant component carries the lower power of r
-    r0 = ld(r_lo)
-    if kb_f < 0:
-        g = r0 ** (-kb) * (1.0 - b * r0)
-        f = mm / (1.0 - 2.0 * kb) * r0 ** (1.0 - kb)
+    # series start: the dominant component carries the lower power of r, whose
+    # power of two goes to the exponent; the state is (g, f) * 2**exponent
+    power = abs_kb * math.log2(r_lo)
+    exponent = math.floor(power)
+    lead = 2.0 ** (power - exponent)
+    if kb < 0:
+        g = lead * (1.0 - b * r_lo)
+        f = mm / (1.0 - 2.0 * kb) * lead * r_lo
     else:
-        f = r0**kb * (1.0 + b * r0)
-        g = mp / (1.0 + 2.0 * kb) * r0 ** (1.0 + kb)
+        f = lead * (1.0 + b * r_lo)
+        g = mp / (1.0 + 2.0 * kb) * lead * r_lo
+    g, f, shift = _renormalised(g, f)
+    exponent += shift
 
-    g, f, exponent = _renormalised(g, f)  # the state is (g, f) * 2**exponent
-
-    # a zero coupling leaves no growing mode for roundoff to seed: march in float64
-    decoupled = mp == 0 or mm == 0
-    dtype = np.float64 if decoupled else ld
-    kb, b, mp, mm, g, f = (dtype(v) for v in (kb, b, mp, mm, g, f))
     ln2 = math.log(2.0)
     recorder = _Recorder(np.geomspace(r_lo, r_hi, sample_count))
     renorms = 0
@@ -776,8 +765,8 @@ def integrate_first_order(
             r[0] = r_lo
         if k1 == steps:
             r[-1] = r_hi
-        r = np.minimum(r, r_hi).astype(dtype)
-        d = np.zeros((2, 2, 1 << (n - 1).bit_length()), dtype=dtype)  # padding steps are identities
+        r = np.minimum(r, r_hi)
+        d = np.zeros((2, 2, 1 << (n - 1).bit_length()))  # padding steps are identities
         d[..., :n] = _rk4_step_deltas(r[:-1], np.diff(r), kb, b, mp, mm)
 
         # up-sweep: products of 2, 4, ... consecutive steps, up to the chunk's product
@@ -787,7 +776,7 @@ def integrate_first_order(
         (t00, t01), (t10, t11) = levels.pop()[..., 0]
 
         # down-sweep: the state before every step from the chunk's start state
-        y = np.array([[g], [f]], dtype=dtype)
+        y = np.array([[g], [f]])
         for level in reversed(levels):
             earlier = level[..., ::2]
             after = y + (earlier[:, 0] * y[0] + earlier[:, 1] * y[1])
@@ -804,7 +793,7 @@ def integrate_first_order(
     end_log = 0.5 * math.log(amp2_end) + exponent * ln2 if amp2_end > 0.0 else -math.inf
     peak_log = recorder.peak_log
     decay_ratio = math.exp(end_log - peak_log) if peak_log > -math.inf else math.inf
-    classification = "bound" if (lam < 0.0 and decay_ratio < 1e-3) else "growing"
+    classification = "bound" if (lam < 0.0 and decay_ratio < _BOUND_DECAY) else "growing"
 
     taken = slice(recorder.taken)
     rr = recorder.r[taken]
@@ -816,12 +805,16 @@ def integrate_first_order(
         gg = gg / math.sqrt(norm)
         ff = ff / math.sqrt(norm)
         norm = 1.0
+    counted = slice(None)
+    if classification == "bound":  # the roundoff-seeded growing tail may change sign
+        amp = np.hypot(gg, ff)
+        counted = slice(np.flatnonzero(amp >= _BOUND_DECAY * amp.max())[-1] + 1)
     samples = RadialSamples(
         r=rr,
         g=gg,
         f=ff,
-        node_count_g=count_sign_changes(gg),
-        node_count_f=count_sign_changes(ff),
+        node_count_g=count_sign_changes(gg[counted]),
+        node_count_f=count_sign_changes(ff[counted]),
         l2_norm=norm,
     )
     report = IntegrationReport(
@@ -832,7 +825,6 @@ def integrate_first_order(
         peak_radius=recorder.peak_radius,
         renormalizations=renorms,
         steps=steps,
-        precision="float64" if decoupled else "longdouble",
         seconds=time.perf_counter() - start,
     )
     return samples, report

@@ -107,12 +107,6 @@ class TestEnergy:
         with pytest.raises(ValueError, match="special"):
             energy(PARAMS_POS, channel_for(-1), 0)
 
-    def test_extended_precision_path(self):
-        e64 = energy(PARAMS_POS, channel_for(-1), 1)
-        eld = energy(PARAMS_POS, channel_for(-1), 1, dtype=np.longdouble)
-        assert float(eld) == pytest.approx(e64, rel=1e-15)
-        assert abs(float(eld * eld) - 7.0 / 4.0) < 1e-18 or abs(e64 * e64 - 7.0 / 4.0) < 1e-15
-
 
 class TestSpecialState:
     def test_positive_family(self):
@@ -216,6 +210,15 @@ class TestWavefunctions:
         # degree 150: a fixed 128-node rule is no longer exact here and read 0.44
         g, f = wavefunctions(PARAMS_POS, channel_for(-1), 150)
         assert norm_quadrature(g, f) == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_norm_weights_raise(self):
+        # degree 400: psi_0 underflows at the outer Gauss nodes, their weights
+        # 1 / sum psi_k^2 are inf, and inf * 0 would make the norm nan
+        g, f = wavefunctions(PARAMS_POS, channel_for(-1), 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="degree 400"):
+                norm_quadrature(g, f)
 
     def test_node_counts_match_degrees(self):
         cases = [

@@ -252,6 +252,18 @@ class TestWavefunctionCommand:
         assert run_cli("wavefunction", "--kappa", "-2", "--n", "1") == 1
         assert capsys.readouterr().err.startswith("error: numeric overflow:")
 
+    def test_nonfinite_norm_is_an_error_exit(self, tmp_path, capsys):
+        # from n ~ 370 some Gauss weights of the norm overflow, and the norm
+        # would be nan: no number is better than a wrong one at exit 0
+        out = tmp_path / "wf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("wavefunction", "--kappa", "-1", "--n", "400", "--b", "1",
+                           "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric overflow:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_mirror_special_flag(self, tmp_path):
         out = tmp_path / "wf.csv"
         assert run_cli("wavefunction", "--b", "-1", "--kappa", "2", "--special",
@@ -279,17 +291,17 @@ class TestVerifyCommand:
         assert rows and all(r["passed"] == "true" for r in rows)
         oracle_rows = [r for r in rows if r["check"] in ("oracle", "special")]
         assert max(float(r["delta_e"]) for r in oracle_rows) < 1e-7
-        # the summary line ends with the shooting work and the edge-state
-        # integration work over the grid
+        # the summary line ends with the shooting work and the work of the
+        # edge-state brackets, two marches at M (1 -/+ 1e-9) per channel
         params = ModelParams(1.0, 0.0, 1.0)
         shots = [solve_bound_level(params, Channel.from_kappa(kappa), "upper", n)
                  for kappa in (-2, -1) for n in (0, 1)]
         sweeps = sum(shot.sweeps for shot in shots)
         steps = sum(shot.steps for shot in shots)
         newton_steps = sum(shot.newton_steps for shot in shots)
-        reports = [integrate_first_order(params, Channel.from_kappa(kappa), params.mass,
-                                         sample_count=240, fineness=2e-2)[1]
-                   for kappa in (-2, -1)]
+        reports = [integrate_first_order(params, Channel.from_kappa(kappa), params.mass * side,
+                                         sample_count=2, fineness=0.1)[1]
+                   for kappa in (-2, -1) for side in (1.0 - 1e-9, 1.0 + 1e-9)]
         rk4_steps = sum(report.steps for report in reports)
         assert rk4_steps > 0
         assert capsys.readouterr().err.strip().endswith(
@@ -312,7 +324,21 @@ class TestVerifyCommand:
                        "--inject-energy-error", "1e-3", "--out", str(out))
         assert code == 2
         rows = read_csv_rows(out)
-        assert any(r["passed"] == "false" for r in rows)
+        assert {r["check"] for r in rows} == {"special", "oracle", "zero_component"}
+        assert all(r["passed"] == "false" for r in rows)
+
+    @pytest.mark.parametrize("b", [1.0, 1e3, 1e-3])
+    @pytest.mark.parametrize("kappa", [-1, 2])
+    def test_edge_bracket_off_the_level_fails(self, b, kappa):
+        # the edge row brackets its centre by 1e-9 (relative); centred on the
+        # closed form it passes, and centred 10 half-widths off to either side
+        # it must fail, at every scale of b and in both families
+        sign = 1.0 if kappa < 0 else -1.0
+        for error, want in ((0.0, True), (1e-8, False), (-1e-8, False)):
+            rows, *_ = cli.verification_grid_rows(1.0, (sign * b,), (0.0,), [kappa], 0,
+                                                  inject_energy_error=error)
+            edge = [row for row in rows if row.check == "zero_component"]
+            assert [(row.e_analytic, row.passed) for row in edge] == [(sign * (1.0 + error), want)]
 
     def test_deep_levels_pass(self, tmp_path):
         out = tmp_path / "verify.csv"

@@ -558,32 +558,34 @@ class TestNumerovMarch:
 
 
 class TestIntegrateFirstOrder:
-    def test_bound_energy_decays(self):
-        # extended-precision closed-form energy: the tail reaches the roundoff
-        # floor of the growing-mode contamination, far below 1e-6 of the peak
-        ch = Channel.from_kappa(-1)
-        e = energy(PARAMS_POS, ch, 1, dtype=np.longdouble)
-        samples, report = integrate_first_order(PARAMS_POS, ch, e)
-        assert report.classification == "bound"
-        assert report.decay_ratio < 1e-6
-        assert (samples.node_count_g, samples.node_count_f) == (1, 0)
-
-    def test_float64_energy_decays_to_its_quantization_floor(self):
-        # with E rounded to 64-bit the eigenvalue detuning ~1e-16 seeds the
-        # growing solution; amplified over the domain it caps the decay near
-        # 1e-5 of the peak for the most tightly bound small-|kappa_bar| level
-        ch = Channel.from_kappa(-1)
-        e = energy(PARAMS_POS, ch, 1)
-        _, report = integrate_first_order(PARAMS_POS, ch, e)
+    @pytest.mark.parametrize("params,kappa,level", [(PARAMS_POS, -1, 1), (PARAMS_NEG, 1, 0)],
+                             ids=["kappa-1", "mirror-kappa1"])
+    def test_float64_energy_decays_to_its_quantization_floor(self, params, kappa, level):
+        # with E rounded to 64-bit the eigenvalue detuning ~1e-16 and the
+        # roundoff of the march seed the growing solution; amplified over the
+        # domain they cap the decay near 1e-5 of the peak for the most tightly
+        # bound small-|kappa_bar| levels.  That solution takes over the far
+        # tail, where it may add a sign change; the node counts stop short of it
+        ch = Channel.from_kappa(kappa)
+        st = bound_state(params, ch, level)
+        samples, report = integrate_first_order(params, ch, energy(params, ch, level))
         assert report.classification == "bound"
         assert report.decay_ratio < 2e-5
+        assert (samples.node_count_g, samples.node_count_f) == (st.n_g, st.n_f)
 
-    def test_mirror_family_decays(self):
-        ch = Channel.from_kappa(1)
-        e = energy(PARAMS_NEG, ch, 0, dtype=np.longdouble)
-        _, report = integrate_first_order(PARAMS_NEG, ch, e)
-        assert report.classification == "bound"
-        assert report.decay_ratio < 1e-6
+    @pytest.mark.parametrize("b,a,kappa,level", [
+        (1.0, 0.0, -3, 2), (2.0, -0.5, -1, 3), (0.5, 0.0, -2, 4), (-2.0, -0.5, 3, 1),
+    ])
+    def test_bound_node_counts_are_the_levels(self, b, a, kappa, level):
+        # on each of these the roundoff-seeded growing solution changes the
+        # sign of both components in the far tail, at 1e-8 to 2e-6 of the peak
+        params = ModelParams(1.0, a, b)
+        ch = Channel.from_kappa(kappa, a)
+        st = bound_state(params, ch, level)
+        for sample_count in (240, 800, 3000):
+            samples, report = integrate_first_order(params, ch, st.energy, sample_count=sample_count)
+            assert report.classification == "bound"
+            assert (samples.node_count_g, samples.node_count_f) == (st.n_g or 0, st.n_f or 0)
 
     def test_detuned_energy_grows(self):
         ch = Channel.from_kappa(-1)
@@ -653,10 +655,9 @@ class TestFirstOrderPropagator:
             e = st.energy
         else:
             st = bound_state(params, ch, level)
-            e = energy(params, ch, level, dtype=np.longdouble)
+            e = st.energy
         samples, report = integrate_first_order(params, ch, e, sample_count=240, fineness=2e-2)
         assert report.classification == "bound"
-        assert report.precision == ("float64" if level is None else "longdouble")
         g_form, f_form = state_wavefunctions(params, st)
         g, f = g_form(samples.r), f_form(samples.r)
         main, main_form = (samples.g, g) if kappa < 0 else (samples.f, f)
@@ -665,16 +666,6 @@ class TestFirstOrderPropagator:
         inner = samples.r < 0.5 * samples.r[-1]
         err = max(np.max(np.abs(c * samples.g - g)[inner]), np.max(np.abs(c * samples.f - f)[inner]))
         assert err <= 1e-9 * abs(main_form[peak])
-
-    @pytest.mark.parametrize("kappa", [-1, 2])
-    def test_least_detuning_marches_in_extended_precision(self, kappa):
-        # float64 only where M - E or M + E is exactly zero; a few ulp of
-        # detuning couple the components again and bring back the growing mode
-        params = PARAMS_POS if kappa < 0 else PARAMS_NEG
-        ch = Channel.from_kappa(kappa)
-        e = special_state(params, ch).energy * (1.0 + 1e-15)
-        _, report = integrate_first_order(params, ch, e, sample_count=240, fineness=2e-2)
-        assert report.precision == "longdouble"
 
     @pytest.mark.parametrize("fineness, sample_count", [(0.1, 800), (0.25, 240)])
     def test_steps_sparser_than_samples_are_sampled_once(self, fineness, sample_count):
@@ -718,7 +709,7 @@ class TestFirstOrderPropagator:
         # about 361k steps; keeping per-step arrays for all of them would need
         # tens of megabytes
         ch = Channel.from_kappa(-1)
-        e = energy(PARAMS_POS, ch, 1, dtype=np.longdouble)
+        e = energy(PARAMS_POS, ch, 1)
         tracemalloc.start()
         try:
             _, report = integrate_first_order(PARAMS_POS, ch, e)
