@@ -2,10 +2,10 @@
 datasets and the analytic-vs-numeric verification matrix.
 
 Output is data-level (CSV or JSON tables), deterministic byte for byte:
-floats are written in shortest round-trip form, rows in a fixed order.  CSV
-tables are formatted column by column (one type lookup for a column whose
-values share a type), which writes the same bytes as formatting each cell in
-turn.
+floats are written in shortest round-trip form, rows in a fixed order.  Every
+command builds its table as columns, a dict of column name to values, and
+the CSV writer formats each column once and joins the cells into rows; it
+quotes as the csv module's minimal quoting does, without the csv module.
 Exit codes: 0 success, 1 usage error or numeric overflow, 2 verification
 failure, including a level the shooting oracle could not solve.
 """
@@ -13,9 +13,7 @@ failure, including a level the shooting oracle could not solve.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -167,26 +165,50 @@ def _format_cell(value) -> str:
 
 
 def _format_column(values) -> list[str]:
-    """The cells of one column: one lookup when every value has the same type."""
+    """The CSV cells of one column: one lookup when every value has the same
+    type, one pass for floats with None gaps, and quotes only where a cell
+    needs them: one of a float, int, bool or None never does."""
     kinds = set(map(type, values))
-    exact = _CELL_FORMAT.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(exact or _format_cell, values))
+    if len(kinds) == 1:
+        cells = list(map(_CELL_FORMAT.get(next(iter(kinds)), _format_cell), values))
+    elif kinds == {float, type(None)}:
+        text = float.__repr__
+        return ["" if value is None else text(value) for value in values]
+    else:
+        cells = list(map(_format_cell, values))
+    if all(issubclass(kind, (float, int, type(None))) for kind in kinds):
+        return cells
+    return list(map(_quote, cells))
 
 
-def _emit(rows: list[dict], fmt: str, out: Optional[str], meta: Optional[dict] = None) -> str:
-    """Render rows (and optional metadata header) to CSV or JSON text."""
+def _quote(cell: str) -> str:
+    """A CSV field as ``csv.writer(lineterminator="\\n")`` writes it: quoted,
+    with quotes doubled, when it holds a comma, a quote or a newline."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_lines(table: dict) -> list[str]:
+    """Header and rows of a table of columns; no line when it has no rows."""
+    columns = list(map(_format_column, table.values()))
+    if not columns or not columns[0]:
+        return []
+    lines = [",".join(map(_quote, table)), *map(",".join, zip(*columns))]
+    # the csv module writes a row of one empty field as "", not as an empty line
+    return [line or '""' for line in lines] if len(columns) == 1 else lines
+
+
+def _emit(table: dict, fmt: str, out: Optional[str], meta: Optional[dict] = None) -> str:
+    """Render a table, a dict of column name to values, and an optional
+    metadata header to CSV or JSON text, and write it to ``out`` (stdout
+    when None).  JSON holds one object per row."""
     if fmt == "csv":
-        buf = io.StringIO()
-        if meta:
-            for key, value in meta.items():
-                buf.write(f"# {key}={_format_cell(value)}\n")
-        if rows:
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(rows[0].keys())
-            columns = zip(*map(dict.values, rows))
-            writer.writerows(zip(*map(_format_column, columns)))
-        text = buf.getvalue()
+        lines = [f"# {key}={_format_cell(value)}" for key, value in (meta or {}).items()]
+        lines += _csv_lines(table)
+        text = "\n".join(lines) + "\n" if lines else ""
     elif fmt == "json":
+        rows = [dict(zip(table, cells)) for cells in zip(*table.values())]
         payload = {"meta": meta, "rows": rows} if meta else rows
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -209,10 +231,16 @@ def _kappa_list(cfg: RunConfig) -> list[int]:
     return kappas
 
 
-def run_spectrum(cfg: RunConfig) -> list[dict]:
-    """Rows for the level table; --conjugate emits the antifermion spectrum
-    E^c = -E of the sign-flipped potential, which mirrors the original in
-    kappa_bar with n_bar preserved."""
+# the columns of the spectrum table and the SpectrumRow fields they hold
+_SPECTRUM_COLUMNS = (("kappa", "kappa"), ("kappa_bar", "kappa_bar"), ("n_g", "n_g"), ("n_f", "n_f"),
+                     ("n_bar", "n_bar"), ("E", "energy"), ("E_over_M", "e_over_m"),
+                     ("is_special", "is_special"), ("bound_flag", "bound"))
+
+
+def run_spectrum(cfg: RunConfig) -> dict[str, list]:
+    """The level table, as columns; --conjugate emits the antifermion
+    spectrum E^c = -E of the sign-flipped potential, which mirrors the
+    original in kappa_bar with n_bar preserved."""
     params = ModelParams(cfg.mass, cfg.a, cfg.b)
     if params.b == 0.0:
         raise UsageError("b = 0: no channel binds, there is no bound spectrum to tabulate")
@@ -220,38 +248,27 @@ def run_spectrum(cfg: RunConfig) -> list[dict]:
     if branch is None:
         raise UsageError(f"branch must be plus, minus or both, got {cfg.branch!r}")
     kappas = _kappa_list(cfg)
-    sign = 1.0
     if cfg.conjugate:
         params = charge_conjugate(params)
         kappas = sorted(-k for k in kappas)
         branch = _FLIP[branch]
-        sign = -1.0
-    rows = []
-    for row in spectrum(params, kappas, cfg.n_max, branch):
-        e = None if row.energy is None else sign * row.energy
-        rows.append(
-            {
-                "kappa": row.kappa,
-                "kappa_bar": row.kappa_bar,
-                "n_g": row.n_g,
-                "n_f": row.n_f,
-                "n_bar": row.n_bar,
-                "E": e,
-                "E_over_M": None if e is None else e / params.mass,
-                "is_special": row.is_special,
-                "bound_flag": row.bound,
-            }
-        )
-    return rows
+    levels = spectrum(params, kappas, cfg.n_max, branch)
+    table = {name: [getattr(row, attr) for row in levels] for name, attr in _SPECTRUM_COLUMNS}
+    if cfg.conjugate:
+        for name in ("E", "E_over_M"):
+            table[name] = [None if e is None else -e for e in table[name]]
+    return table
 
 
-def run_fig3(cfg: RunConfig) -> list[dict]:
+def run_fig3(cfg: RunConfig) -> dict[str, list]:
     """Levels at fixed node number as a function of kappa for several Coulomb
-    strengths; combinations outside the binding window are flagged, not
-    dropped."""
+    strengths, as columns; combinations outside the binding window are
+    flagged, not dropped."""
     if cfg.b == 0:
         raise UsageError("b = 0: no channel binds")
-    rows = []
+    if not cfg.a_values:
+        raise UsageError("--a-values is empty: give at least one Coulomb strength")
+    table = {"a": [], "kappa": [], "kappa_bar": [], "E_over_M": [], "bound_flag": []}
     lo, hi = cfg.kappa_bar_min, cfg.kappa_bar_max
     n_g = cfg.n
     if n_g < 1:
@@ -266,22 +283,16 @@ def run_fig3(cfg: RunConfig) -> list[dict]:
             channel = Channel.from_kappa(kappa, a)
             bound = bound_states_exist(params, channel)
             e_over_m = energy(params, channel, n_g) / params.mass if bound else None
-            rows.append(
-                {
-                    "a": a,
-                    "kappa": kappa,
-                    "kappa_bar": channel.kappa_bar,
-                    "E_over_M": e_over_m,
-                    "bound_flag": bound,
-                }
-            )
-    if not rows:
+            for values, value in zip(table.values(),
+                                     (a, kappa, channel.kappa_bar, e_over_m, bound)):
+                values.append(value)
+    if not table["a"]:
         raise UsageError(f"no kappa != 0 with kappa_bar in [{lo}, {hi}] for a in {cfg.a_values}")
-    return rows
+    return table
 
 
-def run_wavefunction(cfg: RunConfig) -> tuple[list[dict], dict]:
-    """Sampled (r, g, f) columns plus a metadata header for one level.
+def run_wavefunction(cfg: RunConfig) -> tuple[dict[str, list], dict]:
+    """The sampled r, g and f columns plus a metadata header for one level.
 
     The level index n counts upper-component nodes; n = 0 with
     kappa_bar < -1/2 is the special E = M state.  The mirror special state of
@@ -337,11 +348,7 @@ def run_wavefunction(cfg: RunConfig) -> tuple[list[dict], dict]:
         "node_count_f": samples.node_count_f,
         "norm": norm,
     }
-    rows = [
-        {"r": rr, "g": gg, "f": ff}
-        for rr, gg, ff in zip(samples.r.tolist(), samples.g.tolist(), samples.f.tolist())
-    ]
-    return rows, meta
+    return {"r": samples.r.tolist(), "g": samples.g.tolist(), "f": samples.f.tolist()}, meta
 
 
 @dataclass
@@ -638,11 +645,12 @@ def main(argv=None) -> int:
         elif args.command == "fig3":
             _emit(run_fig3(cfg), cfg.output_format, cfg.out)
         elif args.command == "wavefunction":
-            rows, meta = run_wavefunction(cfg)
-            _emit(rows, cfg.output_format, cfg.out, meta=meta)
+            table, meta = run_wavefunction(cfg)
+            _emit(table, cfg.output_format, cfg.out, meta=meta)
         elif args.command == "verify":
             rows, summary = run_verification(cfg)
-            _emit([vars(row) for row in rows], cfg.output_format, cfg.out)
+            table = {f.name: [getattr(row, f.name) for row in rows] for f in fields(VerifyRow)}
+            _emit(table, cfg.output_format, cfg.out)
             print(summary, file=sys.stderr)
             if any(not row.passed for row in rows):
                 raise VerificationFailure(summary)

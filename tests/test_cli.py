@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diractensor
 from diractensor import (
@@ -41,6 +43,57 @@ def read_csv_rows(path):
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     return list(csv.DictReader(lines))
+
+
+def row_view(table):
+    """The rows of a table of columns, one dict per row."""
+    return [dict(zip(table, cells)) for cells in zip(*table.values())]
+
+
+def reference_csv(rows, meta):
+    """The row-by-row, cell-by-cell csv.writer output that column-wise output must match."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return float.__repr__(value)
+        return str(value)
+
+    buf = io.StringIO()
+    for key, value in meta.items():
+        buf.write(f"# {key}={cell(value)}\n")
+    if rows:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        for row in rows:
+            writer.writerow([cell(v) for v in row.values()])
+    return buf.getvalue()
+
+
+_TEXT = st.text(alphabet=[",", '"', "\n", "\r", "a", " "], max_size=4)
+_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]) | st.floats()
+_CELLS = {
+    "text": _TEXT,
+    "float": _FLOATS,
+    "float64": _FLOATS.map(np.float64),
+    "float_or_none": _FLOATS | st.none(),
+    "int": st.integers(-10**20, 10**20),
+    "bool": st.booleans(),
+    "none": st.none(),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def tables(draw):
+    """1-4 columns of 0-5 rows; each column draws its cells of one kind, or of any."""
+    names = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 5))
+    return {name: draw(st.lists(draw(st.sampled_from(list(_CELLS.values()))),
+                                min_size=rows, max_size=rows))
+            for name in names}
 
 
 def read_meta(path):
@@ -102,13 +155,14 @@ class TestSpectrumCommand:
         assert out == "" and "no kappa" in err
 
     def test_unbound_channels_flagged(self):
-        rows = run_spectrum(RunConfig(b=1.0, kappa_min=-2, kappa_max=2, n_max=1))
+        rows = row_view(run_spectrum(RunConfig(b=1.0, kappa_min=-2, kappa_max=2, n_max=1)))
         unbound = [r for r in rows if not r["bound_flag"]]
         assert {r["kappa"] for r in unbound} == {1, 2}
         assert all(r["E"] is None for r in unbound)
 
     def test_minus_branch(self):
-        rows = run_spectrum(RunConfig(b=1.0, kappa_min=-1, kappa_max=-1, n_max=2, branch="minus"))
+        rows = row_view(run_spectrum(RunConfig(b=1.0, kappa_min=-1, kappa_max=-1, n_max=2,
+                                               branch="minus")))
         bound = [r for r in rows if r["bound_flag"]]
         assert len(bound) == 2  # the special level has no minus twin
         assert all(r["E"] < 0 for r in bound)
@@ -125,7 +179,7 @@ class TestFig3Command:
 
     def test_excluded_window_flagged_not_dropped(self):
         cfg = RunConfig(b=1.0, n=1, a_values=(0.5,), kappa_bar_min=-10.0, kappa_bar_max=-0.5)
-        rows = run_fig3(cfg)
+        rows = row_view(run_fig3(cfg))
         edge = [r for r in rows if r["kappa"] == -1]
         assert len(edge) == 1
         assert edge[0]["kappa_bar"] == -0.5
@@ -134,10 +188,10 @@ class TestFig3Command:
 
     def test_only_kappa_bar_matters(self):
         # shifting a by +1 while shifting kappa by -1 leaves each level alone
-        base = run_fig3(RunConfig(b=1.0, n=1, a_values=(0.0,),
-                                  kappa_bar_min=-10.0, kappa_bar_max=-0.5))
-        shifted = run_fig3(RunConfig(b=1.0, n=1, a_values=(1.0,),
-                                     kappa_bar_min=-10.0, kappa_bar_max=-0.5))
+        base = row_view(run_fig3(RunConfig(b=1.0, n=1, a_values=(0.0,),
+                                           kappa_bar_min=-10.0, kappa_bar_max=-0.5)))
+        shifted = row_view(run_fig3(RunConfig(b=1.0, n=1, a_values=(1.0,),
+                                              kappa_bar_min=-10.0, kappa_bar_max=-0.5)))
         table = {r["kappa_bar"]: r["E_over_M"] for r in base}
         for row in shifted:
             if row["kappa_bar"] in table:
@@ -155,11 +209,21 @@ class TestFig3Command:
         assert run_cli("fig3", "--preset", "fig3a", "--n", "0") == 1
 
     @pytest.mark.parametrize("argv", [("--kappa-bar-min", "3", "--kappa-bar-max", "1"),
-                                      ("--a-values= ",)])
+                                      ("--a-values", "0", "--kappa-bar-min", "-0.4",
+                                       "--kappa-bar-max", "0.4")])
     def test_table_that_selects_nothing_is_usage_error(self, argv, capsys):
         assert run_cli("fig3", *argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and "no kappa" in err
+
+    @pytest.mark.parametrize("text", ["", " ", ",", " , "])
+    def test_empty_a_values_is_usage_error(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"a_values={text}\n")
+        for argv in ((f"--a-values={text}",), ("--config", str(cfg))):
+            assert run_cli("fig3", "--n", "1", *argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "--a-values is empty" in err
 
     def test_a_values_flag_is_a_comma_list(self, tmp_path):
         out = tmp_path / "f3.csv"
@@ -449,34 +513,14 @@ class TestOutputHygiene:
         {"text": "tail", "x": 5e-324, "k": 10**20, "flag": False, "f64": np.float64(0.0),
          "mixed": False},
     ]
+    MIXED_TABLE = dict(zip(MIXED_ROWS[0], map(list, zip(*map(dict.values, MIXED_ROWS)))))
     MIXED_META = {"none": None, "flag": True, "count": 12, "value": -0.0, "f64": np.float64(0.5),
                   "name": "x,y"}
 
-    @staticmethod
-    def reference_csv(rows, meta):
-        """The row-by-row, cell-by-cell formatter that column-wise output must match."""
-        def cell(value):
-            if value is None:
-                return ""
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if isinstance(value, float):
-                return float.__repr__(value)
-            return str(value)
-
-        buf = io.StringIO()
-        for key, value in meta.items():
-            buf.write(f"# {key}={cell(value)}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([cell(v) for v in row.values()])
-        return buf.getvalue()
-
     def test_columnwise_csv_matches_rowwise_reference(self, tmp_path):
         out = tmp_path / "mixed.csv"
-        text = cli._emit(self.MIXED_ROWS, "csv", str(out), meta=self.MIXED_META)
-        expected = self.reference_csv(self.MIXED_ROWS, self.MIXED_META)
+        text = cli._emit(self.MIXED_TABLE, "csv", str(out), meta=self.MIXED_META)
+        expected = reference_csv(self.MIXED_ROWS, self.MIXED_META)
         assert text == expected
         assert out.read_bytes() == expected.encode()
         assert '"a ""quoted"", cell"' in text
@@ -485,17 +529,46 @@ class TestOutputHygiene:
         # numpy.float64 cells are written as plain decimals, as JSON writes them,
         # not as their repr "np.float64(0.1)"
         out = tmp_path / "mixed.csv"
-        cli._emit(self.MIXED_ROWS, "csv", str(out), meta=self.MIXED_META)
+        cli._emit(self.MIXED_TABLE, "csv", str(out), meta=self.MIXED_META)
         rows = read_csv_rows(out)
         assert [float(row["f64"]) for row in rows] == [row["f64"] for row in self.MIXED_ROWS]
         assert float(read_meta(out)["f64"]) == self.MIXED_META["f64"]
 
     def test_json_matches_reference(self, tmp_path):
         out = tmp_path / "mixed.json"
-        text = cli._emit(self.MIXED_ROWS, "json", str(out), meta=self.MIXED_META)
+        text = cli._emit(self.MIXED_TABLE, "json", str(out), meta=self.MIXED_META)
         expected = json.dumps({"meta": self.MIXED_META, "rows": self.MIXED_ROWS}, indent=2) + "\n"
         assert text == expected
         assert out.read_bytes() == expected.encode()
+
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(tables(), st.dictionaries(st.text(alphabet="ab", min_size=1), _CELLS["mixed"],
+                                     max_size=2))
+    def test_emit_matches_csv_module_and_json_row_view(self, table, meta):
+        rows = row_view(table)
+        assert cli._emit(table, "csv", os.devnull, meta=meta) == reference_csv(rows, meta)
+        payload = {"meta": meta, "rows": rows} if meta else rows
+        assert cli._emit(table, "json", os.devnull, meta=meta) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--preset", "fig1"),
+        ("spectrum", "--preset", "fig2"),
+        ("fig3", "--preset", "fig3a"),
+        ("wavefunction", "--kappa", "-2", "--n", "3"),
+        ("wavefunction", "--kappa", "-150", "--n", "40", "--b", "1"),
+        ("verify", "--b", "1", "--a", "0", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "1"),
+    ])
+    def test_csv_is_the_json_table_written_by_the_csv_module(self, argv, tmp_path):
+        # shortest round-trip floats parse back exactly, so the JSON rows
+        # rebuild the CSV byte for byte: column order, signs, None and bool cells
+        csv_path, json_path = tmp_path / "table.csv", tmp_path / "table.json"
+        assert run_cli(*argv, "--out", str(csv_path)) == 0
+        assert run_cli(*argv, "--format", "json", "--out", str(json_path)) == 0
+        payload = json.loads(json_path.read_text())
+        rows, meta = (payload["rows"], payload["meta"]) if isinstance(payload, dict) else (payload, {})
+        assert rows
+        assert csv_path.read_bytes() == reference_csv(rows, meta).encode()
 
 
 class TestStartupAndParserReuse:
