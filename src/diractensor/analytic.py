@@ -185,26 +185,22 @@ class WavefunctionForm:
         val = self.amplitude * np.sqrt(x) * psi
         return float(val) if np.ndim(r) == 0 else val
 
-    def derivative(self, r):
-        """Exact d/dr of the component at r > 0, from the pair psi_n, psi_(n-1):
+    def derivatives(self, r):
+        """The component and its exact first and second r-derivatives at
+        r > 0, from one evaluation of the pair psi_n, psi_(n-1):
         d/dx [sqrt(x) psi_n] = [((alpha + 1)/2 + n - x/2) psi_n
-                                - sqrt(n (n + alpha)) psi_(n-1)] / sqrt(x)."""
-        n, alpha = self.laguerre.degree, self.laguerre.order
-        x, psi, prev = self._terms(r)
-        du = ((0.5 * (alpha + 1.0) + n - 0.5 * x) * psi - math.sqrt(n * (n + alpha)) * prev) / np.sqrt(x)
-        val = self.amplitude * 2.0 * self.gamma * du
-        return float(val) if np.ndim(r) == 0 else val
-
-    def second_derivative(self, r):
-        """Exact d^2/dr^2 of the component at r > 0, from the Whittaker equation
-        that u = sqrt(x) psi_n obeys:
+                                - sqrt(n (n + alpha)) psi_(n-1)] / sqrt(x),
+        and from the Whittaker equation that u = sqrt(x) psi_n obeys,
         u'' = [(alpha^2 - 1)/(4 x^2) - (2n + alpha + 1)/(2x) + 1/4] u."""
         n, alpha = self.laguerre.degree, self.laguerre.order
-        x, psi, _ = self._terms(r)
-        u = np.sqrt(x) * psi
+        x, psi, prev = self._terms(r)
+        root_x = np.sqrt(x)
+        du = ((0.5 * (alpha + 1.0) + n - 0.5 * x) * psi - math.sqrt(n * (n + alpha)) * prev) / root_x
+        u = root_x * psi
         d2u = (0.25 * (alpha * alpha - 1.0) * (u / x) - (n + 0.5 * (alpha + 1.0)) * u) / x + 0.25 * u
-        val = self.amplitude * (2.0 * self.gamma) ** 2 * d2u
-        return float(val) if np.ndim(r) == 0 else val
+        vals = (self.amplitude * root_x * psi, self.amplitude * 2.0 * self.gamma * du,
+                self.amplitude * (2.0 * self.gamma) ** 2 * d2u)
+        return tuple(map(float, vals)) if np.ndim(r) == 0 else vals
 
 
 def _component_ratio(mass: float, kb: float, e: float) -> float:
@@ -304,7 +300,8 @@ def residuals(params: ModelParams, state: BoundState, r) -> float:
     V = kappa_bar (kappa_bar +/- 1)/r^2 + 2 b kappa_bar/r."""
     r = np.asarray(r, dtype=float)
     g_form, f_form = state_wavefunctions(params, state)
-    g, f = g_form(r), f_form(r)
+    g, dg, d2g = g_form.derivatives(r)
+    f, df, d2f = f_form.derivatives(r)
     scale = max(float(np.max(np.abs(g))), float(np.max(np.abs(f))))
     if scale == 0.0:
         return 0.0
@@ -316,10 +313,10 @@ def residuals(params: ModelParams, state: BoundState, r) -> float:
     v_up = angular_strength(kb, "upper") / (r * r) + coulomb
     v_lo = angular_strength(kb, "lower") / (r * r) + coulomb
     worst = max(
-        np.max(np.abs(g_form.derivative(r) + w * g - (m + e) * f)),
-        np.max(np.abs(f_form.derivative(r) - w * f - (m - e) * g)),
-        np.max(np.abs(g_form.second_derivative(r) - (v_up - lam) * g)),
-        np.max(np.abs(f_form.second_derivative(r) - (v_lo - lam) * f)),
+        np.max(np.abs(dg + w * g - (m + e) * f)),
+        np.max(np.abs(df - w * f - (m - e) * g)),
+        np.max(np.abs(d2g - (v_up - lam) * g)),
+        np.max(np.abs(d2f - (v_lo - lam) * f)),
     )
     return float(worst) / scale
 

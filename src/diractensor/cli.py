@@ -38,6 +38,7 @@ from .oracle import (
     NoBracketError,
     ShootingConfig,
     ShootingError,
+    _pencil_levels,
     count_sign_changes,
     integrate_first_order,
     shoot_eigenvalue,
@@ -253,6 +254,11 @@ def run_spectrum(cfg: RunConfig) -> dict[str, list]:
         kappas = sorted(-k for k in kappas)
         branch = _FLIP[branch]
     levels = spectrum(params, kappas, cfg.n_max, branch)
+    if not levels:
+        raise UsageError(
+            f"nothing selected: kappa in [{cfg.kappa_min}, {cfg.kappa_max}] with n <= {cfg.n_max} "
+            f"has no level on the {cfg.branch} branch (the n = 0 edge level lies on one branch only)"
+        )
     table = {name: [getattr(row, attr) for row in levels] for name, attr in _SPECTRUM_COLUMNS}
     if cfg.conjugate:
         for name in ("E", "E_over_M"):
@@ -387,10 +393,11 @@ def verification_grid_rows(
     of them and the RK4 steps of the edge-state brackets.
 
     Each row compares the closed-form energy against the shooting eigenvalue
-    (acceptance criterion 1: |dE| <= 1e-7), recounts nodes from the
-    wavefunctions sampled out to where their tail has fallen e^(-30) below
-    its peak, checks the energy window M <= |E| < M*, and measures the worst
-    relative residual of the radial equations.
+    (acceptance criterion 1: |dE| <= 1e-7), shot from the channel's ladder
+    of estimates, one Sturm-count pencil for levels 0..n_max.  It recounts
+    nodes from the wavefunctions sampled out to where their tail has fallen
+    e^(-30) below its peak, checks the energy window M <= |E| < M*, and
+    measures the worst relative residual of the radial equations.
     Each channel's |E| = M edge level also gets a ``zero_component`` row: a
     bracket of relative half-width ``_EDGE_DELTA`` (its ``delta_e``) around
     sign(E) (|E| + ``inject_energy_error``), marched at ``_EDGE_FINENESS``.
@@ -407,10 +414,11 @@ def verification_grid_rows(
                     continue
                 kb = channel.kappa_bar
                 mstar = params.effective_mass
-                for level in range(n_max + 1):
+                ladder = _pencil_levels(params, channel, "upper", range(n_max + 1))
+                for level, estimate in enumerate(ladder):
                     state = bound_state(params, channel, level)
                     e_analytic = abs(state.energy) + inject_energy_error
-                    shot = solve_bound_level(params, channel, "upper", level)
+                    shot = solve_bound_level(params, channel, "upper", level, estimate=estimate)
                     sweeps += shot.sweeps
                     steps += shot.steps
                     newton_steps += shot.newton_steps
@@ -522,8 +530,14 @@ def run_verification(cfg: RunConfig) -> tuple[list[VerifyRow], str]:
 
 
 def float_list(text: str) -> tuple:
-    """A comma-separated list of floats, as --a-values takes."""
-    return tuple(float(part) for part in text.split(",") if part.strip())
+    """A comma-separated list of floats, as --a-values takes: () when every
+    part is blank, and a usage error when only some are."""
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
+        return ()
+    if not all(parts):
+        raise UsageError(f"--a-values has an empty entry in {text!r}")
+    return tuple(float(part) for part in parts)
 
 
 @functools.cache

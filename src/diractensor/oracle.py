@@ -450,51 +450,53 @@ def _inner_edge(params: ModelParams, channel: Channel, component: Component,
     return max(r_floor, edge)
 
 
-def _pencil_level(
+def _pencil_levels(
     params: ModelParams,
     channel: Channel,
     component: Component,
-    node_target: int,
-) -> float:
-    """Blind estimate of the separation eigenvalue of the ``node_target`` level.
+    levels: range,
+) -> list[float]:
+    """Blind estimates of the separation eigenvalues of the ``levels``, a
+    range of consecutive node counts, from one Sturm-count bisection.
 
-    The slowest decay rate of any such level is about gamma_seed =
-    |b| / (2 node_target + 3), which fixes a generous seed box reaching
+    The slowest decay rate of the deepest such level is about gamma_seed =
+    |b| / (2 levels[-1] + 3), which fixes a generous seed box reaching
     30/gamma_seed.  On that box, started at the channel's inner edge
     (``_inner_edge``) but not below 1e-6/gamma_seed, with Dirichlet ends,
     the three-point form of -v'' + (S^2 + B r) v = lambda r^2 v (x = ln r),
     scaled by 1/r on each side, is the symmetric tridiagonal matrix with
     d_i = (2/h^2 + S^2 + B r_i) / r_i^2 and e_i = -1/(h^2 r_i r_{i+1}).
     LAPACK ``stebz`` bisects its Sturm count (Kahan bisection) for the
-    (node_target + 1)-th eigenvalue.  Its tolerance is absolute: the default
-    one scales with the norm of the matrix, about 1e16, and merges levels.
-    An estimate must lie below the window top -1e-8 b^2; b = 0 has no window.
+    eigenvalues levels[0] + 1 .. levels[-1] + 1 in one call.  Its tolerance
+    is absolute: the default one scales with the norm of the matrix, about
+    1e16, and merges levels.  Every estimate must lie below the window top
+    -1e-8 b^2; b = 0 has no window.
     """
     from scipy.linalg.lapack import dstebz  # here, not at the top: scipy is slow to import
 
-    if node_target < 0:
+    if levels[0] < 0:
         raise ValueError("node_target must be nonnegative")
-    if node_target >= _PENCIL_POINTS:
-        raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {node_target}-node level")
+    deepest = levels[-1]
+    if deepest >= _PENCIL_POINTS:
+        raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {deepest}-node level")
     s2, coulomb = _channel_constants(params, channel, component)
     b = abs(params.b)
     if b == 0.0:
         raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
-    gamma_seed = b / (2.0 * node_target + 3.0)
+    gamma_seed = b / (2.0 * deepest + 3.0)
     r_lo = _inner_edge(params, channel, component, 1e-6 / gamma_seed)
     x = np.linspace(math.log(r_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
     h2 = (x[1] - x[0]) ** 2
     r = np.exp(x[1:-1])
     d = (2.0 / h2 + s2 + coulomb * r) / (r * r)
     e = -1.0 / (h2 * r[:-1] * r[1:])
-    index = node_target + 1
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, index, index, 1e-9 * b * b, "E")
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9 * b * b, "E")
     top = -b * b * 1e-8
-    if info != 0 or m != 1 or not w[0] < top:
+    if info != 0 or m != len(levels) or not w[m - 1] < top:
         raise NoBracketError(
-            f"the pencil puts no {node_target}-node level below the window top {top}"
+            f"the pencil puts no {deepest}-node level below the window top {top}"
         )
-    return float(w[0])
+    return w[:m].tolist()
 
 
 def _shot_config(
@@ -532,25 +534,37 @@ def solve_bound_level(
     component: Component,
     node_target: int,
     step_count: int = 6000,
+    *,
+    estimate: Optional[float] = None,
 ) -> EigenResult:
     """Estimate the level blind with a Sturm count on a tridiagonal pencil
-    (``_pencil_level``), then shoot it with Numerov.
+    (``_pencil_levels``), then shoot it with Numerov.
 
+    A negative ``estimate`` of lambda passed in, such as one of a channel's
+    ladder of estimates from one pencil, takes the place of the pencil; the
+    result's ``pencil_seconds`` is then 0.0.
     The shot's box is set by the decay rate gamma = sqrt(-lambda) of the
     estimate: nominally from r_min = 1e-6/gamma, over which ``step_count``
     sets the step, to r_max where the r^p tail has fallen e^(-30) below its
     peak.  The steps below the channel's inner edge (``_inner_edge``), where
     every level of the channel is still e^(-30) below its peak, are not
     marched; the result's ``r_min`` and ``step_count`` give the grid the
-    shot marched.  Its bracket is (1.5, 0.5) times the estimate.
-    A shot that lands more than 10% from the lambda that set its box was
-    boxed for another decay rate, so it is re-boxed from its own lambda and
-    shot again; ConvergenceError after three shots.  The result's sweeps,
-    steps and Newton steps are the totals over all shots, and its seconds
-    the wall time of the estimate and every shot."""
+    shot marched.  Its bracket is (1.5, 0.5) times the estimate; whatever
+    the estimate, the shot's node count keeps it on the ``node_target``
+    level or it raises a ShootingError.  A shot that lands more than 10%
+    from the lambda that set its box was boxed for another decay rate, so it
+    is re-boxed from its own lambda and shot again; ConvergenceError after
+    three shots.  The result's sweeps, steps and Newton steps are the totals
+    over all shots, and its seconds the wall time of the estimate and every
+    shot."""
     start = time.perf_counter()
-    lam_box = _pencil_level(params, channel, component, node_target)
-    pencil_seconds = time.perf_counter() - start
+    if estimate is None:
+        lam_box = _pencil_levels(params, channel, component, range(node_target, node_target + 1))[0]
+        pencil_seconds = time.perf_counter() - start
+    elif estimate < 0.0:
+        lam_box, pencil_seconds = estimate, 0.0
+    else:
+        raise ValueError(f"every bound lambda is negative, got the estimate {estimate}")
     sweeps = steps = newton_steps = 0
     for _ in range(_MAX_SHOTS):
         config = _shot_config(params, channel, component, lam_box, step_count)

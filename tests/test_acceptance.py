@@ -31,6 +31,7 @@ from diractensor import (
     spectrum,
     state_wavefunctions,
 )
+from diractensor import oracle
 from diractensor.analytic import default_radial_grid
 from diractensor.cli import main as cli_main
 
@@ -93,6 +94,23 @@ def test_shooting_work_per_level(oracle_grid):
           f"per level <= 36000 over {len(oracle_grid)} levels")
     assert mean <= 15
     assert steps <= 36000
+
+
+def test_ladder_estimates_give_the_one_level_solves(oracle_grid):
+    """verify shoots every level of a channel from one pencil for levels
+    0..n_max; on every binding channel of the default grid that finds the
+    level each one-level pencil finds."""
+    worst = 0.0
+    for params, channel, level, _, single in oracle_grid:
+        if level == 0:
+            ladder = oracle._pencil_levels(params, channel, "upper", range(N_MAX + 1))
+        shot = solve_bound_level(params, channel, "upper", level, estimate=ladder[level])
+        assert shot.node_count == single.node_count == level
+        assert shot.pencil_seconds == 0.0
+        worst = max(worst, abs(shot.energy_pair[0] - single.energy_pair[0]))
+    print(f"\n[{'PASS' if worst <= 1e-10 else 'FAIL'}] ladder estimates: "
+          f"max |E_ladder - E_one_level| = {worst:.3e} <= 1e-10 over {len(oracle_grid)} levels")
+    assert worst <= 1e-10
 
 
 def test_criterion_2_special_states():
@@ -181,17 +199,17 @@ def test_criterion_5_residuals(oracle_grid):
     worst = 0.0
     for params, channel, _, state, _ in picked:
         g_form, f_form = state_wavefunctions(params, state)
-        g, f = g_form(r), f_form(r)
-        dg, df = g_form.derivative(r), f_form.derivative(r)
+        g, dg, d2g = g_form.derivatives(r)
+        f, df, d2f = f_form.derivatives(r)
         kb, m, b, e = channel.kappa_bar, params.mass, params.b, state.energy
         scale = max(np.max(np.abs(g)), np.max(np.abs(f)))
         lam = e * e - m * m - b * b
         first_up = np.max(np.abs(dg + (kb / r + b) * g - (m + e) * f))
         first_lo = np.max(np.abs(df - (kb / r + b) * f - (m - e) * g))
         second_up = np.max(np.abs(
-            g_form.second_derivative(r) - (kb * (kb + 1) / r**2 + 2 * b * kb / r - lam) * g))
+            d2g - (kb * (kb + 1) / r**2 + 2 * b * kb / r - lam) * g))
         second_lo = np.max(np.abs(
-            f_form.second_derivative(r) - (kb * (kb - 1) / r**2 + 2 * b * kb / r - lam) * f))
+            d2f - (kb * (kb - 1) / r**2 + 2 * b * kb / r - lam) * f))
         worst = max(worst, max(first_up, first_lo, second_up, second_lo) / scale)
     print(f"\n[{'PASS' if worst < 1e-8 else 'FAIL'}] criterion 5: "
           f"max relative residual of the radial equations = {worst:.3e} < 1e-8 "

@@ -180,8 +180,9 @@ class TestWavefunctions:
         g, f = wavefunctions(params, ch, n_g, branch)
         r = np.geomspace(0.01, 30.0, 400)
         kb = ch.kappa_bar
-        res_up = g.derivative(r) + (kb / r + params.b) * g(r) - (params.mass + e) * f(r)
-        res_lo = f.derivative(r) - (kb / r + params.b) * f(r) - (params.mass - e) * g(r)
+        dg, df = g.derivatives(r)[1], f.derivatives(r)[1]
+        res_up = dg + (kb / r + params.b) * g(r) - (params.mass + e) * f(r)
+        res_lo = df - (kb / r + params.b) * f(r) - (params.mass - e) * g(r)
         scale = max(np.max(np.abs(g(r))), np.max(np.abs(f(r))))
         assert np.max(np.abs(res_up)) < 1e-9 * scale
         assert np.max(np.abs(res_lo)) < 1e-9 * scale
@@ -263,8 +264,7 @@ class TestWavefunctions:
         for form in wavefunctions(ModelParams(1.0, 0.0, 1.0), Channel.from_kappa(-2), 1):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                first = form.derivative([10.0, 1e300])
-                second = form.second_derivative([10.0, 1e300])
+                _, first, second = form.derivatives([10.0, 1e300])
             assert np.all(np.isfinite(first)) and np.all(np.isfinite(second))
             assert first[1] == 0.0 and second[1] == 0.0 and first[0] != 0.0
 

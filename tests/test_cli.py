@@ -22,6 +22,7 @@ from diractensor import (
     NoBracketError,
     cli,
     integrate_first_order,
+    oracle,
     solve_bound_level,
 )
 from diractensor.cli import (
@@ -154,6 +155,17 @@ class TestSpectrumCommand:
         out, err = capsys.readouterr()
         assert out == "" and "no kappa" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_selection_without_a_level_is_usage_error(self, fmt, tmp_path, capsys):
+        # the only level of kappa = -1 with n <= 0 is the E = +M edge level,
+        # which the minus branch does not carry
+        out = tmp_path / f"spectrum.{fmt}"
+        assert run_cli("spectrum", "--b", "1", "--kappa-min", "-1", "--kappa-max", "-1",
+                       "--n-max", "0", "--branch", "minus", "--format", fmt,
+                       "--out", str(out)) == 1
+        assert "nothing selected" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unbound_channels_flagged(self):
         rows = row_view(run_spectrum(RunConfig(b=1.0, kappa_min=-2, kappa_max=2, n_max=1)))
         unbound = [r for r in rows if not r["bound_flag"]]
@@ -224,6 +236,16 @@ class TestFig3Command:
             assert run_cli("fig3", "--n", "1", *argv) == 1
             out, err = capsys.readouterr()
             assert out == "" and "--a-values is empty" in err
+
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", "0, ,1.5"])
+    def test_empty_entry_in_a_values_is_usage_error(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"a_values={text}\n")
+        out = tmp_path / "f3.csv"
+        for argv in ((f"--a-values={text}",), ("--config", str(cfg))):
+            assert run_cli("fig3", "--n", "1", *argv, "--out", str(out)) == 1
+            assert "--a-values has an empty entry" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_a_values_flag_is_a_comma_list(self, tmp_path):
         out = tmp_path / "f3.csv"
@@ -355,11 +377,16 @@ class TestVerifyCommand:
         assert rows and all(r["passed"] == "true" for r in rows)
         oracle_rows = [r for r in rows if r["check"] in ("oracle", "special")]
         assert max(float(r["delta_e"]) for r in oracle_rows) < 1e-7
-        # the summary line ends with the shooting work and the work of the
-        # edge-state brackets, two marches at M (1 -/+ 1e-9) per channel
+        # the summary line ends with the shooting work, each level shot from
+        # its channel's ladder of estimates, and the work of the edge-state
+        # brackets, two marches at M (1 -/+ 1e-9) per channel
         params = ModelParams(1.0, 0.0, 1.0)
-        shots = [solve_bound_level(params, Channel.from_kappa(kappa), "upper", n)
-                 for kappa in (-2, -1) for n in (0, 1)]
+        shots = []
+        for kappa in (-2, -1):
+            channel = Channel.from_kappa(kappa)
+            ladder = oracle._pencil_levels(params, channel, "upper", range(2))
+            shots += [solve_bound_level(params, channel, "upper", n, estimate=ladder[n])
+                      for n in (0, 1)]
         sweeps = sum(shot.sweeps for shot in shots)
         steps = sum(shot.steps for shot in shots)
         newton_steps = sum(shot.newton_steps for shot in shots)
@@ -372,6 +399,24 @@ class TestVerifyCommand:
             f"shooting took {sweeps} Numerov sweeps ({steps} Numerov steps) and "
             f"{newton_steps} Newton steps; "
             f"edge-state integration took {rk4_steps} RK4 steps")
+
+    def test_one_pencil_per_channel(self, monkeypatch):
+        calls = []
+        pencil = oracle._pencil_levels
+
+        def counted(params, channel, component, levels):
+            calls.append((params.b, params.a, channel.kappa, component, levels))
+            return pencil(params, channel, component, levels)
+
+        def unexpected(*args):
+            raise AssertionError("a level was estimated on its own pencil")
+
+        monkeypatch.setattr(cli, "_pencil_levels", counted)
+        monkeypatch.setattr(oracle, "_pencil_levels", unexpected)
+        assert run_cli("verify", "--b", "1", "--a", "0.5", "--kappa-min", "-3",
+                       "--kappa-max", "3", "--n-max", "3", "--out", os.devnull) == 0
+        # kappa_bar = kappa + 1/2 binds for b = 1 where it lies below -1/2
+        assert calls == [(1.0, 0.5, kappa, "upper", range(4)) for kappa in (-3, -2)]
 
     def test_large_kappa_grid_passes(self):
         # the edge states at kappa <= -13 and the oracle levels at kappa <= -26

@@ -59,7 +59,7 @@ def test_closed_forms_hold_over_the_binding_domain(level):
         warnings.simplefilter("error")
         forms = state_wavefunctions(params, state)
         for form in forms:
-            for values in (form(r), form.derivative(r), form.second_derivative(r)):
+            for values in (form(r), *form.derivatives(r)):
                 assert np.all(np.isfinite(values))
         norm = norm_quadrature(*forms)
         residual = residuals(params, state, r)

@@ -192,7 +192,7 @@ class TestShootEigenvalue:
         # the shot from the inner edge marches the tail of the nominal grid,
         # whose first point is 1e-6/gamma, and finds the same level
         params, ch = ModelParams(1.0, 0.0, b), Channel.from_kappa(kappa)
-        lam_box = oracle._pencil_level(params, ch, "upper", n)
+        [lam_box] = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
         edge = oracle._shot_config(params, ch, "upper", lam_box, 6000)
         nominal = replace(edge, r_min=1e-6 / math.sqrt(-lam_box), step_count=6000)
         skip = nominal.step_count - edge.step_count
@@ -276,10 +276,10 @@ class TestShootEigenvalue:
             shots.append(shoot_eigenvalue(*args))
             return shots[-1]
 
-        monkeypatch.setattr(oracle, "_pencil_level", lambda *args: 1.4 * true_lam)
         monkeypatch.setattr(oracle, "shoot_eigenvalue", recorded)
-        res = solve_bound_level(PARAMS_POS, ch, "upper", 2)
+        res = solve_bound_level(PARAMS_POS, ch, "upper", 2, estimate=1.4 * true_lam)
         assert len(shots) == 2
+        assert res.pencil_seconds == 0.0
         assert abs(res.energy_pair[0] - exact) <= 1e-8
         assert res.sweeps == sum(shot.sweeps for shot in shots)
         assert res.steps == sum(shot.steps for shot in shots)
@@ -288,6 +288,43 @@ class TestShootEigenvalue:
         assert (res.r_min, res.r_max, res.step_count) == (
             shots[-1].r_min, shots[-1].r_max, shots[-1].step_count)
         assert shots[0].r_max != shots[-1].r_max
+
+    @pytest.mark.parametrize("params, kappa", [(PARAMS_POS, -1), (PARAMS_POS, -3),
+                                               (ModelParams(1.0, 0.5, 1.7), -4),
+                                               (PARAMS_NEG, 2), (ModelParams(1.0, 0.0, 1e3), -2)])
+    def test_next_levels_estimate_keeps_the_node_target(self, params, kappa):
+        # level n + 1's ladder estimate fed to level n: the shot's node count
+        # keeps it on the n-node level, or it fails; it never returns level n + 1
+        ch = Channel.from_kappa(kappa, params.a)
+        ladder = oracle._pencil_levels(params, ch, "upper", range(6))
+        for n in range(5):
+            exact = abs(bound_state(params, ch, n).energy)
+            try:
+                res = solve_bound_level(params, ch, "upper", n, estimate=ladder[n + 1])
+            except ShootingError:
+                continue
+            assert res.node_count == n
+            assert abs(res.energy_pair[0] - exact) <= 1e-7 * max(1.0, abs(params.b))
+
+    def test_estimate_must_be_negative(self):
+        for estimate in (0.0, 0.25, math.nan):
+            with pytest.raises(ValueError):
+                solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2, estimate=estimate)
+
+    def test_ladder_is_one_pencil_per_range(self):
+        # one Sturm bisection for levels 0..n_max, boxed for the deepest level;
+        # the one-level pencil is the range of one level
+        ch = Channel.from_kappa(-3)
+        ladder = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(5))
+        assert len(ladder) == 5 and all(a < b < 0.0 for a, b in zip(ladder, ladder[1:]))
+        [deepest] = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(4, 5))
+        assert abs(ladder[4] - deepest) <= 2e-9  # the bisection's absolute tolerance 1e-9 b^2
+        exact = [bound_state(PARAMS_POS, ch, n).energy ** 2 - 2.0 for n in range(5)]
+        assert all(abs(est - lam) <= 0.1 * abs(lam) for est, lam in zip(ladder, exact))
+        with pytest.raises(ValueError):
+            oracle._pencil_levels(PARAMS_POS, ch, "upper", range(-1, 3))
+        with pytest.raises(NoBracketError):
+            oracle._pencil_levels(PARAMS_POS, ch, "upper", range(0, 300))
 
     def test_shot_that_never_settles_raises(self, monkeypatch):
         configs = []
