@@ -33,11 +33,13 @@ print()
 print("=" * 64)
 print("2. The first levels of each aligned channel (E/M)")
 print("=" * 64)
-rows = spectrum(params, range(-4, 0), n_max=4)
+table = spectrum(params, range(-4, 0), n_max=4)  # columns: one list per field
 print(f"{'kappa':>6} {'n_g':>4} {'n_bar':>6} {'E/M':>18}  note")
-for row in rows:
-    note = "special |E| = M, zero lower component" if row.is_special else ""
-    print(f"{row.kappa:>6} {str(row.n_g):>4} {row.n_bar:>6.1f} {row.e_over_m:>18.15f}  {note}")
+for kappa, n_g, nb, e_over_m, special in zip(
+    table["kappa"], table["n_g"], table["n_bar"], table["e_over_m"], table["is_special"]
+):
+    note = "special |E| = M, zero lower component" if special else ""
+    print(f"{kappa:>6} {str(n_g):>4} {nb:>6.1f} {e_over_m:>18.15f}  {note}")
 
 print()
 print("every |E| sits strictly below the effective mass "

@@ -23,7 +23,6 @@ from .special import LaguerreSpec, gauss_laguerre
 from .analytic import (
     ConjugationPair,
     ConjugationReport,
-    SpectrumRow,
     WavefunctionForm,
     bound_state,
     charge_conjugate,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .special import LaguerreSpec, laguerre_function, laguerre_function_rule, re
 
 __all__ = [
     "WavefunctionForm",
-    "SpectrumRow",
     "ConjugationPair",
     "ConjugationReport",
     "energy",
@@ -98,9 +97,23 @@ def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "pa
             "n_g = 0 with kappa_bar < -1/2 is the special |E| = M level; "
             "use special_state()"
         )
-    ratio = kb / n_bar(kb, n_g)
-    magnitude = math.sqrt(params.mass**2 + params.b**2 * (1.0 - ratio * ratio))
-    return BRANCH_SIGN[branch] * magnitude
+    return BRANCH_SIGN[branch] * math.sqrt(_radicand(params, kb / n_bar(kb, n_g)))
+
+
+def _radicand(params: ModelParams, ratio):
+    """E^2 = M^2 + b^2 (1 - ratio^2) at ratio = kappa_bar / n_bar, for a float
+    or elementwise over an array: each operation is correctly rounded either
+    way, so :func:`energy` and :func:`spectrum` agree bit for bit."""
+    return params.mass**2 + params.b**2 * (1.0 - ratio * ratio)
+
+
+def _magnitudes(params: ModelParams, kappa_bar, n_g):
+    """n_bar and |E| of the levels (kappa_bar, n_g), elementwise over numpy
+    arrays and bit for bit :func:`energy`'s; an E^2 past float64's range is
+    inf without a warning, as float arithmetic gives it."""
+    nb = n_bar(kappa_bar, n_g)
+    with np.errstate(over="ignore"):
+        return nb, np.sqrt(_radicand(params, kappa_bar / nb))
 
 
 def special_state(params: ModelParams, channel: Channel) -> BoundState:
@@ -326,35 +339,9 @@ def default_radial_grid(state: BoundState, points: int = 1200) -> np.ndarray:
     return np.geomspace(1e-7 / state.gamma, 30.0 / state.gamma, points)
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
-    """One (channel, level) record; an unbound channel's row sets only kappa and kappa_bar."""
-
-    kappa: int
-    kappa_bar: float
-    n_g: Optional[int] = None
-    n_f: Optional[int] = None
-    n_bar: Optional[float] = None
-    energy: Optional[float] = None
-    e_over_m: Optional[float] = None
-    branch: Optional[Branch] = None
-    is_special: bool = False
-    bound: bool = False
-
-
-def _row_from_state(params: ModelParams, state: BoundState) -> SpectrumRow:
-    return SpectrumRow(
-        kappa=state.channel.kappa,
-        kappa_bar=state.channel.kappa_bar,
-        n_g=state.n_g,
-        n_f=state.n_f,
-        n_bar=state.n_bar,
-        energy=state.energy,
-        e_over_m=state.energy / params.mass,
-        branch=state.branch,
-        is_special=state.is_special,
-        bound=True,
-    )
+_SPECTRUM_KEYS = ("kappa", "kappa_bar", "n_g", "n_f", "n_bar", "energy", "e_over_m", "branch",
+                  "is_special", "bound")
+_BRANCH_RANK = {None: 0, "antiparticle": 1, "particle": 2}  # as "", "antiparticle", "particle" sort
 
 
 def spectrum(
@@ -362,52 +349,69 @@ def spectrum(
     kappas: Iterable[int],
     n_max: int,
     branch: Literal["particle", "antiparticle", "both"] = "particle",
-) -> list[SpectrumRow]:
-    """Enumerate levels for the requested channels.
+) -> dict[str, list]:
+    """The levels of the requested channels as columns: a dict from each of
+    kappa, kappa_bar, n_g, n_f, n_bar, energy, e_over_m, branch, is_special
+    and bound to a list holding one value per row.
 
     Levels are indexed by the degree of the component that starts at zero
     nodes in each family (n_g for kappa_bar < -1/2, n_f for kappa_bar > 1/2),
     running 0..n_max; the index-0 entry is the special |E| = M state and
-    appears only on the branch that carries it.  Non-binding channels are
-    recorded as single unbound rows.  Rows are sorted by (|kappa_bar|,
-    kappa_bar, n_bar, branch) so conjugated spectra align row by row.
+    appears only on the branch that carries it.  A non-binding channel is one
+    unbound row: kappa and kappa_bar, None in the other cells and both flags
+    False.  Rows are sorted stably by (|kappa_bar|, kappa_bar, n_bar, branch),
+    an unbound row's n_bar counting as -1 and its branch as "", so conjugated
+    spectra align row by row and rows with equal keys keep the order of
+    ``kappas``.  Each channel's ladder n = 1..n_max is one numpy pass, and
+    every energy equals :func:`energy`'s bit for bit.  A level at |E| >= M*
+    raises :class:`BoundState`'s ValueError, the first such level first.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    branches: tuple[Branch, ...]
-    if branch == "both":
-        branches = ("particle", "antiparticle")
-    elif branch in ("particle", "antiparticle"):
-        branches = (branch,)
-    else:
+    branches = {"particle": ("particle",), "antiparticle": ("antiparticle",),
+                "both": ("particle", "antiparticle")}.get(branch)
+    if branches is None:
         raise ValueError(f"branch must be 'particle', 'antiparticle' or 'both', got {branch!r}")
 
-    rows = []
+    table = {key: [] for key in _SPECTRUM_KEYS}
+
+    def add(rows: int, **cells):  # a list holds one value per row, a scalar fills the rows
+        for key, column in table.items():
+            value = cells.get(key, False if key in ("is_special", "bound") else None)
+            column += value if isinstance(value, list) else [value] * rows
+
+    levels = np.arange(1, n_max + 1)
+    signs = [BRANCH_SIGN[br] for br in branches]
+    mstar = params.effective_mass
     for kappa in kappas:
         channel = Channel.from_kappa(kappa, params.a)
-        if not bound_states_exist(params, channel):
-            rows.append(SpectrumRow(kappa=channel.kappa, kappa_bar=channel.kappa_bar))
-            continue
         kb = channel.kappa_bar
-        for level in range(n_max + 1):
-            if level == 0:
-                state = special_state(params, channel)
-                if state.branch in branches:
-                    rows.append(_row_from_state(params, state))
-                continue
-            n_g = level if kb < -0.5 else level - 1
-            for br in branches:
-                rows.append(_row_from_state(params, bound_state(params, channel, n_g, br)))
+        if not bound_states_exist(params, channel):
+            add(1, kappa=channel.kappa, kappa_bar=kb)
+            continue
+        edge = special_state(params, channel)
+        if edge.branch in branches:
+            add(1, kappa=channel.kappa, kappa_bar=kb, n_g=edge.n_g, n_f=edge.n_f, n_bar=edge.n_bar,
+                energy=edge.energy, e_over_m=edge.energy / params.mass, branch=edge.branch,
+                is_special=edge.is_special, bound=True)
+        if not n_max:
+            continue
+        n_g, n_f = (levels, levels - 1) if kb < -0.5 else (levels - 1, levels)
+        nb, magnitude = _magnitudes(params, kb, n_g)
+        failed = (abs(params.b * kb) / nb <= 0.0) | (magnitude >= mstar)  # BoundState's guard
+        if failed.any():  # the first failing level raises BoundState's own ValueError
+            bound_state(params, channel, int(n_g[failed.argmax()]), branches[0])
+        e = np.multiply.outer(magnitude, signs).ravel()
+        add(e.size, kappa=channel.kappa, kappa_bar=kb, n_g=np.repeat(n_g, len(signs)).tolist(),
+            n_f=np.repeat(n_f, len(signs)).tolist(), n_bar=np.repeat(nb, len(signs)).tolist(),
+            energy=e.tolist(), e_over_m=(e / params.mass).tolist(), branch=list(branches) * n_max,
+            bound=True)
 
-    def key(row: SpectrumRow):
-        return (
-            abs(row.kappa_bar),
-            row.kappa_bar,
-            row.n_bar if row.n_bar is not None else -1.0,
-            row.branch or "",
-        )
-
-    return sorted(rows, key=key)
+    kappa_bar = np.array(table["kappa_bar"], dtype=float)
+    n_bar_key = np.nan_to_num(np.array(table["n_bar"], dtype=float), nan=-1.0)  # None -> nan -> -1
+    rank = list(map(_BRANCH_RANK.get, table["branch"]))
+    order = np.lexsort((rank, n_bar_key, kappa_bar, np.abs(kappa_bar)))  # last key sorts first
+    return {key: np.array(column, dtype=object)[order].tolist() for key, column in table.items()}
 
 
 def nonrelativistic_binding(params: ModelParams, channel: Channel, n_g: int) -> float:
@@ -455,34 +459,27 @@ class ConjugationReport:
 
 def conjugation_report(params: ModelParams, kappas: Iterable[int], n_max: int) -> ConjugationReport:
     kappas = list(kappas)
-    base = [row for row in spectrum(params, kappas, n_max, "both") if row.bound]
-    conj_params = charge_conjugate(params)
-    conj_rows = [
-        row for row in spectrum(conj_params, [-k for k in kappas], n_max, "both") if row.bound
-    ]
-    flip = {"particle": "antiparticle", "antiparticle": "particle"}
-    lookup = {(row.kappa_bar, row.n_bar, row.branch): row for row in conj_rows}
 
-    pairs = []
-    matched = set()
-    complete = True
-    for row in base:
-        key = (-row.kappa_bar, row.n_bar, flip[row.branch])
-        partner = lookup.get(key)
-        if partner is None:
+    def bound_levels(p: ModelParams, ks: list) -> list:
+        """(kappa_bar, n_bar, branch, energy) of each bound row of the table."""
+        table = spectrum(p, ks, n_max, "both")
+        cells = zip(table["kappa_bar"], table["n_bar"], table["branch"], table["energy"])
+        return [level for level, bound in zip(cells, table["bound"]) if bound]
+
+    base = bound_levels(params, kappas)
+    conj_levels = bound_levels(charge_conjugate(params), [-k for k in kappas])
+    flip = {"particle": "antiparticle", "antiparticle": "particle"}
+    lookup = {(kb, nb, br): e for kb, nb, br, e in conj_levels}
+
+    pairs, matched, complete = [], set(), True
+    for kb, nb, br, e in base:
+        key = (-kb, nb, flip[br])
+        if key not in lookup:
             complete = False
             continue
         matched.add(key)
-        pairs.append(
-            ConjugationPair(
-                kappa_bar=row.kappa_bar,
-                n_bar=row.n_bar,
-                branch=row.branch,
-                energy=row.energy,
-                conjugate_energy=partner.energy,
-            )
-        )
-    if len(matched) != len(conj_rows):
+        pairs.append(ConjugationPair(kb, nb, br, energy=e, conjugate_energy=lookup[key]))
+    if len(matched) != len(conj_levels):
         complete = False
     max_dev = max((p.deviation for p in pairs), default=0.0)
     return ConjugationReport(pairs=tuple(pairs), max_deviation=max_dev, complete=complete)

@@ -23,9 +23,9 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .analytic import (
+    _magnitudes,
     bound_state,
     charge_conjugate,
-    energy,
     norm_quadrature,
     residuals,
     sample_state,
@@ -232,7 +232,7 @@ def _kappa_list(cfg: RunConfig) -> list[int]:
     return kappas
 
 
-# the columns of the spectrum table and the SpectrumRow fields they hold
+# the columns of the spectrum table and the analytic.spectrum columns they hold
 _SPECTRUM_COLUMNS = (("kappa", "kappa"), ("kappa_bar", "kappa_bar"), ("n_g", "n_g"), ("n_f", "n_f"),
                      ("n_bar", "n_bar"), ("E", "energy"), ("E_over_M", "e_over_m"),
                      ("is_special", "is_special"), ("bound_flag", "bound"))
@@ -254,12 +254,12 @@ def run_spectrum(cfg: RunConfig) -> dict[str, list]:
         kappas = sorted(-k for k in kappas)
         branch = _FLIP[branch]
     levels = spectrum(params, kappas, cfg.n_max, branch)
-    if not levels:
+    if not levels["kappa"]:
         raise UsageError(
             f"nothing selected: kappa in [{cfg.kappa_min}, {cfg.kappa_max}] with n <= {cfg.n_max} "
             f"has no level on the {cfg.branch} branch (the n = 0 edge level lies on one branch only)"
         )
-    table = {name: [getattr(row, attr) for row in levels] for name, attr in _SPECTRUM_COLUMNS}
+    table = {name: levels[key] for name, key in _SPECTRUM_COLUMNS}
     if cfg.conjugate:
         for name in ("E", "E_over_M"):
             table[name] = [None if e is None else -e for e in table[name]]
@@ -283,15 +283,17 @@ def run_fig3(cfg: RunConfig) -> dict[str, list]:
         params = ModelParams(cfg.mass, a, cfg.b)
         k_first = math.ceil(lo - a - 1e-9)
         k_last = math.floor(hi - a + 1e-9)
-        for kappa in range(k_first, k_last + 1):
-            if kappa == 0:
-                continue
-            channel = Channel.from_kappa(kappa, a)
-            bound = bound_states_exist(params, channel)
-            e_over_m = energy(params, channel, n_g) / params.mass if bound else None
-            for values, value in zip(table.values(),
-                                     (a, kappa, channel.kappa_bar, e_over_m, bound)):
-                values.append(value)
+        channels = [Channel.from_kappa(k, a) for k in range(k_first, k_last + 1) if k != 0]
+        bound = [bound_states_exist(params, channel) for channel in channels]
+        kappa_bar = np.array([c.kappa_bar for c, binds in zip(channels, bound) if binds])
+        # |E| = +E on the particle branch; no arithmetic when nothing binds
+        e_over_m = iter((_magnitudes(params, kappa_bar, n_g)[1] / params.mass).tolist()
+                        if kappa_bar.size else ())
+        table["a"] += [a] * len(channels)
+        table["kappa"] += [c.kappa for c in channels]
+        table["kappa_bar"] += [c.kappa_bar for c in channels]
+        table["E_over_M"] += [next(e_over_m) if binds else None for binds in bound]
+        table["bound_flag"] += bound
     if not table["a"]:
         raise UsageError(f"no kappa != 0 with kappa_bar in [{lo}, {hi}] for a in {cfg.a_values}")
     return table

@@ -277,47 +277,71 @@ class TestWavefunctions:
 
 class TestSpectrum:
     def test_fig1_style_table(self):
-        rows = spectrum(PARAMS_POS, range(-10, 0), 4)
-        assert len(rows) == 50
-        first = rows[0]
-        assert (first.kappa, first.n_g, first.e_over_m) == (-1, 0, 1.0)
-        assert first.is_special and first.bound
+        table = spectrum(PARAMS_POS, range(-10, 0), 4)
+        assert len(table["kappa"]) == 50
+        first = {key: column[0] for key, column in table.items()}
+        assert (first["kappa"], first["n_g"], first["e_over_m"]) == (-1, 0, 1.0)
+        assert first["is_special"] and first["bound"]
         # sorted by |kappa_bar| then n_bar
-        keys = [(abs(r.kappa_bar), r.kappa_bar, r.n_bar) for r in rows]
+        keys = [(abs(kb), kb, nb) for kb, nb in zip(table["kappa_bar"], table["n_bar"])]
         assert keys == sorted(keys)
 
     def test_unbound_channels_recorded(self):
-        rows = spectrum(PARAMS_POS, [1, -1], 1)
-        unbound = [r for r in rows if not r.bound]
-        assert len(unbound) == 1 and unbound[0].kappa == 1
-        assert unbound[0].energy is None
+        table = spectrum(PARAMS_POS, [1, -1], 1)
+        unbound = [i for i, bound in enumerate(table["bound"]) if not bound]
+        assert len(unbound) == 1 and table["kappa"][unbound[0]] == 1
+        assert table["energy"][unbound[0]] is None
 
     def test_b_zero_all_unbound(self):
         params = ModelParams(1.0, 0.0, 0.0)
-        rows = spectrum(params, [-2, -1, 1, 2], 2)
-        assert all(not r.bound for r in rows)
+        table = spectrum(params, [-2, -1, 1, 2], 2)
+        assert all(not bound for bound in table["bound"])
 
     def test_both_branches(self):
-        rows = spectrum(PARAMS_POS, [-1], 2, "both")
-        particle = [r for r in rows if r.branch == "particle"]
-        anti = [r for r in rows if r.branch == "antiparticle"]
+        table = spectrum(PARAMS_POS, [-1], 2, "both")
+        particle = [e for e, br in zip(table["energy"], table["branch"]) if br == "particle"]
+        anti = [e for e, br in zip(table["energy"], table["branch"]) if br == "antiparticle"]
         assert len(particle) == 3  # special + two regular
         assert len(anti) == 2  # no antiparticle twin of the special level
-        assert all(r.energy < 0 for r in anti)
+        assert all(e < 0 for e in anti)
 
     def test_energy_window(self):
-        rows = spectrum(PARAMS_POS, range(-10, 0), 4, "both")
+        table = spectrum(PARAMS_POS, range(-10, 0), 4, "both")
         mstar = PARAMS_POS.effective_mass
-        for row in rows:
-            if row.bound:
-                assert 1.0 <= abs(row.energy) < mstar
+        for e, bound in zip(table["energy"], table["bound"]):
+            if bound:
+                assert 1.0 <= abs(e) < mstar
 
     def test_a_independence_of_spectrum(self):
         # only kappa_bar enters: (kappa=-1, a=0) and (kappa=-3, a=2) coincide
         rows_a = spectrum(PARAMS_POS, [-1], 3)
         params_shifted = ModelParams(1.0, 2.0, 1.0)
         rows_b = spectrum(params_shifted, [-3], 3)
-        assert [r.energy for r in rows_a] == [r.energy for r in rows_b]
+        assert rows_a["energy"] == rows_b["energy"]
+
+    def test_columns_keyed_by_field_names(self):
+        table = spectrum(PARAMS_POS, [-2, 1], 3, "both")
+        assert list(table) == ["kappa", "kappa_bar", "n_g", "n_f", "n_bar", "energy", "e_over_m",
+                               "branch", "is_special", "bound"]
+        assert {len(column) for column in table.values()} == {1 + 1 + 3 * 2}
+
+    def test_guard_raises_for_the_first_level_past_the_effective_mass(self):
+        # at b/M = 1e-4 the deep levels round onto M* = hypot(M, b), which
+        # BoundState rejects; the table raises the first such level's error
+        params, channel = ModelParams(1, 0, 1e-4), channel_for(-1)
+        spectrum(params, [-1], 5000)
+        for n_g in range(1, 10001):
+            try:
+                bound_state(params, channel, n_g)
+            except ValueError as exc:
+                first = str(exc)
+                break
+        else:
+            pytest.fail("no level up to n_g = 10000 reached the effective mass")
+        assert "must stay below the effective mass" in first
+        with pytest.raises(ValueError, match="must stay below the effective mass") as raised:
+            spectrum(params, [-1], 10000)
+        assert str(raised.value) == first
 
 
 class TestNonRelativisticLimit:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -20,10 +22,16 @@ from diractensor import (
     Channel,
     ModelParams,
     NoBracketError,
+    bound_state,
+    bound_states_exist,
+    charge_conjugate,
     cli,
+    energy,
     integrate_first_order,
     oracle,
     solve_bound_level,
+    special_state,
+    spectrum,
 )
 from diractensor.cli import (
     RunConfig,
@@ -71,6 +79,34 @@ def reference_csv(rows, meta):
         for row in rows:
             writer.writerow([cell(v) for v in row.values()])
     return buf.getvalue()
+
+
+def reference_spectrum(params, kappas, n_max, branch):
+    """The level table row by row: one special_state per binding channel and
+    one bound_state per level and branch, as dicts keyed like the columns of
+    analytic.spectrum, sorted by the documented key (|kappa_bar|, kappa_bar,
+    n_bar or -1, branch or "")."""
+    branches = ("particle", "antiparticle") if branch == "both" else (branch,)
+    rows = []
+    for kappa in kappas:
+        channel = Channel.from_kappa(kappa, params.a)
+        row = dict(kappa=channel.kappa, kappa_bar=channel.kappa_bar, n_g=None, n_f=None,
+                   n_bar=None, energy=None, e_over_m=None, branch=None, is_special=False,
+                   bound=False)
+        if not bound_states_exist(params, channel):
+            rows.append(row)
+            continue
+        states = [special_state(params, channel)]
+        for level in range(1, n_max + 1):
+            n_g = level if channel.kappa_bar < -0.5 else level - 1
+            states += [bound_state(params, channel, n_g, br) for br in branches]
+        rows += [{**row, "n_g": state.n_g, "n_f": state.n_f, "n_bar": state.n_bar,
+                  "energy": state.energy, "e_over_m": state.energy / params.mass,
+                  "branch": state.branch, "is_special": state.is_special, "bound": True}
+                 for state in states if state.branch in branches]
+    return sorted(rows, key=lambda row: (abs(row["kappa_bar"]), row["kappa_bar"],
+                                         -1.0 if row["n_bar"] is None else row["n_bar"],
+                                         row["branch"] or ""))
 
 
 _TEXT = st.text(alphabet=[",", '"', "\n", "\r", "a", " "], max_size=4)
@@ -179,6 +215,65 @@ class TestSpectrumCommand:
         assert len(bound) == 2  # the special level has no minus twin
         assert all(r["E"] < 0 for r in bound)
 
+    def test_level_past_the_effective_mass_is_an_error_exit(self, tmp_path, capsys):
+        # at b/M = 1e-4 the levels from n = 7629 on round onto M* = hypot(M, b)
+        out = tmp_path / "spectrum.csv"
+        assert run_cli("spectrum", "--b", "1e-4", "--kappa-min", "-1", "--kappa-max", "-1",
+                       "--n-max", "10000", "--out", str(out)) == 1
+        assert "must stay below the effective mass" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSpectrumAgainstRowwiseReference:
+    """The column-wise table equals one built level by level from bound_state."""
+
+    @pytest.mark.parametrize("params,kappas", [
+        (ModelParams(1.0, 0.25, 1.0), [-3, 2, -1, -3, 1, -2, -1]),
+        # kappa_bar = kappa + 2**54 rounds 1 and 2 onto one value, so only the
+        # stable sort decides their order
+        (ModelParams(1.0, 2.0**54, -1.0), [2, 1, -1, 3, 1]),
+    ])
+    @pytest.mark.parametrize("branch", ["particle", "antiparticle", "both"])
+    def test_repeated_and_unsorted_kappas(self, params, kappas, branch):
+        expected = reference_spectrum(params, kappas, 3, branch)
+        table = spectrum(params, kappas, 3, branch)
+        assert row_view(table) == expected
+        assert [list(map(type, row.values())) for row in row_view(table)] == [
+            list(map(type, row.values())) for row in expected]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(mass=st.floats(0.1, 10.0), a=st.floats(-3.0, 3.0), b=st.floats(0.01, 100.0),
+           b_sign=st.sampled_from([1.0, -1.0]), kappa_min=st.integers(-12, 12),
+           width=st.integers(0, 12), n_max=st.integers(0, 31),
+           branch=st.sampled_from(["plus", "minus", "both"]), conjugate=st.booleans())
+    def test_cli_bytes(self, mass, a, b, b_sign, kappa_min, width, n_max, branch, conjugate):
+        params = ModelParams(mass, a, b_sign * b)
+        kappas = [k for k in range(kappa_min, kappa_min + width + 1) if k != 0]
+        lib_branch = {"plus": "particle", "minus": "antiparticle", "both": "both"}[branch]
+        if conjugate:  # the spectrum of the sign-flipped potential, reported as E^c = -E
+            flip = {"particle": "antiparticle", "antiparticle": "particle", "both": "both"}
+            params, kappas = charge_conjugate(params), sorted(-k for k in kappas)
+            lib_branch = flip[lib_branch]
+
+        def signed(value):
+            return -value if conjugate and value is not None else value
+
+        rows = [{"kappa": row["kappa"], "kappa_bar": row["kappa_bar"], "n_g": row["n_g"],
+                 "n_f": row["n_f"], "n_bar": row["n_bar"], "E": signed(row["energy"]),
+                 "E_over_M": signed(row["e_over_m"]), "is_special": row["is_special"],
+                 "bound_flag": row["bound"]}
+                for row in reference_spectrum(params, kappas, n_max, lib_branch)]
+        # "--a=-1e-12", since argparse reads a separate "-1e-12" as a flag
+        argv = ["spectrum", f"--mass={mass!r}", f"--a={a!r}", f"--b={b_sign * b!r}",
+                f"--kappa-min={kappa_min}", f"--kappa-max={kappa_min + width}",
+                f"--n-max={n_max}", f"--branch={branch}", *(["--conjugate"] if conjugate else [])]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "spectrum.csv"
+            with contextlib.redirect_stderr(io.StringIO()):
+                rc = run_cli(*argv, "--out", str(out))
+            assert rc == (0 if rows else 1)
+            assert (out.read_bytes() if rc == 0 else b"") == reference_csv(rows, {}).encode()
+
 
 class TestFig3Command:
     def test_frozen_value(self, tmp_path):
@@ -216,6 +311,18 @@ class TestFig3Command:
         assert all(float(r["kappa_bar"]) > 0 for r in rows)
         bound = [r for r in rows if r["bound_flag"] == "true"]
         assert bound and all(1.0 < float(r["E_over_M"]) < math.sqrt(2.0) for r in bound)
+
+    @pytest.mark.parametrize("b,n", [(1.0, 1), (1.3, 7), (-0.8, 4), (-2.0, 30)])
+    def test_e_over_m_is_energy_bit_for_bit(self, b, n):
+        cfg = RunConfig(mass=1.7, b=b, n=n, a_values=(-1.25, 0.0, 0.4), kappa_bar_min=-12.0,
+                        kappa_bar_max=12.0)
+        rows = row_view(run_fig3(cfg))
+        assert any(row["bound_flag"] for row in rows) and not all(row["bound_flag"] for row in rows)
+        for row in rows:
+            params = ModelParams(1.7, row["a"], b)
+            expected = (energy(params, Channel.from_kappa(row["kappa"], row["a"]), n) / 1.7
+                        if row["bound_flag"] else None)
+            assert row["E_over_M"] == expected
 
     def test_level_zero_rejected(self):
         assert run_cli("fig3", "--preset", "fig3a", "--n", "0") == 1
