@@ -306,13 +306,15 @@ def sample_state(
     )
 
 
-def residuals(params: ModelParams, state: BoundState, r) -> float:
+def residuals(params: ModelParams, state: BoundState,
+              forms: tuple[WavefunctionForm, WavefunctionForm], r) -> float:
     """Worst residual of the first- and second-order radial equations on the
-    grid ``r``, relative to the larger component's peak there.  The
-    second-order ones read -u'' + V u = lambda u, lambda = E^2 - M^2 - b^2,
+    grid ``r`` for ``forms``, the state's pair from :func:`state_wavefunctions`,
+    relative to the larger component's peak there.  The second-order ones
+    read -u'' + V u = lambda u, lambda = E^2 - M^2 - b^2,
     V = kappa_bar (kappa_bar +/- 1)/r^2 + 2 b kappa_bar/r."""
     r = np.asarray(r, dtype=float)
-    g_form, f_form = state_wavefunctions(params, state)
+    g_form, f_form = forms
     g, dg, d2g = g_form.derivatives(r)
     f, df, d2f = f_form.derivatives(r)
     scale = max(float(np.max(np.abs(g))), float(np.max(np.abs(f))))

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional, get_args, get_type_hints
@@ -426,16 +427,12 @@ def verification_grid_rows(
                     newton_steps += shot.newton_steps
                     delta = abs(e_analytic - shot.energy_pair[0])
                     r_box = box_radius(state.gamma, abs(params.b * kb) / state.gamma, 30.0)
-                    samples = sample_state(
-                        params, state, np.geomspace(1e-6 / state.gamma, r_box, 2400)
-                    )
-                    expected_f = 0 if state.n_f is None else state.n_f
-                    node_ok = (
-                        samples.node_count_g == (state.n_g or 0)
-                        and samples.node_count_f == expected_f
-                    )
+                    r_nodes = np.geomspace(1e-6 / state.gamma, r_box, 2400)
+                    forms = state_wavefunctions(params, state)
+                    node_ok = all(count_sign_changes(form(r_nodes)) == (expected or 0)
+                                  for form, expected in zip(forms, (state.n_g, state.n_f)))
                     window_ok = mass <= abs(state.energy) < mstar
-                    residual = residuals(params, state, r_residual)
+                    residual = residuals(params, state, forms, r_residual)
                     passed = delta <= 1e-7 and node_ok and window_ok and residual < 1e-8
                     rows.append(VerifyRow(
                         check="special" if state.is_special else "oracle", b=b, a=a, kappa=kappa,
@@ -594,6 +591,11 @@ def load_config_file(path: str) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no flag starts with a minus and a digit: -1e-12 and -1,2 are values
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 

@@ -45,16 +45,17 @@ def _require_finite(name, value):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Radial tensor potential U(r) = a/r + b acting on a fermion of mass M."""
+    """Radial tensor potential U(r) = a/r + b acting on a fermion of mass M;
+    each field is stored as a float, so the tables built from it hold floats."""
 
     mass: float
     a: float
     b: float
 
     def __post_init__(self):
-        _require_finite("mass", self.mass)
-        _require_finite("a", self.a)
-        _require_finite("b", self.b)
+        for name in ("mass", "a", "b"):
+            _require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass!r}")
 
@@ -82,8 +83,7 @@ class Channel:
 
     @classmethod
     def from_kappa(cls, kappa: int, a: float = 0.0) -> "Channel":
-        kappa = int(kappa)
-        return cls(kappa, kappa + a)
+        return cls(int(kappa), int(kappa) + float(a))
 
     @property
     def spin_aligned(self) -> bool:

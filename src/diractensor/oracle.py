@@ -11,7 +11,10 @@ Two pieces of machinery, both blind to the closed-form solutions:
   for that estimate (a ``ShootingConfig``), with node-count bisection to
   keep the level and a matching-defect Newton step, taken from either side
   of the level, to refine it; one outward march per trial lambda serves
-  both the node count and the match.  A march solves for w = f y, whose
+  both the node count and the match.  The converged iterate's own two sweeps
+  give the returned level's node count, and the counts at the bracket ends
+  are marched only where the search leaves Newton's path: at a bisection
+  step, a bisection exit or an error.  A march solves for w = f y, whose
   Numerov band has a unit diagonal: each shot allocates that band once,
   and a march rewrites one row of it and makes one BLAS ``tbsv`` call.
   The match point comes from the root of the quadratic S^2 + B r - lambda
@@ -340,6 +343,12 @@ def shoot_eigenvalue(
     quadratically; from one side only, the convex defect makes each step
     overshoot and the bisection that follows merely halves the error.  One
     outward march per trial lambda serves both the count and the match.
+    The iterate whose |delta-lambda| meets the tolerance is returned; its
+    node count is that of the solution its own two sweeps join, and a
+    bisection exit marches that pair at the midpoint.  The counts at the
+    bracket ends are marched only before a bisection step, a bisection exit
+    or an error: Newton steps that meet the tolerance inside the bracket
+    have found a level there, at two sweeps a step.
     Raises NoBracketError when the bracket contains no such level (the b = 0
     case in particular), ConvergenceError on iteration cap,
     NodeMismatchError if the converged solution violates Sturm ordering.
@@ -347,23 +356,26 @@ def shoot_eigenvalue(
     start = time.perf_counter()
     if node_target < 0:
         raise ValueError("node_target must be nonnegative")
-    lo, hi = config.lambda_bracket
+    bottom, top = lo, hi = config.lambda_bracket
     if not (lo < hi < 0.0):
         raise NoBracketError(
             f"bound levels need a bracket inside lambda < 0; got ({lo}, {hi})"
         )
     ws = _ShootingWorkspace(params, channel, component, config)
+    ends_counted = False
 
-    # the zero count of the regular solution over the whole domain equals the
-    # number of boxed levels strictly below lambda (Sturm oscillation)
-    if count_sign_changes(ws.sweep(hi)[1]) <= node_target:
-        raise NoBracketError(
-            f"no level with {node_target} nodes below the bracket top {hi}"
-        )
-    if count_sign_changes(ws.sweep(lo)[1]) > node_target:
-        raise NoBracketError(
-            f"the bracket floor {lo} already lies above the {node_target}-node level"
-        )
+    def count_ends():
+        # the zero count of the regular solution over the whole domain equals
+        # the number of boxed levels strictly below lambda (Sturm oscillation)
+        nonlocal ends_counted
+        if not ends_counted:
+            ends_counted = True
+            if count_sign_changes(ws.sweep(top)[1]) <= node_target:
+                raise NoBracketError(
+                    f"no level with {node_target} nodes below the bracket top {top}")
+            if count_sign_changes(ws.sweep(bottom)[1]) > node_target:
+                raise NoBracketError(
+                    f"the bracket floor {bottom} already lies above the {node_target}-node level")
 
     lam = 0.5 * (lo + hi)
     best: Optional[float] = None
@@ -375,29 +387,34 @@ def shoot_eigenvalue(
             hi = lam
         else:
             lo = lam
+        candidate = math.nan  # fails the bracket test below: bisect
         if count - node_target in (0, 1):
-            defect, denom = _matching_defect(ws, f, outward, *_match_point(ws, lam, f, outward))
+            m, inward = _match_point(ws, lam, f, outward)
+            defect, denom = _matching_defect(ws, f, outward, m, inward)
             newton_steps += 1
             delta = -defect / denom
             if abs(delta) <= config.tolerance:
-                best = min(max(lam + delta, lo), hi)
+                best, found = lam, count_sign_changes(_joined(outward, m, inward))
                 break
             candidate = lam + delta
-            lam = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-        else:
-            lam = 0.5 * (lo + hi)
+        if not lo < candidate < hi:
+            count_ends()
+            candidate = 0.5 * (lo + hi)
+        lam = candidate
         if hi - lo <= config.tolerance:
+            count_ends()
             best = 0.5 * (lo + hi)
+            f, outward = ws.sweep(best)
+            found = count_sign_changes(_joined(outward, *_match_point(ws, best, f, outward)))
             break
     if best is None:
+        count_ends()
         raise ConvergenceError(
             f"eigenvalue iteration did not reach tolerance {config.tolerance} "
             f"(bracket [{lo}, {hi}])"
         )
-
-    f, outward = ws.sweep(best)
-    found = count_sign_changes(_joined(outward, *_match_point(ws, best, f, outward)))
     if found != node_target:
+        count_ends()
         raise NodeMismatchError(
             f"converged solution has {found} nodes, expected {node_target}"
         )

@@ -85,15 +85,18 @@ def test_shooting_work_per_level(oracle_grid):
 
     Newton steps taken from below the level only, each overshoot followed by
     a bisection, take 69 Numerov sweeps per level on this grid.  Marching
-    every sweep from 1e-6/gamma takes 42,566 Numerov steps per level.
+    every sweep from 1e-6/gamma takes 42,566 Numerov steps per level.  A shot
+    that also counts both bracket ends up front, or marches its final node
+    count again after Newton has converged, takes 9.1 sweeps per level, and
+    with both 11.1 sweeps and 33,285 steps.
     """
     mean = sum(shot.sweeps for *_, shot in oracle_grid) / len(oracle_grid)
     steps = sum(shot.steps for *_, shot in oracle_grid) / len(oracle_grid)
-    print(f"\n[{'PASS' if mean <= 15 and steps <= 36000 else 'FAIL'}] shooting work: "
-          f"{mean:.1f} Numerov sweeps per level <= 15 and {steps:.0f} Numerov steps "
-          f"per level <= 36000 over {len(oracle_grid)} levels")
-    assert mean <= 15
-    assert steps <= 36000
+    print(f"\n[{'PASS' if mean <= 7.8 and steps <= 20500 else 'FAIL'}] shooting work: "
+          f"{mean:.2f} Numerov sweeps per level <= 7.8 and {steps:.0f} Numerov steps "
+          f"per level <= 20500 over {len(oracle_grid)} levels")
+    assert mean <= 7.8
+    assert steps <= 20500
 
 
 def test_ladder_estimates_give_the_one_level_solves(oracle_grid):

@@ -192,9 +192,9 @@ class TestWavefunctions:
         # and fails the same state with its energy 1e-6 off
         state = bound_state(PARAMS_POS, channel_for(-3), 2)
         r = np.geomspace(0.01, 30.0, 120)
-        assert residuals(PARAMS_POS, state, r) < 1e-8
+        assert residuals(PARAMS_POS, state, state_wavefunctions(PARAMS_POS, state), r) < 1e-8
         detuned = replace(state, energy=state.energy * (1.0 + 1e-6))
-        assert residuals(PARAMS_POS, detuned, r) > 1e-8
+        assert residuals(PARAMS_POS, detuned, state_wavefunctions(PARAMS_POS, detuned), r) > 1e-8
 
     def test_unit_norm_by_quadrature(self):
         for params, kappa, a, n_g in [

@@ -22,6 +22,7 @@ from diractensor import (
     Channel,
     ModelParams,
     NoBracketError,
+    analytic,
     bound_state,
     bound_states_exist,
     charge_conjugate,
@@ -525,6 +526,23 @@ class TestVerifyCommand:
         # kappa_bar = kappa + 1/2 binds for b = 1 where it lies below -1/2
         assert calls == [(1.0, 0.5, kappa, "upper", range(4)) for kappa in (-3, -2)]
 
+    def test_one_closed_form_pair_per_level(self, monkeypatch):
+        # the node count and the residual of a row read the same pair
+        states = []
+        pair = analytic.state_wavefunctions
+
+        def counted(params, state):
+            states.append(state)
+            return pair(params, state)
+
+        monkeypatch.setattr(cli, "state_wavefunctions", counted)
+        monkeypatch.setattr(analytic, "state_wavefunctions", counted)
+        rows, *_ = cli.verification_grid_rows(1.0, (1.0,), (0.5,), [-3, -2, -1, 1, 2, 3], 3)
+        levels = [(row.kappa, row.n) for row in rows if row.check != "zero_component"]
+        assert all(row.passed for row in rows)
+        assert [(state.channel.kappa, state.n_g) for state in states] == levels
+        assert len(levels) == 8
+
     def test_large_kappa_grid_passes(self):
         # the edge states at kappa <= -13 and the oracle levels at kappa <= -26
         # peak beyond 30/gamma; the integration box and the node sampling
@@ -752,6 +770,25 @@ class TestStartupAndParserReuse:
         assert run_cli("wavefunction", "--kappa", "-2", "--out", str(full)) == 0
         assert len(read_csv_rows(short)) == 50
         assert len(read_csv_rows(full)) == 600
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--a", "-1e-12", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "0"),
+        ("wavefunction", "--b", "1", "--a", "-5e-05", "--kappa", "-2", "--n", "1"),
+        ("fig3", "--kappa-bar-min", "-1E+1", "--a-values", "-1e-3,2"),
+        ("verify", "--b", "-1e+0", "--a", "-2.5e-1", "--kappa-min", "1", "--kappa-max", "2",
+         "--n-max", "1"),
+    ])
+    def test_negative_value_in_exponent_form_is_a_value(self, argv, tmp_path):
+        # "--a -1e-12" writes what "--a=-1e-12" writes
+        apart, joined = tmp_path / "apart.csv", tmp_path / "joined.csv"
+        pairs = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        assert run_cli(*argv, "--out", str(apart)) == 0
+        assert run_cli(argv[0], *pairs, "--out", str(joined)) == 0
+        assert apart.read_bytes() == joined.read_bytes()
+
+    def test_flag_followed_by_a_flag_is_usage_error(self, capsys):
+        assert run_cli("spectrum", "--a", "--b", "1") == 1
+        assert "argument --a: expected one argument" in capsys.readouterr().err
 
     def test_usage_error_leaves_next_request_alone(self, tmp_path, capsys):
         before, after = tmp_path / "before.csv", tmp_path / "after.csv"

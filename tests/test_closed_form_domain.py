@@ -62,6 +62,6 @@ def test_closed_forms_hold_over_the_binding_domain(level):
             for values in (form(r), *form.derivatives(r)):
                 assert np.all(np.isfinite(values))
         norm = norm_quadrature(*forms)
-        residual = residuals(params, state, r)
+        residual = residuals(params, state, forms, r)
     assert math.isfinite(norm) and abs(norm - 1.0) <= 1e-12
     assert residual < 1e-8

@@ -13,6 +13,7 @@ from diractensor import (
     UnboundChannelError,
     bound_states_exist,
     kappa_range,
+    spectrum,
 )
 
 
@@ -36,6 +37,19 @@ class TestModelParams:
     def test_rejects_bad_mass(self, bad):
         with pytest.raises(ValueError):
             ModelParams(mass=bad, a=0.0, b=1.0)
+
+    def test_int_fields_are_stored_as_floats(self):
+        # so a table built from them holds floats: the edge level's energy
+        # is 1.0 and every kappa_bar a float, as from float-built params
+        params = ModelParams(1, 0, 1)
+        assert [type(v) for v in (params.mass, params.a, params.b)] == [float] * 3
+        assert params == ModelParams(1.0, 0.0, 1.0)
+        assert hash(params) == hash(ModelParams(1.0, 0.0, 1.0))
+        assert type(Channel.from_kappa(-1, 0).kappa_bar) is float
+        table = spectrum(params, [-1, -2], 1, "both")
+        for name in ("kappa_bar", "n_bar", "energy", "e_over_m"):
+            assert {type(v) for v in table[name]} == {float}, name
+        assert table == spectrum(ModelParams(1.0, 0.0, 1.0), [-1, -2], 1, "both")
 
     def test_rejects_nonfinite_strengths(self):
         with pytest.raises(ValueError):

@@ -162,11 +162,49 @@ class TestShootEigenvalue:
             assert res.energy_pair[0] == pytest.approx(energy(params, ch, n), abs=1e-8)
 
     def test_work_counters_pinned(self):
-        # one shot from the pencil estimate, started at the inner edge
+        # one shot from the pencil estimate, started at the inner edge: an
+        # outward and an inward sweep per Newton step, and no other
         for _ in range(2):
             res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
-            assert (res.sweeps, res.newton_steps, res.steps) == (12, 4, 42978)
+            assert (res.sweeps, res.newton_steps, res.steps) == (8, 4, 25181)
             assert res.step_count == 5751
+
+    @pytest.mark.parametrize("kappa, n", [(-1, 0), (-1, 4), (-3, 2), (-5, 5)])
+    def test_newton_path_marches_two_sweeps_per_step(self, kappa, n, monkeypatch):
+        # a level found by Newton steps alone marches no bracket end and no
+        # final pair: its node count comes from the sweeps of its last step
+        ch = Channel.from_kappa(kappa)
+        [lam] = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(n, n + 1))
+        config = oracle._shot_config(PARAMS_POS, ch, "upper", lam, 6000)
+        swept = []
+        sweep = _ShootingWorkspace.sweep
+        monkeypatch.setattr(_ShootingWorkspace, "sweep",
+                            lambda ws, at: swept.append(at) or sweep(ws, at))
+        res = shoot_eigenvalue(PARAMS_POS, ch, "upper", n, config)
+        assert res.sweeps == 2 * res.newton_steps == 2 * len(swept)
+        assert not set(config.lambda_bracket) & set(swept)
+        assert swept[-1] == res.lambda_ and res.node_count == n
+
+    # the two-node level of kappa = -3 at b = 1: -b^2 (kappa_bar / n_bar)^2, n_bar = 5
+    LAMBDA_2 = -0.36
+
+    @pytest.mark.parametrize("factors, end", [((1.2, 1.05), "top"), ((0.95, 0.8), "floor")])
+    def test_bracket_beside_the_level_raises(self, factors, end, monkeypatch):
+        ch = Channel.from_kappa(-3)
+        config = replace(oracle._shot_config(PARAMS_POS, ch, "upper", self.LAMBDA_2, 6000),
+                         lambda_bracket=tuple(f * self.LAMBDA_2 for f in factors))
+        # the first iterate's count puts it next to the level, as inside a
+        # bracket that holds it; only the count at a bracket end tells
+        ws = _ShootingWorkspace(PARAMS_POS, ch, "upper", config)
+        assert count_sign_changes(ws.sweep(0.5 * sum(config.lambda_bracket))[1]) in (2, 3)
+        marches = []
+        march = oracle._numerov_march
+        monkeypatch.setattr(oracle, "_numerov_march",
+                            lambda *args: marches.append(1) or march(*args))
+        with pytest.raises(NoBracketError, match=f"bracket {end}"):
+            shoot_eigenvalue(PARAMS_POS, ch, "upper", 2, config)
+        # at the first step off Newton's path, not after bisecting the bracket away
+        assert len(marches) <= 5
 
     def test_wall_times_are_reported(self):
         # the only fields that may differ between two identical solves
