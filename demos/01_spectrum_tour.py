@@ -12,7 +12,6 @@ from diractensor import (
     ModelParams,
     bound_states_exist,
     energy,
-    kappa_range,
     spectrum,
 )
 
@@ -21,8 +20,10 @@ params = ModelParams(mass=1.0, a=0.0, b=1.0)
 print("=" * 64)
 print("1. Binding condition: b * kappa_bar < 0 and |kappa_bar| > 1/2")
 print("=" * 64)
-print(f"with a = {params.a}, b = {params.b} the admissible channels are")
-print("  ", kappa_range(params).describe())
+kappas = [k for k in range(-6, 7) if k != 0]
+binding = [k for k in kappas if bound_states_exist(params, Channel.from_kappa(k, params.a))]
+print(f"with a = {params.a}, b = {params.b} the channels among 0 < |kappa| <= 6 that bind are")
+print("   kappa in", binding)
 for kappa in (-3, -2, -1, 1, 2, 3):
     ch = Channel.from_kappa(kappa, params.a)
     tag = "binds" if bound_states_exist(params, ch) else "does not bind"

@@ -10,9 +10,9 @@ from diractensor import (
     Channel,
     ModelParams,
     charge_conjugate,
-    conjugation_report,
     energy,
     nonrelativistic_binding,
+    spectrum,
 )
 
 params = ModelParams(mass=1.0, a=0.5, b=1.0)
@@ -29,13 +29,26 @@ print("=" * 66)
 print("2. Spectrum bijection: E(n, kappa_bar) = -E'(n', -kappa_bar)")
 print("   with n_bar preserved and the branch flipped")
 print("=" * 66)
-report = conjugation_report(params, [k for k in range(-5, 6) if k != 0], 3)
-print(f"  matched pairs: {len(report.pairs)}, bijection complete: {report.complete}")
-print(f"  max |E + E_conjugate| = {report.max_deviation!r}")
+kappas = [k for k in range(-5, 6) if k != 0]
+
+
+def levels(p, ks):
+    """{(kappa_bar, n_bar, branch): E} over the bound rows of both branches."""
+    t = spectrum(p, ks, 3, "both")
+    cells = zip(t["kappa_bar"], t["n_bar"], t["branch"], t["energy"], t["bound"])
+    return {(kb, nb, br): e for kb, nb, br, e, bound in cells if bound}
+
+
+flip = {"particle": "antiparticle", "antiparticle": "particle"}
+own = levels(params, kappas)
+conj_levels = levels(conj, [-k for k in kappas])
+mirrored = {(-kb, nb, flip[br]): -e for (kb, nb, br), e in conj_levels.items()}
+print(f"  levels: {len(own)}, conjugated levels: {len(conj_levels)}, "
+      f"every one mirrored with E_conj = -E exactly: {own == mirrored}")
 print(f"{'kappa_bar':>10} {'n_bar':>6} {'branch':>13} {'E':>12} {'E_conj':>12}")
-for pair in report.pairs[:8]:
-    print(f"{pair.kappa_bar:>10.1f} {pair.n_bar:>6.1f} {pair.branch:>13} "
-          f"{pair.energy:>12.8f} {pair.conjugate_energy:>12.8f}")
+for kb, nb, br in list(own)[:8]:
+    print(f"{kb:>10.1f} {nb:>6.1f} {br:>13} "
+          f"{own[kb, nb, br]:>12.8f} {conj_levels[-kb, nb, flip[br]]:>12.8f}")
 
 print()
 print("  the E = +M, n_g = 0 states map onto the E = -M, n_f = 0 states of")

@@ -10,23 +10,17 @@ from .core import (
     Branch,
     Channel,
     Component,
-    KappaRange,
     ModelParams,
     RadialSamples,
     UnboundChannelError,
-    ZeroKappaBarError,
     bound_states_exist,
-    kappa_range,
     n_bar,
 )
 from .special import LaguerreSpec, gauss_laguerre
 from .analytic import (
-    ConjugationPair,
-    ConjugationReport,
     WavefunctionForm,
     bound_state,
     charge_conjugate,
-    conjugation_report,
     default_radial_grid,
     energy,
     nonrelativistic_binding,

@@ -39,7 +39,6 @@ from .core import (
     ModelParams,
     RadialSamples,
     UnboundChannelError,
-    ZeroKappaBarError,
     angular_strength,
     bound_states_exist,
     n_bar,
@@ -48,8 +47,6 @@ from .special import LaguerreSpec, laguerre_function, laguerre_function_rule, re
 
 __all__ = [
     "WavefunctionForm",
-    "ConjugationPair",
-    "ConjugationReport",
     "energy",
     "bound_state",
     "special_state",
@@ -61,18 +58,12 @@ __all__ = [
     "spectrum",
     "nonrelativistic_binding",
     "charge_conjugate",
-    "conjugation_report",
 ]
 
 
 def _require_bound(params: ModelParams, channel: Channel) -> float:
     """Validate the existence conditions and return kappa_bar."""
     kb = channel.kappa_bar
-    if kb == 0.0:
-        raise ZeroKappaBarError(
-            "kappa_bar = 0: |E| would sit exactly at the effective mass, "
-            "which is not a normalizable state"
-        )
     if not bound_states_exist(params, channel):
         raise UnboundChannelError(
             f"no bound states for kappa={channel.kappa}, kappa_bar={kb}, b={params.b}: "
@@ -434,54 +425,3 @@ def charge_conjugate(params: ModelParams) -> ModelParams:
     """Parameters seen by the charge-conjugated (antifermion) problem: the
     tensor potential flips sign, so a -> -a and b -> -b."""
     return ModelParams(mass=params.mass, a=-params.a, b=-params.b)
-
-
-@dataclass(frozen=True)
-class ConjugationPair:
-    kappa_bar: float
-    n_bar: float
-    branch: Branch
-    energy: float
-    conjugate_energy: float
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.energy + self.conjugate_energy)
-
-
-@dataclass(frozen=True)
-class ConjugationReport:
-    """State-by-state check of E(a, b) = -E'(-a, -b) under kappa_bar -> -kappa_bar,
-    branch flip, and preserved n_bar."""
-
-    pairs: tuple[ConjugationPair, ...]
-    max_deviation: float
-    complete: bool
-
-
-def conjugation_report(params: ModelParams, kappas: Iterable[int], n_max: int) -> ConjugationReport:
-    kappas = list(kappas)
-
-    def bound_levels(p: ModelParams, ks: list) -> list:
-        """(kappa_bar, n_bar, branch, energy) of each bound row of the table."""
-        table = spectrum(p, ks, n_max, "both")
-        cells = zip(table["kappa_bar"], table["n_bar"], table["branch"], table["energy"])
-        return [level for level, bound in zip(cells, table["bound"]) if bound]
-
-    base = bound_levels(params, kappas)
-    conj_levels = bound_levels(charge_conjugate(params), [-k for k in kappas])
-    flip = {"particle": "antiparticle", "antiparticle": "particle"}
-    lookup = {(kb, nb, br): e for kb, nb, br, e in conj_levels}
-
-    pairs, matched, complete = [], set(), True
-    for kb, nb, br, e in base:
-        key = (-kb, nb, flip[br])
-        if key not in lookup:
-            complete = False
-            continue
-        matched.add(key)
-        pairs.append(ConjugationPair(kb, nb, br, energy=e, conjugate_energy=lookup[key]))
-    if len(matched) != len(conj_levels):
-        complete = False
-    max_dev = max((p.deviation for p in pairs), default=0.0)
-    return ConjugationReport(pairs=tuple(pairs), max_deviation=max_dev, complete=complete)

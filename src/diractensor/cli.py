@@ -29,7 +29,6 @@ from .analytic import (
     charge_conjugate,
     norm_quadrature,
     residuals,
-    sample_state,
     special_state,
     spectrum,
     state_wavefunctions,
@@ -312,11 +311,6 @@ def run_wavefunction(cfg: RunConfig) -> tuple[dict[str, list], dict]:
         raise UsageError("wavefunction needs --kappa")
     params = ModelParams(cfg.mass, cfg.a, cfg.b)
     channel = Channel.from_kappa(cfg.kappa, cfg.a)
-    if not bound_states_exist(params, channel):
-        raise UsageError(
-            f"channel kappa={cfg.kappa} (kappa_bar={channel.kappa_bar}) does not bind "
-            f"for b={cfg.b}: bound states need b*kappa_bar < 0 and |kappa_bar| > 1/2"
-        )
     branch = _BRANCH_NAME.get(cfg.branch)
     if branch not in ("particle", "antiparticle"):
         raise UsageError("wavefunction needs --branch plus or minus")
@@ -334,14 +328,16 @@ def run_wavefunction(cfg: RunConfig) -> tuple[dict[str, list], dict]:
     r_hi = cfg.r_max if cfg.r_max is not None else 30.0 / state.gamma
     if not (0 < r_lo < r_hi and math.isfinite(r_hi)):
         raise UsageError(f"bad radial window [{r_lo}, {r_hi}]")
+    if cfg.points < 2:
+        raise UsageError(f"--points must be at least 2, got {cfg.points}")
     if cfg.grid == "log":
         r = np.geomspace(r_lo, r_hi, cfg.points)
     elif cfg.grid == "linear":
         r = np.linspace(r_lo, r_hi, cfg.points)
     else:
         raise UsageError("grid must be log or linear")
-    samples = sample_state(params, state, r)
-    norm = norm_quadrature(*state_wavefunctions(params, state))
+    forms = state_wavefunctions(params, state)
+    g, f = (form(r) for form in forms)
     meta = {
         "mass": params.mass,
         "a": params.a,
@@ -353,11 +349,11 @@ def run_wavefunction(cfg: RunConfig) -> tuple[dict[str, list], dict]:
         "branch": state.branch,
         "energy": state.energy,
         "gamma": state.gamma,
-        "node_count_g": samples.node_count_g,
-        "node_count_f": samples.node_count_f,
-        "norm": norm,
+        "node_count_g": count_sign_changes(g),
+        "node_count_f": count_sign_changes(f),
+        "norm": norm_quadrature(*forms),
     }
-    return {"r": samples.r.tolist(), "g": samples.g.tolist(), "f": samples.f.tolist()}, meta
+    return {"r": r.tolist(), "g": g.tolist(), "f": f.tolist()}, meta
 
 
 @dataclass
@@ -378,7 +374,10 @@ class VerifyRow:
     passed: Optional[bool] = None
 
 
-# relative half-width and RK4 fineness of the edge-level bracket
+# relative half-width and RK4 fineness of the edge-level bracket.  The row
+# reads both components' tails: a level between the two marches flips both,
+# but at the wrong sign of E, where the coupling M + E or M - E vanishes, the
+# component scaled by that coupling flips its tiny tail with no level there
 _EDGE_DELTA = 1e-9
 _EDGE_FINENESS = 0.1
 
@@ -441,8 +440,8 @@ def verification_grid_rows(
                         node_ok=node_ok, passed=bool(passed),
                     ))
                 # blind bracket of the edge level: both marches must grow, and the
-                # tail at r_max of the component that survives at the edge changes
-                # sign between them only if a level lies in between
+                # tails at r_max of both components change sign between them only
+                # if a level lies in between
                 edge = special_state(params, channel).energy
                 centre = math.copysign(abs(edge) + inject_energy_error, edge)
                 tails, growing = [], True
@@ -450,13 +449,13 @@ def verification_grid_rows(
                     samp, rep = integrate_first_order(
                         params, channel, centre * side, sample_count=2, fineness=_EDGE_FINENESS
                     )
-                    tails.append((samp.g if kb < 0 else samp.f)[-1])
+                    tails.append((samp.g[-1], samp.f[-1]))
                     rk4_steps += rep.steps
                     growing = growing and rep.classification == "growing"
                 rows.append(VerifyRow(
                     check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
                     e_analytic=centre, delta_e=_EDGE_DELTA * abs(centre),
-                    passed=growing and count_sign_changes(tails) == 1,
+                    passed=growing and all(count_sign_changes(tail) == 1 for tail in zip(*tails)),
                 ))
     return rows, sweeps, steps, newton_steps, rk4_steps
 

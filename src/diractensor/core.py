@@ -33,11 +33,6 @@ class UnboundChannelError(ValueError):
     """A bound state was requested for a channel that supports none."""
 
 
-class ZeroKappaBarError(UnboundChannelError):
-    """kappa_bar = 0: the would-be level sits exactly at the effective-mass
-    edge and is not normalizable, so no state is ever returned for it."""
-
-
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -154,44 +149,6 @@ def box_radius(gamma: float, tail_exponent: float, suppression: float) -> float:
     for _ in range(4):
         t = target + (p * math.log(t) if p > 0 else 0.0)
     return t / gamma
-
-
-@dataclass(frozen=True)
-class KappaRange:
-    """Open half-line of admissible integer kappa for one sign of b."""
-
-    side: Literal["below", "above"]
-    threshold: float
-
-    def contains(self, kappa: int) -> bool:
-        if kappa == 0 or kappa != int(kappa):
-            return False
-        if self.side == "below":
-            return kappa < self.threshold
-        return kappa > self.threshold
-
-    def integers(self, lo: int, hi: int) -> list[int]:
-        """Admissible integers within [lo, hi]."""
-        return [k for k in range(lo, hi + 1) if self.contains(k)]
-
-    def describe(self) -> str:
-        op = "<" if self.side == "below" else ">"
-        return f"integer kappa {op} {self.threshold} (kappa != 0)"
-
-
-def kappa_range(params: ModelParams) -> KappaRange:
-    """Half-line of kappa values whose channels bind for the given b sign.
-
-    b > 0 binds kappa < -a - 1/2 (kappa_bar < -1/2); b < 0 binds
-    kappa > -a + 1/2.  b = 0 is rejected: no channel binds at all.
-    """
-    if params.b == 0:
-        raise UnboundChannelError(
-            "b = 0 supports no bound channels (the 1/r tensor term alone does not bind)"
-        )
-    if params.b > 0:
-        return KappaRange("below", -params.a - 0.5)
-    return KappaRange("above", -params.a + 0.5)
 
 
 @dataclass(frozen=True)

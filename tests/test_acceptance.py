@@ -19,8 +19,6 @@ from diractensor import (
     ShootingConfig,
     bound_state,
     bound_states_exist,
-    charge_conjugate,
-    conjugation_report,
     energy,
     integrate_first_order,
     nonrelativistic_binding,
@@ -34,6 +32,8 @@ from diractensor import (
 from diractensor import oracle
 from diractensor.analytic import default_radial_grid
 from diractensor.cli import main as cli_main
+
+from conjugation import bound_levels, conjugation_mismatch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -222,14 +222,14 @@ def test_criterion_5_residuals(oracle_grid):
 
 def test_criterion_6_charge_conjugation(tmp_path):
     """Conjugated spectra match under (kappa_bar, branch) -> (-kappa_bar, -branch)."""
-    worst = 0.0
+    mismatched, levels = {}, 0
     for b in (0.5, 1.0, 2.0):
         for a in A_GRID:
             params = ModelParams(1.0, a, b)
-            report = conjugation_report(params, KAPPAS, N_MAX)
-            assert report.complete, (a, b)
-            for pair in report.pairs:
-                worst = max(worst, pair.deviation / abs(pair.energy))
+            mismatch = conjugation_mismatch(params, KAPPAS, N_MAX)
+            if mismatch:
+                mismatched[(a, b)] = sorted(mismatch)[:4]
+            levels += len(bound_levels(params, KAPPAS, N_MAX))
     fig1 = tmp_path / "fig1.csv"
     fig2 = tmp_path / "fig2.csv"
     assert cli_main(["spectrum", "--preset", "fig1", "--out", str(fig1)]) == 0
@@ -240,11 +240,11 @@ def test_criterion_6_charge_conjugation(tmp_path):
         e1 = line1.split(",")[5]
         e2 = line2.split(",")[5]
         assert e1 == e2  # the energy columns agree byte for byte
-    ok = worst <= 1e-13
-    print(f"\n[{'PASS' if ok else 'FAIL'}] criterion 6: conjugation bijection complete, "
-          f"max relative energy mismatch = {worst:.3e} <= 1e-13; "
+    ok = not mismatched
+    print(f"\n[{'PASS' if ok else 'FAIL'}] criterion 6: conjugation bijection complete over "
+          f"{levels} levels with zero energy mismatch; "
           f"fig1 <-> fig2 energies byte-identical")
-    assert ok
+    assert ok, mismatched
 
 
 def test_criterion_7_nonrelativistic_limit():

@@ -12,10 +12,8 @@ from diractensor import (
     LaguerreSpec,
     ModelParams,
     UnboundChannelError,
-    ZeroKappaBarError,
     bound_state,
     charge_conjugate,
-    conjugation_report,
     energy,
     nonrelativistic_binding,
     norm_quadrature,
@@ -32,6 +30,8 @@ from diractensor.analytic import (
     residuals,
 )
 from diractensor.core import Component, angular_strength, n_bar
+
+from conjugation import bound_levels, conjugation_mismatch
 
 
 def channel_for(kappa, a=0.0):
@@ -98,9 +98,9 @@ class TestEnergy:
         with pytest.raises(UnboundChannelError):
             energy(params, channel_for(-1, 0.7), 1)
 
-    def test_kappa_bar_zero_dedicated_error(self):
+    def test_kappa_bar_zero_rejected(self):
         params = ModelParams(1.0, 1.0, 1.0)
-        with pytest.raises(ZeroKappaBarError):
+        with pytest.raises(UnboundChannelError):
             energy(params, channel_for(-1, 1.0), 1)
 
     def test_nodeless_level_redirected_to_special_state(self):
@@ -384,15 +384,23 @@ class TestChargeConjugation:
     @pytest.mark.parametrize("a", [0.0, 0.5, 1.3])
     def test_spectra_related_exactly(self, a):
         params = ModelParams(1.0, a, 1.0)
-        report = conjugation_report(params, [k for k in range(-6, 7) if k != 0], 3)
-        assert report.complete
-        assert report.max_deviation == 0.0
-        assert len(report.pairs) > 0
+        assert conjugation_mismatch(params, [k for k in range(-6, 7) if k != 0], 3) == set()
 
     def test_special_states_map_onto_each_other(self):
-        report = conjugation_report(PARAMS_POS, [-1], 2)
-        edge = [p for p in report.pairs if abs(p.energy) == 1.0]
-        assert edge and all(p.conjugate_energy == -p.energy for p in edge)
+        edge = {key: e for key, e in bound_levels(PARAMS_POS, [-1], 2).items() if abs(e) == 1.0}
+        conj = bound_levels(charge_conjugate(PARAMS_POS), [1], 2)
+        assert edge == {(-1.0, 1.0, "particle"): 1.0}
+        assert conj[(1.0, 1.0, "antiparticle")] == -1.0
+
+    @pytest.mark.parametrize("control", [
+        {"sign": 1.0},
+        {"flip": {"particle": "particle", "antiparticle": "antiparticle"}},
+    ], ids=["no_energy_flip", "no_branch_flip"])
+    def test_check_can_fail(self, control):
+        # the relation without its energy or its branch flip does not hold
+        kappas = [k for k in range(-6, 7) if k != 0]
+        for a in (0.0, 0.5, 1.3):
+            assert conjugation_mismatch(ModelParams(1.0, a, 1.0), kappas, 3, **control)
 
 
 class TestDegeneracy:

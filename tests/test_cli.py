@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +420,12 @@ class TestWavefunctionCommand:
         assert float(rows[-1]["r"]) == 1e300 and values[-1].tolist() == [0.0, 0.0]
         assert read_meta(out)["node_count_g"] == "1"
 
+    @pytest.mark.parametrize("points", ["1", "0"])
+    def test_too_few_points_is_usage_error(self, points, capsys):
+        assert run_cli("wavefunction", "--kappa", "-2", "--n", "1", "--points", points) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--points must be at least 2" in err
+
     def test_unbound_channel_exits_nonzero(self, capsys):
         assert run_cli("wavefunction", "--kappa", "1", "--n", "1") == 1
         err = capsys.readouterr().err
@@ -442,7 +448,7 @@ class TestWavefunctionCommand:
         def overflow(*args, **kwargs):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr(cli, "sample_state", overflow)
+        monkeypatch.setattr(cli, "state_wavefunctions", overflow)
         assert run_cli("wavefunction", "--kappa", "-2", "--n", "1") == 1
         assert capsys.readouterr().err.startswith("error: numeric overflow:")
 
@@ -573,6 +579,24 @@ class TestVerifyCommand:
                                                   inject_energy_error=error)
             edge = [row for row in rows if row.check == "zero_component"]
             assert [(row.e_analytic, row.passed) for row in edge] == [(sign * (1.0 + error), want)]
+
+    def test_edge_bracket_at_the_wrong_sign_fails(self, monkeypatch, tmp_path):
+        # the antiparticle energy in place of the particle one (and back): at
+        # -E the coupling M + E (or M - E) vanishes, so one component's tail
+        # flips with no level there, and only the other one can tell
+        def wrong_sign(params, channel):
+            state = analytic.special_state(params, channel)
+            return replace(state, energy=-state.energy)
+
+        monkeypatch.setattr(cli, "special_state", wrong_sign)
+        for b in ("1", "-2"):
+            out = tmp_path / f"verify{b}.csv"
+            assert run_cli("verify", "--b", b, "--kappa-min", "-3", "--kappa-max", "3",
+                           "--n-max", "1", "--out", str(out)) == 2
+            rows = read_csv_rows(out)
+            edge = [row["passed"] for row in rows if row["check"] == "zero_component"]
+            assert len(edge) == 13 and set(edge) == {"false"}
+            assert all(row["passed"] == "true" for row in rows if row["check"] != "zero_component")
 
     def test_deep_levels_pass(self, tmp_path):
         out = tmp_path / "verify.csv"

@@ -7,12 +7,12 @@ import pytest
 from diractensor import (
     BoundState,
     Channel,
-    KappaRange,
     ModelParams,
     RadialSamples,
     UnboundChannelError,
     bound_states_exist,
-    kappa_range,
+    energy,
+    special_state,
     spectrum,
 )
 
@@ -144,13 +144,19 @@ class TestBoundStatesExist:
 
 
 class TestKappaRange:
+    """The binding rule read as a range of kappa: b > 0 binds kappa < -a - 1/2,
+    b < 0 binds kappa > -a + 1/2, and b = 0 binds nothing."""
+
+    @staticmethod
+    def binding(params, lo, hi):
+        return [k for k in range(lo, hi + 1)
+                if k != 0 and bound_states_exist(params, Channel.from_kappa(k, params.a))]
+
     def test_positive_b(self):
-        rng = kappa_range(ModelParams(1.0, 0.0, 1.0))
-        assert rng.integers(-10, 10) == list(range(-10, 0))
+        assert self.binding(ModelParams(1.0, 0.0, 1.0), -10, 10) == list(range(-10, 0))
 
     def test_negative_b(self):
-        rng = kappa_range(ModelParams(1.0, 0.0, -1.0))
-        assert rng.integers(-10, 10) == list(range(1, 11))
+        assert self.binding(ModelParams(1.0, 0.0, -1.0), -10, 10) == list(range(1, 11))
 
     def test_shifted_by_a_brute_force(self):
         # independent enumeration of the existence predicate on [-5, 5]
@@ -160,25 +166,29 @@ class TestKappaRange:
             if k != 0 and p.b * (k + p.a) < 0 and abs(k + p.a) > 0.5
         ]
         assert brute == [k for k in range(-5, 6) if k != 0 and k <= 1]
-        assert kappa_range(p).integers(-5, 5) == brute
+        assert self.binding(p, -5, 5) == brute
 
     @pytest.mark.parametrize("a", [0.0, 0.5, -0.5, 2.0, -2.0, 1.3, -3.7])
     @pytest.mark.parametrize("b", [1.0, -1.0, 0.25])
     def test_agrees_with_existence_predicate(self, a, b):
+        # the half-line of the rule, the predicate and the channels that
+        # spectrum binds are one set of kappa on [-50, 50]
         p = ModelParams(1.0, a, b)
-        rng = kappa_range(p)
-        for kappa in range(-50, 51):
-            if kappa == 0:
-                continue
-            ch = Channel.from_kappa(kappa, a)
-            assert rng.contains(kappa) == bound_states_exist(p, ch), (a, b, kappa)
+        kappas = [k for k in range(-50, 51) if k != 0]
+        half_line = [k for k in kappas if (k < -a - 0.5 if b > 0 else k > -a + 0.5)]
+        assert self.binding(p, -50, 50) == half_line, (a, b)
+        table = spectrum(p, kappas, 1, "both")
+        bound = sorted({k for k, ok in zip(table["kappa"], table["bound"]) if ok})
+        assert bound == half_line, (a, b)
 
     def test_b_zero_rejected(self):
-        with pytest.raises(UnboundChannelError):
-            kappa_range(ModelParams(1.0, 0.0, 0.0))
-
-    def test_describe(self):
-        assert "kappa <" in KappaRange("below", -0.5).describe()
+        p = ModelParams(1.0, 0.0, 0.0)
+        assert self.binding(p, -50, 50) == []
+        for kappa in (-1, 1):
+            with pytest.raises(UnboundChannelError):
+                energy(p, Channel.from_kappa(kappa), 1)
+            with pytest.raises(UnboundChannelError):
+                special_state(p, Channel.from_kappa(kappa))
 
 
 class TestBoundStateInvariants:
