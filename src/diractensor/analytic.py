@@ -286,14 +286,12 @@ def sample_state(
     g_form, f_form = state_wavefunctions(params, state)
     g = g_form(r)
     f = f_form(r)
-    norm = float(np.trapezoid(g * g + f * f, r))
     return RadialSamples(
         r=r,
         g=g,
         f=f,
         node_count_g=count_sign_changes(g),
         node_count_f=count_sign_changes(f),
-        l2_norm=norm,
     )
 
 

@@ -3,9 +3,11 @@ datasets and the analytic-vs-numeric verification matrix.
 
 Output is data-level (CSV or JSON tables), deterministic byte for byte:
 floats are written in shortest round-trip form, rows in a fixed order.  Every
-command builds its table as columns, a dict of column name to values, and
-the CSV writer formats each column once and joins the cells into rows; it
-quotes as the csv module's minimal quoting does, without the csv module.
+command builds its table as columns, a dict of column name to values
+(``verify`` appends each of its rows to them, naming only the cells it
+fills), and the CSV writer formats each column once and joins the cells
+into rows; it quotes as the csv module's minimal quoting does, without the
+csv module.
 Exit codes: 0 success, 1 usage error or numeric overflow, 2 verification
 failure, including a level the shooting oracle could not solve.
 """
@@ -48,7 +50,6 @@ from .oracle import (
 __all__ = [
     "RunConfig",
     "UsageError",
-    "VerificationFailure",
     "main",
     "entry_point",
     "run_spectrum",
@@ -56,17 +57,12 @@ __all__ = [
     "run_wavefunction",
     "run_verification",
     "verification_grid_rows",
-    "VerifyRow",
     "PRESETS",
 ]
 
 
 class UsageError(Exception):
     """Bad flags, bad config file, or a request no parameter set can satisfy."""
-
-
-class VerificationFailure(Exception):
-    """At least one verification check failed."""
 
 
 _BRANCH_NAME = {"plus": "particle", "minus": "antiparticle", "both": "both"}
@@ -356,22 +352,15 @@ def run_wavefunction(cfg: RunConfig) -> tuple[dict[str, list], dict]:
     return {"r": r.tolist(), "g": g.tolist(), "f": f.tolist()}, meta
 
 
-@dataclass
-class VerifyRow:
-    """One row of the verify table; the fields are its columns, in order."""
+# the columns of the verify table, in order
+_VERIFY_COLUMNS = ("check", "b", "a", "kappa", "kappa_bar", "n", "e_analytic", "e_shoot",
+                   "delta_e", "residual", "node_ok", "passed")
 
-    check: Optional[str] = None
-    b: Optional[float] = None
-    a: Optional[float] = None
-    kappa: Optional[int] = None
-    kappa_bar: Optional[float] = None
-    n: Optional[int] = None
-    e_analytic: Optional[float] = None
-    e_shoot: Optional[float] = None
-    delta_e: Optional[float] = None
-    residual: Optional[float] = None
-    node_ok: Optional[bool] = None
-    passed: Optional[bool] = None
+
+def _add_row(table: dict[str, list], **cells) -> None:
+    """Append one row to a table of columns; a column it does not name gets None."""
+    for name, column in table.items():
+        column.append(cells.get(name))
 
 
 # relative half-width and RK4 fineness of the edge-level bracket.  The row
@@ -389,10 +378,11 @@ def verification_grid_rows(
     kappas,
     n_max: int,
     inject_energy_error: float = 0.0,
-) -> tuple[list[VerifyRow], int, int, int, int]:
-    """One verification row per (b, a, kappa, level) state, with the Numerov
-    sweeps, Numerov steps and Newton steps the shooting oracle took over all
-    of them and the RK4 steps of the edge-state brackets.
+) -> tuple[dict[str, list], dict[str, int]]:
+    """The verify table, as columns, with one row per (b, a, kappa, level)
+    state, and its work: the Numerov ``sweeps``, Numerov ``steps`` and
+    ``newton_steps`` the shooting oracle took over all of them and the
+    ``rk4_steps`` of the edge-state brackets.
 
     Each row compares the closed-form energy against the shooting eigenvalue
     (acceptance criterion 1: |dE| <= 1e-7), shot from the channel's ladder
@@ -404,8 +394,8 @@ def verification_grid_rows(
     bracket of relative half-width ``_EDGE_DELTA`` (its ``delta_e``) around
     sign(E) (|E| + ``inject_energy_error``), marched at ``_EDGE_FINENESS``.
     """
-    rows = []
-    sweeps = steps = newton_steps = rk4_steps = 0
+    table = {name: [] for name in _VERIFY_COLUMNS}
+    work = dict.fromkeys(("sweeps", "steps", "newton_steps", "rk4_steps"), 0)
     r_residual = np.geomspace(0.01, 30.0, 120)
     for b in b_values:
         for a in a_values:
@@ -421,9 +411,8 @@ def verification_grid_rows(
                     state = bound_state(params, channel, level)
                     e_analytic = abs(state.energy) + inject_energy_error
                     shot = solve_bound_level(params, channel, "upper", level, estimate=estimate)
-                    sweeps += shot.sweeps
-                    steps += shot.steps
-                    newton_steps += shot.newton_steps
+                    for key in ("sweeps", "steps", "newton_steps"):
+                        work[key] += getattr(shot, key)
                     delta = abs(e_analytic - shot.energy_pair[0])
                     r_box = box_radius(state.gamma, abs(params.b * kb) / state.gamma, 30.0)
                     r_nodes = np.geomspace(1e-6 / state.gamma, r_box, 2400)
@@ -433,12 +422,12 @@ def verification_grid_rows(
                     window_ok = mass <= abs(state.energy) < mstar
                     residual = residuals(params, state, forms, r_residual)
                     passed = delta <= 1e-7 and node_ok and window_ok and residual < 1e-8
-                    rows.append(VerifyRow(
-                        check="special" if state.is_special else "oracle", b=b, a=a, kappa=kappa,
-                        kappa_bar=kb, n=level, e_analytic=e_analytic,
+                    _add_row(
+                        table, check="special" if state.is_special else "oracle", b=b, a=a,
+                        kappa=kappa, kappa_bar=kb, n=level, e_analytic=e_analytic,
                         e_shoot=shot.energy_pair[0], delta_e=delta, residual=residual,
                         node_ok=node_ok, passed=bool(passed),
-                    ))
+                    )
                 # blind bracket of the edge level: both marches must grow, and the
                 # tails at r_max of both components change sign between them only
                 # if a level lies in between
@@ -450,20 +439,20 @@ def verification_grid_rows(
                         params, channel, centre * side, sample_count=2, fineness=_EDGE_FINENESS
                     )
                     tails.append((samp.g[-1], samp.f[-1]))
-                    rk4_steps += rep.steps
+                    work["rk4_steps"] += rep.steps
                     growing = growing and rep.classification == "growing"
-                rows.append(VerifyRow(
-                    check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
+                _add_row(
+                    table, check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
                     e_analytic=centre, delta_e=_EDGE_DELTA * abs(centre),
                     passed=growing and all(count_sign_changes(tail) == 1 for tail in zip(*tails)),
-                ))
-    return rows, sweeps, steps, newton_steps, rk4_steps
+                )
+    return table, work
 
 
-def _no_binding_rows(mass, a_values, kappas, n_max: int) -> list[VerifyRow]:
-    """b = 0 sweep: shooting must find no square-integrable state with |E| < M
-    and at most ``n_max`` nodes."""
-    rows = []
+def _no_binding_rows(mass, a_values, kappas, n_max: int) -> dict[str, list]:
+    """b = 0 sweep, as columns: shooting must find no square-integrable state
+    with |E| < M and at most ``n_max`` nodes."""
+    table = {name: [] for name in _VERIFY_COLUMNS}
     for a in a_values:
         params = ModelParams(mass, a, 0.0)
         for kappa in kappas:
@@ -484,47 +473,49 @@ def _no_binding_rows(mass, a_values, kappas, n_max: int) -> list[VerifyRow]:
                         break
                     except NoBracketError:
                         continue
-            rows.append(VerifyRow(
-                check="no_binding", b=0.0, a=a, kappa=kappa, kappa_bar=kb,
+            _add_row(
+                table, check="no_binding", b=0.0, a=a, kappa=kappa, kappa_bar=kb,
                 e_shoot=None if found is None else found.energy_pair[0], passed=found is None,
-            ))
-    return rows
+            )
+    return table
 
 
-def run_verification(cfg: RunConfig) -> tuple[list[VerifyRow], str]:
-    """The verify table and its summary line.  An a or b of None selects
-    that parameter's default grid."""
+def run_verification(cfg: RunConfig) -> tuple[dict[str, list], str]:
+    """The verify table, as columns, and its summary line.  An a or b of
+    None selects that parameter's default grid."""
     kappas = _kappa_list(cfg)
     if cfg.n_max < 0:
         raise UsageError("n_max must be nonnegative")
     if cfg.b == 0.0:
+        if cfg.inject_energy_error:
+            raise UsageError("--inject-energy-error needs b != 0: the b = 0 sweep "
+                             "has no closed-form energy to offset")
         a_values = (0.0, 0.5, -0.5) if cfg.a is None else (cfg.a,)
-        rows = _no_binding_rows(cfg.mass, a_values, kappas, cfg.n_max)
-        summary = f"b = 0 sweep over {len(rows)} channels: no bound states expected"
-        return rows, summary
+        table = _no_binding_rows(cfg.mass, a_values, kappas, cfg.n_max)
+        summary = f"b = 0 sweep over {len(table['check'])} channels: no bound states expected"
+        return table, summary
     b_values = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0) if cfg.b is None else (cfg.b,)
     a_values = (0.0, 0.5, -0.5, 2.0, -2.0) if cfg.a is None else (cfg.a,)
-    rows, sweeps, steps, newton_steps, rk4_steps = verification_grid_rows(
+    table, work = verification_grid_rows(
         cfg.mass, b_values, a_values, kappas, cfg.n_max,
         inject_energy_error=cfg.inject_energy_error,
     )
-    if not rows:
+    if not table["check"]:
         raise UsageError(
             "no channel of the grid binds (bound states need b*kappa_bar < 0 and "
             "|kappa_bar| > 1/2): there is nothing to verify"
         )
-    oracle_rows = [r for r in rows if r.check in ("oracle", "special")]
-    max_delta = max((r.delta_e for r in oracle_rows), default=0.0)
-    n_fail = sum(1 for r in rows if not r.passed)
+    deltas = [delta for check, delta in zip(table["check"], table["delta_e"])
+              if check in ("oracle", "special")]
     summary = (
-        f"verified {len(oracle_rows)} states "
-        f"({len(rows) - len(oracle_rows)} zero-component checks): "
-        f"max |dE| = {max_delta:.3e}, failures = {n_fail}; "
-        f"shooting took {sweeps} Numerov sweeps ({steps} Numerov steps) and "
-        f"{newton_steps} Newton steps; "
-        f"edge-state integration took {rk4_steps} RK4 steps"
+        f"verified {len(deltas)} states "
+        f"({len(table['check']) - len(deltas)} zero-component checks): "
+        f"max |dE| = {max(deltas, default=0.0):.3e}, failures = {table['passed'].count(False)}; "
+        f"shooting took {work['sweeps']} Numerov sweeps ({work['steps']} Numerov steps) and "
+        f"{work['newton_steps']} Newton steps; "
+        f"edge-state integration took {work['rk4_steps']} RK4 steps"
     )
-    return rows, summary
+    return table, summary
 
 
 def float_list(text: str) -> tuple:
@@ -665,12 +656,12 @@ def main(argv=None) -> int:
             table, meta = run_wavefunction(cfg)
             _emit(table, cfg.output_format, cfg.out, meta=meta)
         elif args.command == "verify":
-            rows, summary = run_verification(cfg)
-            table = {f.name: [getattr(row, f.name) for row in rows] for f in fields(VerifyRow)}
+            table, summary = run_verification(cfg)
             _emit(table, cfg.output_format, cfg.out)
             print(summary, file=sys.stderr)
-            if any(not row.passed for row in rows):
-                raise VerificationFailure(summary)
+            if not all(table["passed"]):
+                print(f"verification failed: {summary}", file=sys.stderr)
+                return 2
         return 0
     except (UsageError, ValueError) as exc:  # UnboundChannelError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
@@ -678,7 +669,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 1
-    except (VerificationFailure, ShootingError) as exc:
+    except ShootingError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
 

@@ -211,7 +211,6 @@ class RadialSamples:
     f: np.ndarray
     node_count_g: int
     node_count_f: int
-    l2_norm: float
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)

@@ -487,7 +487,8 @@ def _pencil_levels(
     eigenvalues levels[0] + 1 .. levels[-1] + 1 in one call.  Its tolerance
     is absolute: the default one scales with the norm of the matrix, about
     1e16, and merges levels.  Every estimate must lie below the window top
-    -1e-8 b^2; b = 0 has no window.
+    -1e-8 b^2; b = 0 has no window.  Where |b| is so small or so large that
+    r^2 over the box over- or underflows float64, no estimate is made.
     """
     from scipy.linalg.lapack import dstebz  # here, not at the top: scipy is slow to import
 
@@ -502,11 +503,16 @@ def _pencil_levels(
         raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
     gamma_seed = b / (2.0 * deepest + 3.0)
     r_lo = _inner_edge(params, channel, component, 1e-6 / gamma_seed)
-    x = np.linspace(math.log(r_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
-    h2 = (x[1] - x[0]) ** 2
-    r = np.exp(x[1:-1])
-    d = (2.0 / h2 + s2 + coulomb * r) / (r * r)
-    e = -1.0 / (h2 * r[:-1] * r[1:])
+    try:
+        with np.errstate(all="raise"):
+            x = np.linspace(math.log(r_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
+            h2 = (x[1] - x[0]) ** 2
+            r = np.exp(x[1:-1])
+            d = (2.0 / h2 + s2 + coulomb * r) / (r * r)
+            e = -1.0 / (h2 * r[:-1] * r[1:])
+    except FloatingPointError as exc:
+        raise NoBracketError(f"b = {params.b!r}: the pencil's box does not fit float64 "
+                             f"({exc})") from exc
     m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9 * b * b, "E")
     top = -b * b * 1e-8
     if info != 0 or m != len(levels) or not w[m - 1] < top:
@@ -734,6 +740,8 @@ def integrate_first_order(
     samples sit at the first step at or past each of ``sample_count``
     log-spaced radii; where the steps are sparser than those radii, one step
     serves several of them and is sampled once, so fewer samples come back.
+    They are scaled by the peak of sqrt(g^2 + f^2) over every step, which
+    reads 1.
 
     The box reaches r_max = 30/gamma, or further where the r^p tail, p =
     |b kappa_bar| / gamma, is still within e^(-20) of its peak there.  A
@@ -831,11 +839,6 @@ def integrate_first_order(
     scales = np.exp(recorder.log_scale[taken] - peak_log)
     gg = recorder.g[taken] * scales
     ff = recorder.f[taken] * scales
-    norm = float(np.trapezoid(gg * gg + ff * ff, rr))
-    if classification == "bound" and norm > 0.0:
-        gg = gg / math.sqrt(norm)
-        ff = ff / math.sqrt(norm)
-        norm = 1.0
     counted = slice(None)
     if classification == "bound":  # the roundoff-seeded growing tail may change sign
         amp = np.hypot(gg, ff)
@@ -846,7 +849,6 @@ def integrate_first_order(
         f=ff,
         node_count_g=count_sign_changes(gg[counted]),
         node_count_f=count_sign_changes(ff[counted]),
-        l2_norm=norm,
     )
     report = IntegrationReport(
         energy=energy_value,

@@ -543,9 +543,10 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli, "state_wavefunctions", counted)
         monkeypatch.setattr(analytic, "state_wavefunctions", counted)
-        rows, *_ = cli.verification_grid_rows(1.0, (1.0,), (0.5,), [-3, -2, -1, 1, 2, 3], 3)
-        levels = [(row.kappa, row.n) for row in rows if row.check != "zero_component"]
-        assert all(row.passed for row in rows)
+        table, _ = cli.verification_grid_rows(1.0, (1.0,), (0.5,), [-3, -2, -1, 1, 2, 3], 3)
+        rows = row_view(table)
+        levels = [(row["kappa"], row["n"]) for row in rows if row["check"] != "zero_component"]
+        assert all(row["passed"] for row in rows)
         assert [(state.channel.kappa, state.n_g) for state in states] == levels
         assert len(levels) == 8
 
@@ -553,9 +554,10 @@ class TestVerifyCommand:
         # the edge states at kappa <= -13 and the oracle levels at kappa <= -26
         # peak beyond 30/gamma; the integration box and the node sampling
         # follow the r^p tail there
-        rows, *_ = cli.verification_grid_rows(1.0, (1.0,), (0.0,), [-60, -40, -26, -20, -13], 2)
+        table, _ = cli.verification_grid_rows(1.0, (1.0,), (0.0,), [-60, -40, -26, -20, -13], 2)
+        rows = row_view(table)
         assert len(rows) == 20
-        assert [(row.check, row.kappa, row.n) for row in rows if not row.passed] == []
+        assert [(row["check"], row["kappa"], row["n"]) for row in rows if not row["passed"]] == []
 
     def test_injected_error_detected(self, tmp_path):
         out = tmp_path / "verify.csv"
@@ -575,10 +577,11 @@ class TestVerifyCommand:
         # it must fail, at every scale of b and in both families
         sign = 1.0 if kappa < 0 else -1.0
         for error, want in ((0.0, True), (1e-8, False), (-1e-8, False)):
-            rows, *_ = cli.verification_grid_rows(1.0, (sign * b,), (0.0,), [kappa], 0,
+            table, _ = cli.verification_grid_rows(1.0, (sign * b,), (0.0,), [kappa], 0,
                                                   inject_energy_error=error)
-            edge = [row for row in rows if row.check == "zero_component"]
-            assert [(row.e_analytic, row.passed) for row in edge] == [(sign * (1.0 + error), want)]
+            edge = [row for row in row_view(table) if row["check"] == "zero_component"]
+            assert [(row["e_analytic"], row["passed"]) for row in edge] == [
+                (sign * (1.0 + error), want)]
 
     def test_edge_bracket_at_the_wrong_sign_fails(self, monkeypatch, tmp_path):
         # the antiparticle energy in place of the particle one (and back): at
@@ -642,6 +645,39 @@ class TestVerifyCommand:
         assert run_cli("verify", "--b", "0", "--kappa-min", "0", "--kappa-max", "0") == 1
         out, err = capsys.readouterr()
         assert out == "" and "no kappa" in err
+
+    def test_b_zero_sweep_rejects_injected_error(self, tmp_path, capsys):
+        # the sweep has no closed-form energy to offset
+        code = run_cli("verify", "--b", "0", "--kappa-min", "-1", "--kappa-max", "1",
+                       "--inject-energy-error", "1e-3")
+        assert code == 1
+        assert "--inject-energy-error" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b=0\nkappa_min=-1\nkappa_max=1\ninject_energy_error=1e-3\n")
+        assert run_cli("verify", "--config", str(cfg)) == 1
+        assert "--inject-energy-error" in capsys.readouterr().err
+
+    def test_pencil_box_beyond_float64_is_a_verification_exit(self, capsys):
+        code = run_cli("verify", "--b", "1e-200", "--kappa-min", "-1", "--kappa-max", "-1",
+                       "--n-max", "1")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Warning" not in err
+        assert err.startswith("verification failed: b = 1e-200: the pencil's box")
+
+    def test_every_check_writes_one_header(self, tmp_path):
+        # the b = 0 sweep and the grid write the same columns, and cells a
+        # check does not fill stay empty
+        headers = []
+        for b in ("0", "1"):
+            out = tmp_path / f"verify{b}.csv"
+            assert run_cli("verify", "--b", b, "--a", "0", "--kappa-min", "-1",
+                           "--kappa-max", "-1", "--n-max", "0", "--out", str(out)) == 0
+            headers.append(out.read_text().splitlines()[0])
+        assert headers == [",".join(cli._VERIFY_COLUMNS)] * 2
+        edge = [row for row in read_csv_rows(out) if row["check"] == "zero_component"]
+        assert len(edge) == 1
+        assert [edge[0][name] for name in ("e_shoot", "residual", "node_ok")] == ["", "", ""]
 
     def test_b_zero_sweep_rejects_negative_n_max(self, capsys):
         code = run_cli("verify", "--b", "0", "--kappa-min", "-1", "--kappa-max", "1",
@@ -955,7 +991,9 @@ class TestOptionsPerSubcommand:
 
         def record(mass, b_grid, a_grid, *args, **kwargs):
             grids.append((tuple(b_grid), tuple(a_grid)))
-            return [cli.VerifyRow(passed=True)], 0, 0, 0, 0
+            table = {name: [] for name in cli._VERIFY_COLUMNS}
+            cli._add_row(table, passed=True)
+            return table, dict.fromkeys(("sweeps", "steps", "newton_steps", "rk4_steps"), 0)
 
         monkeypatch.setattr(cli, "verification_grid_rows", record)
         assert run_cli("verify", *argv) == 0

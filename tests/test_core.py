@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import diractensor
 from diractensor import (
     BoundState,
     Channel,
@@ -224,13 +227,13 @@ class TestRadialSamples:
         g = np.zeros(3)
         with pytest.raises(ValueError):
             RadialSamples(r=np.array([0.0, 0.1, 0.2]), g=g, f=g,
-                          node_count_g=0, node_count_f=0, l2_norm=0.0)
+                          node_count_g=0, node_count_f=0)
         with pytest.raises(ValueError):
             RadialSamples(r=r[::-1].copy(), g=g, f=g,
-                          node_count_g=0, node_count_f=0, l2_norm=0.0)
+                          node_count_g=0, node_count_f=0)
         with pytest.raises(ValueError):
             RadialSamples(r=r, g=np.zeros(2), f=g,
-                          node_count_g=0, node_count_f=0, l2_norm=0.0)
+                          node_count_g=0, node_count_f=0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_nonfinite_radii(self, bad):
@@ -238,4 +241,15 @@ class TestRadialSamples:
         g = np.zeros(3)
         for r in (np.array([0.1, 0.2, bad]), np.array([bad, 0.1, 0.2])):
             with pytest.raises(ValueError, match="finite"):
-                RadialSamples(r=r, g=g, f=g, node_count_g=0, node_count_f=0, l2_norm=0.0)
+                RadialSamples(r=r, g=g, f=g, node_count_g=0, node_count_f=0)
+
+
+MODULES = [diractensor] + [importlib.import_module(f"diractensor.{info.name}")
+                           for info in pkgutil.iter_modules(diractensor.__path__)]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_every_exported_name_resolves(module):
+    # a stale __all__ entry would fail only at ``from module import *``
+    exported = getattr(module, "__all__", ())
+    assert [name for name in exported if not hasattr(module, name)] == []

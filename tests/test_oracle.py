@@ -443,6 +443,14 @@ class TestShootEigenvalue:
         with pytest.raises(NoBracketError):
             solve_bound_level(ModelParams(1.0, 0.0, 0.0), Channel.from_kappa(-1), "upper", 0)
 
+    @pytest.mark.parametrize("b", [1e-200, 1e-160, 1e150, 1e200])
+    def test_pencil_rejects_a_box_float64_cannot_hold(self, b):
+        # r^2 over the seed box over- or underflows: no level, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoBracketError, match="float64"):
+                solve_bound_level(ModelParams(1.0, 0.0, b), Channel.from_kappa(-1), "upper", 1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShootingConfig(r_min=1.0, r_max=0.5, step_count=4000,
