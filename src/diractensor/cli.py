@@ -40,9 +40,10 @@ from .oracle import (
     NoBracketError,
     ShootingConfig,
     ShootingError,
+    _MAX_FINENESS,
+    _march_first_order,
     _pencil_levels,
     count_sign_changes,
-    integrate_first_order,
     shoot_eigenvalue,
     solve_bound_level,
 )
@@ -363,12 +364,11 @@ def _add_row(table: dict[str, list], **cells) -> None:
         column.append(cells.get(name))
 
 
-# relative half-width and RK4 fineness of the edge-level bracket.  The row
-# reads both components' tails: a level between the two marches flips both,
-# but at the wrong sign of E, where the coupling M + E or M - E vanishes, the
-# component scaled by that coupling flips its tiny tail with no level there
+# relative half-width of the edge-level bracket.  The row reads both
+# components' tails: a level between the two marches flips both, but at the
+# wrong sign of E, where the coupling M + E or M - E vanishes, the component
+# scaled by that coupling flips its tiny tail with no level there
 _EDGE_DELTA = 1e-9
-_EDGE_FINENESS = 0.1
 
 
 def verification_grid_rows(
@@ -392,7 +392,11 @@ def verification_grid_rows(
     measures the worst relative residual of the radial equations.
     Each channel's |E| = M edge level also gets a ``zero_component`` row: a
     bracket of relative half-width ``_EDGE_DELTA`` (its ``delta_e``) around
-    sign(E) (|E| + ``inject_energy_error``), marched at ``_EDGE_FINENESS``.
+    sign(E) (|E| + ``inject_energy_error``), both ends marched in one scan
+    at the coarsest fineness, ``_MAX_FINENESS``.  At |E| = M every RK4 step
+    matrix is exactly triangular whatever its size, so the discrete edge
+    level lies exactly at +/-M, as the true one does: the step size does not
+    move the level, and the growth over the box resolves the bracket.
     """
     table = {name: [] for name in _VERIFY_COLUMNS}
     work = dict.fromkeys(("sweeps", "steps", "newton_steps", "rk4_steps"), 0)
@@ -415,7 +419,8 @@ def verification_grid_rows(
                         work[key] += getattr(shot, key)
                     delta = abs(e_analytic - shot.energy_pair[0])
                     r_box = box_radius(state.gamma, abs(params.b * kb) / state.gamma, 30.0)
-                    r_nodes = np.geomspace(1e-6 / state.gamma, r_box, 2400)
+                    r_nodes = np.exp(np.linspace(math.log(1e-6 / state.gamma),
+                                                 math.log(r_box), 2400))
                     forms = state_wavefunctions(params, state)
                     node_ok = all(count_sign_changes(form(r_nodes)) == (expected or 0)
                                   for form, expected in zip(forms, (state.n_g, state.n_f)))
@@ -433,14 +438,13 @@ def verification_grid_rows(
                 # if a level lies in between
                 edge = special_state(params, channel).energy
                 centre = math.copysign(abs(edge) + inject_energy_error, edge)
-                tails, growing = [], True
-                for side in (1.0 - _EDGE_DELTA, 1.0 + _EDGE_DELTA):
-                    samp, rep = integrate_first_order(
-                        params, channel, centre * side, sample_count=2, fineness=_EDGE_FINENESS
-                    )
-                    tails.append((samp.g[-1], samp.f[-1]))
-                    work["rk4_steps"] += rep.steps
-                    growing = growing and rep.classification == "growing"
+                marches = _march_first_order(
+                    params, channel, (centre * (1.0 - _EDGE_DELTA), centre * (1.0 + _EDGE_DELTA)),
+                    sample_count=2, fineness=_MAX_FINENESS,
+                )
+                tails = [(samp.g[-1], samp.f[-1]) for samp, _ in marches]
+                work["rk4_steps"] += sum(rep.steps for _, rep in marches)
+                growing = all(rep.classification == "growing" for _, rep in marches)
                 _add_row(
                     table, check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
                     e_analytic=centre, delta_e=_EDGE_DELTA * abs(centre),

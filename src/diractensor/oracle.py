@@ -14,9 +14,12 @@ Two pieces of machinery, both blind to the closed-form solutions:
   both the node count and the match.  The converged iterate's own two sweeps
   give the returned level's node count, and the counts at the bracket ends
   are marched only where the search leaves Newton's path: at a bisection
-  step, a bisection exit or an error.  A march solves for w = f y, whose
-  Numerov band has a unit diagonal: each shot allocates that band once,
-  and a march rewrites one row of it and makes one BLAS ``tbsv`` call.
+  step, a bisection exit or an error.  Where two Newton steps in a row
+  predict the next correction within the tolerance, the last candidate is
+  returned without the step that would only confirm it.  A march solves
+  for w = f y, whose Numerov band has a unit diagonal: each shot allocates
+  that band once, and a march rewrites one row of it and makes one BLAS
+  ``tbsv`` call.
   The match point comes from the root of the quadratic S^2 + B r - lambda
   r^2, and the matching defect and Newton denominator from dot products
   over the two sweeps, with no joined copy.  The pencil and every shot
@@ -27,11 +30,13 @@ Two pieces of machinery, both blind to the closed-form solutions:
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
   to confirm decay at the analytic energies and divergence away from them;
   the sign of the tail of a growing solution tells on which side of a level
-  its energy lies, so two marches bracket the |E| = M special states.  The
+  its energy lies, so two energies bracket the |E| = M special states.  The
   system is linear and the step schedule depends on r alone, so each step is
   a fixed 2x2 matrix; the integrator forms these in float64 a chunk at a
   time, multiplies them by one prefix scan per chunk and carries the state
   across chunk boundaries with an exact power-of-two renormalisation.
+  Several energies can share one scan on the first one's schedule, each
+  with its own matrices and state.
 
 The separation eigenvalue is lambda = E^2 - M^2 - b^2, negative for every
 bound state since |E| < sqrt(M^2 + b^2).
@@ -320,9 +325,12 @@ def _matching_defect(ws: _ShootingWorkspace, f: np.ndarray, outward: np.ndarray,
     return float(defect), ws.h * ws.h * float(weight)
 
 
-def _joined(outward: np.ndarray, m: int, inward: np.ndarray) -> np.ndarray:
-    """The solution joined at ``m``, normalised to 1 there."""
-    return np.concatenate((outward[:m] / outward[m], [1.0], inward[2:] / inward[1]))
+def _joined_node_count(outward: np.ndarray, m: int, inward: np.ndarray) -> int:
+    """Nodes of the solution joined at ``m``: outward / outward[m] up to m,
+    inward / inward[1] beyond.  ``_match_point`` makes both divisors
+    nonzero, and scaling a piece by one nonzero number keeps each of its
+    sign changes, so the pieces are counted as they are, joined at m."""
+    return count_sign_changes(outward[: m + 1]) + count_sign_changes(inward[1:])
 
 
 def shoot_eigenvalue(
@@ -349,6 +357,15 @@ def shoot_eigenvalue(
     bracket ends are marched only before a bisection step, a bisection exit
     or an error: Newton steps that meet the tolerance inside the bracket
     have found a level there, at two sweeps a step.
+    A Newton step whose correction delta misses the tolerance may still end
+    the search, returning its candidate lambda + delta unmarched: when the
+    step before it was a Newton step too (no bisection in between), the
+    correction delta^2 / |previous delta| that their contraction predicts
+    for the next step is within the tolerance, the candidate lies inside the
+    bracket with no bisection exit due, and the solution joined at lambda
+    already has ``node_target`` nodes.  The next step would march at that
+    candidate only to confirm it, and where the prediction holds it returns
+    that same float; the rule adds no constant.
     Raises NoBracketError when the bracket contains no such level (the b = 0
     case in particular), ConvergenceError on iteration cap,
     NodeMismatchError if the converged solution violates Sturm ordering.
@@ -380,6 +397,7 @@ def shoot_eigenvalue(
     lam = 0.5 * (lo + hi)
     best: Optional[float] = None
     newton_steps = 0
+    previous = math.nan  # the Newton correction that gave lam, NaN after a bisection
     for _ in range(300):
         f, outward = ws.sweep(lam)
         count = count_sign_changes(outward)
@@ -387,26 +405,34 @@ def shoot_eigenvalue(
             hi = lam
         else:
             lo = lam
-        candidate = math.nan  # fails the bracket test below: bisect
+        candidate = delta = math.nan  # fails the bracket test below: bisect
         if count - node_target in (0, 1):
             m, inward = _match_point(ws, lam, f, outward)
             defect, denom = _matching_defect(ws, f, outward, m, inward)
             newton_steps += 1
             delta = -defect / denom
             if abs(delta) <= config.tolerance:
-                best, found = lam, count_sign_changes(_joined(outward, m, inward))
+                best, found = lam, _joined_node_count(outward, m, inward)
                 break
             candidate = lam + delta
         if not lo < candidate < hi:
             count_ends()
-            candidate = 0.5 * (lo + hi)
+            candidate, delta = 0.5 * (lo + hi), math.nan
         lam = candidate
         if hi - lo <= config.tolerance:
             count_ends()
             best = 0.5 * (lo + hi)
             f, outward = ws.sweep(best)
-            found = count_sign_changes(_joined(outward, *_match_point(ws, best, f, outward)))
+            found = _joined_node_count(outward, *_match_point(ws, best, f, outward))
             break
+        # the contraction of two Newton steps in a row predicts the next
+        # correction, delta^2 / |previous|; within the tolerance, the step
+        # that would march at lam only to confirm it is not taken
+        if (delta * delta <= config.tolerance * abs(previous)
+                and _joined_node_count(outward, m, inward) == node_target):
+            best, found = lam, node_target
+            break
+        previous = delta
     if best is None:
         count_ends()
         raise ConvergenceError(
@@ -646,9 +672,10 @@ def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return earlier + later + (later[:, :1] * earlier[0] + later[:, 1:] * earlier[1])
 
 
-def _renormalised(g, f):
-    """(g, f) rescaled exactly by a power of two to max(|g|, |f|) in [1/2, 1), and the exponent."""
-    shift = int(np.frexp(max(abs(g), abs(f)))[1])
+def _renormalised(g: np.ndarray, f: np.ndarray):
+    """(g, f) rescaled exactly by powers of two to max(|g|, |f|) in [1/2, 1),
+    elementwise, and the exponents."""
+    shift = np.frexp(np.maximum(abs(g), abs(f)))[1]
     return np.ldexp(g, -shift), np.ldexp(f, -shift), shift
 
 
@@ -753,17 +780,46 @@ def integrate_first_order(
     about 1e-5 of the peak at worst; past the last sample within 1e-3 of the
     peak that solution may change sign, and a bound march counts no nodes
     there.  At E = M or E = -M one coupling M -/+ E is exactly zero, every
-    step matrix is triangular and one component stays exactly zero.  The
+    step matrix is triangular and one component stays exactly zero, at any
+    fineness: the discrete edge level lies exactly at +/-M, so a bracket of
+    it is resolved by the growth over the box, not by the step, and may be
+    marched at the coarsest fineness.  The
     series start r_min^|kappa_bar|, which underflows float64 once |kappa_bar|
     nears 50, is carried as a mantissa and a power of two.  The default
     ``fineness`` keeps the truncation error per step near the roundoff level.
+    This is ``_march_first_order`` with one energy.
+    """
+    return _march_first_order(params, channel, (energy_value,), sample_count, fineness)[0]
+
+
+def _march_first_order(
+    params: ModelParams,
+    channel: Channel,
+    energies: tuple[float, ...],
+    sample_count: int,
+    fineness: float,
+) -> list[tuple[RadialSamples, IntegrationReport]]:
+    """``integrate_first_order`` at several trial energies in one scan, on the
+    box and step schedule of the first: the samples and report of each, in
+    order.
+
+    The schedule depends on r alone, so each chunk's radii are placed once,
+    and the step matrices of all the energies are formed, composed and
+    applied side by side along one more axis.  Each energy keeps its own
+    start state, power-of-two exponent, peak, samples and classification, so
+    its results are those of a march of that energy alone on the first one's
+    schedule, and the first energy's results are bit for bit those of
+    ``integrate_first_order``.  Every report counts the scan's steps and
+    carries its wall time.
     """
     start = time.perf_counter()
     kb, b = channel.kappa_bar, params.b
     angular = max(abs(angular_strength(kb, "upper")), abs(angular_strength(kb, "lower")))
     if not 0.0 < fineness <= _MAX_FINENESS:
         raise ValueError(f"fineness must lie in (0, {_MAX_FINENESS}], got {fineness!r}")
-    lam = energy_value * energy_value - params.mass**2 - b**2
+    energies = np.asarray(energies, dtype=float)
+    lams = energies * energies - params.mass**2 - b**2
+    lam = float(lams[0])
     gamma_ref = math.sqrt(-lam) if lam < 0.0 else max(abs(b), 0.1 * params.mass)
     r_lo = 1e-6 / gamma_ref
     r_hi = max(30.0 / gamma_ref, box_radius(gamma_ref, abs(b * kb) / gamma_ref, 20.0))
@@ -777,25 +833,27 @@ def integrate_first_order(
     phase = np.concatenate(([0.0], np.cumsum(0.5 * (rate_dx[1:] + rate_dx[:-1]) * np.diff(x))))
     steps = max(1, math.ceil(phase[-1] / fineness))
 
-    mp, mm = params.mass + energy_value, params.mass - energy_value
+    # one row per energy: states are (energy,) arrays, step matrices (2, 2, energy, step)
+    count = energies.size
+    mp, mm = params.mass + energies[:, None], params.mass - energies[:, None]
 
     # series start: the dominant component carries the lower power of r, whose
     # power of two goes to the exponent; the state is (g, f) * 2**exponent
     power = abs_kb * math.log2(r_lo)
-    exponent = math.floor(power)
-    lead = 2.0 ** (power - exponent)
+    lead = 2.0 ** (power - math.floor(power))
     if kb < 0:
-        g = lead * (1.0 - b * r_lo)
-        f = mm / (1.0 - 2.0 * kb) * lead * r_lo
+        g = np.full(count, lead * (1.0 - b * r_lo))
+        f = mm[:, 0] / (1.0 - 2.0 * kb) * lead * r_lo
     else:
-        f = lead * (1.0 + b * r_lo)
-        g = mp / (1.0 + 2.0 * kb) * lead * r_lo
+        f = np.full(count, lead * (1.0 + b * r_lo))
+        g = mp[:, 0] / (1.0 + 2.0 * kb) * lead * r_lo
     g, f, shift = _renormalised(g, f)
-    exponent += shift
+    exponent = math.floor(power) + shift
 
     ln2 = math.log(2.0)
-    recorder = _Recorder(np.geomspace(r_lo, r_hi, sample_count))
-    renorms = 0
+    targets = np.geomspace(r_lo, r_hi, sample_count)
+    recorders = [_Recorder(targets) for _ in range(count)]
+    renorms = np.zeros(count, dtype=int)
     for k0 in range(0, steps, _CHUNK_STEPS):
         k1 = min(k0 + _CHUNK_STEPS, steps)
         n = k1 - k0
@@ -805,7 +863,7 @@ def integrate_first_order(
         if k1 == steps:
             r[-1] = r_hi
         r = np.minimum(r, r_hi)
-        d = np.zeros((2, 2, 1 << (n - 1).bit_length()))  # padding steps are identities
+        d = np.zeros((2, 2, count, 1 << (n - 1).bit_length()))  # padding steps are identities
         d[..., :n] = _rk4_step_deltas(r[:-1], np.diff(r), kb, b, mp, mm)
 
         # up-sweep: products of 2, 4, ... consecutive steps, up to the chunk's product
@@ -815,49 +873,55 @@ def integrate_first_order(
         (t00, t01), (t10, t11) = levels.pop()[..., 0]
 
         # down-sweep: the state before every step from the chunk's start state
-        y = np.array([[g], [f]])
+        y = np.stack((g, f))[..., None]
         for level in reversed(levels):
             earlier = level[..., ::2]
             after = y + (earlier[:, 0] * y[0] + earlier[:, 1] * y[1])
-            y = np.stack((y, after), axis=-1).reshape(2, -1)
-        recorder.visit(r[:-1], y[0, :n], y[1, :n], exponent * ln2)
+            y = np.stack((y, after), axis=-1).reshape(2, count, -1)
+        for i, recorder in enumerate(recorders):
+            recorder.visit(r[:-1], y[0, i, :n], y[1, i, :n], exponent[i] * ln2)
 
         g, f = g + (t00 * g + t01 * f), f + (t10 * g + t11 * f)
         g, f, shift = _renormalised(g, f)
         exponent += shift
         renorms += shift != 0
-    recorder.visit(np.array([r_hi]), np.array([g]), np.array([f]), exponent * ln2)
 
-    amp2_end = float(g * g + f * f)
-    end_log = 0.5 * math.log(amp2_end) + exponent * ln2 if amp2_end > 0.0 else -math.inf
-    peak_log = recorder.peak_log
-    decay_ratio = math.exp(end_log - peak_log) if peak_log > -math.inf else math.inf
-    classification = "bound" if (lam < 0.0 and decay_ratio < _BOUND_DECAY) else "growing"
+    seconds = time.perf_counter() - start
+    results = []
+    for i, recorder in enumerate(recorders):
+        recorder.visit(np.array([r_hi]), g[i : i + 1], f[i : i + 1], exponent[i] * ln2)
+        amp2_end = float(g[i] * g[i] + f[i] * f[i])
+        end_log = 0.5 * math.log(amp2_end) + exponent[i] * ln2 if amp2_end > 0.0 else -math.inf
+        peak_log = recorder.peak_log
+        decay_ratio = math.exp(end_log - peak_log) if peak_log > -math.inf else math.inf
+        lam = float(lams[i])
+        classification = "bound" if (lam < 0.0 and decay_ratio < _BOUND_DECAY) else "growing"
 
-    taken = slice(recorder.taken)
-    rr = recorder.r[taken]
-    scales = np.exp(recorder.log_scale[taken] - peak_log)
-    gg = recorder.g[taken] * scales
-    ff = recorder.f[taken] * scales
-    counted = slice(None)
-    if classification == "bound":  # the roundoff-seeded growing tail may change sign
-        amp = np.hypot(gg, ff)
-        counted = slice(np.flatnonzero(amp >= _BOUND_DECAY * amp.max())[-1] + 1)
-    samples = RadialSamples(
-        r=rr,
-        g=gg,
-        f=ff,
-        node_count_g=count_sign_changes(gg[counted]),
-        node_count_f=count_sign_changes(ff[counted]),
-    )
-    report = IntegrationReport(
-        energy=energy_value,
-        lambda_=lam,
-        decay_ratio=decay_ratio,
-        classification=classification,
-        peak_radius=recorder.peak_radius,
-        renormalizations=renorms,
-        steps=steps,
-        seconds=time.perf_counter() - start,
-    )
-    return samples, report
+        taken = slice(recorder.taken)
+        rr = recorder.r[taken]
+        scales = np.exp(recorder.log_scale[taken] - peak_log)
+        gg = recorder.g[taken] * scales
+        ff = recorder.f[taken] * scales
+        counted = slice(None)
+        if classification == "bound":  # the roundoff-seeded growing tail may change sign
+            amp = np.hypot(gg, ff)
+            counted = slice(np.flatnonzero(amp >= _BOUND_DECAY * amp.max())[-1] + 1)
+        samples = RadialSamples(
+            r=rr,
+            g=gg,
+            f=ff,
+            node_count_g=count_sign_changes(gg[counted]),
+            node_count_f=count_sign_changes(ff[counted]),
+        )
+        report = IntegrationReport(
+            energy=float(energies[i]),
+            lambda_=lam,
+            decay_ratio=decay_ratio,
+            classification=classification,
+            peak_radius=recorder.peak_radius,
+            renormalizations=int(renorms[i]),
+            steps=steps,
+            seconds=seconds,
+        )
+        results.append((samples, report))
+    return results

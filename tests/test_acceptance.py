@@ -88,15 +88,18 @@ def test_shooting_work_per_level(oracle_grid):
     every sweep from 1e-6/gamma takes 42,566 Numerov steps per level.  A shot
     that also counts both bracket ends up front, or marches its final node
     count again after Newton has converged, takes 9.1 sweeps per level, and
-    with both 11.1 sweeps and 33,285 steps.
+    with both 11.1 sweeps and 33,285 steps.  Marching the last Newton
+    candidate only to confirm it, where the two steps before it already
+    predict a correction within the tolerance, takes 7.13 sweeps and
+    18,643 steps.
     """
     mean = sum(shot.sweeps for *_, shot in oracle_grid) / len(oracle_grid)
     steps = sum(shot.steps for *_, shot in oracle_grid) / len(oracle_grid)
-    print(f"\n[{'PASS' if mean <= 7.8 and steps <= 20500 else 'FAIL'}] shooting work: "
-          f"{mean:.2f} Numerov sweeps per level <= 7.8 and {steps:.0f} Numerov steps "
-          f"per level <= 20500 over {len(oracle_grid)} levels")
-    assert mean <= 7.8
-    assert steps <= 20500
+    print(f"\n[{'PASS' if mean <= 6.0 and steps <= 15500 else 'FAIL'}] shooting work: "
+          f"{mean:.2f} Numerov sweeps per level <= 6.0 and {steps:.0f} Numerov steps "
+          f"per level <= 15500 over {len(oracle_grid)} levels")
+    assert mean <= 6.0
+    assert steps <= 15500
 
 
 def test_ladder_estimates_give_the_one_level_solves(oracle_grid):

@@ -28,7 +28,6 @@ from diractensor import (
     charge_conjugate,
     cli,
     energy,
-    integrate_first_order,
     oracle,
     solve_bound_level,
     special_state,
@@ -493,7 +492,7 @@ class TestVerifyCommand:
         assert max(float(r["delta_e"]) for r in oracle_rows) < 1e-7
         # the summary line ends with the shooting work, each level shot from
         # its channel's ladder of estimates, and the work of the edge-state
-        # brackets, two marches at M (1 -/+ 1e-9) per channel
+        # brackets, one scan of the pair M (1 -/+ 1e-9) per channel
         params = ModelParams(1.0, 0.0, 1.0)
         shots = []
         for kappa in (-2, -1):
@@ -504,9 +503,10 @@ class TestVerifyCommand:
         sweeps = sum(shot.sweeps for shot in shots)
         steps = sum(shot.steps for shot in shots)
         newton_steps = sum(shot.newton_steps for shot in shots)
-        reports = [integrate_first_order(params, Channel.from_kappa(kappa), params.mass * side,
-                                         sample_count=2, fineness=0.1)[1]
-                   for kappa in (-2, -1) for side in (1.0 - 1e-9, 1.0 + 1e-9)]
+        pair = (params.mass * (1.0 - 1e-9), params.mass * (1.0 + 1e-9))
+        reports = [report for kappa in (-2, -1)
+                   for _, report in oracle._march_first_order(
+                       params, Channel.from_kappa(kappa), pair, sample_count=2, fineness=0.25)]
         rk4_steps = sum(report.steps for report in reports)
         assert rk4_steps > 0
         assert capsys.readouterr().err.strip().endswith(
@@ -570,7 +570,7 @@ class TestVerifyCommand:
         assert all(r["passed"] == "false" for r in rows)
 
     @pytest.mark.parametrize("b", [1.0, 1e3, 1e-3])
-    @pytest.mark.parametrize("kappa", [-1, 2])
+    @pytest.mark.parametrize("kappa", [-1, 2, -5])
     def test_edge_bracket_off_the_level_fails(self, b, kappa):
         # the edge row brackets its centre by 1e-9 (relative); centred on the
         # closed form it passes, and centred 10 half-widths off to either side

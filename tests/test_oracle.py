@@ -163,16 +163,19 @@ class TestShootEigenvalue:
 
     def test_work_counters_pinned(self):
         # one shot from the pencil estimate, started at the inner edge: an
-        # outward and an inward sweep per Newton step, and no other
+        # outward and an inward sweep per Newton step, and no other; the last
+        # Newton candidate is returned without a step that only confirms it
         for _ in range(2):
             res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
-            assert (res.sweeps, res.newton_steps, res.steps) == (8, 4, 25181)
+            assert (res.sweeps, res.newton_steps, res.steps) == (6, 3, 18886)
             assert res.step_count == 5751
 
     @pytest.mark.parametrize("kappa, n", [(-1, 0), (-1, 4), (-3, 2), (-5, 5)])
     def test_newton_path_marches_two_sweeps_per_step(self, kappa, n, monkeypatch):
         # a level found by Newton steps alone marches no bracket end and no
-        # final pair: its node count comes from the sweeps of its last step
+        # final pair, and its last candidate may come back unmarched; marched
+        # at the returned level itself, the Newton correction is within the
+        # tolerance and the joined solution has n nodes
         ch = Channel.from_kappa(kappa)
         [lam] = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(n, n + 1))
         config = oracle._shot_config(PARAMS_POS, ch, "upper", lam, 6000)
@@ -183,7 +186,33 @@ class TestShootEigenvalue:
         res = shoot_eigenvalue(PARAMS_POS, ch, "upper", n, config)
         assert res.sweeps == 2 * res.newton_steps == 2 * len(swept)
         assert not set(config.lambda_bracket) & set(swept)
-        assert swept[-1] == res.lambda_ and res.node_count == n
+        assert res.node_count == n
+        ws = _ShootingWorkspace(PARAMS_POS, ch, "upper", config)
+        f, outward = sweep(ws, res.lambda_)
+        m, inward = oracle._match_point(ws, res.lambda_, f, outward)
+        defect, denom = oracle._matching_defect(ws, f, outward, m, inward)
+        assert abs(defect / denom) <= config.tolerance
+        assert oracle._joined_node_count(outward, m, inward) == n
+
+    def test_slow_contraction_never_stops_early(self, monkeypatch):
+        # corrections that only halve each step: the candidate after a
+        # correction of (1, 2] tolerances may come back unmarched, since the
+        # next correction is half of it, but no level at which the correction
+        # still exceeds the tolerance may (a rule that predicted the next
+        # correction quadratically would return one)
+        ch = Channel.from_kappa(-3)
+        config = oracle._shot_config(PARAMS_POS, ch, "upper", 1.02 * self.LAMBDA_2, 6000)
+        level = shoot_eigenvalue(PARAMS_POS, ch, "upper", 2, config).lambda_
+        swept = []
+        sweep = _ShootingWorkspace.sweep
+        monkeypatch.setattr(_ShootingWorkspace, "sweep",
+                            lambda ws, at: swept.append(at) or sweep(ws, at))
+        monkeypatch.setattr(oracle, "_matching_defect",
+                            lambda *args: (0.5 * (swept[-1] - level), 1.0))
+        res = shoot_eigenvalue(PARAMS_POS, ch, "upper", 2, config)
+        assert res.newton_steps > 20 and res.node_count == 2
+        assert abs(0.5 * (res.lambda_ - level)) <= config.tolerance
+        assert res.lambda_ not in swept  # the early stop was taken, where it may be
 
     # the two-node level of kappa = -3 at b = 1: -b^2 (kappa_bar / n_bar)^2, n_bar = 5
     LAMBDA_2 = -0.36
@@ -606,7 +635,7 @@ class TestNumerovMarch:
             got_defect, got_denom = oracle._matching_defect(ws, f, outward, m, inward)
             assert got_defect == pytest.approx(defect, rel=1e-13, abs=0.0)
             assert got_denom == pytest.approx(denom, rel=1e-13, abs=0.0)
-            np.testing.assert_array_equal(oracle._joined(outward, m, inward), y)
+            assert oracle._joined_node_count(outward, m, inward) == count_sign_changes(y)
 
     # lambda = -1 grows the solution by about e^r beyond its turning point
     OVERFLOW_PARAMS, OVERFLOW_CHANNEL = ModelParams(1.0, 0.0, 1.0), Channel.from_kappa(-1)
@@ -801,6 +830,87 @@ class TestFirstOrderPropagator:
             tracemalloc.stop()
         assert report.steps > 300_000
         assert peak <= 8e6
+
+
+def assert_same_march(got, want):
+    """Samples and report of two first-order marches agree bit for bit, apart
+    from the wall time."""
+    (samples, report), (want_samples, want_report) = got, want
+    for name in ("r", "g", "f"):
+        np.testing.assert_array_equal(getattr(samples, name), getattr(want_samples, name))
+    assert ((samples.node_count_g, samples.node_count_f)
+            == (want_samples.node_count_g, want_samples.node_count_f))
+    assert replace(report, seconds=0.0) == replace(want_report, seconds=0.0)
+
+
+class TestFirstOrderBatch:
+    """Several energies marched in one scan on the first one's step schedule."""
+
+    # (params, kappa, level or None for the edge state, factor on its energy,
+    # sample_count, fineness), as the single-energy tests above march them
+    SINGLE_CASES = [
+        (PARAMS_POS, -1, 1, 1.0, 240, 2e-2),
+        (PARAMS_POS, -1, 1, 1.01, 800, 2e-2),
+        (PARAMS_POS, -1, None, 1.0, 800, 5e-3),
+        (PARAMS_NEG, 2, None, 1.0, 800, 5e-3),
+        (PARAMS_POS, -3, 2, 1.0, 240, 2e-2),
+        (PARAMS_POS, -60, None, 1.0, 240, 0.25),
+        (PARAMS_POS, -1, None, 1.0, 800, 0.1),
+    ]
+
+    @pytest.mark.parametrize("params, kappa, level, factor, sample_count, fineness", SINGLE_CASES)
+    def test_first_energy_is_the_single_march(self, params, kappa, level, factor, sample_count,
+                                              fineness):
+        # another energy beside it changes nothing of the first one's march
+        ch = Channel.from_kappa(kappa)
+        st = special_state(params, ch) if level is None else bound_state(params, ch, level)
+        e = factor * st.energy
+        alone = integrate_first_order(params, ch, e, sample_count=sample_count, fineness=fineness)
+        batch = oracle._march_first_order(params, ch, (e, 1.2 * e), sample_count, fineness)
+        assert len(batch) == 2
+        assert_same_march(batch[0], alone)
+
+    # the edge pair's step size, and one that takes several 2048-step chunks
+    PAIR_CASES = [(-1, 0.25), (-5, 0.25), (2, 0.25), (-1, 0.02)]
+
+    @pytest.mark.parametrize("kappa, fineness", PAIR_CASES)
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-9])
+    def test_energies_of_one_schedule_march_as_alone(self, kappa, fineness, factor):
+        # E and -E share lambda, and so the box and the step schedule: each
+        # energy of the pair, with its own start state, growth and powers of
+        # two, is bit for bit its own march
+        params = PARAMS_POS if kappa < 0 else PARAMS_NEG
+        ch = Channel.from_kappa(kappa)
+        e = factor * special_state(params, ch).energy
+        pair = oracle._march_first_order(params, ch, (e, -e), 240, fineness)
+        for energy_value, march in zip((e, -e), pair):
+            assert_same_march(march, integrate_first_order(params, ch, energy_value, 240, fineness))
+
+    @pytest.mark.parametrize("kappa, fineness", PAIR_CASES)
+    def test_each_energy_of_an_edge_pair_marches_alone(self, kappa, fineness):
+        # the edge bracket's pair E_c (1 -/+ 1e-9): the march of either
+        # energy is the same whatever is marched beside it, so it is that
+        # energy's own march on the pair's schedule; at fineness 0.02 it
+        # carries the states across several 2048-step chunks
+        params = PARAMS_POS if kappa < 0 else PARAMS_NEG
+        ch = Channel.from_kappa(kappa)
+        e = special_state(params, ch).energy
+        low, high = e * (1.0 - 1e-9), e * (1.0 + 1e-9)
+        pair = oracle._march_first_order(params, ch, (low, high), 2, fineness)
+        trio = oracle._march_first_order(params, ch, (low, 1.01 * e, high), 2, fineness)
+        assert_same_march(pair[0], integrate_first_order(params, ch, low, 2, fineness))
+        assert_same_march(trio[0], pair[0])
+        assert_same_march(trio[2], pair[1])
+        steps = {report.steps for _, report in pair + trio}
+        assert len(steps) == 1 and (fineness == 0.25 or steps.pop() > 3 * 2048)
+        # both grow, and the tails of both components change sign across the level
+        assert [report.classification for _, report in pair] == ["growing", "growing"]
+        tails = [(samples.g[-1], samples.f[-1]) for samples, _ in pair]
+        assert [count_sign_changes(tail) for tail in zip(*tails)] == [1, 1]
+        # the same classification and tail signs as the high energy's own schedule
+        own, own_report = integrate_first_order(params, ch, high, 2, fineness)
+        assert own_report.classification == "growing"
+        assert np.array_equal(np.sign((own.g[-1], own.f[-1])), np.sign(tails[1]))
 
 
 class TestCountSignChanges:
