@@ -41,6 +41,7 @@ from .core import (
     UnboundChannelError,
     angular_strength,
     bound_states_exist,
+    lower_degree,
     n_bar,
 )
 from .special import LaguerreSpec, laguerre_function, laguerre_function_rule, require_degree
@@ -144,16 +145,14 @@ def bound_state(params: ModelParams, channel: Channel, n_g: int, branch: Branch 
                 "special state lives in the charge-conjugated family"
             )
         return state
-    e = energy(params, channel, n_g, branch)
-    n_f = n_g - 1 if kb < -0.5 else n_g + 1
     return BoundState(
         channel=channel,
-        energy=e,
+        energy=energy(params, channel, n_g, branch),
         branch=branch,
         gamma=abs(params.b * kb) / n_bar(kb, n_g),
         effective_mass=params.effective_mass,
         n_g=n_g,
-        n_f=n_f,
+        n_f=lower_degree(kb, n_g),
     )
 
 
@@ -387,16 +386,16 @@ def spectrum(
                 is_special=edge.is_special, bound=True)
         if not n_max:
             continue
-        n_g, n_f = (levels, levels - 1) if kb < -0.5 else (levels - 1, levels)
+        n_g = levels if kb < -0.5 else levels - 1
         nb, magnitude = _magnitudes(params, kb, n_g)
         failed = (abs(params.b * kb) / nb <= 0.0) | (magnitude >= mstar)  # BoundState's guard
         if failed.any():  # the first failing level raises BoundState's own ValueError
             bound_state(params, channel, int(n_g[failed.argmax()]), branches[0])
         e = np.multiply.outer(magnitude, signs).ravel()
         add(e.size, kappa=channel.kappa, kappa_bar=kb, n_g=np.repeat(n_g, len(signs)).tolist(),
-            n_f=np.repeat(n_f, len(signs)).tolist(), n_bar=np.repeat(nb, len(signs)).tolist(),
-            energy=e.tolist(), e_over_m=(e / params.mass).tolist(), branch=list(branches) * n_max,
-            bound=True)
+            n_f=np.repeat(lower_degree(kb, n_g), len(signs)).tolist(),
+            n_bar=np.repeat(nb, len(signs)).tolist(), energy=e.tolist(),
+            e_over_m=(e / params.mass).tolist(), branch=list(branches) * n_max, bound=True)
 
     kappa_bar = np.array(table["kappa_bar"], dtype=float)
     n_bar_key = np.nan_to_num(np.array(table["n_bar"], dtype=float), nan=-1.0)  # None -> nan -> -1

@@ -134,6 +134,11 @@ def n_bar(kappa_bar: float, n_g: int) -> float:
     return n_g + 0.5 + abs(0.5 + kappa_bar)
 
 
+def lower_degree(kappa_bar, n_g):
+    """The node law, n_f = n_g - 1 for kappa_bar < -1/2 and n_g + 1 for kappa_bar > 1/2."""
+    return n_g - 1 if kappa_bar < 0 else n_g + 1
+
+
 def box_radius(gamma: float, tail_exponent: float, suppression: float) -> float:
     """Radius at which the bound-state tail r^p e^(-gamma r) has fallen
     e^(-suppression) below its peak, p = |b kappa_bar| / gamma the Coulomb
@@ -180,7 +185,7 @@ class BoundState:
             raise ValueError("at least one of n_g, n_f must index the state")
         if self.n_g is not None and self.n_f is not None:
             kb = self.channel.kappa_bar
-            expected = self.n_g - 1 if kb < 0 else self.n_g + 1
+            expected = lower_degree(kb, self.n_g)
             if self.n_f != expected:
                 raise ValueError(
                     f"node law violated: n_f={self.n_f} but n_g={self.n_g} with "

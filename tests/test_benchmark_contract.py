@@ -1,9 +1,11 @@
-"""The names the benchmark under perfbench/ binds must exist in the package.
+"""The names the benchmark under perfbench/ binds must exist in the package,
+and the output it checks must pass its checks.
 
 ``perfbench/workloads.py`` imports names from ``diractensor`` and
 ``perfbench/tracing.py`` wraps the functions its LAYERS and COUNTED tables
-name, so removing any of them breaks every benchmark run.  This test reads
-both files and changes nothing under perfbench/.
+name, so removing any of them breaks every benchmark run; a verify column
+that ``check_verify`` reads must stay too.  This test reads both files and
+changes nothing under perfbench/.
 """
 
 import ast
@@ -34,6 +36,15 @@ def test_workloads_names_resolve():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "diractensor"}
     assert read and [name for name in read if not hasattr(diractensor, name)] == []
+
+
+def test_verify_output_passes_check_verify(tmp_path):
+    # one channel of the verify-grid workload, as its ops call it
+    workloads = _load("workloads")
+    out = tmp_path / "verify.csv"
+    rc = diractensor.cli.main(["verify", "--b=1.0", "--a=0.0", "--kappa-min=-1", "--kappa-max=-1",
+                               "--out", str(out)])
+    assert workloads.check_verify(rc, out) == []
 
 
 TRACING = _load("tracing")

@@ -27,6 +27,7 @@ from diractensor import (
     bound_states_exist,
     charge_conjugate,
     cli,
+    core,
     energy,
     oracle,
     solve_bound_level,
@@ -214,6 +215,17 @@ class TestSpectrumCommand:
         bound = [r for r in rows if r["bound_flag"]]
         assert len(bound) == 2  # the special level has no minus twin
         assert all(r["E"] < 0 for r in bound)
+
+    def test_out_of_memory_is_an_error_exit(self, monkeypatch, capsys):
+        # stands in for an --n-max whose ladder numpy cannot allocate
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "spectrum", too_large)
+        assert run_cli("spectrum", "--n-max", "100000000000") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
 
     def test_level_past_the_effective_mass_is_an_error_exit(self, tmp_path, capsys):
         # at b/M = 1e-4 the levels from n = 7629 on round onto M* = hypot(M, b)
@@ -533,7 +545,7 @@ class TestVerifyCommand:
         assert calls == [(1.0, 0.5, kappa, "upper", range(4)) for kappa in (-3, -2)]
 
     def test_one_closed_form_pair_per_level(self, monkeypatch):
-        # the node count and the residual of a row read the same pair
+        # each level row builds its closed-form pair once, for its residual
         states = []
         pair = analytic.state_wavefunctions
 
@@ -550,10 +562,37 @@ class TestVerifyCommand:
         assert [(state.channel.kappa, state.n_g) for state in states] == levels
         assert len(levels) == 8
 
+    @pytest.mark.parametrize("mutation", [
+        lambda kb, n_g: n_g,
+        lambda kb, n_g: max(n_g - 2 if kb < 0 else n_g + 2, 0),
+        lambda kb, n_g: max(n_g + 1 if kb < 0 else n_g - 1, 0),
+    ], ids=["n_f=n_g", "n_g-+2", "flipped"])
+    def test_wrong_node_law_fails_on_the_residual(self, mutation, monkeypatch, tmp_path, capsys):
+        # the law is stated once, so a wrong one passes BoundState's guard and
+        # must fail the rows it moves; a degree below 0 is clipped to 0, since
+        # LaguerreSpec rejects it (exit 1) before any row is written
+        law = core.lower_degree
+        for name, module in list(sys.modules.items()):
+            if name.startswith("diractensor") and getattr(module, "lower_degree", None) is law:
+                monkeypatch.setattr(module, "lower_degree", mutation)
+        moved = 0
+        for b in ("1", "-1"):
+            out = tmp_path / f"verify{b}.csv"
+            assert run_cli("verify", "--b", b, "--a", "0.5", "--kappa-min", "-3",
+                           "--kappa-max", "3", "--n-max", "3", "--out", str(out)) == 2
+            assert "node law violated" not in capsys.readouterr().err
+            for row in read_csv_rows(out):
+                kb, n_g = float(row["kappa_bar"]), int(row["n"])
+                if row["check"] == "zero_component" or (kb < 0 and n_g == 0):
+                    continue  # the edge state has no lower component to move
+                if mutation(kb, n_g) != law(kb, n_g):
+                    moved += 1
+                    assert float(row["residual"]) >= 1e-8 and row["passed"] == "false"
+        assert moved >= 16
+
     def test_large_kappa_grid_passes(self):
         # the edge states at kappa <= -13 and the oracle levels at kappa <= -26
-        # peak beyond 30/gamma; the integration box and the node sampling
-        # follow the r^p tail there
+        # peak beyond 30/gamma; the integration box follows the r^p tail there
         table, _ = cli.verification_grid_rows(1.0, (1.0,), (0.0,), [-60, -40, -26, -20, -13], 2)
         rows = row_view(table)
         assert len(rows) == 20
@@ -677,7 +716,7 @@ class TestVerifyCommand:
         assert headers == [",".join(cli._VERIFY_COLUMNS)] * 2
         edge = [row for row in read_csv_rows(out) if row["check"] == "zero_component"]
         assert len(edge) == 1
-        assert [edge[0][name] for name in ("e_shoot", "residual", "node_ok")] == ["", "", ""]
+        assert [edge[0][name] for name in ("e_shoot", "residual")] == ["", ""]
 
     def test_b_zero_sweep_rejects_negative_n_max(self, capsys):
         code = run_cli("verify", "--b", "0", "--kappa-min", "-1", "--kappa-max", "1",
@@ -922,6 +961,23 @@ class TestConfigHandling:
         assert values == expected
         for key, value in values.items():
             assert type(value) is type(expected[key]), key
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,key", [("fig3", "kappa_bar_min"), ("fig3", "kappa_bar_max"),
+                                             ("verify", "inject_energy_error")])
+    def test_nonfinite_value_is_usage_error_naming_the_flag(self, command, key, value,
+                                                             monkeypatch, tmp_path, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was shot with a non-finite value")
+
+        monkeypatch.setattr(cli, "verification_grid_rows", no_grid)
+        flag = "--" + key.replace("_", "-")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        for argv in ((f"{flag}={value}",), ("--config", str(cfg))):
+            assert run_cli(command, *argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {flag} must be finite")
 
     def test_bad_boolean_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
