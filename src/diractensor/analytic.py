@@ -73,6 +73,17 @@ def _require_bound(params: ModelParams, channel: Channel) -> float:
     return kb
 
 
+def _require_resolved(params: ModelParams, channel: Channel) -> float:
+    """``_require_bound``, and a window M <= |E| < M* that float64 resolves:
+    at |b| below about 1e-8 M, M* = sqrt(M^2 + b^2) rounds to M and no
+    energy fits below it."""
+    kb = _require_bound(params, channel)
+    if params.effective_mass == params.mass:
+        raise ValueError(f"M* = sqrt(M^2 + b^2) rounds to M = {params.mass!r} at b/M = "
+                         f"{params.b / params.mass!r}: float64 cannot resolve the window M <= |E| < M*")
+    return kb
+
+
 def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "particle") -> float:
     """Bound-state energy E = sign * sqrt(M^2 + b^2 [1 - (kappa_bar/n_bar)^2]).
 
@@ -80,7 +91,7 @@ def energy(params: ModelParams, channel: Channel, n_g: int, branch: Branch = "pa
     E = +M with an identically vanishing lower component and is produced by
     :func:`special_state` instead.
     """
-    kb = _require_bound(params, channel)
+    kb = _require_resolved(params, channel)
     require_degree("n_g", n_g)
     if branch not in BRANCH_SIGN:
         raise ValueError(f"branch must be 'particle' or 'antiparticle', got {branch!r}")
@@ -116,7 +127,7 @@ def special_state(params: ModelParams, channel: Channel) -> BoundState:
     the mirror state with E = -M and zero upper component.  Every admissible
     kappa_bar yields the same energy, an infinitely degenerate family.
     """
-    upper = _require_bound(params, channel) < -0.5  # g survives and f = 0, else the mirror
+    upper = _require_resolved(params, channel) < -0.5  # g survives and f = 0, else the mirror
     return BoundState(
         channel=channel,
         energy=params.mass if upper else -params.mass,
@@ -354,7 +365,8 @@ def spectrum(
     spectra align row by row and rows with equal keys keep the order of
     ``kappas``.  Each channel's ladder n = 1..n_max is one numpy pass, and
     every energy equals :func:`energy`'s bit for bit.  A level at |E| >= M*
-    raises :class:`BoundState`'s ValueError, the first such level first.
+    raises :class:`BoundState`'s ValueError, the first such level first, and
+    a binding channel at a b/M where M* rounds to M raises before any level.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

@@ -202,9 +202,9 @@ class BoundState:
 
     @property
     def is_special(self) -> bool:
-        """True for the nodeless |E| = M states with one vanishing component."""
-        kb = self.channel.kappa_bar
-        return (self.n_g == 0 and kb < -0.5) or (self.n_f == 0 and kb > 0.5)
+        """True for the nodeless |E| = M states, whose vanishing component has
+        no degree."""
+        return self.n_g is None or self.n_f is None
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,12 @@ Two pieces of machinery, both blind to the closed-form solutions:
   with its own matrices and state.
 
 The separation eigenvalue is lambda = E^2 - M^2 - b^2, negative for every
-bound state since |E| < sqrt(M^2 + b^2).
+bound state since |E| < sqrt(M^2 + b^2).  In rho = |b| r and mu = lambda / b^2
+the second-order equation holds neither M nor |b| (``_unit``): the pencil and
+the shots of ``solve_bound_level`` solve it there, and b enters only where
+lambda, E and the grid's radii are formed from mu.  ``shoot_eigenvalue`` works
+in the units it is given, and the first-order integrator in r, since its
+coupled system depends on M/|b|.
 """
 
 from __future__ import annotations
@@ -121,10 +126,12 @@ class EigenResult:
     Numerov steps those marches took and ``newton_steps`` the
     matching-defect Newton corrections it computed; all three depend on the
     inputs only.  ``r_min``, ``r_max`` and ``step_count`` give the grid of
-    the shot that found the level.  ``seconds`` is the wall time of the whole
-    solve and ``pencil_seconds`` the part of it spent estimating the level
-    (0.0 from ``shoot_eigenvalue``, which takes no estimate); these two are
-    the only fields that are not deterministic.
+    the shot that found the level.  From ``solve_bound_level``, lambda_ / b^2,
+    r |b|, the work counters and ``step_count`` are those of the problem in
+    units of 1/|b|, which (sgn(b), kappa_bar, component, n) fix.  ``seconds``
+    is the wall time of the whole solve and ``pencil_seconds`` the part of it
+    spent estimating the level (0.0 from ``shoot_eigenvalue``, which takes no
+    estimate); these two are the only fields that are not deterministic.
     """
 
     lambda_: float
@@ -493,6 +500,19 @@ def _inner_edge(params: ModelParams, channel: Channel, component: Component,
     return max(r_floor, edge)
 
 
+def _unit(params: ModelParams) -> tuple[ModelParams, float]:
+    """The problem in units of 1/|b|, which is the one at b = sgn(b), and b^2.
+
+    In rho = |b| r and mu = lambda / b^2, v'' = (S^2 + 2 b kappa_bar r -
+    lambda r^2) v reads v'' = (S^2 + 2 sgn(b) kappa_bar rho - mu rho^2) v.
+    b = 0 has no window (NoBracketError), and a b^2 past float64 raises
+    OverflowError, as b ** 2 does.
+    """
+    if params.b == 0.0:
+        raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
+    return replace(params, b=math.copysign(1.0, params.b)), params.b**2
+
+
 def _pencil_levels(
     params: ModelParams,
     channel: Channel,
@@ -502,19 +522,20 @@ def _pencil_levels(
     """Blind estimates of the separation eigenvalues of the ``levels``, a
     range of consecutive node counts, from one Sturm-count bisection.
 
-    The slowest decay rate of the deepest such level is about gamma_seed =
-    |b| / (2 levels[-1] + 3), which fixes a generous seed box reaching
-    30/gamma_seed.  On that box, started at the channel's inner edge
-    (``_inner_edge``) but not below 1e-6/gamma_seed, with Dirichlet ends,
-    the three-point form of -v'' + (S^2 + B r) v = lambda r^2 v (x = ln r),
-    scaled by 1/r on each side, is the symmetric tridiagonal matrix with
-    d_i = (2/h^2 + S^2 + B r_i) / r_i^2 and e_i = -1/(h^2 r_i r_{i+1}).
+    The pencil is built on the problem in units of 1/|b| (``_unit``), and
+    returns lambda = b^2 mu.  There the slowest decay rate of the deepest
+    such level is about gamma_seed = 1 / (2 levels[-1] + 3), which fixes a
+    generous seed box reaching 30/gamma_seed.  On that box, started at the
+    channel's inner edge (``_inner_edge``) but not below 1e-6/gamma_seed,
+    with Dirichlet ends, the three-point form of
+    -v'' + (S^2 + B rho) v = mu rho^2 v (x = ln rho, B = 2 sgn(b) kappa_bar),
+    scaled by 1/rho on each side, is the symmetric tridiagonal matrix with
+    d_i = (2/h^2 + S^2 + B rho_i) / rho_i^2 and e_i = -1/(h^2 rho_i rho_{i+1}).
     LAPACK ``stebz`` bisects its Sturm count (Kahan bisection) for the
     eigenvalues levels[0] + 1 .. levels[-1] + 1 in one call.  Its tolerance
-    is absolute: the default one scales with the norm of the matrix, about
-    1e16, and merges levels.  Every estimate must lie below the window top
-    -1e-8 b^2; b = 0 has no window.  Where |b| is so small or so large that
-    r^2 over the box over- or underflows float64, no estimate is made.
+    is absolute, 1e-9 in mu: the default one scales with the norm of the
+    matrix, about 1e16, and merges levels.  Every estimate must lie below
+    the window top mu = -1e-8.
     """
     from scipy.linalg.lapack import dstebz  # here, not at the top: scipy is slow to import
 
@@ -523,57 +544,50 @@ def _pencil_levels(
     deepest = levels[-1]
     if deepest >= _PENCIL_POINTS:
         raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {deepest}-node level")
-    s2, coulomb = _channel_constants(params, channel, component)
-    b = abs(params.b)
-    if b == 0.0:
-        raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
-    gamma_seed = b / (2.0 * deepest + 3.0)
-    r_lo = _inner_edge(params, channel, component, 1e-6 / gamma_seed)
-    try:
-        with np.errstate(all="raise"):
-            x = np.linspace(math.log(r_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
-            h2 = (x[1] - x[0]) ** 2
-            r = np.exp(x[1:-1])
-            d = (2.0 / h2 + s2 + coulomb * r) / (r * r)
-            e = -1.0 / (h2 * r[:-1] * r[1:])
-    except FloatingPointError as exc:
-        raise NoBracketError(f"b = {params.b!r}: the pencil's box does not fit float64 "
-                             f"({exc})") from exc
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9 * b * b, "E")
-    top = -b * b * 1e-8
-    if info != 0 or m != len(levels) or not w[m - 1] < top:
-        raise NoBracketError(
-            f"the pencil puts no {deepest}-node level below the window top {top}"
-        )
-    return w[:m].tolist()
+    unit, scale = _unit(params)
+    s2, coulomb = _channel_constants(unit, channel, component)
+    gamma_seed = 1.0 / (2.0 * deepest + 3.0)
+    rho_lo = _inner_edge(unit, channel, component, 1e-6 / gamma_seed)
+    x = np.linspace(math.log(rho_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
+    h2 = (x[1] - x[0]) ** 2
+    rho = np.exp(x[1:-1])
+    d = (2.0 / h2 + s2 + coulomb * rho) / (rho * rho)
+    e = -1.0 / (h2 * rho[:-1] * rho[1:])
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9, "E")
+    if info != 0 or m != len(levels) or not w[m - 1] < -1e-8:
+        raise NoBracketError(f"the pencil puts no {deepest}-node level below the "
+                             "window top -1e-8 b^2")
+    return (scale * w[:m]).tolist()
 
 
 def _shot_config(
-    params: ModelParams,
+    unit: ModelParams,
     channel: Channel,
     component: Component,
-    lam_box: float,
+    mu_box: float,
     step_count: int,
 ) -> ShootingConfig:
-    """Grid and bracket of one shot, boxed for the decay rate of ``lam_box``.
+    """Grid and bracket of one shot of the problem in units of 1/|b|
+    (``unit``, from ``_unit``), boxed for the decay rate of ``mu_box``.
 
-    ``step_count`` steps of equal width in ln r span the nominal box from
-    1e-6/gamma to where the r^p tail has fallen e^(-30) below its peak; the
-    steps below the channel's inner edge are not marched, though at least
-    ``_MIN_EDGE_STEPS`` are kept.  The grid points kept are those of the
-    nominal box, so the level does not move."""
-    gamma = math.sqrt(-lam_box)
-    r_lo = 1e-6 / gamma
-    r_max = box_radius(gamma, abs(params.b * channel.kappa_bar) / gamma, 30.0)
-    h = math.log(r_max / r_lo) / step_count
-    edge = _inner_edge(params, channel, component, r_lo)
-    skip = max(0, min(int(math.log(edge / r_lo) / h), step_count - _MIN_EDGE_STEPS))
+    ``step_count`` steps of equal width in ln rho span the nominal box from
+    1e-6/gamma to where the rho^p tail, p = |kappa_bar| / gamma, has fallen
+    e^(-30) below its peak; the steps below the channel's inner edge are not
+    marched, though at least ``_MIN_EDGE_STEPS`` are kept.  The grid points
+    kept are those of the nominal box, so the level does not move.  The shot
+    stops at 1e-10 in mu."""
+    gamma = math.sqrt(-mu_box)
+    rho_lo = 1e-6 / gamma
+    rho_max = box_radius(gamma, abs(channel.kappa_bar) / gamma, 30.0)
+    h = math.log(rho_max / rho_lo) / step_count
+    edge = _inner_edge(unit, channel, component, rho_lo)
+    skip = max(0, min(int(math.log(edge / rho_lo) / h), step_count - _MIN_EDGE_STEPS))
     return ShootingConfig(
-        r_min=r_lo * math.exp(skip * h),
-        r_max=r_max,
+        r_min=rho_lo * math.exp(skip * h),
+        r_max=rho_max,
         step_count=step_count - skip,
-        lambda_bracket=(1.5 * lam_box, 0.5 * lam_box),
-        tolerance=1e-10 * params.b * params.b,
+        lambda_bracket=(1.5 * mu_box, 0.5 * mu_box),
+        tolerance=1e-10,
     )
 
 
@@ -589,45 +603,52 @@ def solve_bound_level(
     """Estimate the level blind with a Sturm count on a tridiagonal pencil
     (``_pencil_levels``), then shoot it with Numerov.
 
+    Both solve the problem in units of 1/|b| (``_unit``), and b enters once,
+    where its level mu and radii rho become lambda = b^2 mu,
+    E = sqrt(lambda + M^2 + b^2), r_min = rho_min / |b| and r_max = rho_max / |b|.
     A negative ``estimate`` of lambda passed in, such as one of a channel's
     ladder of estimates from one pencil, takes the place of the pencil; the
     result's ``pencil_seconds`` is then 0.0.
-    The shot's box is set by the decay rate gamma = sqrt(-lambda) of the
-    estimate: nominally from r_min = 1e-6/gamma, over which ``step_count``
-    sets the step, to r_max where the r^p tail has fallen e^(-30) below its
-    peak.  The steps below the channel's inner edge (``_inner_edge``), where
-    every level of the channel is still e^(-30) below its peak, are not
+    The shot's box is set by the decay rate gamma = sqrt(-mu) of the
+    estimate: nominally from rho_min = 1e-6/gamma, over which ``step_count``
+    sets the step, to rho_max where the rho^p tail has fallen e^(-30) below
+    its peak.  The steps below the channel's inner edge (``_inner_edge``),
+    where every level of the channel is still e^(-30) below its peak, are not
     marched; the result's ``r_min`` and ``step_count`` give the grid the
     shot marched.  Its bracket is (1.5, 0.5) times the estimate; whatever
     the estimate, the shot's node count keeps it on the ``node_target``
     level or it raises a ShootingError.  A shot that lands more than 10%
-    from the lambda that set its box was boxed for another decay rate, so it
-    is re-boxed from its own lambda and shot again; ConvergenceError after
+    from the mu that set its box was boxed for another decay rate, so it
+    is re-boxed from its own mu and shot again; ConvergenceError after
     three shots.  The result's sweeps, steps and Newton steps are the totals
     over all shots, and its seconds the wall time of the estimate and every
     shot."""
     start = time.perf_counter()
+    unit, scale = _unit(params)
     if estimate is None:
-        lam_box = _pencil_levels(params, channel, component, range(node_target, node_target + 1))[0]
+        mu_box = _pencil_levels(unit, channel, component, range(node_target, node_target + 1))[0]
         pencil_seconds = time.perf_counter() - start
     elif estimate < 0.0:
-        lam_box, pencil_seconds = estimate, 0.0
+        mu_box, pencil_seconds = estimate / scale, 0.0
     else:
         raise ValueError(f"every bound lambda is negative, got the estimate {estimate}")
     sweeps = steps = newton_steps = 0
     for _ in range(_MAX_SHOTS):
-        config = _shot_config(params, channel, component, lam_box, step_count)
-        shot = shoot_eigenvalue(params, channel, component, node_target, config)
+        config = _shot_config(unit, channel, component, mu_box, step_count)
+        shot = shoot_eigenvalue(unit, channel, component, node_target, config)
         sweeps += shot.sweeps
         steps += shot.steps
         newton_steps += shot.newton_steps
-        if abs(shot.lambda_ - lam_box) <= 0.1 * abs(lam_box):
-            return replace(shot, sweeps=sweeps, steps=steps, newton_steps=newton_steps,
+        if abs(shot.lambda_ - mu_box) <= 0.1 * abs(mu_box):
+            e = math.sqrt(max(scale * shot.lambda_ + params.mass**2 + scale, 0.0))
+            return replace(shot, lambda_=scale * shot.lambda_, energy_pair=(e, -e),
+                           r_min=shot.r_min / abs(params.b), r_max=shot.r_max / abs(params.b),
+                           sweeps=sweeps, steps=steps, newton_steps=newton_steps,
                            seconds=time.perf_counter() - start, pencil_seconds=pencil_seconds)
-        lam_box = shot.lambda_
+        mu_box = shot.lambda_
     raise ConvergenceError(
         f"the {node_target}-node level still moved more than 10% from its box "
-        f"after {_MAX_SHOTS} shots (last lambda {lam_box})"
+        f"after {_MAX_SHOTS} shots (last lambda/b^2 {mu_box})"
     )
 
 

@@ -11,6 +11,7 @@ changes nothing under perfbench/.
 import ast
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,24 @@ def test_verify_output_passes_check_verify(tmp_path):
     rc = diractensor.cli.main(["verify", "--b=1.0", "--a=0.0", "--kappa-min=-1", "--kappa-max=-1",
                                "--out", str(out)])
     assert workloads.check_verify(rc, out) == []
+
+
+@pytest.mark.parametrize("n", [0, 14])
+def test_shoot_ladder_levels_pass_check_level(tmp_path, n):
+    # the first channel of the shoot-ladder round of seed 1, as the worker
+    # draws it after its warm-up, and the first of the opposite sign of b;
+    # their |b| are not powers of two, so the oracle's conversion of its
+    # answer from units of 1/|b| rounds, and a slip in it fails check_level
+    workloads = _load("workloads")
+    ladder = workloads.ShootLadder(1, PERFBENCH.parent, tmp_path)
+    ladder.warmup()
+    channels = ladder._channels()
+    first = channels[0]
+    other = next(pair for pair in channels if (pair[0].b > 0) != (first[0].b > 0))
+    for params, channel in (first, other):
+        assert math.frexp(abs(params.b))[0] != 0.5
+        op = ladder._op(params, channel, n)
+        assert op.check(op.call()) == [], op.label
 
 
 TRACING = _load("tracing")

@@ -588,6 +588,9 @@ class TestVerifyCommand:
                 if mutation(kb, n_g) != law(kb, n_g):
                     moved += 1
                     assert float(row["residual"]) >= 1e-8 and row["passed"] == "false"
+                    # a regular level keeps both components, whatever degree
+                    # the law gives the lower one, so it is not the edge state
+                    assert row["check"] == "oracle"
         assert moved >= 16
 
     def test_large_kappa_grid_passes(self):
@@ -696,13 +699,22 @@ class TestVerifyCommand:
         assert run_cli("verify", "--config", str(cfg)) == 1
         assert "--inject-energy-error" in capsys.readouterr().err
 
-    def test_pencil_box_beyond_float64_is_a_verification_exit(self, capsys):
-        code = run_cli("verify", "--b", "1e-200", "--kappa-min", "-1", "--kappa-max", "-1",
-                       "--n-max", "1")
-        assert code == 2
+    @pytest.mark.parametrize("command", [
+        ("verify", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "1"),
+        ("spectrum", "--kappa-min", "-1", "--kappa-max", "-1"),
+        ("wavefunction", "--kappa", "-1", "--n", "1"),
+    ])
+    def test_window_float64_cannot_resolve_is_an_error_exit(self, command, capsys):
+        # the oracle solves the b = 1 problem at any b, but at b/M = 1e-200
+        # M* = sqrt(M^2 + b^2) rounds to M, and the closed forms say so
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*command, "--b", "1e-200")
+        assert code == 1
         out, err = capsys.readouterr()
-        assert out == "" and "Warning" not in err
-        assert err.startswith("verification failed: b = 1e-200: the pencil's box")
+        assert out == ""
+        assert err == ("error: M* = sqrt(M^2 + b^2) rounds to M = 1.0 at b/M = 1e-200: "
+                       "float64 cannot resolve the window M <= |E| < M*\n")
 
     def test_every_check_writes_one_header(self, tmp_path):
         # the b = 0 sweep and the grid write the same columns, and cells a

@@ -257,11 +257,12 @@ class TestShootEigenvalue:
     @pytest.mark.parametrize("kappa, b", EDGE_CASES)
     def test_inner_edge_leaves_the_level_unchanged(self, kappa, b, n):
         # the shot from the inner edge marches the tail of the nominal grid,
-        # whose first point is 1e-6/gamma, and finds the same level
-        params, ch = ModelParams(1.0, 0.0, b), Channel.from_kappa(kappa)
-        [lam_box] = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
-        edge = oracle._shot_config(params, ch, "upper", lam_box, 6000)
-        nominal = replace(edge, r_min=1e-6 / math.sqrt(-lam_box), step_count=6000)
+        # whose first point is 1e-6/gamma, and finds the same level; like the
+        # shots of solve_bound_level, it solves the problem in units of 1/|b|
+        params, ch = oracle._unit(ModelParams(1.0, 0.0, b))[0], Channel.from_kappa(kappa)
+        [mu_box] = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
+        edge = oracle._shot_config(params, ch, "upper", mu_box, 6000)
+        nominal = replace(edge, r_min=1e-6 / math.sqrt(-mu_box), step_count=6000)
         skip = nominal.step_count - edge.step_count
         h = math.log(nominal.r_max / nominal.r_min) / nominal.step_count
         assert math.log(edge.r_min / nominal.r_min) == pytest.approx(skip * h, rel=1e-12, abs=1e-12)
@@ -472,13 +473,37 @@ class TestShootEigenvalue:
         with pytest.raises(NoBracketError):
             solve_bound_level(ModelParams(1.0, 0.0, 0.0), Channel.from_kappa(-1), "upper", 0)
 
-    @pytest.mark.parametrize("b", [1e-200, 1e-160, 1e150, 1e200])
-    def test_pencil_rejects_a_box_float64_cannot_hold(self, b):
-        # r^2 over the seed box over- or underflows: no level, and no numpy warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NoBracketError, match="float64"):
-                solve_bound_level(ModelParams(1.0, 0.0, b), Channel.from_kappa(-1), "upper", 1)
+    @pytest.mark.parametrize("n", [0, 4])
+    @pytest.mark.parametrize("component", ["upper", "lower"])
+    @pytest.mark.parametrize("sign, channel", [(1.0, Channel.from_kappa(-2)),
+                                               (-1.0, Channel.from_kappa(2, 0.5))])
+    def test_every_b_solves_the_problem_at_the_sign_of_b(self, sign, channel, component, n):
+        # in rho = |b| r and mu = lambda / b^2 the equation holds neither M nor
+        # |b|: the pencil and the solve answer the b = sgn(b) problem at every
+        # scale float64 holds b^2 at, and only lambda, E and the radii scale
+        def ulps(value, reference):
+            return abs(value - reference) / np.spacing(abs(reference))
+
+        params = ModelParams(1.0, channel.kappa_bar - channel.kappa, sign)
+        ladder = oracle._pencil_levels(params, channel, component, range(n + 1))
+        ref = solve_bound_level(params, channel, component, n)
+        assert ref.node_count == n
+        for size in (1e-150, 1e-100, 1e-3, 1e3, 1e80, 1e150):
+            b = sign * size
+            scaled = replace(params, b=b)
+            mus = [lam / (b * b) for lam in oracle._pencil_levels(scaled, channel, component,
+                                                                  range(n + 1))]
+            assert max(map(ulps, mus, ladder)) <= 4, b
+            res = solve_bound_level(scaled, channel, component, n)
+            assert ulps(res.lambda_ / (b * b), ref.lambda_) <= 4, b
+            assert ulps(res.r_max * size, ref.r_max) <= 4, b
+            assert ((res.node_count, res.sweeps, res.steps, res.newton_steps, res.step_count)
+                    == (n, ref.sweeps, ref.steps, ref.newton_steps, ref.step_count)), b
+        for b in (1e200, -1e200):  # b^2 overflows: an error, not lambda = -inf or E = nan
+            with pytest.raises(OverflowError):
+                oracle._pencil_levels(replace(params, b=b), channel, component, range(n + 1))
+            with pytest.raises(OverflowError):
+                solve_bound_level(replace(params, b=b), channel, component, n)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -565,11 +590,13 @@ class TestNumerovMarch:
         # 12/f - 10 in float64 errs by up to half an ulp of 12, 9e-16, and
         # with f this close to 1 the error runs coherently along the grid;
         # -2 - 12 (1 - f)/f rounds once, by half an ulp of the coefficient
+        # the shots of solve_bound_level march the problem in units of 1/|b|
         ch = Channel.from_kappa(1, self.NEAR_EDGE.a)
-        lam = -3.5366584765
-        config = oracle._shot_config(self.NEAR_EDGE, ch, "upper", lam, 6000)
-        ws = _ShootingWorkspace(self.NEAR_EDGE, ch, "upper", config)
-        f = ws.coeffs(lam)
+        unit, scale = oracle._unit(self.NEAR_EDGE)
+        mu = -3.5366584765 / scale
+        config = oracle._shot_config(unit, ch, "upper", mu, 6000)
+        ws = _ShootingWorkspace(unit, ch, "upper", config)
+        f = ws.coeffs(mu)
         oracle._numerov_march(f, ws.v0, ws.v1, ws.band)
         row = ws.band[1, : f.size - 3]
         want = 10 - 12 / f[2:-1].astype(np.longdouble)
