@@ -1,5 +1,7 @@
 """Command-line front end: spectrum tables, wavefunction samples, figure
-datasets and the analytic-vs-numeric verification matrix.
+datasets and the verification matrix, which checks each closed-form level
+once, by the oracle that resolves it: Numerov shooting for the regular
+levels, a first-order RK4 bracket for the |E| = M edge levels.
 
 Output is data-level (CSV or JSON tables), deterministic byte for byte:
 floats are written in shortest round-trip form, rows in a fixed order.  Every
@@ -27,10 +29,12 @@ import numpy as np
 
 from .analytic import (
     _magnitudes,
+    _require_resolved,
     bound_state,
     charge_conjugate,
     norm_quadrature,
     residuals,
+    sample_state,
     special_state,
     spectrum,
     state_wavefunctions,
@@ -284,8 +288,8 @@ def run_fig3(cfg: RunConfig) -> dict[str, list]:
         k_last = math.floor(hi - a + 1e-9)
         channels = [Channel.from_kappa(k, a) for k in range(k_first, k_last + 1) if k != 0]
         bound = [bound_states_exist(params, channel) for channel in channels]
-        kappa_bar = np.array([c.kappa_bar for c, binds in zip(channels, bound) if binds])
-        # |E| = +E on the particle branch; no arithmetic when nothing binds
+        kappa_bar = np.array([_require_resolved(params, c) for c, ok in zip(channels, bound) if ok])
+        # |E| = +E on the particle branch (M* != M checked above); no arithmetic when nothing binds
         e_over_m = iter((_magnitudes(params, kappa_bar, n_g)[1] / params.mass).tolist()
                         if kappa_bar.size else ())
         table["a"] += [a] * len(channels)
@@ -335,8 +339,7 @@ def run_wavefunction(cfg: RunConfig) -> tuple[dict[str, list], dict]:
         r = np.linspace(r_lo, r_hi, cfg.points)
     else:
         raise UsageError("grid must be log or linear")
-    forms = state_wavefunctions(params, state)
-    g, f = (form(r) for form in forms)
+    samples = sample_state(params, state, r)
     meta = {
         "mass": params.mass,
         "a": params.a,
@@ -348,11 +351,11 @@ def run_wavefunction(cfg: RunConfig) -> tuple[dict[str, list], dict]:
         "branch": state.branch,
         "energy": state.energy,
         "gamma": state.gamma,
-        "node_count_g": count_sign_changes(g),
-        "node_count_f": count_sign_changes(f),
-        "norm": norm_quadrature(*forms),
+        "node_count_g": samples.node_count_g,
+        "node_count_f": samples.node_count_f,
+        "norm": norm_quadrature(*state_wavefunctions(params, state)),
     }
-    return {"r": r.tolist(), "g": g.tolist(), "f": f.tolist()}, meta
+    return {"r": r.tolist(), "g": samples.g.tolist(), "f": samples.f.tolist()}, meta
 
 
 # the columns of the verify table, in order
@@ -381,27 +384,26 @@ def verification_grid_rows(
     n_max: int,
     inject_energy_error: float = 0.0,
 ) -> tuple[dict[str, list], dict[str, int]]:
-    """The verify table, as columns, with one row per (b, a, kappa, level)
-    state, and its work: the Numerov ``sweeps``, Numerov ``steps`` and
-    ``newton_steps`` the shooting oracle took over all of them and the
-    ``rk4_steps`` of the edge-state brackets.
+    """The verify table, as columns, and its work: the Numerov ``sweeps``,
+    Numerov ``steps`` and ``newton_steps`` of the shots and the ``rk4_steps``
+    of the edge brackets.  Each level is checked once, by one oracle.
 
-    Each row compares the closed-form energy against the shooting eigenvalue
-    (acceptance criterion 1: |dE| <= 1e-7), shot from the channel's ladder
-    of estimates, one Sturm-count pencil for levels 0..n_max, checks the
-    energy window M <= |E| < M* and the worst relative residual of the radial
-    equations (< 1e-8), which fails a closed form that breaks the node law.
-    Each channel's |E| = M edge level also gets a ``zero_component`` row: a
-    bracket of relative half-width ``_EDGE_DELTA`` (its ``delta_e``) around
-    sign(E) (|E| + ``inject_energy_error``), both ends marched in one scan
-    at the coarsest fineness, ``_MAX_FINENESS``.  At |E| = M every RK4 step
-    matrix is exactly triangular whatever its size, so the discrete edge
-    level lies exactly at +/-M, as the true one does: the step size does not
-    move the level, and the growth over the box resolves the bracket.
+    An ``oracle`` row per regular level compares the closed-form energy with
+    the shooting eigenvalue (acceptance criterion 1: |dE| <= 1e-7), shot from
+    the channel's ladder of estimates, one Sturm-count pencil for levels
+    0..n_max.  Each channel's |E| = M edge level, in either family, gets a
+    ``zero_component`` row: a bracket of relative half-width ``_EDGE_DELTA``
+    (its ``delta_e``) around sign(E) (|E| + ``inject_energy_error``), both
+    ends marched in one scan at the coarsest fineness, ``_MAX_FINENESS``.
+    At |E| = M every RK4 step matrix is exactly triangular whatever its size,
+    so the discrete edge level lies at exactly +/-M, where a shot at
+    lambda = -b^2 misses it by b^2 times its relative error.  Every row also
+    checks the worst relative residual of the radial equations (< 1e-8),
+    which fails a closed form of the wrong shape or node law.
     """
     table = {name: [] for name in _VERIFY_COLUMNS}
     work = dict.fromkeys(("sweeps", "steps", "newton_steps", "rk4_steps"), 0)
-    r_residual = np.geomspace(0.01, 30.0, 120)
+    r_grid = np.geomspace(0.01, 30.0, 120)  # of the residuals
     for b in b_values:
         for a in a_values:
             params = ModelParams(mass, a, b)
@@ -410,41 +412,41 @@ def verification_grid_rows(
                 if not bound_states_exist(params, channel):
                     continue
                 kb = channel.kappa_bar
-                mstar = params.effective_mass
                 ladder = _pencil_levels(params, channel, "upper", range(n_max + 1))
                 for level, estimate in enumerate(ladder):
                     state = bound_state(params, channel, level)
+                    if state.is_special:
+                        continue  # the edge level is the bracket's, below
                     e_analytic = abs(state.energy) + inject_energy_error
                     shot = solve_bound_level(params, channel, "upper", level, estimate=estimate)
                     for key in ("sweeps", "steps", "newton_steps"):
                         work[key] += getattr(shot, key)
                     delta = abs(e_analytic - shot.energy_pair[0])
-                    forms = state_wavefunctions(params, state)
-                    window_ok = mass <= abs(state.energy) < mstar
-                    residual = residuals(params, state, forms, r_residual)
-                    passed = delta <= 1e-7 and window_ok and residual < 1e-8
+                    residual = residuals(params, state, state_wavefunctions(params, state), r_grid)
+                    passed = delta <= 1e-7 and mass <= abs(state.energy) and residual < 1e-8
                     _add_row(
-                        table, check="special" if state.is_special else "oracle", b=b, a=a,
-                        kappa=kappa, kappa_bar=kb, n=level, e_analytic=e_analytic,
-                        e_shoot=shot.energy_pair[0], delta_e=delta, residual=residual,
-                        passed=bool(passed),
+                        table, check="oracle", b=b, a=a, kappa=kappa, kappa_bar=kb, n=level,
+                        e_analytic=e_analytic, e_shoot=shot.energy_pair[0], delta_e=delta,
+                        residual=residual, passed=bool(passed),
                     )
                 # blind bracket of the edge level: both marches must grow, and the
                 # tails at r_max of both components change sign between them only
                 # if a level lies in between
-                edge = special_state(params, channel).energy
-                centre = math.copysign(abs(edge) + inject_energy_error, edge)
+                edge = special_state(params, channel)
+                centre = math.copysign(abs(edge.energy) + inject_energy_error, edge.energy)
                 marches = _march_first_order(
                     params, channel, (centre * (1.0 - _EDGE_DELTA), centre * (1.0 + _EDGE_DELTA)),
                     sample_count=2, fineness=_MAX_FINENESS,
                 )
                 tails = [(samp.g[-1], samp.f[-1]) for samp, _ in marches]
                 work["rk4_steps"] += sum(rep.steps for _, rep in marches)
-                growing = all(rep.classification == "growing" for _, rep in marches)
+                bracketed = (all(rep.classification == "growing" for _, rep in marches)
+                             and all(count_sign_changes(tail) == 1 for tail in zip(*tails)))
+                residual = residuals(params, edge, state_wavefunctions(params, edge), r_grid)
                 _add_row(
                     table, check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
-                    e_analytic=centre, delta_e=_EDGE_DELTA * abs(centre),
-                    passed=growing and all(count_sign_changes(tail) == 1 for tail in zip(*tails)),
+                    e_analytic=centre, delta_e=_EDGE_DELTA * abs(centre), residual=residual,
+                    passed=bracketed and residual < 1e-8,
                 )
     return table, work
 
@@ -506,11 +508,9 @@ def run_verification(cfg: RunConfig) -> tuple[dict[str, list], str]:
             "no channel of the grid binds (bound states need b*kappa_bar < 0 and "
             "|kappa_bar| > 1/2): there is nothing to verify"
         )
-    deltas = [delta for check, delta in zip(table["check"], table["delta_e"])
-              if check in ("oracle", "special")]
+    deltas = [delta for check, delta in zip(table["check"], table["delta_e"]) if check == "oracle"]
     summary = (
-        f"verified {len(deltas)} states "
-        f"({len(table['check']) - len(deltas)} zero-component checks): "
+        f"verified {len(deltas)} shot and {len(table['check']) - len(deltas)} bracketed levels: "
         f"max |dE| = {max(deltas, default=0.0):.3e}, failures = {table['passed'].count(False)}; "
         f"shooting took {work['sweeps']} Numerov sweeps ({work['steps']} Numerov steps) and "
         f"{work['newton_steps']} Newton steps; "

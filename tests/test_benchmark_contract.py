@@ -39,12 +39,15 @@ def test_workloads_names_resolve():
     assert read and [name for name in read if not hasattr(diractensor, name)] == []
 
 
-def test_verify_output_passes_check_verify(tmp_path):
-    # one channel of the verify-grid workload, as its ops call it
+@pytest.mark.parametrize("b, kappa", [(1.0, -1), (-1.0, 1)])
+def test_verify_output_passes_check_verify(tmp_path, b, kappa):
+    # one channel of the verify-grid workload, as its ops call it, in each
+    # family: the kappa_bar < -1/2 one, whose level 0 is the E = +M edge, and
+    # its mirror
     workloads = _load("workloads")
     out = tmp_path / "verify.csv"
-    rc = diractensor.cli.main(["verify", "--b=1.0", "--a=0.0", "--kappa-min=-1", "--kappa-max=-1",
-                               "--out", str(out)])
+    rc = diractensor.cli.main(["verify", f"--b={b}", "--a=0.0", f"--kappa-min={kappa}",
+                               f"--kappa-max={kappa}", "--out", str(out)])
     assert workloads.check_verify(rc, out) == []
 
 

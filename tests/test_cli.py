@@ -417,6 +417,14 @@ class TestWavefunctionCommand:
         out, err = capsys.readouterr()
         assert out == "" and "bad radial window" in err
 
+    def test_grid_float64_cannot_space_is_an_error_exit(self, capsys):
+        # one ulp of window holds no 5 distinct points: sample_state's
+        # RadialSamples rejects the grid rather than writing repeated rows
+        assert run_cli("wavefunction", "--kappa", "-1", "--n", "1", "--r-min", "1",
+                       "--r-max", "1.0000000000000002", "--points", "5", "--grid", "linear") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: the radial grid must be strictly increasing\n"
+
     def test_huge_finite_window_writes_zero_tail(self, tmp_path, capsys):
         # (2 gamma r)^p would overflow where e^(-x/2) has underflowed; the float64 value is 0
         out = tmp_path / "wf.csv"
@@ -500,7 +508,12 @@ class TestVerifyCommand:
         assert code == 0
         rows = read_csv_rows(out)
         assert rows and all(r["passed"] == "true" for r in rows)
-        oracle_rows = [r for r in rows if r["check"] in ("oracle", "special")]
+        # level 0 of each channel is the E = M edge level: the bracket checks
+        # it, and only the level above it is shot
+        assert [(r["check"], r["kappa"], r["n"]) for r in rows] == [
+            ("oracle", "-2", "1"), ("zero_component", "-2", "0"),
+            ("oracle", "-1", "1"), ("zero_component", "-1", "0")]
+        oracle_rows = [r for r in rows if r["check"] == "oracle"]
         assert max(float(r["delta_e"]) for r in oracle_rows) < 1e-7
         # the summary line ends with the shooting work, each level shot from
         # its channel's ladder of estimates, and the work of the edge-state
@@ -510,8 +523,7 @@ class TestVerifyCommand:
         for kappa in (-2, -1):
             channel = Channel.from_kappa(kappa)
             ladder = oracle._pencil_levels(params, channel, "upper", range(2))
-            shots += [solve_bound_level(params, channel, "upper", n, estimate=ladder[n])
-                      for n in (0, 1)]
+            shots.append(solve_bound_level(params, channel, "upper", 1, estimate=ladder[1]))
         sweeps = sum(shot.sweeps for shot in shots)
         steps = sum(shot.steps for shot in shots)
         newton_steps = sum(shot.newton_steps for shot in shots)
@@ -545,7 +557,8 @@ class TestVerifyCommand:
         assert calls == [(1.0, 0.5, kappa, "upper", range(4)) for kappa in (-3, -2)]
 
     def test_one_closed_form_pair_per_level(self, monkeypatch):
-        # each level row builds its closed-form pair once, for its residual
+        # each row, shot level or edge bracket, builds its closed-form pair
+        # once, for its residual
         states = []
         pair = analytic.state_wavefunctions
 
@@ -557,10 +570,10 @@ class TestVerifyCommand:
         monkeypatch.setattr(analytic, "state_wavefunctions", counted)
         table, _ = cli.verification_grid_rows(1.0, (1.0,), (0.5,), [-3, -2, -1, 1, 2, 3], 3)
         rows = row_view(table)
-        levels = [(row["kappa"], row["n"]) for row in rows if row["check"] != "zero_component"]
         assert all(row["passed"] for row in rows)
-        assert [(state.channel.kappa, state.n_g) for state in states] == levels
-        assert len(levels) == 8
+        assert [(state.channel.kappa, state.n_g, state.is_special) for state in states] == [
+            (row["kappa"], row["n"], row["check"] == "zero_component") for row in rows]
+        assert [row["check"] for row in rows] == (["oracle"] * 3 + ["zero_component"]) * 2
 
     @pytest.mark.parametrize("mutation", [
         lambda kb, n_g: n_g,
@@ -583,7 +596,7 @@ class TestVerifyCommand:
             assert "node law violated" not in capsys.readouterr().err
             for row in read_csv_rows(out):
                 kb, n_g = float(row["kappa_bar"]), int(row["n"])
-                if row["check"] == "zero_component" or (kb < 0 and n_g == 0):
+                if row["check"] == "zero_component":
                     continue  # the edge state has no lower component to move
                 if mutation(kb, n_g) != law(kb, n_g):
                     moved += 1
@@ -598,7 +611,7 @@ class TestVerifyCommand:
         # peak beyond 30/gamma; the integration box follows the r^p tail there
         table, _ = cli.verification_grid_rows(1.0, (1.0,), (0.0,), [-60, -40, -26, -20, -13], 2)
         rows = row_view(table)
-        assert len(rows) == 20
+        assert [row["check"] for row in rows] == ["oracle", "oracle", "zero_component"] * 5
         assert [(row["check"], row["kappa"], row["n"]) for row in rows if not row["passed"]] == []
 
     def test_injected_error_detected(self, tmp_path):
@@ -608,7 +621,7 @@ class TestVerifyCommand:
                        "--inject-energy-error", "1e-3", "--out", str(out))
         assert code == 2
         rows = read_csv_rows(out)
-        assert {r["check"] for r in rows} == {"special", "oracle", "zero_component"}
+        assert [r["check"] for r in rows] == ["oracle", "zero_component"]
         assert all(r["passed"] == "false" for r in rows)
 
     @pytest.mark.parametrize("b", [1.0, 1e3, 1e-3])
@@ -642,6 +655,38 @@ class TestVerifyCommand:
             edge = [row["passed"] for row in rows if row["check"] == "zero_component"]
             assert len(edge) == 13 and set(edge) == {"false"}
             assert all(row["passed"] == "true" for row in rows if row["check"] != "zero_component")
+
+    @pytest.mark.parametrize("b, kappas", [("1000", ("-3", "-1")), ("-1000", ("1", "3"))])
+    def test_large_b_edge_levels_pass(self, b, kappas, tmp_path):
+        # at |b| = 1000 a Numerov shot at lambda = -b^2 misses E = M by more
+        # than 1e-7; the bracket works in E, and holds there
+        out = tmp_path / "verify.csv"
+        assert run_cli("verify", "--b", b, "--a", "0", "--kappa-min", kappas[0],
+                       "--kappa-max", kappas[1], "--n-max", "4", "--out", str(out)) == 0
+        rows = read_csv_rows(out)
+        assert [row["check"] for row in rows].count("zero_component") == 3
+        assert all(row["passed"] == "true" for row in rows)
+
+    @pytest.mark.parametrize("b", ["1", "-1"])
+    def test_edge_closed_form_off_shape_fails_on_the_residual(self, b, monkeypatch, tmp_path):
+        # a decay rate 10% too large keeps E = +/-M, so the bracket holds; the
+        # residual of the closed form must fail every edge row, in both families
+        exact = analytic.special_state
+
+        def too_steep(params, channel):
+            state = exact(params, channel)
+            return replace(state, gamma=1.1 * state.gamma)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("diractensor") and getattr(module, "special_state", None) is exact:
+                monkeypatch.setattr(module, "special_state", too_steep)
+        out = tmp_path / "verify.csv"
+        assert run_cli("verify", "--b", b, "--out", str(out)) == 2
+        rows = read_csv_rows(out)
+        edge = [row for row in rows if row["check"] == "zero_component"]
+        assert len(edge) == 23
+        assert all(row["passed"] == "false" and float(row["residual"]) >= 1e-8 for row in edge)
+        assert all(row["passed"] == "true" for row in rows if row["check"] == "oracle")
 
     def test_deep_levels_pass(self, tmp_path):
         out = tmp_path / "verify.csv"
@@ -703,10 +748,12 @@ class TestVerifyCommand:
         ("verify", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "1"),
         ("spectrum", "--kappa-min", "-1", "--kappa-max", "-1"),
         ("wavefunction", "--kappa", "-1", "--n", "1"),
+        ("fig3",),
     ])
     def test_window_float64_cannot_resolve_is_an_error_exit(self, command, capsys):
         # the oracle solves the b = 1 problem at any b, but at b/M = 1e-200
-        # M* = sqrt(M^2 + b^2) rounds to M, and the closed forms say so
+        # M* = sqrt(M^2 + b^2) rounds to M, and the closed forms say so; fig3
+        # writes no E_over_M with bound_flag true there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = run_cli(*command, "--b", "1e-200")
@@ -728,7 +775,7 @@ class TestVerifyCommand:
         assert headers == [",".join(cli._VERIFY_COLUMNS)] * 2
         edge = [row for row in read_csv_rows(out) if row["check"] == "zero_component"]
         assert len(edge) == 1
-        assert [edge[0][name] for name in ("e_shoot", "residual")] == ["", ""]
+        assert edge[0]["e_shoot"] == "" and float(edge[0]["residual"]) < 1e-8
 
     def test_b_zero_sweep_rejects_negative_n_max(self, capsys):
         code = run_cli("verify", "--b", "0", "--kappa-min", "-1", "--kappa-max", "1",
