@@ -111,12 +111,18 @@ def _radicand(params: ModelParams, ratio):
 
 
 def _magnitudes(params: ModelParams, kappa_bar, n_g):
-    """n_bar and |E| of the levels (kappa_bar, n_g), elementwise over numpy
-    arrays and bit for bit :func:`energy`'s; an E^2 past float64's range is
-    inf without a warning, as float arithmetic gives it."""
+    """n_bar, |E| and |E|/M of the levels (kappa_bar, n_g), elementwise over
+    numpy arrays and bit for bit :func:`energy`'s; an E^2 past float64's
+    range is inf without a warning, as float arithmetic gives it.  Every
+    |E| < M* has |E|/M <= M*/M, so where M*/M is past float64's range (b/M
+    beyond about 1e308) OverflowError is raised, not an inf |E|/M written."""
+    if math.isinf(params.effective_mass / params.mass):
+        raise OverflowError(f"M*/M is past float64's range at M = {params.mass!r}, "
+                            f"b = {params.b!r}: no |E|/M can be written")
     nb = n_bar(kappa_bar, n_g)
     with np.errstate(over="ignore"):
-        return nb, np.sqrt(_radicand(params, kappa_bar / nb))
+        magnitude = np.sqrt(_radicand(params, kappa_bar / nb))
+        return nb, magnitude, magnitude / params.mass
 
 
 def special_state(params: ModelParams, channel: Channel) -> BoundState:
@@ -366,7 +372,8 @@ def spectrum(
     ``kappas``.  Each channel's ladder n = 1..n_max is one numpy pass, and
     every energy equals :func:`energy`'s bit for bit.  A level at |E| >= M*
     raises :class:`BoundState`'s ValueError, the first such level first, and
-    a binding channel at a b/M where M* rounds to M raises before any level.
+    a binding channel at a b/M where M* rounds to M raises before any level;
+    where M*/M is past float64's range, its regular levels raise OverflowError.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -399,7 +406,7 @@ def spectrum(
         if not n_max:
             continue
         n_g = levels if kb < -0.5 else levels - 1
-        nb, magnitude = _magnitudes(params, kb, n_g)
+        nb, magnitude, per_mass = _magnitudes(params, kb, n_g)
         failed = (abs(params.b * kb) / nb <= 0.0) | (magnitude >= mstar)  # BoundState's guard
         if failed.any():  # the first failing level raises BoundState's own ValueError
             bound_state(params, channel, int(n_g[failed.argmax()]), branches[0])
@@ -407,7 +414,8 @@ def spectrum(
         add(e.size, kappa=channel.kappa, kappa_bar=kb, n_g=np.repeat(n_g, len(signs)).tolist(),
             n_f=np.repeat(lower_degree(kb, n_g), len(signs)).tolist(),
             n_bar=np.repeat(nb, len(signs)).tolist(), energy=e.tolist(),
-            e_over_m=(e / params.mass).tolist(), branch=list(branches) * n_max, bound=True)
+            e_over_m=np.multiply.outer(per_mass, signs).ravel().tolist(),
+            branch=list(branches) * n_max, bound=True)
 
     kappa_bar = np.array(table["kappa_bar"], dtype=float)
     n_bar_key = np.nan_to_num(np.array(table["n_bar"], dtype=float), nan=-1.0)  # None -> nan -> -1

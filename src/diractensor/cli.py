@@ -41,14 +41,11 @@ from .analytic import (
 )
 from .core import Channel, ModelParams, _require_finite, bound_states_exist
 from .oracle import (
-    NoBracketError,
-    ShootingConfig,
     ShootingError,
     _MAX_FINENESS,
     _march_first_order,
     _pencil_levels,
     count_sign_changes,
-    shoot_eigenvalue,
     solve_bound_level,
 )
 
@@ -244,8 +241,6 @@ def run_spectrum(cfg: RunConfig) -> dict[str, list]:
     spectrum E^c = -E of the sign-flipped potential, which mirrors the
     original in kappa_bar with n_bar preserved."""
     params = ModelParams(cfg.mass, cfg.a, cfg.b)
-    if params.b == 0.0:
-        raise UsageError("b = 0: no channel binds, there is no bound spectrum to tabulate")
     branch = _BRANCH_NAME.get(cfg.branch)
     if branch is None:
         raise UsageError(f"branch must be plus, minus or both, got {cfg.branch!r}")
@@ -271,8 +266,6 @@ def run_fig3(cfg: RunConfig) -> dict[str, list]:
     """Levels at fixed node number as a function of kappa for several Coulomb
     strengths, as columns; combinations outside the binding window are
     flagged, not dropped."""
-    if cfg.b == 0:
-        raise UsageError("b = 0: no channel binds")
     if not cfg.a_values:
         raise UsageError("--a-values is empty: give at least one Coulomb strength")
     _require_finite("--kappa-bar-min", cfg.kappa_bar_min)
@@ -290,8 +283,7 @@ def run_fig3(cfg: RunConfig) -> dict[str, list]:
         bound = [bound_states_exist(params, channel) for channel in channels]
         kappa_bar = np.array([_require_resolved(params, c) for c, ok in zip(channels, bound) if ok])
         # |E| = +E on the particle branch (M* != M checked above); no arithmetic when nothing binds
-        e_over_m = iter((_magnitudes(params, kappa_bar, n_g)[1] / params.mass).tolist()
-                        if kappa_bar.size else ())
+        e_over_m = iter(_magnitudes(params, kappa_bar, n_g)[2].tolist() if kappa_bar.size else ())
         table["a"] += [a] * len(channels)
         table["kappa"] += [c.kappa for c in channels]
         table["kappa_bar"] += [c.kappa_bar for c in channels]
@@ -451,37 +443,6 @@ def verification_grid_rows(
     return table, work
 
 
-def _no_binding_rows(mass, a_values, kappas, n_max: int) -> dict[str, list]:
-    """b = 0 sweep, as columns: shooting must find no square-integrable state
-    with |E| < M and at most ``n_max`` nodes."""
-    table = {name: [] for name in _VERIFY_COLUMNS}
-    for a in a_values:
-        params = ModelParams(mass, a, 0.0)
-        for kappa in kappas:
-            channel = Channel.from_kappa(kappa, a)
-            kb = channel.kappa_bar
-            found = None
-            if abs(kb) > 0.5:
-                config = ShootingConfig(
-                    r_min=1e-6 / mass,
-                    r_max=60.0 / mass,
-                    step_count=4000,
-                    lambda_bracket=(-0.99 * mass * mass, -1e-4 * mass * mass),
-                    tolerance=1e-9,
-                )
-                for node_target in range(n_max + 1):
-                    try:
-                        found = shoot_eigenvalue(params, channel, "upper", node_target, config)
-                        break
-                    except NoBracketError:
-                        continue
-            _add_row(
-                table, check="no_binding", b=0.0, a=a, kappa=kappa, kappa_bar=kb,
-                e_shoot=None if found is None else found.energy_pair[0], passed=found is None,
-            )
-    return table
-
-
 def run_verification(cfg: RunConfig) -> tuple[dict[str, list], str]:
     """The verify table, as columns, and its summary line.  An a or b of
     None selects that parameter's default grid."""
@@ -489,14 +450,6 @@ def run_verification(cfg: RunConfig) -> tuple[dict[str, list], str]:
     if cfg.n_max < 0:
         raise UsageError("n_max must be nonnegative")
     _require_finite("--inject-energy-error", cfg.inject_energy_error)
-    if cfg.b == 0.0:
-        if cfg.inject_energy_error:
-            raise UsageError("--inject-energy-error needs b != 0: the b = 0 sweep "
-                             "has no closed-form energy to offset")
-        a_values = (0.0, 0.5, -0.5) if cfg.a is None else (cfg.a,)
-        table = _no_binding_rows(cfg.mass, a_values, kappas, cfg.n_max)
-        summary = f"b = 0 sweep over {len(table['check'])} channels: no bound states expected"
-        return table, summary
     b_values = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0) if cfg.b is None else (cfg.b,)
     a_values = (0.0, 0.5, -0.5, 2.0, -2.0) if cfg.a is None else (cfg.a,)
     table, work = verification_grid_rows(
@@ -625,7 +578,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     Merge precedence: RunConfig defaults < the subcommand's defaults < config
     file < preset < flags.  A config key the subcommand does not read is a
-    usage error, as its flag would be.
+    usage error, as its flag would be, and so is b = 0, where nothing binds.
     """
     flags = dict(vars(args))
     command, config, preset = flags.pop("command"), flags.pop("config"), flags.pop("preset", None)
@@ -638,6 +591,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if preset:
         merged.update(PRESETS[command][preset])
     merged.update((key, value) for key, value in flags.items() if value is not None)
+    if merged.get("b") == 0:
+        raise UsageError("b = 0: the window M <= |E| < M* is empty, and no channel binds")
     return RunConfig(**merged)
 
 

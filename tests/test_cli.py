@@ -179,16 +179,13 @@ class TestSpectrumCommand:
             assert r2["E"] == r1["E"]  # byte-equal energies
             assert r2["n_bar"] == r1["n_bar"]
 
-    def test_b_zero_is_usage_error(self, capsys):
-        assert run_cli("spectrum", "--b", "0") == 1
-        assert "no channel binds" in capsys.readouterr().err
-
     def test_empty_kappa_range_is_usage_error(self):
         assert run_cli("spectrum", "--kappa-min", "3", "--kappa-max", "-3") == 1
 
-    def test_range_holding_only_kappa_zero_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("command", [("spectrum",), ("verify", "--b", "1")])
+    def test_range_holding_only_kappa_zero_is_usage_error(self, command, capsys):
         # kappa = 0 is skipped, so [0, 0] selects no row at all
-        assert run_cli("spectrum", "--kappa-min", "0", "--kappa-max", "0") == 1
+        assert run_cli(*command, "--kappa-min", "0", "--kappa-max", "0") == 1
         out, err = capsys.readouterr()
         assert out == "" and "no kappa" in err
 
@@ -707,42 +704,23 @@ class TestVerifyCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("verification failed: no level")
 
-    def test_b_zero_sweep(self, tmp_path):
-        out = tmp_path / "verify.csv"
-        code = run_cli("verify", "--b", "0", "--kappa-min", "-3", "--kappa-max", "3",
-                       "--out", str(out))
-        assert code == 0
-        rows = read_csv_rows(out)
-        assert rows and all(r["check"] == "no_binding" and r["passed"] == "true" for r in rows)
+    @pytest.mark.parametrize("b", ["1", "-1"])
+    def test_binding_rule_without_its_sign_test_fails(self, b, monkeypatch, capsys):
+        # a rule that binds both signs of b*kappa_bar sends the grid to the
+        # wrong-sign channels, where the pencil holds no level below the
+        # window top, so verify fails
+        exact = core.bound_states_exist
 
-    def test_b_zero_sweep_tries_node_targets_up_to_n_max(self, monkeypatch):
-        targets = []
+        def no_sign_test(params, channel):
+            exact(params, channel)  # keeps the check that the channel was built for params.a
+            return abs(channel.kappa_bar) > 0.5
 
-        def nothing_found(params, channel, component, node_target, config):
-            targets.append(node_target)
-            raise NoBracketError("no level")
-
-        monkeypatch.setattr(cli, "shoot_eigenvalue", nothing_found)
-        code = run_cli("verify", "--b", "0", "--a", "0", "--kappa-min", "-1",
-                       "--kappa-max", "-1", "--n-max", "5")
-        assert code == 0
-        assert targets == list(range(6))
-
-    def test_b_zero_sweep_without_channels_is_usage_error(self, capsys):
-        assert run_cli("verify", "--b", "0", "--kappa-min", "0", "--kappa-max", "0") == 1
-        out, err = capsys.readouterr()
-        assert out == "" and "no kappa" in err
-
-    def test_b_zero_sweep_rejects_injected_error(self, tmp_path, capsys):
-        # the sweep has no closed-form energy to offset
-        code = run_cli("verify", "--b", "0", "--kappa-min", "-1", "--kappa-max", "1",
-                       "--inject-energy-error", "1e-3")
-        assert code == 1
-        assert "--inject-energy-error" in capsys.readouterr().err
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("b=0\nkappa_min=-1\nkappa_max=1\ninject_energy_error=1e-3\n")
-        assert run_cli("verify", "--config", str(cfg)) == 1
-        assert "--inject-energy-error" in capsys.readouterr().err
+        for name, module in list(sys.modules.items()):
+            if name.startswith("diractensor") and getattr(module, "bound_states_exist", None) is exact:
+                monkeypatch.setattr(module, "bound_states_exist", no_sign_test)
+        assert run_cli("verify", "--b", b, "--a", "0", "--kappa-min", "-2", "--kappa-max", "2",
+                       "--n-max", "2") == 2
+        assert "the pencil puts no 2-node level below the window top" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ("verify", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "1"),
@@ -764,24 +742,15 @@ class TestVerifyCommand:
                        "float64 cannot resolve the window M <= |E| < M*\n")
 
     def test_every_check_writes_one_header(self, tmp_path):
-        # the b = 0 sweep and the grid write the same columns, and cells a
-        # check does not fill stay empty
-        headers = []
-        for b in ("0", "1"):
-            out = tmp_path / f"verify{b}.csv"
-            assert run_cli("verify", "--b", b, "--a", "0", "--kappa-min", "-1",
-                           "--kappa-max", "-1", "--n-max", "0", "--out", str(out)) == 0
-            headers.append(out.read_text().splitlines()[0])
-        assert headers == [",".join(cli._VERIFY_COLUMNS)] * 2
+        # both checks write the same columns, and cells a check does not fill
+        # stay empty
+        out = tmp_path / "verify.csv"
+        assert run_cli("verify", "--b", "1", "--a", "0", "--kappa-min", "-1",
+                       "--kappa-max", "-1", "--n-max", "0", "--out", str(out)) == 0
+        assert out.read_text().splitlines()[0] == ",".join(cli._VERIFY_COLUMNS)
         edge = [row for row in read_csv_rows(out) if row["check"] == "zero_component"]
         assert len(edge) == 1
         assert edge[0]["e_shoot"] == "" and float(edge[0]["residual"]) < 1e-8
-
-    def test_b_zero_sweep_rejects_negative_n_max(self, capsys):
-        code = run_cli("verify", "--b", "0", "--kappa-min", "-1", "--kappa-max", "1",
-                       "--n-max", "-1")
-        assert code == 1
-        assert "n_max" in capsys.readouterr().err
 
     def test_grid_without_binding_channel_is_usage_error(self, tmp_path, capsys):
         # b > 0 binds only kappa_bar < -1/2, so kappa 1..3 leave nothing to check
@@ -897,6 +866,20 @@ class TestOutputHygiene:
         rows, meta = (payload["rows"], payload["meta"]) if isinstance(payload, dict) else (payload, {})
         assert rows
         assert csv_path.read_bytes() == reference_csv(rows, meta).encode()
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "1"),
+        ("fig3", "--a-values", "0", "--kappa-bar-min", "-2", "--kappa-bar-max", "-1"),
+    ])
+    def test_e_over_m_past_float64_is_an_error_exit(self, argv, capsys):
+        # at M = 1e-320 and b = 1, b/M and every regular level's |E|/M are
+        # past float64's range: an error, not an inf E_over_M at exit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv, "--mass", "1e-320")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: numeric overflow:") and err.count("\n") == 1
 
 
 class TestStartupAndParserReuse:
@@ -1121,12 +1104,25 @@ class TestOptionsPerSubcommand:
                        "--out", str(explicit)) == 0
         assert bare.read_bytes() == explicit.read_bytes()
 
-    def test_verify_reads_b_zero_from_config(self, tmp_path):
-        cfg, out = tmp_path / "run.cfg", tmp_path / "verify.csv"
-        cfg.write_text("b=0\nkappa_min=-1\nkappa_max=1\n")
-        assert run_cli("verify", "--config", str(cfg), "--out", str(out)) == 0
-        rows = read_csv_rows(out)
-        assert rows and {r["check"] for r in rows} == {"no_binding"}
+    @pytest.mark.parametrize("argv", [
+        ("spectrum",),
+        ("fig3", "--a-values", "0"),
+        ("wavefunction", "--kappa", "-1"),
+        ("verify", "--kappa-min", "-1", "--kappa-max", "1"),
+    ])
+    @pytest.mark.parametrize("b", ["--b 0", "--b -0.0", "b=0 in the config"])
+    def test_b_zero_is_usage_error(self, argv, b, tmp_path, capsys):
+        # at b = 0 the window M <= |E| < M* is empty: one check refuses it
+        # for every subcommand, whether a flag or a config key sets it
+        if b.startswith("--"):
+            code = run_cli(*argv, *b.split())
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("b=0\n")
+            code = run_cli(*argv, "--config", str(cfg))
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: b = 0: the window M <= |E| < M* is empty, and no channel binds\n")
 
     def test_verify_reads_b_and_a_from_config(self, tmp_path):
         cfg, out = tmp_path / "run.cfg", tmp_path / "verify.csv"
