@@ -41,6 +41,7 @@ from .core import (
     UnboundChannelError,
     angular_strength,
     bound_states_exist,
+    level_extent,
     lower_degree,
     n_bar,
 )
@@ -107,7 +108,7 @@ def _radicand(params: ModelParams, ratio):
     """E^2 = M^2 + b^2 (1 - ratio^2) at ratio = kappa_bar / n_bar, for a float
     or elementwise over an array: each operation is correctly rounded either
     way, so :func:`energy` and :func:`spectrum` agree bit for bit."""
-    return params.mass**2 + params.b**2 * (1.0 - ratio * ratio)
+    return params.mass**2 + params.b_squared * (1.0 - ratio * ratio)
 
 
 def _magnitudes(params: ModelParams, kappa_bar, n_g):
@@ -341,9 +342,19 @@ def residuals(params: ModelParams, state: BoundState,
     return float(worst) / scale
 
 
+def _extent(state: BoundState) -> tuple[float, float]:
+    """Where the components that do not vanish lie within e^(-30) of their
+    turning-point values: ``level_extent`` at mu = -(kappa_bar / n_bar)^2,
+    b of the sign opposite kappa_bar's and |b| = gamma n_bar / |kappa_bar|."""
+    kb, nb = state.channel.kappa_bar, state.n_bar
+    inner, outer = zip(*[level_extent(-kb, kb, component, -(kb / nb) ** 2, 30.0) for component, degree
+                         in (("upper", state.n_g), ("lower", state.n_f)) if degree is not None])
+    return min(inner) * abs(kb) / (state.gamma * nb), max(outer) * abs(kb) / (state.gamma * nb)
+
+
 def default_radial_grid(state: BoundState, points: int = 1200) -> np.ndarray:
-    """Log-spaced grid spanning the rise at the origin and the decaying tail."""
-    return np.geomspace(1e-7 / state.gamma, 30.0 / state.gamma, points)
+    """Log-spaced grid over the state's extent (``_extent``)."""
+    return np.geomspace(*_extent(state), points)
 
 
 _SPECTRUM_KEYS = ("kappa", "kappa_bar", "n_g", "n_f", "n_bar", "energy", "e_over_m", "branch",
@@ -435,7 +446,7 @@ def nonrelativistic_binding(params: ModelParams, channel: Channel, n_g: int) -> 
     kb = _require_bound(params, channel)
     require_degree("n_g", n_g)
     ratio = kb / n_bar(kb, n_g)
-    return 0.5 * (params.b**2 / params.mass) * (1.0 - ratio * ratio)
+    return 0.5 * (params.b_squared / params.mass) * (1.0 - ratio * ratio)
 
 
 def charge_conjugate(params: ModelParams) -> ModelParams:

@@ -59,6 +59,14 @@ class ModelParams:
         """M* = sqrt(M**2 + b**2), the strict upper bound of bound |E|."""
         return math.hypot(self.mass, self.b)
 
+    @property
+    def b_squared(self) -> float:
+        """b**2, or OverflowError naming b where that is past float64's range."""
+        try:
+            return self.b**2
+        except OverflowError:
+            raise OverflowError(f"b^2 is past float64's range at b = {self.b!r}") from None
+
 
 @dataclass(frozen=True)
 class Channel:
@@ -139,15 +147,56 @@ def lower_degree(kappa_bar, n_g):
     return n_g - 1 if kappa_bar < 0 else n_g + 1
 
 
-def box_radius(gamma: float, tail_exponent: float, suppression: float) -> float:
-    """Radius at which the bound-state tail r^p e^(-gamma r) has fallen
-    e^(-suppression) below its peak, p = |b kappa_bar| / gamma the Coulomb
-    exponent.
+def equation_constants(b: float, kappa_bar: float, component: Component) -> tuple[float, float]:
+    """S^2 = kappa_bar (kappa_bar +/- 1) + 1/4 and B = 2 b kappa_bar of a component's
+    second-order equation in x = ln r and v = u / sqrt(r): v'' = (S^2 + B r - lambda r^2) v."""
+    return angular_strength(kappa_bar, component) + 0.25, 2.0 * b * kappa_bar
 
-    The tail peaks at r = p / gamma, so for large p the polynomial factor
-    postpones the decay well beyond suppression / gamma, and a box of that
-    plain size would cut the state off near its peak.
-    """
+
+def level_extent(b: float, kappa_bar: float, component: Component, mu: float,
+                 suppression: float) -> tuple[float, float]:
+    """The radii, in units of 1/|b|, below and beyond which a level of the
+    component's equation at mu = lambda / b^2 < 0 lies e^(-suppression) or
+    more below its value at its turning points; b enters by its sign alone.
+
+    In rho = |b| r that equation is v'' = Q v, Q = S^2 + B rho - mu rho^2
+    (``equation_constants`` at b = sgn(b)): its solutions grow or decay by
+    the WKB exponent, the integral of sqrt(Q) dx.  Every inner turning point
+    lies above S^2/|B|, and the exponent from rho up to there is at least
+    S (ln(4/t) - 2), t = |B| rho / S^2: so the inner end is
+    4 S^2/|B| e^(-2 - suppression/S), held below (1 + 2S)/(2|B|) so that the
+    series start rho^S (1 + c1 rho), c1 = B/(1 + 2S), adds no node; it is 0
+    where B >= 0.  The outer end is where the exponent from the outer root
+    of Q (its minimum where it has none) reaches ``suppression``: Newton
+    steps on sqrt(Q) - k ln(2 sqrt(m Q) + 2 m rho - beta) + S ln(P/rho), the
+    antiderivative of sqrt(Q)/rho, with m = -mu, beta = |B|,
+    k = beta/(2 sqrt(m)) and P = 2 S sqrt(Q) + beta rho - 2 S^2."""
+    s2, coulomb = equation_constants(math.copysign(1.0, b), kappa_bar, component)
+    s, beta, m = math.sqrt(s2), abs(coulomb), -mu
+    inner = min(4.0 * s * s * math.exp(-2.0 - suppression / s), 0.5 + s) / beta if coulomb < 0 else 0.0
+    root_m, disc, centre = math.sqrt(m), beta * beta - 4.0 * m * s2, beta / (2.0 * m)
+    k, e = beta / (2.0 * root_m), math.sqrt(abs(disc))
+    # G at the outer root is (S - k) ln e, written to be 0 at a double root
+    base = -disc / (2.0 * root_m * (beta + 2.0 * s * root_m)) * math.log(e) if disc else 0.0
+    start = centre + e / (2.0 * m) if disc >= 0.0 else centre
+    if disc < 0.0:  # G at the minimum of Q
+        base += e / (2.0 * root_m) + s * math.log(beta / (2.0 * s * root_m + e))
+    rho = start + suppression / root_m
+    for _ in range(50):
+        root_q = math.sqrt(m * (rho - centre) ** 2 - 0.25 * disc / m)
+        t = beta * rho - 2.0 * s2  # P / rho, free of cancellation where t < 0 (only if disc < 0)
+        p = (2.0 * s * root_q + t) / rho if t >= 0.0 else -disc * rho / (2.0 * s * root_q - t)
+        g = root_q - k * math.log(2.0 * root_m * root_q + 2.0 * m * rho - beta) + s * math.log(p)
+        step = (g - base - suppression) * rho / root_q
+        rho = max(rho - step, 0.5 * (start + rho))
+        if abs(step) <= 1e-12 * rho:
+            break
+    return inner, rho
+
+
+def box_radius(gamma: float, tail_exponent: float, suppression: float) -> float:
+    """Radius at which the tail r^p e^(-gamma r), p = |b kappa_bar| / gamma,
+    has fallen e^(-suppression) below its peak at r = p / gamma."""
     p = max(tail_exponent, 0.0)
     target = suppression + p - (p * math.log(p) if p > 0 else 0.0)
     t = suppression + 2.0 * p

@@ -7,36 +7,20 @@ Two pieces of machinery, both blind to the closed-form solutions:
   v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4.  ``solve_bound_level``
   takes a first estimate of the level from a Sturm count on the three-point
   form of that equation, a symmetric tridiagonal pencil (LAPACK ``stebz``),
-  then finds it with ``shoot_eigenvalue``: Numerov shooting on a grid boxed
-  for that estimate (a ``ShootingConfig``), with node-count bisection to
-  keep the level and a matching-defect Newton step, taken from either side
-  of the level, to refine it; one outward march per trial lambda serves
-  both the node count and the match.  The converged iterate's own two sweeps
-  give the returned level's node count, and the counts at the bracket ends
-  are marched only where the search leaves Newton's path: at a bisection
-  step, a bisection exit or an error.  Where two Newton steps in a row
-  predict the next correction within the tolerance, the last candidate is
-  returned without the step that would only confirm it.  A march solves
-  for w = f y, whose Numerov band has a unit diagonal: each shot allocates
-  that band once, and a march rewrites one row of it and makes one BLAS
-  ``tbsv`` call.
-  The match point comes from the root of the quadratic S^2 + B r - lambda
-  r^2, and the matching defect and Newton denominator from dot products
-  over the two sweeps, with no joined copy.  The pencil and every shot
-  start at the channel's inner edge, below which no bound solution of the
-  channel rises within e^(-30) of its peak: the regular solution grows like
-  r^S there, and marching through that dead region changes no level;
+  then finds it with ``shoot_eigenvalue``: Numerov shooting, one BLAS
+  ``tbsv`` call a march, with node-count bisection to keep the level and a
+  matching-defect Newton step, taken from either side of the level, to
+  refine it.  Each shot is boxed by ``core.level_extent`` at its own mu,
+  e^(-30) past the turning points of a level there, and the pencil and
+  every shot start at its inner end: marching from r^S through the dead
+  region below changes no level;
 
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
   to confirm decay at the analytic energies and divergence away from them;
   the sign of the tail of a growing solution tells on which side of a level
-  its energy lies, so two energies bracket the |E| = M special states.  The
-  system is linear and the step schedule depends on r alone, so each step is
-  a fixed 2x2 matrix; the integrator forms these in float64 a chunk at a
-  time, multiplies them by one prefix scan per chunk and carries the state
-  across chunk boundaries with an exact power-of-two renormalisation.
-  Several energies can share one scan on the first one's schedule, each
-  with its own matrices and state.
+  its energy lies, so two energies bracket the |E| = M special states.  Its
+  fixed 2x2 step matrices are multiplied by one prefix scan a chunk, for
+  one energy or several side by side.
 
 The separation eigenvalue is lambda = E^2 - M^2 - b^2, negative for every
 bound state since |E| < sqrt(M^2 + b^2).  In rho = |b| r and mu = lambda / b^2
@@ -63,6 +47,8 @@ from .core import (
     RadialSamples,
     angular_strength,
     box_radius,
+    equation_constants,
+    level_extent,
 )
 
 __all__ = [
@@ -122,16 +108,15 @@ class ShootingConfig:
 class EigenResult:
     """Converged separation eigenvalue and its energy pair.
 
-    ``sweeps`` counts the Numerov marches of the search, ``steps`` the
-    Numerov steps those marches took and ``newton_steps`` the
-    matching-defect Newton corrections it computed; all three depend on the
-    inputs only.  ``r_min``, ``r_max`` and ``step_count`` give the grid of
-    the shot that found the level.  From ``solve_bound_level``, lambda_ / b^2,
-    r |b|, the work counters and ``step_count`` are those of the problem in
-    units of 1/|b|, which (sgn(b), kappa_bar, component, n) fix.  ``seconds``
-    is the wall time of the whole solve and ``pencil_seconds`` the part of it
-    spent estimating the level (0.0 from ``shoot_eigenvalue``, which takes no
-    estimate); these two are the only fields that are not deterministic.
+    ``sweeps`` counts the Numerov marches of the search, ``steps`` their
+    Numerov steps and ``newton_steps`` its Newton corrections; all three
+    depend on the inputs only.  ``r_min``, ``r_max`` and ``step_count`` give
+    the grid of the shot that found the level.  From ``solve_bound_level``,
+    lambda_ / b^2, r |b|, the work counters and ``step_count`` are those of
+    the problem in units of 1/|b|, which (sgn(b), kappa_bar, component, n)
+    fix.  ``seconds`` is the wall time of the whole solve and
+    ``pencil_seconds`` the part spent estimating the level (0.0 from
+    ``shoot_eigenvalue``): the only two fields that are not deterministic.
     """
 
     lambda_: float
@@ -152,12 +137,10 @@ def _numerov_march(f: np.ndarray, y0: float, y1: float, band: np.ndarray) -> np.
 
     In w = f y the recurrence f[i+1] y[i+1] = (12 - 10 f[i]) y[i] - f[i-1] y[i-1]
     reads w[i+1] - (12/f[i] - 10) w[i] + w[i-1] = 0: a lower-triangular band
-    with a unit diagonal and a second subdiagonal of ones, handed to the BLAS
-    triangular solver, told the diagonal is unit, instead of a Python loop.
-    ``band`` is a Fortran-order (3, N) array, the layout BLAS reads, with
-    N >= f.size - 2 and ones in its last row.  The march rewrites only the
-    first subdiagonal of its leading f.size - 2 columns, which f2py passes
-    without a copy, solves for w in place and returns y = w / f.
+    with a unit diagonal and a second subdiagonal of ones, which BLAS ``tbsv``
+    solves.  ``band`` is a Fortran-order (3, N) array, N >= f.size - 2, with
+    ones in its last row; the march rewrites only the first subdiagonal of
+    its leading f.size - 2 columns, solves for w in place and returns w / f.
     """
     from scipy.linalg.blas import dtbsv  # here, not at the top: scipy is slow to import
 
@@ -195,13 +178,6 @@ def count_sign_changes(values) -> int:
     return int(np.count_nonzero(_sign_changes(np.asarray(values, dtype=float))))
 
 
-def _channel_constants(params: ModelParams, channel: Channel,
-                       component: Component) -> tuple[float, float]:
-    """S^2 = kappa_bar (kappa_bar +/- 1) + 1/4 and B = 2 b kappa_bar of the
-    x = ln r form v'' = (S^2 + B r - lambda r^2) v."""
-    return angular_strength(channel.kappa_bar, component) + 0.25, 2.0 * params.b * channel.kappa_bar
-
-
 class _ShootingWorkspace:
     """Grid-dependent arrays shared by every lambda evaluation of one search.
 
@@ -218,7 +194,7 @@ class _ShootingWorkspace:
         self.h = (x[-1] - x[0]) / n
         self.r = np.exp(x)
         self.r2 = self.r * self.r
-        s2, self.B = _channel_constants(params, channel, component)
+        s2, self.B = equation_constants(params.b, channel.kappa_bar, component)
         self.S = math.sqrt(s2)
         self.base = self.S * self.S + self.B * self.r
         ddx12 = self.h * self.h / 12.0
@@ -451,7 +427,7 @@ def shoot_eigenvalue(
         raise NodeMismatchError(
             f"converged solution has {found} nodes, expected {node_target}"
         )
-    e2 = best + params.mass**2 + params.b**2
+    e2 = best + params.mass**2 + params.b_squared
     e = math.sqrt(max(e2, 0.0))
     return EigenResult(
         lambda_=best,
@@ -468,36 +444,10 @@ def shoot_eigenvalue(
 
 
 # interior points of the pencil that estimates a level, shots of its polish,
-# and the fewest Numerov steps a shot keeps above the channel's inner edge
+# and the fewest Numerov steps a shot keeps above the inner end of its box
 _PENCIL_POINTS = 300
 _MAX_SHOTS = 3
 _MIN_EDGE_STEPS = 64
-
-
-def _inner_edge(params: ModelParams, channel: Channel, component: Component,
-                r_floor: float) -> float:
-    """Where the pencil and the shots of a channel start: r_e, or ``r_floor``
-    when that lies higher.
-
-    In x = ln r the regular solution obeys v'' = Q v with
-    Q = S^2 + B r - lambda r^2, B = 2 b kappa_bar, and rises like r^S from
-    the origin.  Every bound lambda is negative, so Q >= S^2 - |B| r and every
-    level's inner turning point lies above S^2/|B|.  Up to there the
-    solution grows by the WKB factor exp(integral of sqrt(Q) dx), and
-    integral sqrt(S^2 - |B| r) dr/r from r to S^2/|B| is at least
-    S (ln(4/t) - 2), t = |B| r / S^2.  So at r_e = 4 S^2/|B| e^(-2 - 30/S)
-    every level lies e^(-30) or more below its value at that turning point.
-    r_e is also held below (1 + 2S)/(2|B|), where the series start
-    r^S (1 + c1 r), c1 = B/(1 + 2S), keeps at least half its leading term,
-    so the two start values cannot differ in sign and add a node.  With
-    B >= 0 no level binds and there is no edge.
-    """
-    s2, coulomb = _channel_constants(params, channel, component)
-    s = math.sqrt(s2)
-    if coulomb >= 0.0:
-        return r_floor
-    edge = min(4.0 * s * s * math.exp(-2.0 - 30.0 / s), 0.5 + s) / -coulomb
-    return max(r_floor, edge)
 
 
 def _unit(params: ModelParams) -> tuple[ModelParams, float]:
@@ -506,11 +456,11 @@ def _unit(params: ModelParams) -> tuple[ModelParams, float]:
     In rho = |b| r and mu = lambda / b^2, v'' = (S^2 + 2 b kappa_bar r -
     lambda r^2) v reads v'' = (S^2 + 2 sgn(b) kappa_bar rho - mu rho^2) v.
     b = 0 has no window (NoBracketError), and a b^2 past float64 raises
-    OverflowError, as b ** 2 does.
+    ``ModelParams.b_squared``'s OverflowError.
     """
     if params.b == 0.0:
         raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
-    return replace(params, b=math.copysign(1.0, params.b)), params.b**2
+    return replace(params, b=math.copysign(1.0, params.b)), params.b_squared
 
 
 def _pencil_levels(
@@ -526,8 +476,8 @@ def _pencil_levels(
     returns lambda = b^2 mu.  There the slowest decay rate of the deepest
     such level is about gamma_seed = 1 / (2 levels[-1] + 3), which fixes a
     generous seed box reaching 30/gamma_seed.  On that box, started at the
-    channel's inner edge (``_inner_edge``) but not below 1e-6/gamma_seed,
-    with Dirichlet ends, the three-point form of
+    inner end of ``level_extent`` at the seed, mu = -gamma_seed^2, but not
+    below 1e-6/gamma_seed, with Dirichlet ends, the three-point form of
     -v'' + (S^2 + B rho) v = mu rho^2 v (x = ln rho, B = 2 sgn(b) kappa_bar),
     scaled by 1/rho on each side, is the symmetric tridiagonal matrix with
     d_i = (2/h^2 + S^2 + B rho_i) / rho_i^2 and e_i = -1/(h^2 rho_i rho_{i+1}).
@@ -545,9 +495,10 @@ def _pencil_levels(
     if deepest >= _PENCIL_POINTS:
         raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {deepest}-node level")
     unit, scale = _unit(params)
-    s2, coulomb = _channel_constants(unit, channel, component)
+    s2, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
     gamma_seed = 1.0 / (2.0 * deepest + 3.0)
-    rho_lo = _inner_edge(unit, channel, component, 1e-6 / gamma_seed)
+    edge = level_extent(unit.b, channel.kappa_bar, component, -gamma_seed**2, 30.0)[0]
+    rho_lo = max(1e-6 / gamma_seed, edge)
     x = np.linspace(math.log(rho_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
     h2 = (x[1] - x[0]) ** 2
     rho = np.exp(x[1:-1])
@@ -568,20 +519,17 @@ def _shot_config(
     step_count: int,
 ) -> ShootingConfig:
     """Grid and bracket of one shot of the problem in units of 1/|b|
-    (``unit``, from ``_unit``), boxed for the decay rate of ``mu_box``.
+    (``unit``, from ``_unit``), boxed by ``level_extent`` at ``mu_box``.
 
     ``step_count`` steps of equal width in ln rho span the nominal box from
-    1e-6/gamma to where the rho^p tail, p = |kappa_bar| / gamma, has fallen
-    e^(-30) below its peak; the steps below the channel's inner edge are not
-    marched, though at least ``_MIN_EDGE_STEPS`` are kept.  The grid points
-    kept are those of the nominal box, so the level does not move.  The shot
-    stops at 1e-10 in mu."""
-    gamma = math.sqrt(-mu_box)
-    rho_lo = 1e-6 / gamma
-    rho_max = box_radius(gamma, abs(channel.kappa_bar) / gamma, 30.0)
+    1e-6/sqrt(-mu_box) to the outer end, e^(-30) past the outer turning
+    point; those below the inner end are not marched, though at least
+    ``_MIN_EDGE_STEPS`` are kept, and the points kept are the nominal grid's,
+    so the level does not move.  The shot stops at 1e-10 in mu."""
+    rho_lo = 1e-6 / math.sqrt(-mu_box)
+    edge, rho_max = level_extent(unit.b, channel.kappa_bar, component, mu_box, 30.0)
     h = math.log(rho_max / rho_lo) / step_count
-    edge = _inner_edge(unit, channel, component, rho_lo)
-    skip = max(0, min(int(math.log(edge / rho_lo) / h), step_count - _MIN_EDGE_STEPS))
+    skip = max(0, min(int(math.log(max(edge, rho_lo) / rho_lo) / h), step_count - _MIN_EDGE_STEPS))
     return ShootingConfig(
         r_min=rho_lo * math.exp(skip * h),
         r_max=rho_max,
@@ -609,18 +557,13 @@ def solve_bound_level(
     A negative ``estimate`` of lambda passed in, such as one of a channel's
     ladder of estimates from one pencil, takes the place of the pencil; the
     result's ``pencil_seconds`` is then 0.0.
-    The shot's box is set by the decay rate gamma = sqrt(-mu) of the
-    estimate: nominally from rho_min = 1e-6/gamma, over which ``step_count``
-    sets the step, to rho_max where the rho^p tail has fallen e^(-30) below
-    its peak.  The steps below the channel's inner edge (``_inner_edge``),
-    where every level of the channel is still e^(-30) below its peak, are not
-    marched; the result's ``r_min`` and ``step_count`` give the grid the
-    shot marched.  Its bracket is (1.5, 0.5) times the estimate; whatever
-    the estimate, the shot's node count keeps it on the ``node_target``
-    level or it raises a ShootingError.  A shot that lands more than 10%
-    from the mu that set its box was boxed for another decay rate, so it
-    is re-boxed from its own mu and shot again; ConvergenceError after
-    three shots.  The result's sweeps, steps and Newton steps are the totals
+    The shot is boxed at the estimate's mu (``_shot_config``), and the
+    result's ``r_min`` and ``step_count`` give the grid it marched.  Its
+    bracket is (1.5, 0.5) times the estimate; whatever the estimate, the
+    shot's node count keeps it on the ``node_target`` level or it raises a
+    ShootingError.  A shot that lands more than 10% from the mu that set its
+    box was boxed for another level, so it is re-boxed from its own mu and
+    shot again; ConvergenceError after three shots.  The result's sweeps, steps and Newton steps are the totals
     over all shots, and its seconds the wall time of the estimate and every
     shot."""
     start = time.perf_counter()
@@ -776,8 +719,7 @@ def integrate_first_order(
     depends on r alone, so every step is a fixed 2x2 matrix P = I + D.  The
     matrices of one chunk of steps are formed at once, and a work-efficient
     scan (Blelloch 1990) over the chunk, padded with identity steps to a power
-    of two, first multiplies neighbouring pairs up to the chunk's product,
-    composing in the form
+    of two, first multiplies neighbouring pairs up to the chunk's product, as
     (I + D_b)(I + D_a) = I + D_a + D_b + D_b D_a, which keeps the small
     increments that rounding I + D would drop; the pair products then carry
     the chunk's start state down to every step, whose amplitude feeds the
@@ -804,9 +746,9 @@ def integrate_first_order(
     step matrix is triangular and one component stays exactly zero, at any
     fineness: the discrete edge level lies exactly at +/-M, so a bracket of
     it is resolved by the growth over the box, not by the step, and may be
-    marched at the coarsest fineness.  The
-    series start r_min^|kappa_bar|, which underflows float64 once |kappa_bar|
-    nears 50, is carried as a mantissa and a power of two.  The default
+    marched at the coarsest fineness.  The series start r_min^|kappa_bar|,
+    which underflows from |kappa_bar| near 50, is carried as a mantissa and
+    a power of two.  The default
     ``fineness`` keeps the truncation error per step near the roundoff level.
     This is ``_march_first_order`` with one energy.
     """
@@ -824,12 +766,11 @@ def _march_first_order(
     box and step schedule of the first: the samples and report of each, in
     order.
 
-    The schedule depends on r alone, so each chunk's radii are placed once,
-    and the step matrices of all the energies are formed, composed and
-    applied side by side along one more axis.  Each energy keeps its own
-    start state, power-of-two exponent, peak, samples and classification, so
-    its results are those of a march of that energy alone on the first one's
-    schedule, and the first energy's results are bit for bit those of
+    Each chunk's radii are placed once, and the step matrices of all the
+    energies are formed, composed and applied side by side along one more
+    axis.  Each energy keeps its own start state, exponent, peak, samples and
+    classification, so its results are those of a march of it alone on the
+    first one's schedule: the first energy's are bit for bit those of
     ``integrate_first_order``.  Every report counts the scan's steps and
     carries its wall time.
     """
@@ -839,7 +780,7 @@ def _march_first_order(
     if not 0.0 < fineness <= _MAX_FINENESS:
         raise ValueError(f"fineness must lie in (0, {_MAX_FINENESS}], got {fineness!r}")
     energies = np.asarray(energies, dtype=float)
-    lams = energies * energies - params.mass**2 - b**2
+    lams = energies * energies - params.mass**2 - params.b_squared
     lam = float(lams[0])
     gamma_ref = math.sqrt(-lam) if lam < 0.0 else max(abs(b), 0.1 * params.mass)
     r_lo = 1e-6 / gamma_ref

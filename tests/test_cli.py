@@ -388,6 +388,8 @@ class TestWavefunctionCommand:
         peak = max(abs(float(r["g"])) for r in rows)
         assert abs(float(rows[0]["g"])) < 1e-6 * peak
         assert abs(float(rows[0]["f"])) < 1e-6 * peak
+        assert abs(float(rows[-1]["g"])) < 1e-6 * peak
+        assert abs(float(rows[-1]["f"])) < 1e-6 * peak
 
     def test_header_nodes_match_recount(self, tmp_path):
         out = tmp_path / "wf.csv"
@@ -458,6 +460,18 @@ class TestWavefunctionCommand:
         assert len(values) == 600 and np.all(np.isfinite(values))
         assert np.max(np.abs(values[:, 1])) > 0.0
         assert abs(float(read_meta(out)["norm"]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kappa, n, b", [(-20, 5, "1"), (-5, 60, "1"), (-89, 12, "1"),
+                                             (-66, 55, "1.137"), (-150, 60, "1"), (3, 40, "-1")])
+    def test_default_window_holds_every_node(self, kappa, n, b, tmp_path):
+        # the default window is the state's extent; the 30/gamma one it
+        # replaced counted 4, 34, 0, 4, 0 and 27 upper-component nodes here
+        out = tmp_path / "wf.csv"
+        assert run_cli("wavefunction", "--kappa", str(kappa), "--n", str(n), "--b", b,
+                       "--out", str(out)) == 0
+        meta = read_meta(out)
+        assert meta["n_g"] == str(n)
+        assert (meta["node_count_g"], meta["node_count_f"]) == (meta["n_g"], meta["n_f"])
 
     def test_overflow_is_an_error_exit(self, monkeypatch, capsys):
         # stands in for any float64 overflow raised while sampling
@@ -880,6 +894,23 @@ class TestOutputHygiene:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: numeric overflow:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "2"),
+        ("fig3", "--a-values", "0", "--kappa-bar-min", "-2", "--kappa-bar-max", "-1"),
+        ("wavefunction", "--kappa", "-1", "--n", "1"),
+        ("verify", "--a", "0", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "1"),
+    ])
+    def test_b_squared_past_float64_names_b(self, argv, capsys):
+        # from |b| ~ 1.3e154, b^2 is past float64's range: one message that
+        # names b, from every subcommand
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(*argv, "--b", "1e200")
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "error: numeric overflow: b^2 is past float64's range at b = 1e+200\n"
 
 
 class TestStartupAndParserReuse:

@@ -18,6 +18,7 @@ from diractensor import (
     special_state,
     spectrum,
 )
+from diractensor.core import equation_constants, level_extent
 
 
 def channel_from_j(j: float, spin_aligned: bool, a: float = 0.0) -> Channel:
@@ -192,6 +193,68 @@ class TestKappaRange:
                 energy(p, Channel.from_kappa(kappa), 1)
             with pytest.raises(UnboundChannelError):
                 special_state(p, Channel.from_kappa(kappa))
+
+
+def wkb_exponent(s2: float, coulomb: float, mu: float, lo: float, hi: float) -> float:
+    """integral of sqrt(Q) dx, Q = s2 + coulomb rho - mu rho^2, x = ln rho, from
+    lo to hi by the trapezoid rule on 2e5 points in x."""
+    x = np.linspace(math.log(lo), math.log(hi), 200_001)
+    rho = np.exp(x)
+    root_q = np.sqrt(np.maximum(s2 + coulomb * rho - mu * rho * rho, 0.0))
+    return float(np.sum(0.5 * (root_q[1:] + root_q[:-1]) * np.diff(x)))
+
+
+def outer_start(s2: float, coulomb: float, mu: float) -> float:
+    """The outer root of Q, or the minimum of Q where it has no real root."""
+    disc = coulomb * coulomb + 4.0 * mu * s2
+    return (-coulomb + math.sqrt(max(disc, 0.0))) / (-2.0 * mu)
+
+
+class TestLevelExtent:
+    # in units of 1/|b|, with b of the sign that binds each kappa_bar
+    @pytest.mark.parametrize("kappa_bar", [1.5, -1.5, -5.0, 20.0, -20.0, -97.74])
+    @pytest.mark.parametrize("component", ["upper", "lower"])
+    @pytest.mark.parametrize("suppression", [5.0, 30.0])
+    def test_outer_end_lies_suppression_past_the_outer_turning_point(self, kappa_bar, component,
+                                                                    suppression):
+        b = -math.copysign(1.0, kappa_bar)
+        s2, coulomb = equation_constants(b, kappa_bar, component)
+        # shallow to deep, the closed-form levels n_bar = |kappa_bar| + n among
+        # them, and past mu = -B^2 / (4 S^2), where Q has no real root
+        for mu in [-4.0, -1.0, -0.3, -1e-2, -1e-4,
+                   *(-(kappa_bar / (abs(kappa_bar) + n)) ** 2 for n in (1, 12, 60))]:
+            inner, outer = level_extent(b, kappa_bar, component, mu, suppression)
+            start = outer_start(s2, coulomb, mu)
+            assert 0.0 < inner < start < outer
+            exponent = wkb_exponent(s2, coulomb, mu, start, outer)
+            assert exponent == pytest.approx(suppression, abs=1e-6), mu
+
+    @pytest.mark.parametrize("mu", [-1.21, -1.21 * (1.0 + 1e-9), -1.21 * (1.0 - 1e-9)])
+    def test_a_double_root_gives_finite_ordered_ends(self, mu):
+        # kappa_bar = -5.5, upper: S = 5 and B = -11, so Q = (1.1 rho - 5)^2 at mu = -1.21
+        s2, coulomb = equation_constants(1.0, -5.5, "upper")
+        assert (s2, coulomb) == (25.0, -11.0)
+        inner, outer = level_extent(1.0, -5.5, "upper", mu, 30.0)
+        assert math.isfinite(outer) and 0.0 < inner < 5.0 / 1.1 < outer
+        assert outer == pytest.approx(level_extent(1.0, -5.5, "upper", -1.21, 30.0)[1], rel=1e-6)
+        start = outer_start(s2, coulomb, mu)
+        assert wkb_exponent(s2, coulomb, mu, start, outer) == pytest.approx(30.0, abs=1e-6)
+
+    def test_no_real_root_is_measured_from_the_minimum(self):
+        # kappa_bar = -1.5, upper: S = 1, B = -3, and Q > 0 for mu < -9/4
+        s2, coulomb = equation_constants(1.0, -1.5, "upper")
+        for mu in (-2.26, -4.0, -100.0):
+            inner, outer = level_extent(1.0, -1.5, "upper", mu, 30.0)
+            minimum = coulomb / (2.0 * mu)
+            assert math.isfinite(outer) and 0.0 < inner < minimum < outer
+            assert wkb_exponent(s2, coulomb, mu, minimum, outer) == pytest.approx(30.0, abs=1e-6)
+
+    def test_a_channel_that_cannot_bind_has_no_inner_end(self):
+        # b kappa_bar > 0: B > 0 and no level; the outer end is that of -B
+        for kappa_bar, b in ((3.0, 1.0), (-3.0, -1.0)):
+            inner, outer = level_extent(b, kappa_bar, "upper", -0.25, 30.0)
+            assert inner == 0.0
+            assert outer == level_extent(-b, kappa_bar, "upper", -0.25, 30.0)[1]
 
 
 class TestBoundStateInvariants:

@@ -27,7 +27,7 @@ from diractensor import (
     state_wavefunctions,
 )
 from diractensor import oracle
-from diractensor.core import angular_strength
+from diractensor.core import angular_strength, level_extent
 from diractensor.oracle import _rk4_step_deltas, _ShootingWorkspace
 
 PARAMS_POS = ModelParams(1.0, 0.0, 1.0)
@@ -167,8 +167,8 @@ class TestShootEigenvalue:
         # Newton candidate is returned without a step that only confirms it
         for _ in range(2):
             res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
-            assert (res.sweeps, res.newton_steps, res.steps) == (6, 3, 18886)
-            assert res.step_count == 5751
+            assert (res.sweeps, res.newton_steps, res.steps) == (6, 3, 18946)
+            assert res.step_count == 5752
 
     @pytest.mark.parametrize("kappa, n", [(-1, 0), (-1, 4), (-3, 2), (-5, 5)])
     def test_newton_path_marches_two_sweeps_per_step(self, kappa, n, monkeypatch):
@@ -277,12 +277,12 @@ class TestShootEigenvalue:
 
     @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3, -1.0])
     def test_inner_edge_lies_30_e_folds_below_every_turning_point(self, b):
-        # at t = |B| r / S^2 the WKB integral of sqrt(S^2 - |B| r) dr / r up
-        # to the lowest turning point S^2/|B| is S (ln((1 + U)^2 / t) - 2 U),
+        # the inner end of level_extent, in units of 1/|b|, at any mu: at
+        # t = |B| r / S^2 the WKB integral of sqrt(S^2 - |B| r) dr / r up to
+        # the lowest turning point S^2/|B| is S (ln((1 + U)^2 / t) - 2 U),
         # U = sqrt(1 - t)
         from scipy.integrate import quad
 
-        params = ModelParams(1.0, 0.0, b)
         # S = |kappa_bar + 1/2| (upper) or |kappa_bar - 1/2| (lower), so S = s
         kappa_sign, component = (-1.0, "upper") if b > 0 else (1.0, "lower")
         for i, s in enumerate(np.linspace(0.5, 60.0, 240)):
@@ -292,7 +292,8 @@ class TestShootEigenvalue:
             big_b = abs(2.0 * b * ch.kappa_bar)
             s_ch = math.sqrt(angular_strength(ch.kappa_bar, component) + 0.25)
             assert s_ch == pytest.approx(s, rel=1e-12)
-            r_e = oracle._inner_edge(params, ch, component, 0.0)
+            [rho_e] = {level_extent(b, ch.kappa_bar, component, mu, 30.0)[0] for mu in (-1.0, -1e-3)}
+            r_e = rho_e / abs(b)
             t = big_b * r_e / (s_ch * s_ch)
             u = math.sqrt(1.0 - t)
             wkb = s_ch * (math.log((1.0 + u) ** 2 / t) - 2.0 * u)
@@ -315,8 +316,18 @@ class TestShootEigenvalue:
                     ch = Channel.from_kappa(kappa, sign * size - kappa)
                     s_ch = math.sqrt(angular_strength(ch.kappa_bar, component) + 0.25)
                     c1 = 2.0 * params.b * ch.kappa_bar / (1.0 + 2.0 * s_ch)
-                    r_e = oracle._inner_edge(params, ch, component, 0.0)
+                    r_e = level_extent(params.b, ch.kappa_bar, component, -0.5, 30.0)[0] / b
                     assert 1.0 + c1 * r_e >= 0.5 - 1e-12, (b, size, component)
+
+    def test_a_channel_that_cannot_bind_keeps_the_floor(self):
+        # with b kappa_bar > 0 (B >= 0) there is no inner end: the shot
+        # marches its whole nominal grid from 1e-6/gamma
+        unit, ch = oracle._unit(PARAMS_POS)[0], Channel.from_kappa(3)
+        assert level_extent(unit.b, ch.kappa_bar, "upper", -0.25, 30.0)[0] == 0.0
+        config = oracle._shot_config(unit, ch, "upper", -0.25, 6000)
+        assert (config.r_min, config.step_count) == (1e-6 / 0.5, 6000)
+        binding = oracle._shot_config(unit, Channel.from_kappa(-3), "upper", -0.25, 6000)
+        assert binding.r_min > config.r_min and binding.step_count < 6000
 
     # two (b, a) pairs of each sign of b; kappa takes the sign that binds
     LADDER_PARAMS = [ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, -0.6, 1.7),
