@@ -41,6 +41,7 @@ from .core import (
     UnboundChannelError,
     angular_strength,
     bound_states_exist,
+    equation_constants,
     level_extent,
     lower_degree,
     n_bar,
@@ -342,19 +343,18 @@ def residuals(params: ModelParams, state: BoundState,
     return float(worst) / scale
 
 
-def _extent(state: BoundState) -> tuple[float, float]:
-    """Where the components that do not vanish lie within e^(-30) of their
-    turning-point values: ``level_extent`` at mu = -(kappa_bar / n_bar)^2,
-    b of the sign opposite kappa_bar's and |b| = gamma n_bar / |kappa_bar|."""
-    kb, nb = state.channel.kappa_bar, state.n_bar
-    inner, outer = zip(*[level_extent(-kb, kb, component, -(kb / nb) ** 2, 30.0) for component, degree
-                         in (("upper", state.n_g), ("lower", state.n_f)) if degree is not None])
-    return min(inner) * abs(kb) / (state.gamma * nb), max(outer) * abs(kb) / (state.gamma * nb)
-
-
 def default_radial_grid(state: BoundState, points: int = 1200) -> np.ndarray:
-    """Log-spaced grid over the state's extent (``_extent``)."""
-    return np.geomspace(*_extent(state), points)
+    """Log-spaced grid over the state's extent: ``level_extent`` of each
+    component that does not vanish, at lambda = -gamma^2 and the b that binds
+    the state, |b| = gamma n_bar / |kappa_bar|.  Where S is small that inner
+    end lies absurdly low or underflows to 0, so the grid starts no lower than
+    1e-7/gamma."""
+    kb, gamma = state.channel.kappa_bar, state.gamma
+    b = -math.copysign(gamma * state.n_bar / abs(kb), kb)
+    inner, outer = zip(*[level_extent(*equation_constants(b, kb, component), -gamma * gamma)
+                         for component, degree in (("upper", state.n_g), ("lower", state.n_f))
+                         if degree is not None])
+    return np.geomspace(max(min(inner), 1e-7 / gamma), max(outer), points)
 
 
 _SPECTRUM_KEYS = ("kappa", "kappa_bar", "n_g", "n_f", "n_bar", "energy", "e_over_m", "branch",

@@ -5,9 +5,11 @@ levels, a first-order RK4 bracket for the |E| = M edge levels.
 
 Output is data-level (CSV or JSON tables), deterministic byte for byte:
 floats are written in shortest round-trip form, rows in a fixed order.  Every
-command builds its table as columns, a dict of column name to values, and
-the CSV writer formats each column once and quotes as the csv module's
-minimal quoting does.
+command builds its table as columns, a dict of column name to values
+(``verify`` appends each of its rows to them, naming only the cells it
+fills), and the CSV writer formats each column once and joins the cells
+into rows; it quotes as the csv module's minimal quoting does, without the
+csv module.
 Exit codes: 0 success, 1 usage error or numeric overflow, 2 verification
 failure, including a level the shooting oracle could not solve.
 """
@@ -26,11 +28,11 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .analytic import (
-    _extent,
     _magnitudes,
     _require_resolved,
     bound_state,
     charge_conjugate,
+    default_radial_grid,
     norm_quadrature,
     residuals,
     sample_state,
@@ -318,9 +320,9 @@ def run_wavefunction(cfg: RunConfig) -> tuple[dict[str, list], dict]:
         state = special_state(params, channel)
     else:
         state = bound_state(params, channel, cfg.n, branch)
-    extent = _extent(state)
-    r_lo = cfg.r_min if cfg.r_min is not None else extent[0]
-    r_hi = cfg.r_max if cfg.r_max is not None else extent[1]
+    lo, hi = default_radial_grid(state, 2)  # the ends of the state's extent
+    r_lo = cfg.r_min if cfg.r_min is not None else lo
+    r_hi = cfg.r_max if cfg.r_max is not None else hi
     if not (0 < r_lo < r_hi and math.isfinite(r_hi)):
         raise UsageError(f"bad radial window [{r_lo}, {r_hi}]")
     if cfg.points < 2:
@@ -386,9 +388,10 @@ def verification_grid_rows(
     0..n_max.  Each channel's |E| = M edge level, in either family, gets a
     ``zero_component`` row: a bracket of relative half-width ``_EDGE_DELTA``
     (its ``delta_e``) around sign(E) (|E| + ``inject_energy_error``), both
-    ends marched in one scan at the coarsest fineness, ``_MAX_FINENESS``: at
-    any step the discrete edge level lies at exactly +/-M, which a shot at
-    lambda = -b^2 misses by b^2 times its relative error.  Every row also
+    ends marched in one scan at the coarsest fineness, ``_MAX_FINENESS``.
+    At |E| = M every RK4 step matrix is exactly triangular whatever its size,
+    so the discrete edge level lies at exactly +/-M, where a shot at
+    lambda = -b^2 misses it by b^2 times its relative error.  Every row also
     checks the worst relative residual of the radial equations (< 1e-8),
     which fails a closed form of the wrong shape or node law.
     """

@@ -153,26 +153,26 @@ def equation_constants(b: float, kappa_bar: float, component: Component) -> tupl
     return angular_strength(kappa_bar, component) + 0.25, 2.0 * b * kappa_bar
 
 
-def level_extent(b: float, kappa_bar: float, component: Component, mu: float,
-                 suppression: float) -> tuple[float, float]:
-    """The radii, in units of 1/|b|, below and beyond which a level of the
-    component's equation at mu = lambda / b^2 < 0 lies e^(-suppression) or
-    more below its value at its turning points; b enters by its sign alone.
+def level_extent(s2: float, coulomb: float, lam: float,
+                 suppression: float = 30.0) -> tuple[float, float]:
+    """The radii below and beyond which a level of v'' = Q v, Q = S^2 + B r -
+    lam r^2 in x = ln r (S^2 and B from ``equation_constants``), at lam < 0,
+    lies e^(-suppression) or more below its value at its turning points, in
+    the unit of length that B and lam are given in.
 
-    In rho = |b| r that equation is v'' = Q v, Q = S^2 + B rho - mu rho^2
-    (``equation_constants`` at b = sgn(b)): its solutions grow or decay by
-    the WKB exponent, the integral of sqrt(Q) dx.  Every inner turning point
-    lies above S^2/|B|, and the exponent from rho up to there is at least
-    S (ln(4/t) - 2), t = |B| rho / S^2: so the inner end is
-    4 S^2/|B| e^(-2 - suppression/S), held below (1 + 2S)/(2|B|) so that the
-    series start rho^S (1 + c1 rho), c1 = B/(1 + 2S), adds no node; it is 0
-    where B >= 0.  The outer end is where the exponent from the outer root
-    of Q (its minimum where it has none) reaches ``suppression``: Newton
-    steps on sqrt(Q) - k ln(2 sqrt(m Q) + 2 m rho - beta) + S ln(P/rho), the
-    antiderivative of sqrt(Q)/rho, with m = -mu, beta = |B|,
-    k = beta/(2 sqrt(m)) and P = 2 S sqrt(Q) + beta rho - 2 S^2."""
-    s2, coulomb = equation_constants(math.copysign(1.0, b), kappa_bar, component)
-    s, beta, m = math.sqrt(s2), abs(coulomb), -mu
+    The solutions of that equation grow or decay by the WKB exponent, the
+    integral of sqrt(Q) dx.  Every inner turning point lies above S^2/|B|,
+    and the exponent from r up to there is at least S (ln(4/t) - 2),
+    t = |B| r / S^2: so the inner end is 4 S^2/|B| e^(-2 - suppression/S),
+    held below (1 + 2S)/(2|B|) so that the series start r^S (1 + c1 r),
+    c1 = B/(1 + 2S), adds no node.  It is 0 where B >= 0, and where S is
+    small it lies absurdly low or underflows to 0, so callers put a floor
+    under it.  The outer end is where the exponent from the outer root of Q
+    (its minimum where it has none) reaches ``suppression``: Newton steps on
+    sqrt(Q) - k ln(2 sqrt(m Q) + 2 m r - beta) + S ln(P/r), the
+    antiderivative of sqrt(Q)/r, with m = -lam, beta = |B|,
+    k = beta/(2 sqrt(m)) and P = 2 S sqrt(Q) + beta r - 2 S^2."""
+    s, beta, m = math.sqrt(s2), abs(coulomb), -lam
     inner = min(4.0 * s * s * math.exp(-2.0 - suppression / s), 0.5 + s) / beta if coulomb < 0 else 0.0
     root_m, disc, centre = math.sqrt(m), beta * beta - 4.0 * m * s2, beta / (2.0 * m)
     k, e = beta / (2.0 * root_m), math.sqrt(abs(disc))
@@ -181,22 +181,28 @@ def level_extent(b: float, kappa_bar: float, component: Component, mu: float,
     start = centre + e / (2.0 * m) if disc >= 0.0 else centre
     if disc < 0.0:  # G at the minimum of Q
         base += e / (2.0 * root_m) + s * math.log(beta / (2.0 * s * root_m + e))
-    rho = start + suppression / root_m
+    r = start + suppression / root_m
     for _ in range(50):
-        root_q = math.sqrt(m * (rho - centre) ** 2 - 0.25 * disc / m)
-        t = beta * rho - 2.0 * s2  # P / rho, free of cancellation where t < 0 (only if disc < 0)
-        p = (2.0 * s * root_q + t) / rho if t >= 0.0 else -disc * rho / (2.0 * s * root_q - t)
-        g = root_q - k * math.log(2.0 * root_m * root_q + 2.0 * m * rho - beta) + s * math.log(p)
-        step = (g - base - suppression) * rho / root_q
-        rho = max(rho - step, 0.5 * (start + rho))
-        if abs(step) <= 1e-12 * rho:
+        root_q = math.sqrt(m * (r - centre) ** 2 - 0.25 * disc / m)
+        t = beta * r - 2.0 * s2  # P / r, free of cancellation where t < 0 (only if disc < 0)
+        p = (2.0 * s * root_q + t) / r if t >= 0.0 else -disc * r / (2.0 * s * root_q - t)
+        g = root_q - k * math.log(2.0 * root_m * root_q + 2.0 * m * r - beta) + s * math.log(p)
+        step = (g - base - suppression) * r / root_q
+        r = max(r - step, 0.5 * (start + r))
+        if abs(step) <= 1e-12 * r:
             break
-    return inner, rho
+    return inner, r
 
 
 def box_radius(gamma: float, tail_exponent: float, suppression: float) -> float:
-    """Radius at which the tail r^p e^(-gamma r), p = |b kappa_bar| / gamma,
-    has fallen e^(-suppression) below its peak at r = p / gamma."""
+    """Radius at which the bound-state tail r^p e^(-gamma r) has fallen
+    e^(-suppression) below its peak, p = |b kappa_bar| / gamma the Coulomb
+    exponent.
+
+    The tail peaks at r = p / gamma, so for large p the polynomial factor
+    postpones the decay well beyond suppression / gamma, and a box of that
+    plain size would cut the state off near its peak.
+    """
     p = max(tail_exponent, 0.0)
     target = suppression + p - (p * math.log(p) if p > 0 else 0.0)
     t = suppression + 2.0 * p

@@ -7,20 +7,37 @@ Two pieces of machinery, both blind to the closed-form solutions:
   v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4.  ``solve_bound_level``
   takes a first estimate of the level from a Sturm count on the three-point
   form of that equation, a symmetric tridiagonal pencil (LAPACK ``stebz``),
-  then finds it with ``shoot_eigenvalue``: Numerov shooting, one BLAS
-  ``tbsv`` call a march, with node-count bisection to keep the level and a
-  matching-defect Newton step, taken from either side of the level, to
-  refine it.  Each shot is boxed by ``core.level_extent`` at its own mu,
-  e^(-30) past the turning points of a level there, and the pencil and
-  every shot start at its inner end: marching from r^S through the dead
-  region below changes no level;
+  then finds it with ``shoot_eigenvalue``: Numerov shooting on a grid boxed
+  for that estimate (``core.level_extent``), with node-count bisection to
+  keep the level and a matching-defect Newton step, taken from either side
+  of the level, to refine it; one outward march per trial lambda serves
+  both the node count and the match.  The converged iterate's own two sweeps
+  give the returned level's node count, and the counts at the bracket ends
+  are marched only where the search leaves Newton's path: at a bisection
+  step, a bisection exit or an error.  Where two Newton steps in a row
+  predict the next correction within the tolerance, the last candidate is
+  returned without the step that would only confirm it.  A march solves
+  for w = f y, whose Numerov band has a unit diagonal: each shot allocates
+  that band once, and a march rewrites one row of it and makes one BLAS
+  ``tbsv`` call.
+  The match point comes from the root of the quadratic S^2 + B r - lambda
+  r^2, and the matching defect and Newton denominator from dot products
+  over the two sweeps, with no joined copy.  The pencil and every shot
+  start at the inner end of ``core.level_extent``, below which no level of
+  the channel rises within e^(-30) of its value at its turning points: the
+  regular solution grows like r^S there, and marching through that dead
+  region changes no level;
 
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
   to confirm decay at the analytic energies and divergence away from them;
   the sign of the tail of a growing solution tells on which side of a level
-  its energy lies, so two energies bracket the |E| = M special states.  Its
-  fixed 2x2 step matrices are multiplied by one prefix scan a chunk, for
-  one energy or several side by side.
+  its energy lies, so two energies bracket the |E| = M special states.  The
+  system is linear and the step schedule depends on r alone, so each step is
+  a fixed 2x2 matrix; the integrator forms these in float64 a chunk at a
+  time, multiplies them by one prefix scan per chunk and carries the state
+  across chunk boundaries with an exact power-of-two renormalisation.
+  Several energies can share one scan on the first one's schedule, each
+  with its own matrices and state.
 
 The separation eigenvalue is lambda = E^2 - M^2 - b^2, negative for every
 bound state since |E| < sqrt(M^2 + b^2).  In rho = |b| r and mu = lambda / b^2
@@ -108,15 +125,16 @@ class ShootingConfig:
 class EigenResult:
     """Converged separation eigenvalue and its energy pair.
 
-    ``sweeps`` counts the Numerov marches of the search, ``steps`` their
-    Numerov steps and ``newton_steps`` its Newton corrections; all three
-    depend on the inputs only.  ``r_min``, ``r_max`` and ``step_count`` give
-    the grid of the shot that found the level.  From ``solve_bound_level``,
-    lambda_ / b^2, r |b|, the work counters and ``step_count`` are those of
-    the problem in units of 1/|b|, which (sgn(b), kappa_bar, component, n)
-    fix.  ``seconds`` is the wall time of the whole solve and
-    ``pencil_seconds`` the part spent estimating the level (0.0 from
-    ``shoot_eigenvalue``): the only two fields that are not deterministic.
+    ``sweeps`` counts the Numerov marches of the search, ``steps`` the
+    Numerov steps those marches took and ``newton_steps`` the
+    matching-defect Newton corrections it computed; all three depend on the
+    inputs only.  ``r_min``, ``r_max`` and ``step_count`` give the grid of
+    the shot that found the level.  From ``solve_bound_level``, lambda_ / b^2,
+    r |b|, the work counters and ``step_count`` are those of the problem in
+    units of 1/|b|, which (sgn(b), kappa_bar, component, n) fix.  ``seconds``
+    is the wall time of the whole solve and ``pencil_seconds`` the part of it
+    spent estimating the level (0.0 from ``shoot_eigenvalue``, which takes no
+    estimate); these two are the only fields that are not deterministic.
     """
 
     lambda_: float
@@ -137,10 +155,12 @@ def _numerov_march(f: np.ndarray, y0: float, y1: float, band: np.ndarray) -> np.
 
     In w = f y the recurrence f[i+1] y[i+1] = (12 - 10 f[i]) y[i] - f[i-1] y[i-1]
     reads w[i+1] - (12/f[i] - 10) w[i] + w[i-1] = 0: a lower-triangular band
-    with a unit diagonal and a second subdiagonal of ones, which BLAS ``tbsv``
-    solves.  ``band`` is a Fortran-order (3, N) array, N >= f.size - 2, with
-    ones in its last row; the march rewrites only the first subdiagonal of
-    its leading f.size - 2 columns, solves for w in place and returns w / f.
+    with a unit diagonal and a second subdiagonal of ones, handed to the BLAS
+    triangular solver, told the diagonal is unit, instead of a Python loop.
+    ``band`` is a Fortran-order (3, N) array, the layout BLAS reads, with
+    N >= f.size - 2 and ones in its last row.  The march rewrites only the
+    first subdiagonal of its leading f.size - 2 columns, which f2py passes
+    without a copy, solves for w in place and returns y = w / f.
     """
     from scipy.linalg.blas import dtbsv  # here, not at the top: scipy is slow to import
 
@@ -497,8 +517,7 @@ def _pencil_levels(
     unit, scale = _unit(params)
     s2, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
     gamma_seed = 1.0 / (2.0 * deepest + 3.0)
-    edge = level_extent(unit.b, channel.kappa_bar, component, -gamma_seed**2, 30.0)[0]
-    rho_lo = max(1e-6 / gamma_seed, edge)
+    rho_lo = max(1e-6 / gamma_seed, level_extent(s2, coulomb, -gamma_seed**2)[0])
     x = np.linspace(math.log(rho_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
     h2 = (x[1] - x[0]) ** 2
     rho = np.exp(x[1:-1])
@@ -527,7 +546,7 @@ def _shot_config(
     ``_MIN_EDGE_STEPS`` are kept, and the points kept are the nominal grid's,
     so the level does not move.  The shot stops at 1e-10 in mu."""
     rho_lo = 1e-6 / math.sqrt(-mu_box)
-    edge, rho_max = level_extent(unit.b, channel.kappa_bar, component, mu_box, 30.0)
+    edge, rho_max = level_extent(*equation_constants(unit.b, channel.kappa_bar, component), mu_box)
     h = math.log(rho_max / rho_lo) / step_count
     skip = max(0, min(int(math.log(max(edge, rho_lo) / rho_lo) / h), step_count - _MIN_EDGE_STEPS))
     return ShootingConfig(
@@ -557,15 +576,19 @@ def solve_bound_level(
     A negative ``estimate`` of lambda passed in, such as one of a channel's
     ladder of estimates from one pencil, takes the place of the pencil; the
     result's ``pencil_seconds`` is then 0.0.
-    The shot is boxed at the estimate's mu (``_shot_config``), and the
-    result's ``r_min`` and ``step_count`` give the grid it marched.  Its
-    bracket is (1.5, 0.5) times the estimate; whatever the estimate, the
+    The shot's box is set by ``level_extent`` at the estimate's mu: nominally
+    from rho_min = 1e-6/sqrt(-mu), over which ``step_count`` sets the step,
+    to rho_max, e^(-30) past the outer turning point of a level there.  The
+    steps below the inner end, where every level of the channel is still
+    e^(-30) below its value at its turning points, are not marched; the
+    result's ``r_min`` and ``step_count`` give the grid the shot marched.
+    Its bracket is (1.5, 0.5) times the estimate; whatever the estimate, the
     shot's node count keeps it on the ``node_target`` level or it raises a
     ShootingError.  A shot that lands more than 10% from the mu that set its
     box was boxed for another level, so it is re-boxed from its own mu and
-    shot again; ConvergenceError after three shots.  The result's sweeps, steps and Newton steps are the totals
-    over all shots, and its seconds the wall time of the estimate and every
-    shot."""
+    shot again; ConvergenceError after three shots.  The result's sweeps,
+    steps and Newton steps are the totals over all shots, and its seconds
+    the wall time of the estimate and every shot."""
     start = time.perf_counter()
     unit, scale = _unit(params)
     if estimate is None:
@@ -719,7 +742,8 @@ def integrate_first_order(
     depends on r alone, so every step is a fixed 2x2 matrix P = I + D.  The
     matrices of one chunk of steps are formed at once, and a work-efficient
     scan (Blelloch 1990) over the chunk, padded with identity steps to a power
-    of two, first multiplies neighbouring pairs up to the chunk's product, as
+    of two, first multiplies neighbouring pairs up to the chunk's product,
+    composing in the form
     (I + D_b)(I + D_a) = I + D_a + D_b + D_b D_a, which keeps the small
     increments that rounding I + D would drop; the pair products then carry
     the chunk's start state down to every step, whose amplitude feeds the
@@ -746,9 +770,9 @@ def integrate_first_order(
     step matrix is triangular and one component stays exactly zero, at any
     fineness: the discrete edge level lies exactly at +/-M, so a bracket of
     it is resolved by the growth over the box, not by the step, and may be
-    marched at the coarsest fineness.  The series start r_min^|kappa_bar|,
-    which underflows from |kappa_bar| near 50, is carried as a mantissa and
-    a power of two.  The default
+    marched at the coarsest fineness.  The
+    series start r_min^|kappa_bar|, which underflows float64 once |kappa_bar|
+    nears 50, is carried as a mantissa and a power of two.  The default
     ``fineness`` keeps the truncation error per step near the roundoff level.
     This is ``_march_first_order`` with one energy.
     """
@@ -766,11 +790,12 @@ def _march_first_order(
     box and step schedule of the first: the samples and report of each, in
     order.
 
-    Each chunk's radii are placed once, and the step matrices of all the
-    energies are formed, composed and applied side by side along one more
-    axis.  Each energy keeps its own start state, exponent, peak, samples and
-    classification, so its results are those of a march of it alone on the
-    first one's schedule: the first energy's are bit for bit those of
+    The schedule depends on r alone, so each chunk's radii are placed once,
+    and the step matrices of all the energies are formed, composed and
+    applied side by side along one more axis.  Each energy keeps its own
+    start state, power-of-two exponent, peak, samples and classification, so
+    its results are those of a march of that energy alone on the first one's
+    schedule, and the first energy's results are bit for bit those of
     ``integrate_first_order``.  Every report counts the scan's steps and
     carries its wall time.
     """

@@ -461,13 +461,23 @@ class TestWavefunctionCommand:
         assert np.max(np.abs(values[:, 1])) > 0.0
         assert abs(float(read_meta(out)["norm"]) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("kappa, n, b", [(-20, 5, "1"), (-5, 60, "1"), (-89, 12, "1"),
-                                             (-66, 55, "1.137"), (-150, 60, "1"), (3, 40, "-1")])
-    def test_default_window_holds_every_node(self, kappa, n, b, tmp_path):
+    @pytest.mark.parametrize("kappa, n, extra", [
+        (-20, 5, ""), (-5, 60, ""), (-89, 12, ""), (-66, 55, "--b 1.137"), (-150, 60, ""),
+        (3, 40, "--b -1"),
+        # S = |kappa_bar - 1/2| of 0.01 and 0.05: the rule's inner end underflows
+        # to 0 or lies near 1e-300, below the 1e-6/gamma floor
+        (1, 0, "--a -0.49 --b -1"), (1, 40, "--a -0.45 --b -1"),
+        # S = 1/2 with the inner end near 1e-27/|B|, under 600 log points
+        (-2, 57, "--b 0.9239390221960464 --a 0.29693106209797504 --branch minus"),
+        (-1, 22, "--b 0.5878460480153862 --a 0.13344074058237698 --branch minus"),
+        (1, 49, "--b -1.6273700960755253 --a 0.5259981139463021"),
+    ])
+    def test_default_window_holds_every_node(self, kappa, n, extra, tmp_path):
         # the default window is the state's extent; the 30/gamma one it
-        # replaced counted 4, 34, 0, 4, 0 and 27 upper-component nodes here
+        # replaced counted 4, 34, 0, 4, 0 and 27 upper-component nodes in the
+        # first six cases
         out = tmp_path / "wf.csv"
-        assert run_cli("wavefunction", "--kappa", str(kappa), "--n", str(n), "--b", b,
+        assert run_cli("wavefunction", "--kappa", str(kappa), "--n", str(n), *extra.split(),
                        "--out", str(out)) == 0
         meta = read_meta(out)
         assert meta["n_g"] == str(n)

@@ -223,7 +223,7 @@ class TestLevelExtent:
         # them, and past mu = -B^2 / (4 S^2), where Q has no real root
         for mu in [-4.0, -1.0, -0.3, -1e-2, -1e-4,
                    *(-(kappa_bar / (abs(kappa_bar) + n)) ** 2 for n in (1, 12, 60))]:
-            inner, outer = level_extent(b, kappa_bar, component, mu, suppression)
+            inner, outer = level_extent(s2, coulomb, mu, suppression)
             start = outer_start(s2, coulomb, mu)
             assert 0.0 < inner < start < outer
             exponent = wkb_exponent(s2, coulomb, mu, start, outer)
@@ -234,9 +234,9 @@ class TestLevelExtent:
         # kappa_bar = -5.5, upper: S = 5 and B = -11, so Q = (1.1 rho - 5)^2 at mu = -1.21
         s2, coulomb = equation_constants(1.0, -5.5, "upper")
         assert (s2, coulomb) == (25.0, -11.0)
-        inner, outer = level_extent(1.0, -5.5, "upper", mu, 30.0)
+        inner, outer = level_extent(s2, coulomb, mu, 30.0)
         assert math.isfinite(outer) and 0.0 < inner < 5.0 / 1.1 < outer
-        assert outer == pytest.approx(level_extent(1.0, -5.5, "upper", -1.21, 30.0)[1], rel=1e-6)
+        assert outer == pytest.approx(level_extent(s2, coulomb, -1.21, 30.0)[1], rel=1e-6)
         start = outer_start(s2, coulomb, mu)
         assert wkb_exponent(s2, coulomb, mu, start, outer) == pytest.approx(30.0, abs=1e-6)
 
@@ -244,7 +244,7 @@ class TestLevelExtent:
         # kappa_bar = -1.5, upper: S = 1, B = -3, and Q > 0 for mu < -9/4
         s2, coulomb = equation_constants(1.0, -1.5, "upper")
         for mu in (-2.26, -4.0, -100.0):
-            inner, outer = level_extent(1.0, -1.5, "upper", mu, 30.0)
+            inner, outer = level_extent(s2, coulomb, mu, 30.0)
             minimum = coulomb / (2.0 * mu)
             assert math.isfinite(outer) and 0.0 < inner < minimum < outer
             assert wkb_exponent(s2, coulomb, mu, minimum, outer) == pytest.approx(30.0, abs=1e-6)
@@ -252,9 +252,20 @@ class TestLevelExtent:
     def test_a_channel_that_cannot_bind_has_no_inner_end(self):
         # b kappa_bar > 0: B > 0 and no level; the outer end is that of -B
         for kappa_bar, b in ((3.0, 1.0), (-3.0, -1.0)):
-            inner, outer = level_extent(b, kappa_bar, "upper", -0.25, 30.0)
+            s2, coulomb = equation_constants(b, kappa_bar, "upper")
+            inner, outer = level_extent(s2, coulomb, -0.25, 30.0)
             assert inner == 0.0
-            assert outer == level_extent(-b, kappa_bar, "upper", -0.25, 30.0)[1]
+            assert outer == level_extent(s2, -coulomb, -0.25, 30.0)[1]
+
+    def test_the_ends_scale_with_the_unit_of_length(self):
+        # Q = S^2 + B r - lam r^2 at (B, lam) = (|b| B_1, b^2 mu) is Q at
+        # (B_1, mu) in rho = |b| r, so the radii are those in rho over |b|
+        s2, coulomb = equation_constants(1.0, -4.0, "upper")
+        for b in (1e-3, 0.7, 1e4):
+            scaled = level_extent(*equation_constants(b, -4.0, "upper"), -0.3 * b * b)
+            assert scaled == pytest.approx([end / b for end in level_extent(s2, coulomb, -0.3)],
+                                           rel=1e-10)
+
 
 
 class TestBoundStateInvariants:

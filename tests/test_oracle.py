@@ -27,7 +27,7 @@ from diractensor import (
     state_wavefunctions,
 )
 from diractensor import oracle
-from diractensor.core import angular_strength, level_extent
+from diractensor.core import angular_strength, equation_constants, level_extent
 from diractensor.oracle import _rk4_step_deltas, _ShootingWorkspace
 
 PARAMS_POS = ModelParams(1.0, 0.0, 1.0)
@@ -277,7 +277,7 @@ class TestShootEigenvalue:
 
     @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3, -1.0])
     def test_inner_edge_lies_30_e_folds_below_every_turning_point(self, b):
-        # the inner end of level_extent, in units of 1/|b|, at any mu: at
+        # the inner end of level_extent, at any lambda: at
         # t = |B| r / S^2 the WKB integral of sqrt(S^2 - |B| r) dr / r up to
         # the lowest turning point S^2/|B| is S (ln((1 + U)^2 / t) - 2 U),
         # U = sqrt(1 - t)
@@ -292,8 +292,8 @@ class TestShootEigenvalue:
             big_b = abs(2.0 * b * ch.kappa_bar)
             s_ch = math.sqrt(angular_strength(ch.kappa_bar, component) + 0.25)
             assert s_ch == pytest.approx(s, rel=1e-12)
-            [rho_e] = {level_extent(b, ch.kappa_bar, component, mu, 30.0)[0] for mu in (-1.0, -1e-3)}
-            r_e = rho_e / abs(b)
+            s2, coulomb = equation_constants(b, ch.kappa_bar, component)
+            [r_e] = {level_extent(s2, coulomb, lam, 30.0)[0] for lam in (-b * b, -1e-3 * b * b)}
             t = big_b * r_e / (s_ch * s_ch)
             u = math.sqrt(1.0 - t)
             wkb = s_ch * (math.log((1.0 + u) ** 2 / t) - 2.0 * u)
@@ -316,14 +316,15 @@ class TestShootEigenvalue:
                     ch = Channel.from_kappa(kappa, sign * size - kappa)
                     s_ch = math.sqrt(angular_strength(ch.kappa_bar, component) + 0.25)
                     c1 = 2.0 * params.b * ch.kappa_bar / (1.0 + 2.0 * s_ch)
-                    r_e = level_extent(params.b, ch.kappa_bar, component, -0.5, 30.0)[0] / b
+                    s2, coulomb = equation_constants(params.b, ch.kappa_bar, component)
+                    r_e = level_extent(s2, coulomb, -0.5 * b * b, 30.0)[0]
                     assert 1.0 + c1 * r_e >= 0.5 - 1e-12, (b, size, component)
 
     def test_a_channel_that_cannot_bind_keeps_the_floor(self):
         # with b kappa_bar > 0 (B >= 0) there is no inner end: the shot
         # marches its whole nominal grid from 1e-6/gamma
         unit, ch = oracle._unit(PARAMS_POS)[0], Channel.from_kappa(3)
-        assert level_extent(unit.b, ch.kappa_bar, "upper", -0.25, 30.0)[0] == 0.0
+        assert level_extent(*equation_constants(unit.b, ch.kappa_bar, "upper"), -0.25)[0] == 0.0
         config = oracle._shot_config(unit, ch, "upper", -0.25, 6000)
         assert (config.r_min, config.step_count) == (1e-6 / 0.5, 6000)
         binding = oracle._shot_config(unit, Channel.from_kappa(-3), "upper", -0.25, 6000)
