@@ -370,6 +370,16 @@ def _add_row(table: dict[str, list], **cells) -> None:
 _EDGE_DELTA = 1e-9
 
 
+def _closed_form_residual(params: ModelParams, state, r_grid: np.ndarray) -> float:
+    """The worst relative residual of the state's closed form on ``r_grid``,
+    inf where the closed form cannot be built (a degree LaguerreSpec rejects)."""
+    try:
+        wavefunctions = state_wavefunctions(params, state)
+    except ValueError:
+        return math.inf
+    return residuals(params, state, wavefunctions, r_grid)
+
+
 def verification_grid_rows(
     mass: float,
     b_values,
@@ -416,7 +426,7 @@ def verification_grid_rows(
                     for key in ("sweeps", "steps", "newton_steps"):
                         work[key] += getattr(shot, key)
                     delta = abs(e_analytic - shot.energy_pair[0])
-                    residual = residuals(params, state, state_wavefunctions(params, state), r_grid)
+                    residual = _closed_form_residual(params, state, r_grid)
                     passed = delta <= 1e-7 and mass <= abs(state.energy) and residual < 1e-8
                     _add_row(
                         table, check="oracle", b=b, a=a, kappa=kappa, kappa_bar=kb, n=level,
@@ -436,7 +446,7 @@ def verification_grid_rows(
                 work["rk4_steps"] += sum(rep.steps for _, rep in marches)
                 bracketed = (all(rep.classification == "growing" for _, rep in marches)
                              and all(count_sign_changes(tail) == 1 for tail in zip(*tails)))
-                residual = residuals(params, edge, state_wavefunctions(params, edge), r_grid)
+                residual = _closed_form_residual(params, edge, r_grid)
                 _add_row(
                     table, check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
                     e_analytic=centre, delta_e=_EDGE_DELTA * abs(centre), residual=residual,

@@ -22,11 +22,11 @@ Two pieces of machinery, both blind to the closed-form solutions:
   ``tbsv`` call.
   The match point comes from the root of the quadratic S^2 + B r - lambda
   r^2, and the matching defect and Newton denominator from dot products
-  over the two sweeps, with no joined copy.  The pencil and every shot
-  start at the inner end of ``core.level_extent``, below which no level of
-  the channel rises within e^(-30) of its value at its turning points: the
-  regular solution grows like r^S there, and marching through that dead
-  region changes no level;
+  over the two sweeps, with no joined copy.  A shot marches its nominal
+  grid from max(inner end of ``core.level_extent``, (1/2 + S)/(4 |B|)), its
+  first two values from the Frobenius series of the regular solution at the
+  trial lambda, not through the pure power law below; the pencil starts at
+  (1/2 + S)/|B|, with a ghost point from the same series;
 
 * an outward RK4 integrator for the coupled first-order (g, f) system, used
   to confirm decay at the analytic energies and divergence away from them;
@@ -50,6 +50,7 @@ coupled system depends on M/|b|.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -150,6 +151,29 @@ class EigenResult:
     pencil_seconds: float = 0.0
 
 
+@functools.cache
+def _dtbsv():
+    from scipy.linalg.blas import dtbsv  # once, on first use: scipy is slow to import
+    return dtbsv
+
+
+def _regular_start(s: float, coulomb: float, mu: float, r0: float,
+                   r1: float) -> tuple[float, float]:
+    """The regular solution (rho/r0)^S sum_k a_k rho^k of v'' = (S^2 + B rho -
+    mu rho^2) v in x = ln rho at rho = r0 and r1 > r0 (Frobenius): a_0 = 1,
+    a_1 = B/(1 + 2S) and a_k = (B a_(k-1) - mu a_(k-2)) / (k (k + 2S)).
+    For mu < 0 no two terms cancel.  The sums stop at the first term within
+    1e-17 of the sum at r1, or at ``_SERIES_TERMS`` terms."""
+    prev, a, p0, p1, k = 1.0, coulomb / (1.0 + 2.0 * s), r0, r1, 1
+    sum0, sum1 = 1.0 + a * r0, 1.0 + a * r1
+    while k < _SERIES_TERMS - 1 and abs(a * p1) > 1e-17 * abs(sum1):
+        k += 1
+        prev, a = a, (coulomb * a - mu * prev) / (k * (k + 2.0 * s))
+        p0, p1 = p0 * r0, p1 * r1
+        sum0, sum1 = sum0 + a * p0, sum1 + a * p1
+    return sum0, (r1 / r0) ** s * sum1
+
+
 def _numerov_march(f: np.ndarray, y0: float, y1: float, band: np.ndarray) -> np.ndarray:
     """Solve the Numerov three-term recurrence given the first two values.
 
@@ -162,8 +186,6 @@ def _numerov_march(f: np.ndarray, y0: float, y1: float, band: np.ndarray) -> np.
     first subdiagonal of its leading f.size - 2 columns, which f2py passes
     without a copy, solves for w in place and returns y = w / f.
     """
-    from scipy.linalg.blas import dtbsv  # here, not at the top: scipy is slow to import
-
     n = f.size
     w = np.zeros(n)
     w[0], w[1] = f[0] * y0, f[1] * y1
@@ -179,23 +201,19 @@ def _numerov_march(f: np.ndarray, y0: float, y1: float, band: np.ndarray) -> np.
         w[2] = (2.0 + (1.0 - f[1]) / f[1] * 12.0) * w[1] - w[0]
         if count > 1:
             w[3] = -w[1]
-        dtbsv(2, ab, w, offx=2, lower=1, diag=1, overwrite_x=1)
+        _dtbsv()(2, ab, w, offx=2, lower=1, diag=1, overwrite_x=1)
     y = np.divide(w, f, out=w)
     y[0], y[1] = y0, y1
     return y
 
 
-def _sign_changes(v: np.ndarray) -> np.ndarray:
-    """Mask of strict sign changes between neighbours, found by comparing signs
-    rather than multiplying, which under- or overflows at extreme magnitudes.
-    Exact zeros break runs and NaN never changes sign."""
-    pos, neg = v > 0.0, v < 0.0
-    return (pos[1:] & neg[:-1]) | (neg[1:] & pos[:-1])
-
-
 def count_sign_changes(values) -> int:
-    """Strict sign changes between consecutive samples (exact zeros break runs)."""
-    return int(np.count_nonzero(_sign_changes(np.asarray(values, dtype=float))))
+    """Strict sign changes between consecutive samples, found by comparing
+    signs rather than multiplying values, which under- or overflows at
+    extreme magnitudes.  Exact zeros break runs and NaN never changes sign."""
+    v = np.asarray(values, dtype=float)
+    pos, neg = v > 0.0, v < 0.0
+    return int(np.count_nonzero((pos[1:] & neg[:-1]) | (neg[1:] & pos[:-1])))
 
 
 class _ShootingWorkspace:
@@ -223,11 +241,7 @@ class _ShootingWorkspace:
         self.f_base = 1.0 - ddx12 * self.base
         self.f_lam = ddx12 * self.r2
         self.band = np.ones((3, n - 1), order="F")
-        # two-term series start of the regular solution, v ~ r^S (1 + c1 r)
-        c1 = self.B / (1.0 + 2.0 * self.S)
-        start = 1e-100
-        self.v0 = start * (1.0 + c1 * self.r[0])
-        self.v1 = start * math.exp(self.S * self.h) * (1.0 + c1 * self.r[1])
+        self.r0, self.r1 = float(self.r[0]), float(self.r[1])
         margin = max(4, int(round(math.log(2.0) / self.h)))
         self.idx_lo = margin
         self.idx_hi = n - margin
@@ -244,10 +258,15 @@ class _ShootingWorkspace:
         f += self.f_base
         return f
 
+    def start(self, lam: float) -> tuple[float, float]:
+        """The regular solution at ``lam`` on the first two points, times 1e-100."""
+        y0, y1 = _regular_start(self.S, self.B, lam, self.r0, self.r1)
+        return 1e-100 * y0, 1e-100 * y1
+
     def sweep(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients at ``lam`` and the outward sweep over the whole domain."""
         f = self.coeffs(lam)
-        return f, self.outward(f, f.size - 1)
+        return f, self.outward(f, f.size - 1, lam)
 
     def match_index(self, lam: float) -> int:
         """The last grid index where Q = S^2 + B r - lambda r^2 < 0, or mid-grid
@@ -275,11 +294,13 @@ class _ShootingWorkspace:
             m = self.r.size // 2
         return min(max(m, self.idx_lo), self.idx_hi)
 
-    def outward(self, f: np.ndarray, upto: int) -> np.ndarray:
-        y = self._march(f[: upto + 1], self.v0, self.v1)
-        if not np.isfinite(y).all():
-            y = self._march(f[: upto + 1], self.v0 * 1e-150, self.v1 * 1e-150)
-            if not np.isfinite(y).all():
+    def outward(self, f: np.ndarray, upto: int, lam: float) -> np.ndarray:
+        y0, y1 = self.start(lam)
+        y = self._march(f[: upto + 1], y0, y1)
+        # a value that overflows stays inf or NaN to the end of the march
+        if not math.isfinite(y[-1]):
+            y = self._march(f[: upto + 1], y0 * 1e-150, y1 * 1e-150)
+            if not math.isfinite(y[-1]):
                 raise ShootingError("outward sweep overflowed even after rescaling")
         return y
 
@@ -287,7 +308,7 @@ class _ShootingWorkspace:
         tail = f[downto:][::-1]
         y1 = (12.0 - 10.0 * tail[0]) / tail[1]  # treats the value beyond r_max as 0
         y = self._march(tail, 1.0, y1)
-        if not np.isfinite(y).all():
+        if not math.isfinite(y[-1]):
             raise ShootingError("inward sweep overflowed")
         return y[::-1]
 
@@ -464,10 +485,13 @@ def shoot_eigenvalue(
 
 
 # interior points of the pencil that estimates a level, shots of its polish,
-# and the fewest Numerov steps a shot keeps above the inner end of its box
+# the fewest Numerov steps a shot keeps above its first marched point, the
+# highest first point in units of (1/2 + S)/|B|, and the most series terms
 _PENCIL_POINTS = 300
 _MAX_SHOTS = 3
 _MIN_EDGE_STEPS = 64
+_SERIES_START = 0.25
+_SERIES_TERMS = 20
 
 
 def _unit(params: ModelParams) -> tuple[ModelParams, float]:
@@ -495,17 +519,17 @@ def _pencil_levels(
     The pencil is built on the problem in units of 1/|b| (``_unit``), and
     returns lambda = b^2 mu.  There the slowest decay rate of the deepest
     such level is about gamma_seed = 1 / (2 levels[-1] + 3), which fixes a
-    generous seed box reaching 30/gamma_seed.  On that box, started at the
-    inner end of ``level_extent`` at the seed, mu = -gamma_seed^2, but not
-    below 1e-6/gamma_seed, with Dirichlet ends, the three-point form of
+    generous seed box reaching 30/gamma_seed from rho_0 = (1/2 + S)/|B| < 3/2,
+    where the levels already oscillate.  On it the three-point form of
     -v'' + (S^2 + B rho) v = mu rho^2 v (x = ln rho, B = 2 sgn(b) kappa_bar),
     scaled by 1/rho on each side, is the symmetric tridiagonal matrix with
-    d_i = (2/h^2 + S^2 + B rho_i) / rho_i^2 and e_i = -1/(h^2 rho_i rho_{i+1}).
+    d_i = (2/h^2 + S^2 + B rho_i) / rho_i^2 and e_i = -1/(h^2 rho_i rho_{i+1}),
+    i >= 1, of norm about 3e4: a Dirichlet wall at its outer end, and at
+    rho_0 a ghost point v_0 = g v_1, g from the series of ``_regular_start``
+    at the seed mu = -gamma_seed^2, which subtracts g/(h^2 rho_1^2) from d_1.
     LAPACK ``stebz`` bisects its Sturm count (Kahan bisection) for the
-    eigenvalues levels[0] + 1 .. levels[-1] + 1 in one call.  Its tolerance
-    is absolute, 1e-9 in mu: the default one scales with the norm of the
-    matrix, about 1e16, and merges levels.  Every estimate must lie below
-    the window top mu = -1e-8.
+    eigenvalues levels[0] + 1 .. levels[-1] + 1 in one call, to an absolute
+    1e-9 in mu.  Every estimate must lie below the window top mu = -1e-8.
     """
     from scipy.linalg.lapack import dstebz  # here, not at the top: scipy is slow to import
 
@@ -516,13 +540,15 @@ def _pencil_levels(
         raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {deepest}-node level")
     unit, scale = _unit(params)
     s2, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
+    s = math.sqrt(s2)
     gamma_seed = 1.0 / (2.0 * deepest + 3.0)
-    rho_lo = max(1e-6 / gamma_seed, level_extent(s2, coulomb, -gamma_seed**2)[0])
-    x = np.linspace(math.log(rho_lo), math.log(30.0 / gamma_seed), _PENCIL_POINTS + 2)
-    h2 = (x[1] - x[0]) ** 2
-    rho = np.exp(x[1:-1])
-    d = (2.0 / h2 + s2 + coulomb * rho) / (rho * rho)
-    e = -1.0 / (h2 * rho[:-1] * rho[1:])
+    x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(30.0 / gamma_seed),
+                    _PENCIL_POINTS + 2)
+    h, rho = x[1] - x[0], np.exp(x[1:-1])
+    v0, v1 = _regular_start(s, coulomb, -gamma_seed**2, math.exp(x[0]), float(rho[0]))
+    d = (2.0 / h**2 + s2 + coulomb * rho) / (rho * rho)
+    d[0] -= v0 / v1 / (h * rho[0]) ** 2
+    e = -1.0 / (h**2 * rho[:-1] * rho[1:])
     m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9, "E")
     if info != 0 or m != len(levels) or not w[m - 1] < -1e-8:
         raise NoBracketError(f"the pencil puts no {deepest}-node level below the "
@@ -542,19 +568,23 @@ def _shot_config(
 
     ``step_count`` steps of equal width in ln rho span the nominal box from
     1e-6/sqrt(-mu_box) to the outer end, e^(-30) past the outer turning
-    point; those below the inner end are not marched, though at least
-    ``_MIN_EDGE_STEPS`` are kept, and the points kept are the nominal grid's,
-    so the level does not move.  The shot stops at 1e-10 in mu."""
+    point.  The shot marches the nominal points from the last one at or
+    below max(inner end, ``_SERIES_START`` (1/2 + S)/|B|), at least
+    ``_MIN_EDGE_STEPS`` steps, from two values that the series of
+    ``_regular_start`` gives to 1e-17 for mu >= -1.5, so the level does not
+    move.  The shot stops at 3e-11 in mu."""
+    s2, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
     rho_lo = 1e-6 / math.sqrt(-mu_box)
-    edge, rho_max = level_extent(*equation_constants(unit.b, channel.kappa_bar, component), mu_box)
+    edge, rho_max = level_extent(s2, coulomb, mu_box)
+    first = max(edge, _SERIES_START * (0.5 + math.sqrt(s2)) / abs(coulomb), rho_lo)
     h = math.log(rho_max / rho_lo) / step_count
-    skip = max(0, min(int(math.log(max(edge, rho_lo) / rho_lo) / h), step_count - _MIN_EDGE_STEPS))
+    skip = max(0, min(int(math.log(first / rho_lo) / h), step_count - _MIN_EDGE_STEPS))
     return ShootingConfig(
         r_min=rho_lo * math.exp(skip * h),
         r_max=rho_max,
         step_count=step_count - skip,
         lambda_bracket=(1.5 * mu_box, 0.5 * mu_box),
-        tolerance=1e-10,
+        tolerance=3e-11,
     )
 
 
@@ -579,9 +609,9 @@ def solve_bound_level(
     The shot's box is set by ``level_extent`` at the estimate's mu: nominally
     from rho_min = 1e-6/sqrt(-mu), over which ``step_count`` sets the step,
     to rho_max, e^(-30) past the outer turning point of a level there.  The
-    steps below the inner end, where every level of the channel is still
-    e^(-30) below its value at its turning points, are not marched; the
-    result's ``r_min`` and ``step_count`` give the grid the shot marched.
+    steps below its first marched point (``_shot_config``), where the series
+    of the regular solution gives the first two values, are not marched;
+    the result's ``r_min`` and ``step_count`` give the grid the shot marched.
     Its bracket is (1.5, 0.5) times the estimate; whatever the estimate, the
     shot's node count keeps it on the ``node_target`` level or it raises a
     ShootingError.  A shot that lands more than 10% from the mu that set its

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import diractensor
+from diractensor import oracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,6 +68,26 @@ def test_shoot_ladder_levels_pass_check_level(tmp_path, n):
         assert math.frexp(abs(params.b))[0] != 0.5
         op = ladder._op(params, channel, n)
         assert op.check(op.call()) == [], op.label
+
+
+def test_pencil_estimates_lie_inside_their_shots_brackets(tmp_path):
+    # levels n = 0..14 of the shoot-ladder channels of seeds 1-5, as the
+    # worker draws them: the pencil's estimate mu of each level, alone and
+    # in the channel's ladder, sets a shot's bracket (1.5 mu, 0.5 mu), which
+    # must hold the level
+    workloads = _load("workloads")
+    for seed in range(1, 6):
+        ladder = workloads.ShootLadder(seed, PERFBENCH.parent, tmp_path)
+        ladder.warmup()
+        for params, channel in ladder._channels():
+            levels = range(workloads.LADDER_LEVELS)
+            together = oracle._pencil_levels(params, channel, "upper", levels)
+            for n in levels:
+                [alone] = oracle._pencil_levels(params, channel, "upper", range(n, n + 1))
+                energy = workloads.closed_form_level(params, channel, n)
+                lam = energy * energy - params.mass**2 - params.b_squared
+                for estimate in (alone, together[n]):
+                    assert 1.5 * estimate < lam < 0.5 * estimate, (seed, channel, n)
 
 
 TRACING = _load("tracing")

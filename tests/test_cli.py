@@ -600,11 +600,13 @@ class TestVerifyCommand:
         lambda kb, n_g: n_g,
         lambda kb, n_g: max(n_g - 2 if kb < 0 else n_g + 2, 0),
         lambda kb, n_g: max(n_g + 1 if kb < 0 else n_g - 1, 0),
-    ], ids=["n_f=n_g", "n_g-+2", "flipped"])
+        lambda kb, n_g: n_g - 2 if kb < 0 else n_g + 2,
+    ], ids=["n_f=n_g", "n_g-+2", "flipped", "n_g-+2-unclipped"])
     def test_wrong_node_law_fails_on_the_residual(self, mutation, monkeypatch, tmp_path, capsys):
         # the law is stated once, so a wrong one passes BoundState's guard and
-        # must fail the rows it moves; a degree below 0 is clipped to 0, since
-        # LaguerreSpec rejects it (exit 1) before any row is written
+        # must fail the rows it moves; a degree below 0, which LaguerreSpec
+        # rejects, leaves a closed form that cannot be built, whose rows read
+        # residual inf and fail
         law = core.lower_degree
         for name, module in list(sys.modules.items()):
             if name.startswith("diractensor") and getattr(module, "lower_degree", None) is law:

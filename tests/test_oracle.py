@@ -117,6 +117,15 @@ class TestEffectivePotential:
             assert v_general(r) == pytest.approx(v_special(r), rel=1e-12, abs=1e-12)
 
 
+def frobenius_terms(s, coulomb, mu, rho):
+    """The first _SERIES_TERMS terms a_k rho^k of the regular solution
+    rho^S sum_k a_k rho^k of v'' = (S^2 + B rho - mu rho^2) v in x = ln rho."""
+    terms = [1.0, coulomb * rho / (1.0 + 2.0 * s)]
+    for k in range(2, oracle._SERIES_TERMS):
+        terms.append((coulomb * rho * terms[-1] - mu * rho * rho * terms[-2]) / (k * (k + 2.0 * s)))
+    return terms
+
+
 class TestShootEigenvalue:
     def test_canonical_level(self):
         # lambda = E^2 - M^2 - b^2 = -1/4 for the sqrt(7)/2 level
@@ -162,13 +171,13 @@ class TestShootEigenvalue:
             assert res.energy_pair[0] == pytest.approx(energy(params, ch, n), abs=1e-8)
 
     def test_work_counters_pinned(self):
-        # one shot from the pencil estimate, started at the inner edge: an
+        # one shot from the pencil estimate, started at the series radius: an
         # outward and an inward sweep per Newton step, and no other; the last
         # Newton candidate is returned without a step that only confirms it
         for _ in range(2):
             res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
-            assert (res.sweeps, res.newton_steps, res.steps) == (6, 3, 18946)
-            assert res.step_count == 5752
+            assert (res.sweeps, res.newton_steps, res.steps) == (6, 3, 8283)
+            assert res.step_count == 2197
 
     @pytest.mark.parametrize("kappa, n", [(-1, 0), (-1, 4), (-3, 2), (-5, 5)])
     def test_newton_path_marches_two_sweeps_per_step(self, kappa, n, monkeypatch):
@@ -256,9 +265,12 @@ class TestShootEigenvalue:
     @pytest.mark.parametrize("n", [0, 5, 14])
     @pytest.mark.parametrize("kappa, b", EDGE_CASES)
     def test_inner_edge_leaves_the_level_unchanged(self, kappa, b, n):
-        # the shot from the inner edge marches the tail of the nominal grid,
-        # whose first point is 1e-6/gamma, and finds the same level; like the
-        # shots of solve_bound_level, it solves the problem in units of 1/|b|
+        # the shot starts from the series of the regular solution at the last
+        # point of the nominal grid (first point 1e-6/gamma) at or below
+        # max(inner end of level_extent, 0.25 (1/2 + S)/|B|), the inner end
+        # where S is large, and finds the level of the whole nominal grid;
+        # like the shots of solve_bound_level, it solves the problem in units
+        # of 1/|b|
         params, ch = oracle._unit(ModelParams(1.0, 0.0, b))[0], Channel.from_kappa(kappa)
         [mu_box] = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
         edge = oracle._shot_config(params, ch, "upper", mu_box, 6000)
@@ -267,13 +279,16 @@ class TestShootEigenvalue:
         h = math.log(nominal.r_max / nominal.r_min) / nominal.step_count
         assert math.log(edge.r_min / nominal.r_min) == pytest.approx(skip * h, rel=1e-12, abs=1e-12)
         assert math.log(edge.r_max / edge.r_min) / edge.step_count == pytest.approx(h, rel=1e-12)
+        s2, coulomb = equation_constants(params.b, ch.kappa_bar, "upper")
+        inner = level_extent(s2, coulomb, mu_box)[0]
+        series = oracle._SERIES_START * (0.5 + math.sqrt(s2)) / abs(coulomb)
+        assert (inner > series) == (abs(kappa) >= 20)
+        assert edge.r_min <= max(inner, series) * (1.0 + 1e-12) < edge.r_min * math.exp(h)
         from_edge = shoot_eigenvalue(params, ch, "upper", n, edge)
         from_floor = shoot_eigenvalue(params, ch, "upper", n, nominal)
         assert from_edge.node_count == from_floor.node_count == n
         assert abs(from_edge.lambda_ - from_floor.lambda_) <= 1e-12 * abs(from_floor.lambda_)
-        assert (from_edge.steps < from_floor.steps) == (skip > 0)
-        if abs(kappa) >= 7:
-            assert skip > 0
+        assert skip > 0 and from_edge.steps < from_floor.steps
 
     @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3, -1.0])
     def test_inner_edge_lies_30_e_folds_below_every_turning_point(self, b):
@@ -320,15 +335,87 @@ class TestShootEigenvalue:
                     r_e = level_extent(s2, coulomb, -0.5 * b * b, 30.0)[0]
                     assert 1.0 + c1 * r_e >= 0.5 - 1e-12, (b, size, component)
 
-    def test_a_channel_that_cannot_bind_keeps_the_floor(self):
-        # with b kappa_bar > 0 (B >= 0) there is no inner end: the shot
-        # marches its whole nominal grid from 1e-6/gamma
+    def test_series_converges_at_the_start_radius(self):
+        # at the highest first point of a shot, max(inner end of level_extent,
+        # 0.25 (1/2 + S)/|B|), at every mu of the shots' reach, and at the
+        # pencil's ghost point (1/2 + S)/|B| at every seed mu = -gamma_seed^2,
+        # the last of _SERIES_TERMS terms is within 1e-17 of the sum;
+        # _regular_start sums the same series
+        for size in np.concatenate(([0.5001, 0.52], np.linspace(0.6, 150.0, 120))):
+            for kappa_bar in (size, -size):
+                for component in ("upper", "lower"):
+                    s2, coulomb = equation_constants(1.0, kappa_bar, component)
+                    s = math.sqrt(s2)
+                    pencil = (0.5 + s) / abs(coulomb)
+                    shot = max(level_extent(s2, coulomb, -1.0)[0], 0.25 * pencil)
+                    for mu, rho in [*((mu, shot) for mu in -np.geomspace(1e-8, 1.5, 12)),
+                                    *((mu, pencil) for mu in -np.geomspace(1e-8, 1 / 9, 6))]:
+                        terms = frobenius_terms(s, coulomb, mu, rho)
+                        total = math.fsum(terms)
+                        assert abs(terms[-1]) <= 1e-17 * abs(total), (kappa_bar, component, mu)
+                        v0, v1 = oracle._regular_start(s, coulomb, mu, 0.9 * rho, rho)
+                        assert v1 == pytest.approx((rho / (0.9 * rho)) ** s * total, rel=1e-15)
+                        assert v0 == pytest.approx(
+                            math.fsum(frobenius_terms(s, coulomb, mu, 0.9 * rho)), rel=1e-15)
+
+    @pytest.mark.parametrize("params, kappa, component", [
+        (PARAMS_POS, -1, "upper"), (PARAMS_POS, -1, "lower"), (PARAMS_NEG, 1, "upper"),
+        (ModelParams(1.0, 0.46, 1.0), -1, "lower"), (ModelParams(1.0, -0.6, 1.7), -7, "upper"),
+        (ModelParams(1.0, 0.0, -1.3), 30, "lower"), (ModelParams(1.0, 0.0, 2.0), 3, "upper")])
+    def test_pencil_boundary_row_is_the_series_ghost_point(self, params, kappa, component,
+                                                            monkeypatch):
+        # the pencil's inner end (1/2 + S)/|B| is a ghost point v_0 = g v_1,
+        # g from the series at the seed mu; it changes d_0 alone, and d and e,
+        # finite, are the symmetric form of the generalized problem
+        # T v = mu rho^2 v whose first row holds the ghost point
+        import scipy.linalg
+        import scipy.linalg.lapack
+
+        calls = []
+        stebz = scipy.linalg.lapack.dstebz
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
+                            lambda d, e, *args: calls.append((d.copy(), e.copy())) or stebz(d, e, *args))
+        ch, n = Channel.from_kappa(kappa, params.a), 5
+        try:
+            estimates = oracle._pencil_levels(params, ch, component, range(n + 1))
+        except NoBracketError:
+            estimates = None  # a channel that cannot bind: the matrix is still checked
+        [(d, e)] = calls
+        assert np.isfinite(d).all() and np.isfinite(e).all()
+        s2, coulomb = equation_constants(math.copysign(1.0, params.b), ch.kappa_bar, component)
+        s, gamma_seed = math.sqrt(s2), 1.0 / (2 * n + 3)
+        x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(30.0 / gamma_seed),
+                        oracle._PENCIL_POINTS + 2)
+        h, rho = x[1] - x[0], np.exp(x)
+        v0, v1 = (math.fsum(frobenius_terms(s, coulomb, -gamma_seed**2, r)) for r in rho[:2])
+        ghost = math.exp(-s * h) * v0 / v1
+        assert ghost > 0.0  # no node between the ghost point and the first point
+        inner = rho[1:-1]
+        t_main = 2.0 / h**2 + s2 + coulomb * inner
+        t_main[0] -= ghost / h**2
+        np.testing.assert_allclose(d, t_main / inner**2, rtol=1e-13)
+        np.testing.assert_allclose(e, -1.0 / (h**2 * inner[:-1] * inner[1:]), rtol=1e-13)
+        if estimates is not None:
+            t_off = np.full(inner.size - 1, -1.0 / h**2)
+            dense = np.diag(t_main) + np.diag(t_off, 1) + np.diag(t_off, -1)
+            want = scipy.linalg.eigh(dense, np.diag(inner**2), eigvals_only=True)[: n + 1]
+            np.testing.assert_allclose(np.array(estimates) / params.b**2, want, rtol=1e-7)
+
+    def test_a_channel_that_cannot_bind_starts_at_the_series_radius(self):
+        # with b kappa_bar > 0 (B >= 0) level_extent has no inner end, and the
+        # shot starts where the series of the regular solution converges, at
+        # the last nominal grid point at or below 0.25 (1/2 + S)/|B|, as a
+        # channel that binds does
         unit, ch = oracle._unit(PARAMS_POS)[0], Channel.from_kappa(3)
-        assert level_extent(*equation_constants(unit.b, ch.kappa_bar, "upper"), -0.25)[0] == 0.0
+        s2, coulomb = equation_constants(unit.b, ch.kappa_bar, "upper")
+        assert level_extent(s2, coulomb, -0.25)[0] == 0.0
         config = oracle._shot_config(unit, ch, "upper", -0.25, 6000)
-        assert (config.r_min, config.step_count) == (1e-6 / 0.5, 6000)
+        h = math.log(config.r_max / (1e-6 / 0.5)) / 6000
+        series = 0.25 * (0.5 + math.sqrt(s2)) / abs(coulomb)
+        assert config.r_min <= series * (1.0 + 1e-12) < config.r_min * math.exp(h)
+        assert 6000 - config.step_count == round(math.log(config.r_min / (1e-6 / 0.5)) / h)
         binding = oracle._shot_config(unit, Channel.from_kappa(-3), "upper", -0.25, 6000)
-        assert binding.r_min > config.r_min and binding.step_count < 6000
+        assert binding.r_min > 1e-6 / 0.5 and binding.step_count < 6000
 
     # two (b, a) pairs of each sign of b; kappa takes the sign that binds
     LADDER_PARAMS = [ModelParams(1.0, 0.0, 1.0), ModelParams(1.0, -0.6, 1.7),
@@ -442,7 +529,7 @@ class TestShootEigenvalue:
         for lam in np.linspace(*config.lambda_bracket, 9):
             f, whole = ws.sweep(lam)
             for m in (ws.idx_lo, ws.match_index(lam), ws.idx_hi):
-                np.testing.assert_array_equal(ws.outward(f, m + 1), whole[: m + 2])
+                np.testing.assert_array_equal(ws.outward(f, m + 1, lam), whole[: m + 2])
 
     def test_b_zero_finds_nothing(self):
         # no square-integrable level with |E| < M exists without the constant term
@@ -586,7 +673,7 @@ class TestNumerovMarch:
         levels = np.array([bound_state(params, ch, n).energy ** 2 for n in range(6)])
         for lam in 0.5 * (levels[:-1] + levels[1:]) - params.mass**2 - params.b**2:
             f = ws.coeffs(lam)
-            for coeffs, y0, y1 in ((f, ws.v0, ws.v1),
+            for coeffs, y0, y1 in ((f, *ws.start(lam)),
                                    (f[::-1], 1.0, (12.0 - 10.0 * f[-1]) / f[-2])):
                 got = oracle._numerov_march(coeffs, y0, y1, ws.band)
                 want = reference_march(coeffs, y0, y1)
@@ -609,7 +696,7 @@ class TestNumerovMarch:
         config = oracle._shot_config(unit, ch, "upper", mu, 6000)
         ws = _ShootingWorkspace(unit, ch, "upper", config)
         f = ws.coeffs(mu)
-        oracle._numerov_march(f, ws.v0, ws.v1, ws.band)
+        oracle._numerov_march(f, *ws.start(mu), ws.band)
         row = ws.band[1, : f.size - 3]
         want = 10 - 12 / f[2:-1].astype(np.longdouble)
         assert np.all(np.abs(row - want) <= 0.501 * np.spacing(np.abs(row)))
@@ -688,10 +775,10 @@ class TestNumerovMarch:
         # e^1000 overflows from the 1e-100 start but not from 1e-250
         ws = self.overflow_workspace(1000.0)
         f = ws.coeffs(-1.0)
-        assert not np.isfinite(oracle._numerov_march(f, ws.v0, ws.v1, ws.band)).all()
-        y = ws.outward(f, f.size - 1)
+        assert not np.isfinite(oracle._numerov_march(f, *ws.start(-1.0), ws.band)).all()
+        y = ws.outward(f, f.size - 1, -1.0)
         assert np.isfinite(y).all() and np.max(np.abs(y)) > 1e150
-        assert y[0] == ws.v0 * 1e-150
+        assert y[0] == ws.start(-1.0)[0] * 1e-150
         assert (ws.sweeps, ws.steps) == (2, 2 * (f.size - 1))
 
     def test_outward_overflow_from_both_starts_raises(self):
