@@ -371,8 +371,7 @@ _EDGE_DELTA = 1e-9
 
 
 def _closed_form_residual(params: ModelParams, state, r_grid: np.ndarray) -> float:
-    """The worst relative residual of the state's closed form on ``r_grid``,
-    inf where the closed form cannot be built (a degree LaguerreSpec rejects)."""
+    """The worst closed-form residual of ``state`` on ``r_grid``; inf where it cannot be built."""
     try:
         wavefunctions = state_wavefunctions(params, state)
     except ValueError:

@@ -164,8 +164,8 @@ def level_extent(s2: float, coulomb: float, lam: float,
     integral of sqrt(Q) dx.  Every inner turning point lies above S^2/|B|,
     and the exponent from r up to there is at least S (ln(4/t) - 2),
     t = |B| r / S^2: so the inner end is 4 S^2/|B| e^(-2 - suppression/S),
-    held below (1 + 2S)/(2|B|) so that the series start r^S (1 + c1 r),
-    c1 = B/(1 + 2S), adds no node.  It is 0 where B >= 0, and where S is
+    held below (1 + 2S)/(2|B|), where the oracle's series of the regular
+    solution still converges fast.  It is 0 where B >= 0, and where S is
     small it lies absurdly low or underflows to 0, so callers put a floor
     under it.  The outer end is where the exponent from the outer root of Q
     (its minimum where it has none) reaches ``suppression``: Newton steps on

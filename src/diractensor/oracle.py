@@ -50,7 +50,6 @@ coupled system depends on M/|b|.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -151,12 +150,6 @@ class EigenResult:
     pencil_seconds: float = 0.0
 
 
-@functools.cache
-def _dtbsv():
-    from scipy.linalg.blas import dtbsv  # once, on first use: scipy is slow to import
-    return dtbsv
-
-
 def _regular_start(s: float, coulomb: float, mu: float, r0: float,
                    r1: float) -> tuple[float, float]:
     """The regular solution (rho/r0)^S sum_k a_k rho^k of v'' = (S^2 + B rho -
@@ -186,6 +179,8 @@ def _numerov_march(f: np.ndarray, y0: float, y1: float, band: np.ndarray) -> np.
     first subdiagonal of its leading f.size - 2 columns, which f2py passes
     without a copy, solves for w in place and returns y = w / f.
     """
+    from scipy.linalg.blas import dtbsv  # here, not at the top: scipy is slow to import
+
     n = f.size
     w = np.zeros(n)
     w[0], w[1] = f[0] * y0, f[1] * y1
@@ -201,16 +196,15 @@ def _numerov_march(f: np.ndarray, y0: float, y1: float, band: np.ndarray) -> np.
         w[2] = (2.0 + (1.0 - f[1]) / f[1] * 12.0) * w[1] - w[0]
         if count > 1:
             w[3] = -w[1]
-        _dtbsv()(2, ab, w, offx=2, lower=1, diag=1, overwrite_x=1)
+        dtbsv(2, ab, w, offx=2, lower=1, diag=1, overwrite_x=1)
     y = np.divide(w, f, out=w)
     y[0], y[1] = y0, y1
     return y
 
 
 def count_sign_changes(values) -> int:
-    """Strict sign changes between consecutive samples, found by comparing
-    signs rather than multiplying values, which under- or overflows at
-    extreme magnitudes.  Exact zeros break runs and NaN never changes sign."""
+    """Strict sign changes between consecutive samples (exact zeros break runs,
+    NaN never changes sign), by comparing signs: products under- or overflow."""
     v = np.asarray(values, dtype=float)
     pos, neg = v > 0.0, v < 0.0
     return int(np.count_nonzero((pos[1:] & neg[:-1]) | (neg[1:] & pos[:-1])))
@@ -241,7 +235,6 @@ class _ShootingWorkspace:
         self.f_base = 1.0 - ddx12 * self.base
         self.f_lam = ddx12 * self.r2
         self.band = np.ones((3, n - 1), order="F")
-        self.r0, self.r1 = float(self.r[0]), float(self.r[1])
         margin = max(4, int(round(math.log(2.0) / self.h)))
         self.idx_lo = margin
         self.idx_hi = n - margin
@@ -260,7 +253,7 @@ class _ShootingWorkspace:
 
     def start(self, lam: float) -> tuple[float, float]:
         """The regular solution at ``lam`` on the first two points, times 1e-100."""
-        y0, y1 = _regular_start(self.S, self.B, lam, self.r0, self.r1)
+        y0, y1 = _regular_start(self.S, self.B, lam, float(self.r[0]), float(self.r[1]))
         return 1e-100 * y0, 1e-100 * y1
 
     def sweep(self, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -297,8 +290,7 @@ class _ShootingWorkspace:
     def outward(self, f: np.ndarray, upto: int, lam: float) -> np.ndarray:
         y0, y1 = self.start(lam)
         y = self._march(f[: upto + 1], y0, y1)
-        # a value that overflows stays inf or NaN to the end of the march
-        if not math.isfinite(y[-1]):
+        if not math.isfinite(y[-1]):  # an overflow stays inf or NaN to the end
             y = self._march(f[: upto + 1], y0 * 1e-150, y1 * 1e-150)
             if not math.isfinite(y[-1]):
                 raise ShootingError("outward sweep overflowed even after rescaling")
@@ -516,20 +508,21 @@ def _pencil_levels(
     """Blind estimates of the separation eigenvalues of the ``levels``, a
     range of consecutive node counts, from one Sturm-count bisection.
 
-    The pencil is built on the problem in units of 1/|b| (``_unit``), and
-    returns lambda = b^2 mu.  There the slowest decay rate of the deepest
-    such level is about gamma_seed = 1 / (2 levels[-1] + 3), which fixes a
-    generous seed box reaching 30/gamma_seed from rho_0 = (1/2 + S)/|B| < 3/2,
-    where the levels already oscillate.  On it the three-point form of
-    -v'' + (S^2 + B rho) v = mu rho^2 v (x = ln rho, B = 2 sgn(b) kappa_bar),
-    scaled by 1/rho on each side, is the symmetric tridiagonal matrix with
-    d_i = (2/h^2 + S^2 + B rho_i) / rho_i^2 and e_i = -1/(h^2 rho_i rho_{i+1}),
-    i >= 1, of norm about 3e4: a Dirichlet wall at its outer end, and at
-    rho_0 a ghost point v_0 = g v_1, g from the series of ``_regular_start``
-    at the seed mu = -gamma_seed^2, which subtracts g/(h^2 rho_1^2) from d_1.
-    LAPACK ``stebz`` bisects its Sturm count (Kahan bisection) for the
-    eigenvalues levels[0] + 1 .. levels[-1] + 1 in one call, to an absolute
-    1e-9 in mu.  Every estimate must lie below the window top mu = -1e-8.
+    In units of 1/|b| (``_unit``), where it returns lambda = b^2 mu, the
+    deepest level decays no slower than about gamma_seed = 1/(2 levels[-1] +
+    3), which fixes a seed box from rho_0 = (1/2 + S)/|B| < 3/2, where the
+    levels already oscillate, to 30/gamma_seed.  On it the three-point form
+    of -v'' + (S^2 + B rho) v = mu rho^2 v (x = ln rho, B = 2 sgn(b)
+    kappa_bar), scaled by 1/rho, is the symmetric tridiagonal matrix with
+    d_i = (2/h^2 + S^2 + B rho_i) / rho_i^2 and e_i = -1/(h^2 rho_i rho_(i+1)),
+    i >= 1: a Dirichlet wall at its outer end, and at rho_0 a ghost point
+    v_0 = g v_1, g from ``_regular_start`` at the seed mu = -gamma_seed^2,
+    which subtracts g/(h^2 rho_1^2) from d_1.  LAPACK ``stebz`` bisects its
+    Sturm count for the eigenvalues levels[0] + 1 .. levels[-1] + 1 to 1e-9
+    in mu; each must lie below the window top mu = -1e-8.  Where the deepest
+    does not, or the outer root of S^2 + B rho - mu rho^2 at its estimate
+    lies past the wall, the pencil is built again out to that root at the
+    seed mu, past every such level's (there is none where B > 0).
     """
     from scipy.linalg.lapack import dstebz  # here, not at the top: scipy is slow to import
 
@@ -542,14 +535,19 @@ def _pencil_levels(
     s2, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
     s = math.sqrt(s2)
     gamma_seed = 1.0 / (2.0 * deepest + 3.0)
-    x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(30.0 / gamma_seed),
-                    _PENCIL_POINTS + 2)
-    h, rho = x[1] - x[0], np.exp(x[1:-1])
-    v0, v1 = _regular_start(s, coulomb, -gamma_seed**2, math.exp(x[0]), float(rho[0]))
-    d = (2.0 / h**2 + s2 + coulomb * rho) / (rho * rho)
-    d[0] -= v0 / v1 / (h * rho[0]) ** 2
-    e = -1.0 / (h**2 * rho[:-1] * rho[1:])
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9, "E")
+    def outer_root(mu: float) -> float:  # of S^2 + B rho - mu rho^2: < 0 if B > 0, min if none
+        return (math.sqrt(max(coulomb**2 + 4.0 * mu * s2, 0.0)) - coulomb) / (-2.0 * mu)
+    box, reach = 30.0 / gamma_seed, outer_root(-gamma_seed**2)
+    for top in (box, reach) if reach > box else (box,):
+        x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(top), _PENCIL_POINTS + 2)
+        h, rho = x[1] - x[0], np.exp(x[1:-1])
+        v0, v1 = _regular_start(s, coulomb, -gamma_seed**2, math.exp(x[0]), float(rho[0]))
+        d = (2.0 / h**2 + s2 + coulomb * rho) / (rho * rho)
+        d[0] -= v0 / v1 / (h * rho[0]) ** 2
+        e = -1.0 / (h**2 * rho[:-1] * rho[1:])
+        m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9, "E")
+        if info == 0 and m == len(levels) and w[m - 1] < -1e-8 and outer_root(w[m - 1]) <= top:
+            break
     if info != 0 or m != len(levels) or not w[m - 1] < -1e-8:
         raise NoBracketError(f"the pencil puts no {deepest}-node level below the "
                              "window top -1e-8 b^2")
@@ -570,17 +568,20 @@ def _shot_config(
     1e-6/sqrt(-mu_box) to the outer end, e^(-30) past the outer turning
     point.  The shot marches the nominal points from the last one at or
     below max(inner end, ``_SERIES_START`` (1/2 + S)/|B|), at least
-    ``_MIN_EDGE_STEPS`` steps, from two values that the series of
-    ``_regular_start`` gives to 1e-17 for mu >= -1.5, so the level does not
-    move.  The shot stops at 3e-11 in mu."""
+    ``_MIN_EDGE_STEPS`` steps, from the two values ``_regular_start`` gives
+    to 1e-17 (mu >= -1.5), so the level does not move.  It stops at 3e-11
+    in mu, and a box too wide for a stable step raises NoBracketError."""
     s2, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
     rho_lo = 1e-6 / math.sqrt(-mu_box)
     edge, rho_max = level_extent(s2, coulomb, mu_box)
     first = max(edge, _SERIES_START * (0.5 + math.sqrt(s2)) / abs(coulomb), rho_lo)
     h = math.log(rho_max / rho_lo) / step_count
     skip = max(0, min(int(math.log(first / rho_lo) / h), step_count - _MIN_EDGE_STEPS))
+    r_min = rho_lo * math.exp(skip * h)
+    if h * h / 12.0 * max(abs(s2 + coulomb * r_min), abs(s2 + coulomb * rho_max)) > 0.5:
+        raise NoBracketError(f"{step_count} steps are too coarse for the box at mu {mu_box}")
     return ShootingConfig(
-        r_min=rho_lo * math.exp(skip * h),
+        r_min=r_min,
         r_max=rho_max,
         step_count=step_count - skip,
         lambda_bracket=(1.5 * mu_box, 0.5 * mu_box),

@@ -319,21 +319,25 @@ class TestShootEigenvalue:
                                   r_e, top, limit=200, points=[top * 1e-3, top * 0.5])
                 assert by_quad == pytest.approx(wkb, rel=1e-8)
 
-    def test_inner_edge_keeps_the_series_start_positive(self):
-        # 1 + c1 r >= 1/2 at the edge, c1 = B / (1 + 2 S), so the two start
-        # values share their sign and the start adds no node (the bound is
-        # met with equality where the second term sets the edge, up to rounding)
+    def test_inner_edge_stays_where_the_series_converges(self):
+        # the inner end is capped at (1/2 + S)/|B|, the pencil's ghost point,
+        # so a shot's first point, max(inner end, 0.25 (1/2 + S)/|B|), never
+        # lies past the radius where test_series_converges_at_the_start_radius
+        # shows the series of the regular solution converged; at large S the
+        # cap itself sets the inner end (up to rounding)
+        capped = 0
         for b in np.geomspace(1e-3, 1e3, 13):
             for size in np.linspace(0.55, 200.0, 160):
                 for sign, component in ((-1.0, "upper"), (1.0, "lower")):
                     params = ModelParams(1.0, 0.0, -sign * b)
                     kappa = sign * round(size)
                     ch = Channel.from_kappa(kappa, sign * size - kappa)
-                    s_ch = math.sqrt(angular_strength(ch.kappa_bar, component) + 0.25)
-                    c1 = 2.0 * params.b * ch.kappa_bar / (1.0 + 2.0 * s_ch)
                     s2, coulomb = equation_constants(params.b, ch.kappa_bar, component)
+                    cap = (0.5 + math.sqrt(s2)) / abs(coulomb)
                     r_e = level_extent(s2, coulomb, -0.5 * b * b, 30.0)[0]
-                    assert 1.0 + c1 * r_e >= 0.5 - 1e-12, (b, size, component)
+                    assert 0.0 < r_e <= cap * (1.0 + 1e-12), (b, size, component)
+                    capped += r_e >= cap * (1.0 - 1e-12)
+        assert capped > 0
 
     def test_series_converges_at_the_start_radius(self):
         # at the highest first point of a shot, max(inner end of level_extent,
@@ -513,10 +517,30 @@ class TestShootEigenvalue:
         ch = Channel.from_kappa(-3)
         with pytest.raises(ValueError):
             solve_bound_level(PARAMS_POS, ch, "upper", -1)
-        for n in (150, 300):  # above the window top, and beyond the pencil
+        # 150: the pencil's box reaches past the level, but the 300-point grid
+        # puts it so shallow that the shot's 6000 steps are too coarse for its
+        # box (not an untyped ValueError); 300: beyond the pencil
+        for n in (150, 300):
             with pytest.raises(NoBracketError):
                 solve_bound_level(PARAMS_POS, ch, "upper", n)
         assert capfd.readouterr() == ("", "")  # no LAPACK parameter complaint
+
+    @pytest.mark.parametrize("b, kappa, a, n", [(-0.07, 2, -1.1331, 39), (-0.005, 1, -0.136, 44)])
+    def test_pencil_reaches_past_its_seed_box(self, b, kappa, a, n):
+        # at |kappa_bar| < 1.1 the outer turning point of these deep levels,
+        # about |B|/|mu|, lies past the seed box 30/gamma_seed, whose wall
+        # pushes the estimate shallow and out of the shot's bracket; the
+        # pencil built again out to the outer root at the seed mu holds the
+        # level, and the shot lands on it
+        params, ch = ModelParams(1.0, a, b), Channel.from_kappa(kappa, a)
+        state = bound_state(params, ch, n)
+        lam = state.energy**2 - params.mass**2 - params.b_squared
+        coulomb = equation_constants(math.copysign(1.0, b), ch.kappa_bar, "upper")[1]
+        assert abs(coulomb) * params.b_squared / -lam > 30.0 * (2 * n + 3)
+        [estimate] = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
+        assert 1.5 * estimate < lam < 0.5 * estimate
+        result = solve_bound_level(params, ch, "upper", n)
+        assert abs(result.energy_pair[0] - abs(state.energy)) <= 1e-7
 
     def test_matching_reuses_a_prefix_of_the_counting_sweep(self):
         # the outward march up to m + 1 must be bit for bit the head of the
