@@ -39,7 +39,6 @@ from .core import (
     ModelParams,
     RadialSamples,
     UnboundChannelError,
-    angular_strength,
     bound_states_exist,
     equation_constants,
     level_extent,
@@ -247,9 +246,10 @@ def state_wavefunctions(params: ModelParams, state: BoundState) -> tuple[Wavefun
     """Unit-norm radial forms for any BoundState, including both special families.
 
     A special state's missing component (n_g or n_f of None) gets amplitude 0.
+    Each component's Laguerre order is alpha = 2S, S its exponent at the origin.
     """
     kb = state.channel.kappa_bar
-    alpha_g, alpha_f = (-1.0 - 2.0 * kb, 1.0 - 2.0 * kb) if kb < 0 else (1.0 + 2.0 * kb, 2.0 * kb - 1.0)
+    alpha_g, alpha_f = (2.0 * equation_constants(params.b, kb, c)[0] for c in ("upper", "lower"))
     g_spec = LaguerreSpec(state.n_g or 0, alpha_g)
     f_spec = LaguerreSpec(state.n_f or 0, alpha_f)
     if state.n_g is None:
@@ -319,7 +319,7 @@ def residuals(params: ModelParams, state: BoundState,
     grid ``r`` for ``forms``, the state's pair from :func:`state_wavefunctions`,
     relative to the larger component's peak there.  The second-order ones
     read -u'' + V u = lambda u, lambda = E^2 - M^2 - b^2,
-    V = kappa_bar (kappa_bar +/- 1)/r^2 + 2 b kappa_bar/r."""
+    V = (S^2 - 1/4)/r^2 + B/r with S and B from ``equation_constants``."""
     r = np.asarray(r, dtype=float)
     g_form, f_form = forms
     g, dg, d2g = g_form.derivatives(r)
@@ -330,10 +330,10 @@ def residuals(params: ModelParams, state: BoundState,
     kb = state.channel.kappa_bar
     m, b, e = params.mass, params.b, state.energy
     w = kb / r + b
-    coulomb = 2.0 * b * kb / r
     lam = e * e - m * m - b * b
-    v_up = angular_strength(kb, "upper") / (r * r) + coulomb
-    v_lo = angular_strength(kb, "lower") / (r * r) + coulomb
+    (s_up, coulomb), (s_lo, _) = (equation_constants(b, kb, c) for c in ("upper", "lower"))
+    v_up = (s_up * s_up - 0.25) / (r * r) + coulomb / r
+    v_lo = (s_lo * s_lo - 0.25) / (r * r) + coulomb / r
     worst = max(
         np.max(np.abs(dg + w * g - (m + e) * f)),
         np.max(np.abs(df - w * f - (m - e) * g)),

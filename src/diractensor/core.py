@@ -107,9 +107,14 @@ class Channel:
 def bound_states_exist(params: ModelParams, channel: Channel) -> bool:
     """True iff the channel binds: b * kappa_bar < 0 and |kappa_bar| > 1/2.
 
-    The window 0 < |kappa_bar| <= 1/2 is excluded (the node numbers of the
-    two spinor components cannot both be integers there), and kappa_bar = 0
-    never binds.
+    The one statement of the rule; kappa_bar = 0 never binds.  Near the
+    origin the radial system has solutions ~ r^(+/-|kappa_bar|).  For
+    |kappa_bar| < 1/2 both are square-integrable, the limit-circle case
+    (Weidmann, LNM 1258, 1987): the operator needs a boundary condition at
+    0, which the paper does not choose.  At |kappa_bar| = 1/2 one
+    component's exponent S = |kappa_bar +/- 1/2| is 0, and the closed
+    forms, which tell the families apart by kappa_bar < -1/2, take
+    kappa_bar = -1/2 for the other family and fail the radial equations.
     """
     if channel.kappa + params.a != channel.kappa_bar:
         raise ValueError(
@@ -118,22 +123,6 @@ def bound_states_exist(params: ModelParams, channel: Channel) -> bool:
         )
     kb = channel.kappa_bar
     return params.b * kb < 0.0 and abs(kb) > 0.5
-
-
-def angular_strength(kappa_bar: float, component: Component) -> float:
-    """kappa_bar*(kappa_bar +/- 1), the 1/r^2 strength in the second-order equation
-    of the upper (+) or lower (-) component.  Raises UnboundChannelError for
-    |kappa_bar| <= 1/2, where the centrifugal term degenerates and no level exists."""
-    if abs(kappa_bar) <= 0.5:
-        raise UnboundChannelError(
-            f"|kappa_bar| = {abs(kappa_bar)} <= 1/2: the centrifugal term degenerates, "
-            "no level exists"
-        )
-    if component == "upper":
-        return kappa_bar * (kappa_bar + 1.0)
-    if component == "lower":
-        return kappa_bar * (kappa_bar - 1.0)
-    raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
 
 
 def n_bar(kappa_bar: float, n_g: int) -> float:
@@ -148,15 +137,22 @@ def lower_degree(kappa_bar, n_g):
 
 
 def equation_constants(b: float, kappa_bar: float, component: Component) -> tuple[float, float]:
-    """S^2 = kappa_bar (kappa_bar +/- 1) + 1/4 and B = 2 b kappa_bar of a component's
-    second-order equation in x = ln r and v = u / sqrt(r): v'' = (S^2 + B r - lambda r^2) v."""
-    return angular_strength(kappa_bar, component) + 0.25, 2.0 * b * kappa_bar
+    """S = |kappa_bar +/- 1/2| and B = 2 b kappa_bar of a component's
+    second-order equation in x = ln r and v = u / sqrt(r): v'' = (S^2 + B r -
+    lambda r^2) v.  S is the exponent of the regular solution v ~ r^S at the
+    origin, 2S the component's Laguerre order, and S^2 - 1/4 = kappa_bar
+    (kappa_bar +/- 1) the 1/r^2 strength of the equation for u: + for the
+    upper component, - for the lower."""
+    half = {"upper": 0.5, "lower": -0.5}.get(component)
+    if half is None:
+        raise ValueError(f"component must be 'upper' or 'lower', got {component!r}")
+    return abs(kappa_bar + half), 2.0 * b * kappa_bar
 
 
-def level_extent(s2: float, coulomb: float, lam: float,
+def level_extent(s: float, coulomb: float, lam: float,
                  suppression: float = 30.0) -> tuple[float, float]:
     """The radii below and beyond which a level of v'' = Q v, Q = S^2 + B r -
-    lam r^2 in x = ln r (S^2 and B from ``equation_constants``), at lam < 0,
+    lam r^2 in x = ln r (S and B from ``equation_constants``), at lam < 0,
     lies e^(-suppression) or more below its value at its turning points, in
     the unit of length that B and lam are given in.
 
@@ -165,15 +161,16 @@ def level_extent(s2: float, coulomb: float, lam: float,
     and the exponent from r up to there is at least S (ln(4/t) - 2),
     t = |B| r / S^2: so the inner end is 4 S^2/|B| e^(-2 - suppression/S),
     held below (1 + 2S)/(2|B|), where the oracle's series of the regular
-    solution still converges fast.  It is 0 where B >= 0, and where S is
-    small it lies absurdly low or underflows to 0, so callers put a floor
-    under it.  The outer end is where the exponent from the outer root of Q
-    (its minimum where it has none) reaches ``suppression``: Newton steps on
-    sqrt(Q) - k ln(2 sqrt(m Q) + 2 m r - beta) + S ln(P/r), the
+    solution still converges fast.  It is 0 where B >= 0 or S = 0, and where
+    S is small it lies absurdly low or underflows to 0, so callers put a
+    floor under it.  The outer end is where the exponent from the outer root
+    of Q (its minimum where it has none) reaches ``suppression``: Newton
+    steps on sqrt(Q) - k ln(2 sqrt(m Q) + 2 m r - beta) + S ln(P/r), the
     antiderivative of sqrt(Q)/r, with m = -lam, beta = |B|,
     k = beta/(2 sqrt(m)) and P = 2 S sqrt(Q) + beta r - 2 S^2."""
-    s, beta, m = math.sqrt(s2), abs(coulomb), -lam
-    inner = min(4.0 * s * s * math.exp(-2.0 - suppression / s), 0.5 + s) / beta if coulomb < 0 else 0.0
+    s2, beta, m = s * s, abs(coulomb), -lam
+    inner = (min(4.0 * s2 * math.exp(-2.0 - suppression / s), 0.5 + s) / beta
+             if coulomb < 0 and s > 0 else 0.0)
     root_m, disc, centre = math.sqrt(m), beta * beta - 4.0 * m * s2, beta / (2.0 * m)
     k, e = beta / (2.0 * root_m), math.sqrt(abs(disc))
     # G at the outer root is (S - k) ln e, written to be 0 at a double root

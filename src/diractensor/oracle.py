@@ -4,9 +4,11 @@ Two pieces of machinery, both blind to the closed-form solutions:
 
 * an eigensolver for the second-order radial equations.  Substituting
   x = ln r and v = u / sqrt(r) turns u'' = [A/r^2 + B/r - lambda] u into
-  v'' = [S^2 + B r - lambda r^2] v with S^2 = A + 1/4.  ``solve_bound_level``
-  takes a first estimate of the level from a Sturm count on the three-point
-  form of that equation, a symmetric tridiagonal pencil (LAPACK ``stebz``),
+  v'' = [S^2 + B r - lambda r^2] v, S^2 = A + 1/4, with the exponent
+  S = |kappa_bar +/- 1/2| and B = 2 b kappa_bar from
+  ``core.equation_constants``.  ``solve_bound_level`` takes a first
+  estimate of the level from a Sturm count on the three-point form of that
+  equation, a symmetric tridiagonal pencil (LAPACK ``stebz``),
   then finds it with ``shoot_eigenvalue``: Numerov shooting on a grid boxed
   for that estimate (``core.level_extent``), with node-count bisection to
   keep the level and a matching-defect Newton step, taken from either side
@@ -62,7 +64,6 @@ from .core import (
     Component,
     ModelParams,
     RadialSamples,
-    angular_strength,
     box_radius,
     equation_constants,
     level_extent,
@@ -226,12 +227,12 @@ class _ShootingWorkspace:
         self.h = (x[-1] - x[0]) / n
         self.r = np.exp(x)
         self.r2 = self.r * self.r
-        s2, self.B = equation_constants(params.b, channel.kappa_bar, component)
-        self.S = math.sqrt(s2)
+        self.S, self.B = equation_constants(params.b, channel.kappa_bar, component)
         self.base = self.S * self.S + self.B * self.r
         ddx12 = self.h * self.h / 12.0
         if ddx12 * float(np.max(np.abs(self.base))) > 0.5:
-            raise ValueError("grid too coarse for the Numerov step on this domain")
+            raise NoBracketError(f"{n} steps are too coarse for the Numerov step on "
+                                 f"[{config.r_min}, {config.r_max}]")
         self.f_base = 1.0 - ddx12 * self.base
         self.f_lam = ddx12 * self.r2
         self.band = np.ones((3, n - 1), order="F")
@@ -486,16 +487,18 @@ _SERIES_START = 0.25
 _SERIES_TERMS = 20
 
 
-def _unit(params: ModelParams) -> tuple[ModelParams, float]:
+def _unit(params: ModelParams, channel: Channel) -> tuple[ModelParams, float]:
     """The problem in units of 1/|b|, which is the one at b = sgn(b), and b^2.
 
     In rho = |b| r and mu = lambda / b^2, v'' = (S^2 + 2 b kappa_bar r -
     lambda r^2) v reads v'' = (S^2 + 2 sgn(b) kappa_bar rho - mu rho^2) v.
-    b = 0 has no window (NoBracketError), and a b^2 past float64 raises
+    Where B = 2 b kappa_bar is 0, at b = 0 or kappa_bar = 0, no level exists
+    (NoBracketError), and a b^2 past float64 raises
     ``ModelParams.b_squared``'s OverflowError.
     """
-    if params.b == 0.0:
-        raise NoBracketError("b = 0: the bound-state window M <= |E| < M* is empty")
+    if params.b == 0.0 or channel.kappa_bar == 0.0:
+        raise NoBracketError(f"B = 2 b kappa_bar = 0 at b = {params.b}, kappa_bar = "
+                             f"{channel.kappa_bar}: the equation holds no level")
     return replace(params, b=math.copysign(1.0, params.b)), params.b_squared
 
 
@@ -531,18 +534,17 @@ def _pencil_levels(
     deepest = levels[-1]
     if deepest >= _PENCIL_POINTS:
         raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {deepest}-node level")
-    unit, scale = _unit(params)
-    s2, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
-    s = math.sqrt(s2)
+    unit, scale = _unit(params, channel)
+    s, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
     gamma_seed = 1.0 / (2.0 * deepest + 3.0)
     def outer_root(mu: float) -> float:  # of S^2 + B rho - mu rho^2: < 0 if B > 0, min if none
-        return (math.sqrt(max(coulomb**2 + 4.0 * mu * s2, 0.0)) - coulomb) / (-2.0 * mu)
+        return (math.sqrt(max(coulomb**2 + 4.0 * mu * s * s, 0.0)) - coulomb) / (-2.0 * mu)
     box, reach = 30.0 / gamma_seed, outer_root(-gamma_seed**2)
     for top in (box, reach) if reach > box else (box,):
         x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(top), _PENCIL_POINTS + 2)
         h, rho = x[1] - x[0], np.exp(x[1:-1])
         v0, v1 = _regular_start(s, coulomb, -gamma_seed**2, math.exp(x[0]), float(rho[0]))
-        d = (2.0 / h**2 + s2 + coulomb * rho) / (rho * rho)
+        d = (2.0 / h**2 + s * s + coulomb * rho) / (rho * rho)
         d[0] -= v0 / v1 / (h * rho[0]) ** 2
         e = -1.0 / (h**2 * rho[:-1] * rho[1:])
         m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9, "E")
@@ -570,18 +572,15 @@ def _shot_config(
     below max(inner end, ``_SERIES_START`` (1/2 + S)/|B|), at least
     ``_MIN_EDGE_STEPS`` steps, from the two values ``_regular_start`` gives
     to 1e-17 (mu >= -1.5), so the level does not move.  It stops at 3e-11
-    in mu, and a box too wide for a stable step raises NoBracketError."""
-    s2, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
+    in mu; a box too wide for a stable step is the shot's NoBracketError."""
+    s, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
     rho_lo = 1e-6 / math.sqrt(-mu_box)
-    edge, rho_max = level_extent(s2, coulomb, mu_box)
-    first = max(edge, _SERIES_START * (0.5 + math.sqrt(s2)) / abs(coulomb), rho_lo)
+    edge, rho_max = level_extent(s, coulomb, mu_box)
+    first = max(edge, _SERIES_START * (0.5 + s) / abs(coulomb), rho_lo)
     h = math.log(rho_max / rho_lo) / step_count
     skip = max(0, min(int(math.log(first / rho_lo) / h), step_count - _MIN_EDGE_STEPS))
-    r_min = rho_lo * math.exp(skip * h)
-    if h * h / 12.0 * max(abs(s2 + coulomb * r_min), abs(s2 + coulomb * rho_max)) > 0.5:
-        raise NoBracketError(f"{step_count} steps are too coarse for the box at mu {mu_box}")
     return ShootingConfig(
-        r_min=r_min,
+        r_min=rho_lo * math.exp(skip * h),
         r_max=rho_max,
         step_count=step_count - skip,
         lambda_bracket=(1.5 * mu_box, 0.5 * mu_box),
@@ -621,7 +620,7 @@ def solve_bound_level(
     steps and Newton steps are the totals over all shots, and its seconds
     the wall time of the estimate and every shot."""
     start = time.perf_counter()
-    unit, scale = _unit(params)
+    unit, scale = _unit(params, channel)
     if estimate is None:
         mu_box = _pencil_levels(unit, channel, component, range(node_target, node_target + 1))[0]
         pencil_seconds = time.perf_counter() - start
@@ -832,7 +831,6 @@ def _march_first_order(
     """
     start = time.perf_counter()
     kb, b = channel.kappa_bar, params.b
-    angular = max(abs(angular_strength(kb, "upper")), abs(angular_strength(kb, "lower")))
     if not 0.0 < fineness <= _MAX_FINENESS:
         raise ValueError(f"fineness must lie in (0, {_MAX_FINENESS}], got {fineness!r}")
     energies = np.asarray(energies, dtype=float)
@@ -842,11 +840,13 @@ def _march_first_order(
     r_lo = 1e-6 / gamma_ref
     r_hi = max(30.0 / gamma_ref, box_radius(gamma_ref, abs(b * kb) / gamma_ref, 20.0))
 
-    # step k ends where the phase integral of the variation rate reaches k * fineness
+    # step k ends where the phase integral of the variation rate reaches k * fineness;
+    # |kappa_bar| (|kappa_bar| + 1) is the larger 1/r^2 strength |kappa_bar (kappa_bar +/- 1)|
     abs_b, abs_kb = abs(b), abs(kb)
     x = np.linspace(math.log(r_lo), math.log(r_hi), _PHASE_POINTS)
     rx = np.exp(x)
-    rate_dx = (1.0 + abs_kb + np.sqrt(abs(lam) * rx * rx + 2.0 * abs_b * abs_kb * rx + angular)
+    rate_dx = (1.0 + abs_kb
+               + np.sqrt(abs(lam) * rx * rx + 2.0 * abs_b * abs_kb * rx + abs_kb * (abs_kb + 1.0))
                + (abs_b + gamma_ref) * rx)
     phase = np.concatenate(([0.0], np.cumsum(0.5 * (rate_dx[1:] + rate_dx[:-1]) * np.diff(x))))
     steps = max(1, math.ceil(phase[-1] / fineness))
@@ -856,15 +856,16 @@ def _march_first_order(
     mp, mm = params.mass + energies[:, None], params.mass - energies[:, None]
 
     # series start: the dominant component carries the lower power of r, whose
-    # power of two goes to the exponent; the state is (g, f) * 2**exponent
+    # power of two goes to the exponent, and the other one (M -/+ E) r / (2S) times
+    # it, S = |kappa_bar| + 1/2 its own exponent; the state is (g, f) * 2**exponent
     power = abs_kb * math.log2(r_lo)
     lead = 2.0 ** (power - math.floor(power))
     if kb < 0:
         g = np.full(count, lead * (1.0 - b * r_lo))
-        f = mm[:, 0] / (1.0 - 2.0 * kb) * lead * r_lo
+        f = mm[:, 0] / (2.0 * equation_constants(b, kb, "lower")[0]) * lead * r_lo
     else:
         f = np.full(count, lead * (1.0 + b * r_lo))
-        g = mp[:, 0] / (1.0 + 2.0 * kb) * lead * r_lo
+        g = mp[:, 0] / (2.0 * equation_constants(b, kb, "upper")[0]) * lead * r_lo
     g, f, shift = _renormalised(g, f)
     exponent = math.floor(power) + shift
 

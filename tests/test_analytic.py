@@ -13,6 +13,7 @@ from diractensor import (
     ModelParams,
     UnboundChannelError,
     bound_state,
+    bound_states_exist,
     charge_conjugate,
     energy,
     nonrelativistic_binding,
@@ -29,7 +30,7 @@ from diractensor.analytic import (
     default_radial_grid,
     residuals,
 )
-from diractensor.core import Component, angular_strength, n_bar
+from diractensor.core import Component, n_bar
 
 from conjugation import bound_levels, conjugation_mismatch
 
@@ -459,11 +460,14 @@ def map_to_singular_coulomb(
     """Map the chosen component's second-order equation onto the singular
     Coulomb problem: Z = b*kappa_bar/m, beta = kappa_bar*(kappa_bar +/- 1)
     (orbital bookkeeping l = 0), epsilon = (E^2 - M^2 - b^2)/(2m).  An
-    independent route to the closed-form energies."""
+    independent route to the closed-form energies, so it maps only the
+    channels that ``bound_states_exist`` says bind."""
     if m_map <= 0:
         raise ValueError("m_map must be positive")
+    if not bound_states_exist(params, channel):
+        raise UnboundChannelError(f"kappa_bar = {channel.kappa_bar} does not bind at b = {params.b}")
     kb = channel.kappa_bar
-    beta = angular_strength(kb, component)
+    beta = kb * (kb + 1.0) if component == "upper" else kb * (kb - 1.0)
     m = SingularCoulombMap(
         Z=params.b * kb / m_map,
         beta=beta,

@@ -719,6 +719,18 @@ class TestVerifyCommand:
         rows = read_csv_rows(out)
         assert [int(r["n"]) for r in rows if r["check"] == "oracle"] == list(range(1, 13))
 
+    def test_channel_a_hair_past_the_half_window_passes(self, tmp_path, capsys):
+        # kappa_bar = -1/2 - 1e-9: the upper component's S = |kappa_bar + 1/2|
+        # is 1e-9, which kappa_bar (kappa_bar + 1) + 1/4 cancels to 0, and the
+        # inner end of level_extent divides by S where it is not 0
+        out = tmp_path / "verify.csv"
+        assert run_cli("verify", "--b", "1", "--a", "0.499999999", "--kappa-min", "-1",
+                       "--kappa-max", "-1", "--out", str(out)) == 0
+        assert capsys.readouterr().err.startswith("verified 4 shot and 1 bracketed levels")
+        rows = read_csv_rows(out)
+        assert [row["check"] for row in rows] == ["oracle"] * 4 + ["zero_component"]
+        assert all(row["passed"] == "true" for row in rows)
+
     def test_oracle_failure_is_a_verification_exit(self, monkeypatch, capsys):
         # stands in for a shooting failure, such as a level the pencil cannot hold
         def no_bracket(*args, **kwargs):
@@ -747,6 +759,28 @@ class TestVerifyCommand:
         assert run_cli("verify", "--b", b, "--a", "0", "--kappa-min", "-2", "--kappa-max", "2",
                        "--n-max", "2") == 2
         assert "the pencil puts no 2-node level below the window top" in capsys.readouterr().err
+
+    def test_binding_rule_that_admits_the_half_window_edge_fails(self, tmp_path, monkeypatch):
+        # a rule that binds |kappa_bar| = 1/2 sends the default grid to
+        # kappa_bar = -1/2 (kappa = -1, a = 1/2, b > 0), where one component's
+        # S is 0 and the closed forms, which pick their family by kappa_bar <
+        # -1/2, fail the radial equations: the oracle still finds every level
+        # (the same energies), and verify fails on the residual alone
+        exact = core.bound_states_exist
+
+        def admits_the_edge(params, channel):
+            exact(params, channel)  # keeps the check that the channel was built for params.a
+            return params.b * channel.kappa_bar < 0.0 and abs(channel.kappa_bar) >= 0.5
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("diractensor") and getattr(module, "bound_states_exist", None) is exact:
+                monkeypatch.setattr(module, "bound_states_exist", admits_the_edge)
+        out = tmp_path / "verify.csv"
+        assert run_cli("verify", "--out", str(out)) == 2
+        failed = [row for row in read_csv_rows(out) if row["passed"] != "true"]
+        assert len(failed) == 18
+        assert all(float(row["kappa_bar"]) == -0.5 and float(row["residual"]) > 0.5
+                   and float(row["delta_e"]) <= 1e-7 for row in failed)
 
     @pytest.mark.parametrize("command", [
         ("verify", "--kappa-min", "-1", "--kappa-max", "-1", "--n-max", "1"),

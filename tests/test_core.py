@@ -5,6 +5,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diractensor
 from diractensor import (
@@ -195,19 +197,44 @@ class TestKappaRange:
                 special_state(p, Channel.from_kappa(kappa))
 
 
-def wkb_exponent(s2: float, coulomb: float, mu: float, lo: float, hi: float) -> float:
-    """integral of sqrt(Q) dx, Q = s2 + coulomb rho - mu rho^2, x = ln rho, from
+def wkb_exponent(s: float, coulomb: float, mu: float, lo: float, hi: float) -> float:
+    """integral of sqrt(Q) dx, Q = s^2 + coulomb rho - mu rho^2, x = ln rho, from
     lo to hi by the trapezoid rule on 2e5 points in x."""
     x = np.linspace(math.log(lo), math.log(hi), 200_001)
     rho = np.exp(x)
-    root_q = np.sqrt(np.maximum(s2 + coulomb * rho - mu * rho * rho, 0.0))
+    root_q = np.sqrt(np.maximum(s * s + coulomb * rho - mu * rho * rho, 0.0))
     return float(np.sum(0.5 * (root_q[1:] + root_q[:-1]) * np.diff(x)))
 
 
-def outer_start(s2: float, coulomb: float, mu: float) -> float:
+def outer_start(s: float, coulomb: float, mu: float) -> float:
     """The outer root of Q, or the minimum of Q where it has no real root."""
-    disc = coulomb * coulomb + 4.0 * mu * s2
+    disc = coulomb * coulomb + 4.0 * mu * s * s
     return (-coulomb + math.sqrt(max(disc, 0.0))) / (-2.0 * mu)
+
+
+class TestEquationConstants:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(kappa_bar=st.floats(-1e150, 1e150), b=st.floats(-1e3, 1e3))
+    def test_exponent_is_the_half_shifted_kappa_bar(self, kappa_bar, b):
+        # S^2 - 1/4 is the 1/r^2 strength kappa_bar (kappa_bar +/- 1) of the
+        # equation for u to a few ulp of their magnitude, and wherever a
+        # family exists 2S is, bit for bit, the Laguerre order the closed
+        # forms wrote out for it
+        (s_up, coulomb), (s_lo, _) = (equation_constants(b, kappa_bar, c) for c in ("upper", "lower"))
+        assert coulomb == 2.0 * b * kappa_bar
+        for s, strength in ((s_up, kappa_bar * (kappa_bar + 1.0)),
+                            (s_lo, kappa_bar * (kappa_bar - 1.0))):
+            assert s >= 0.0
+            magnitude = s * s + 0.25
+            assert abs((s * s - 0.25) - strength) <= 4.0 * np.spacing(magnitude), (s, strength)
+        if kappa_bar <= -0.5:
+            assert (2.0 * s_up, 2.0 * s_lo) == (-1.0 - 2.0 * kappa_bar, 1.0 - 2.0 * kappa_bar)
+        if kappa_bar >= 0.5:
+            assert (2.0 * s_up, 2.0 * s_lo) == (1.0 + 2.0 * kappa_bar, 2.0 * kappa_bar - 1.0)
+
+    def test_rejects_an_unknown_component(self):
+        with pytest.raises(ValueError, match="component"):
+            equation_constants(1.0, -2.0, "middle")
 
 
 class TestLevelExtent:
@@ -218,52 +245,64 @@ class TestLevelExtent:
     def test_outer_end_lies_suppression_past_the_outer_turning_point(self, kappa_bar, component,
                                                                     suppression):
         b = -math.copysign(1.0, kappa_bar)
-        s2, coulomb = equation_constants(b, kappa_bar, component)
+        s, coulomb = equation_constants(b, kappa_bar, component)
         # shallow to deep, the closed-form levels n_bar = |kappa_bar| + n among
         # them, and past mu = -B^2 / (4 S^2), where Q has no real root
         for mu in [-4.0, -1.0, -0.3, -1e-2, -1e-4,
                    *(-(kappa_bar / (abs(kappa_bar) + n)) ** 2 for n in (1, 12, 60))]:
-            inner, outer = level_extent(s2, coulomb, mu, suppression)
-            start = outer_start(s2, coulomb, mu)
+            inner, outer = level_extent(s, coulomb, mu, suppression)
+            start = outer_start(s, coulomb, mu)
             assert 0.0 < inner < start < outer
-            exponent = wkb_exponent(s2, coulomb, mu, start, outer)
+            exponent = wkb_exponent(s, coulomb, mu, start, outer)
             assert exponent == pytest.approx(suppression, abs=1e-6), mu
 
     @pytest.mark.parametrize("mu", [-1.21, -1.21 * (1.0 + 1e-9), -1.21 * (1.0 - 1e-9)])
     def test_a_double_root_gives_finite_ordered_ends(self, mu):
         # kappa_bar = -5.5, upper: S = 5 and B = -11, so Q = (1.1 rho - 5)^2 at mu = -1.21
-        s2, coulomb = equation_constants(1.0, -5.5, "upper")
-        assert (s2, coulomb) == (25.0, -11.0)
-        inner, outer = level_extent(s2, coulomb, mu, 30.0)
+        s, coulomb = equation_constants(1.0, -5.5, "upper")
+        assert (s, coulomb) == (5.0, -11.0)
+        inner, outer = level_extent(s, coulomb, mu, 30.0)
         assert math.isfinite(outer) and 0.0 < inner < 5.0 / 1.1 < outer
-        assert outer == pytest.approx(level_extent(s2, coulomb, -1.21, 30.0)[1], rel=1e-6)
-        start = outer_start(s2, coulomb, mu)
-        assert wkb_exponent(s2, coulomb, mu, start, outer) == pytest.approx(30.0, abs=1e-6)
+        assert outer == pytest.approx(level_extent(s, coulomb, -1.21, 30.0)[1], rel=1e-6)
+        start = outer_start(s, coulomb, mu)
+        assert wkb_exponent(s, coulomb, mu, start, outer) == pytest.approx(30.0, abs=1e-6)
 
     def test_no_real_root_is_measured_from_the_minimum(self):
         # kappa_bar = -1.5, upper: S = 1, B = -3, and Q > 0 for mu < -9/4
-        s2, coulomb = equation_constants(1.0, -1.5, "upper")
+        s, coulomb = equation_constants(1.0, -1.5, "upper")
         for mu in (-2.26, -4.0, -100.0):
-            inner, outer = level_extent(s2, coulomb, mu, 30.0)
+            inner, outer = level_extent(s, coulomb, mu, 30.0)
             minimum = coulomb / (2.0 * mu)
             assert math.isfinite(outer) and 0.0 < inner < minimum < outer
-            assert wkb_exponent(s2, coulomb, mu, minimum, outer) == pytest.approx(30.0, abs=1e-6)
+            assert wkb_exponent(s, coulomb, mu, minimum, outer) == pytest.approx(30.0, abs=1e-6)
 
     def test_a_channel_that_cannot_bind_has_no_inner_end(self):
         # b kappa_bar > 0: B > 0 and no level; the outer end is that of -B
         for kappa_bar, b in ((3.0, 1.0), (-3.0, -1.0)):
-            s2, coulomb = equation_constants(b, kappa_bar, "upper")
-            inner, outer = level_extent(s2, coulomb, -0.25, 30.0)
+            s, coulomb = equation_constants(b, kappa_bar, "upper")
+            inner, outer = level_extent(s, coulomb, -0.25, 30.0)
             assert inner == 0.0
-            assert outer == level_extent(s2, -coulomb, -0.25, 30.0)[1]
+            assert outer == level_extent(s, -coulomb, -0.25, 30.0)[1]
+
+    def test_a_zero_exponent_has_no_inner_end(self):
+        # kappa_bar = -1/2, upper: S = 0, where the inner end 4 S^2/|B|
+        # e^(-2 - suppression/S) is 0, not a division by zero; the outer end
+        # is measured as at any S
+        s, coulomb = equation_constants(1.0, -0.5, "upper")
+        assert (s, coulomb) == (0.0, -1.0)
+        for mu in (-1.0, -1e-2):
+            inner, outer = level_extent(s, coulomb, mu, 30.0)
+            start = outer_start(s, coulomb, mu)
+            assert inner == 0.0 and 0.0 < start < outer
+            assert wkb_exponent(s, coulomb, mu, start, outer) == pytest.approx(30.0, abs=1e-6)
 
     def test_the_ends_scale_with_the_unit_of_length(self):
         # Q = S^2 + B r - lam r^2 at (B, lam) = (|b| B_1, b^2 mu) is Q at
         # (B_1, mu) in rho = |b| r, so the radii are those in rho over |b|
-        s2, coulomb = equation_constants(1.0, -4.0, "upper")
+        s, coulomb = equation_constants(1.0, -4.0, "upper")
         for b in (1e-3, 0.7, 1e4):
             scaled = level_extent(*equation_constants(b, -4.0, "upper"), -0.3 * b * b)
-            assert scaled == pytest.approx([end / b for end in level_extent(s2, coulomb, -0.3)],
+            assert scaled == pytest.approx([end / b for end in level_extent(s, coulomb, -0.3)],
                                            rel=1e-10)
 
 

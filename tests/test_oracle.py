@@ -16,7 +16,6 @@ from diractensor import (
     NoBracketError,
     ShootingConfig,
     ShootingError,
-    UnboundChannelError,
     bound_state,
     count_sign_changes,
     energy,
@@ -27,7 +26,7 @@ from diractensor import (
     state_wavefunctions,
 )
 from diractensor import oracle
-from diractensor.core import angular_strength, equation_constants, level_extent
+from diractensor.core import equation_constants, level_extent
 from diractensor.oracle import _rk4_step_deltas, _ShootingWorkspace
 
 PARAMS_POS = ModelParams(1.0, 0.0, 1.0)
@@ -37,7 +36,8 @@ PARAMS_NEG = ModelParams(1.0, 0.0, -1.0)
 def effective_potential(params: ModelParams, channel: Channel, component: Component) -> Callable:
     """V(r) = kb*(kb +/- 1)/r^2 + 2*b*kb/r entering -u'' + V u = lambda u, the
     potential ``diractensor.analytic.residuals`` writes out."""
-    angular = angular_strength(channel.kappa_bar, component)
+    kb = channel.kappa_bar
+    angular = kb * (kb + 1.0) if component == "upper" else kb * (kb - 1.0)
     coulomb = 2.0 * params.b * channel.kappa_bar
 
     def potential(r):
@@ -58,7 +58,6 @@ def effective_potential_general(params: ModelParams, channel: Channel, component
     lambda = E^2 - M^2 - b^2 convention); regression target for the
     specialized form, ``effective_potential``.
     """
-    angular_strength(channel.kappa_bar, component)  # rejects |kappa_bar| <= 1/2
     kappa = float(channel.kappa)
     a, b = params.a, params.b
     sign_up = -1.0 if component == "upper" else 1.0
@@ -97,11 +96,6 @@ class TestEffectivePotential:
         with pytest.raises(ValueError):
             v(np.array([1.0, -2.0]))
 
-    def test_rejects_degenerate_channel(self):
-        params = ModelParams(1.0, 0.5, 1.0)
-        with pytest.raises(UnboundChannelError):
-            effective_potential(params, Channel.from_kappa(-1, 0.5), "upper")
-
     @pytest.mark.parametrize("a", [0.0, 0.5, -2.0])
     @pytest.mark.parametrize("kappa", [-2, 1, 3])
     @pytest.mark.parametrize("component", ["upper", "lower"])
@@ -109,8 +103,6 @@ class TestEffectivePotential:
         # the raw tensor-field combination must collapse to the kappa_bar form
         params = ModelParams(1.0, a, 1.0)
         ch = Channel.from_kappa(kappa, a)
-        if abs(ch.kappa_bar) <= 0.5:
-            pytest.skip("degenerate window")
         v_special = effective_potential(params, ch, component)
         v_general = effective_potential_general(params, ch, component)
         for r in (0.1, 1.0, 10.0):
@@ -271,7 +263,8 @@ class TestShootEigenvalue:
         # where S is large, and finds the level of the whole nominal grid;
         # like the shots of solve_bound_level, it solves the problem in units
         # of 1/|b|
-        params, ch = oracle._unit(ModelParams(1.0, 0.0, b))[0], Channel.from_kappa(kappa)
+        ch = Channel.from_kappa(kappa)
+        params = oracle._unit(ModelParams(1.0, 0.0, b), ch)[0]
         [mu_box] = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
         edge = oracle._shot_config(params, ch, "upper", mu_box, 6000)
         nominal = replace(edge, r_min=1e-6 / math.sqrt(-mu_box), step_count=6000)
@@ -279,9 +272,9 @@ class TestShootEigenvalue:
         h = math.log(nominal.r_max / nominal.r_min) / nominal.step_count
         assert math.log(edge.r_min / nominal.r_min) == pytest.approx(skip * h, rel=1e-12, abs=1e-12)
         assert math.log(edge.r_max / edge.r_min) / edge.step_count == pytest.approx(h, rel=1e-12)
-        s2, coulomb = equation_constants(params.b, ch.kappa_bar, "upper")
-        inner = level_extent(s2, coulomb, mu_box)[0]
-        series = oracle._SERIES_START * (0.5 + math.sqrt(s2)) / abs(coulomb)
+        s, coulomb = equation_constants(params.b, ch.kappa_bar, "upper")
+        inner = level_extent(s, coulomb, mu_box)[0]
+        series = oracle._SERIES_START * (0.5 + s) / abs(coulomb)
         assert (inner > series) == (abs(kappa) >= 20)
         assert edge.r_min <= max(inner, series) * (1.0 + 1e-12) < edge.r_min * math.exp(h)
         from_edge = shoot_eigenvalue(params, ch, "upper", n, edge)
@@ -305,10 +298,9 @@ class TestShootEigenvalue:
             kappa = round(kappa_bar)
             ch = Channel.from_kappa(kappa, kappa_bar - kappa)
             big_b = abs(2.0 * b * ch.kappa_bar)
-            s_ch = math.sqrt(angular_strength(ch.kappa_bar, component) + 0.25)
+            s_ch, coulomb = equation_constants(b, ch.kappa_bar, component)
             assert s_ch == pytest.approx(s, rel=1e-12)
-            s2, coulomb = equation_constants(b, ch.kappa_bar, component)
-            [r_e] = {level_extent(s2, coulomb, lam, 30.0)[0] for lam in (-b * b, -1e-3 * b * b)}
+            [r_e] = {level_extent(s_ch, coulomb, lam, 30.0)[0] for lam in (-b * b, -1e-3 * b * b)}
             t = big_b * r_e / (s_ch * s_ch)
             u = math.sqrt(1.0 - t)
             wkb = s_ch * (math.log((1.0 + u) ** 2 / t) - 2.0 * u)
@@ -332,9 +324,9 @@ class TestShootEigenvalue:
                     params = ModelParams(1.0, 0.0, -sign * b)
                     kappa = sign * round(size)
                     ch = Channel.from_kappa(kappa, sign * size - kappa)
-                    s2, coulomb = equation_constants(params.b, ch.kappa_bar, component)
-                    cap = (0.5 + math.sqrt(s2)) / abs(coulomb)
-                    r_e = level_extent(s2, coulomb, -0.5 * b * b, 30.0)[0]
+                    s, coulomb = equation_constants(params.b, ch.kappa_bar, component)
+                    cap = (0.5 + s) / abs(coulomb)
+                    r_e = level_extent(s, coulomb, -0.5 * b * b, 30.0)[0]
                     assert 0.0 < r_e <= cap * (1.0 + 1e-12), (b, size, component)
                     capped += r_e >= cap * (1.0 - 1e-12)
         assert capped > 0
@@ -348,10 +340,9 @@ class TestShootEigenvalue:
         for size in np.concatenate(([0.5001, 0.52], np.linspace(0.6, 150.0, 120))):
             for kappa_bar in (size, -size):
                 for component in ("upper", "lower"):
-                    s2, coulomb = equation_constants(1.0, kappa_bar, component)
-                    s = math.sqrt(s2)
+                    s, coulomb = equation_constants(1.0, kappa_bar, component)
                     pencil = (0.5 + s) / abs(coulomb)
-                    shot = max(level_extent(s2, coulomb, -1.0)[0], 0.25 * pencil)
+                    shot = max(level_extent(s, coulomb, -1.0)[0], 0.25 * pencil)
                     for mu, rho in [*((mu, shot) for mu in -np.geomspace(1e-8, 1.5, 12)),
                                     *((mu, pencil) for mu in -np.geomspace(1e-8, 1 / 9, 6))]:
                         terms = frobenius_terms(s, coulomb, mu, rho)
@@ -386,8 +377,8 @@ class TestShootEigenvalue:
             estimates = None  # a channel that cannot bind: the matrix is still checked
         [(d, e)] = calls
         assert np.isfinite(d).all() and np.isfinite(e).all()
-        s2, coulomb = equation_constants(math.copysign(1.0, params.b), ch.kappa_bar, component)
-        s, gamma_seed = math.sqrt(s2), 1.0 / (2 * n + 3)
+        s, coulomb = equation_constants(math.copysign(1.0, params.b), ch.kappa_bar, component)
+        gamma_seed = 1.0 / (2 * n + 3)
         x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(30.0 / gamma_seed),
                         oracle._PENCIL_POINTS + 2)
         h, rho = x[1] - x[0], np.exp(x)
@@ -395,7 +386,7 @@ class TestShootEigenvalue:
         ghost = math.exp(-s * h) * v0 / v1
         assert ghost > 0.0  # no node between the ghost point and the first point
         inner = rho[1:-1]
-        t_main = 2.0 / h**2 + s2 + coulomb * inner
+        t_main = 2.0 / h**2 + s * s + coulomb * inner
         t_main[0] -= ghost / h**2
         np.testing.assert_allclose(d, t_main / inner**2, rtol=1e-13)
         np.testing.assert_allclose(e, -1.0 / (h**2 * inner[:-1] * inner[1:]), rtol=1e-13)
@@ -410,12 +401,13 @@ class TestShootEigenvalue:
         # shot starts where the series of the regular solution converges, at
         # the last nominal grid point at or below 0.25 (1/2 + S)/|B|, as a
         # channel that binds does
-        unit, ch = oracle._unit(PARAMS_POS)[0], Channel.from_kappa(3)
-        s2, coulomb = equation_constants(unit.b, ch.kappa_bar, "upper")
-        assert level_extent(s2, coulomb, -0.25)[0] == 0.0
+        ch = Channel.from_kappa(3)
+        unit = oracle._unit(PARAMS_POS, ch)[0]
+        s, coulomb = equation_constants(unit.b, ch.kappa_bar, "upper")
+        assert level_extent(s, coulomb, -0.25)[0] == 0.0
         config = oracle._shot_config(unit, ch, "upper", -0.25, 6000)
         h = math.log(config.r_max / (1e-6 / 0.5)) / 6000
-        series = 0.25 * (0.5 + math.sqrt(s2)) / abs(coulomb)
+        series = 0.25 * (0.5 + s) / abs(coulomb)
         assert config.r_min <= series * (1.0 + 1e-12) < config.r_min * math.exp(h)
         assert 6000 - config.step_count == round(math.log(config.r_min / (1e-6 / 0.5)) / h)
         binding = oracle._shot_config(unit, Channel.from_kappa(-3), "upper", -0.25, 6000)
@@ -596,6 +588,27 @@ class TestShootEigenvalue:
         with pytest.raises(NoBracketError):
             solve_bound_level(ModelParams(1.0, 0.0, 0.0), Channel.from_kappa(-1), "upper", 0)
 
+    @pytest.mark.parametrize("b", [1.0, -1.0])
+    @pytest.mark.parametrize("component", ["upper", "lower"])
+    @pytest.mark.parametrize("kappa, a", [(-1, 1.0), (-1, 0.5), (1, -0.5)])
+    def test_channels_the_rule_excludes_are_solved_or_typed_errors(self, kappa, a, component, b):
+        # kappa_bar = 0 (B = 0) and kappa_bar = -1/2, 1/2 (S = 0 for one
+        # component), which bound_states_exist excludes: the blind oracle
+        # finds the levels of its regular solution, those of
+        # -u'' + [(S^2 - 1/4)/r^2 + B/r] u = lambda u, lambda =
+        # -(B/2)^2 / (n + 1/2 + S)^2, or raises a ShootingError where B >= 0
+        # leaves no level; never another exception
+        params, ch = ModelParams(1.0, a, b), Channel.from_kappa(kappa, a)
+        s, coulomb = equation_constants(b, ch.kappa_bar, component)
+        for n in range(4):
+            try:
+                res = solve_bound_level(params, ch, component, n)
+            except ShootingError:
+                assert coulomb >= 0.0, n
+                continue
+            assert res.node_count == n
+            assert res.lambda_ == pytest.approx(-(0.5 * coulomb / (n + 0.5 + s)) ** 2, rel=1e-9)
+
     @pytest.mark.parametrize("n", [0, 4])
     @pytest.mark.parametrize("component", ["upper", "lower"])
     @pytest.mark.parametrize("sign, channel", [(1.0, Channel.from_kappa(-2)),
@@ -627,6 +640,14 @@ class TestShootEigenvalue:
                 oracle._pencil_levels(replace(params, b=b), channel, component, range(n + 1))
             with pytest.raises(OverflowError):
                 solve_bound_level(replace(params, b=b), channel, component, n)
+
+    def test_too_coarse_a_grid_is_a_typed_error(self):
+        # h^2/12 |S^2 + B r| > 1/2 at an end of the grid leaves no stable
+        # Numerov step; the shot says so before it marches
+        config = ShootingConfig(r_min=1e-6, r_max=1e6, step_count=32,
+                                lambda_bracket=(-1.5, -0.5), tolerance=1e-9)
+        with pytest.raises(NoBracketError, match="too coarse"):
+            shoot_eigenvalue(PARAMS_POS, Channel.from_kappa(-3), "upper", 0, config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -715,7 +736,7 @@ class TestNumerovMarch:
         # -2 - 12 (1 - f)/f rounds once, by half an ulp of the coefficient
         # the shots of solve_bound_level march the problem in units of 1/|b|
         ch = Channel.from_kappa(1, self.NEAR_EDGE.a)
-        unit, scale = oracle._unit(self.NEAR_EDGE)
+        unit, scale = oracle._unit(self.NEAR_EDGE, ch)
         mu = -3.5366584765 / scale
         config = oracle._shot_config(unit, ch, "upper", mu, 6000)
         ws = _ShootingWorkspace(unit, ch, "upper", config)
