@@ -387,9 +387,10 @@ def verification_grid_rows(
     n_max: int,
     inject_energy_error: float = 0.0,
 ) -> tuple[dict[str, list], dict[str, int]]:
-    """The verify table, as columns, and its work: the Numerov ``sweeps``,
-    Numerov ``steps`` and ``newton_steps`` of the shots and the ``rk4_steps``
-    of the edge brackets.  Each level is checked once, by one oracle.
+    """The verify table, as columns, and its work: the ``pencil_points`` of
+    the channels' estimates, the Numerov ``sweeps``, Numerov ``steps`` and
+    ``newton_steps`` of the shots and the ``rk4_steps`` of the edge brackets.
+    Each level is checked once, by one oracle.
 
     An ``oracle`` row per regular level compares the closed-form energy with
     the shooting eigenvalue (acceptance criterion 1: |dE| <= 1e-7), shot from
@@ -405,7 +406,7 @@ def verification_grid_rows(
     which fails a closed form of the wrong shape or node law.
     """
     table = {name: [] for name in _VERIFY_COLUMNS}
-    work = dict.fromkeys(("sweeps", "steps", "newton_steps", "rk4_steps"), 0)
+    work = dict.fromkeys(("pencil_points", "sweeps", "steps", "newton_steps", "rk4_steps"), 0)
     r_grid = np.geomspace(0.01, 30.0, 120)  # of the residuals
     for b in b_values:
         for a in a_values:
@@ -415,7 +416,8 @@ def verification_grid_rows(
                 if not bound_states_exist(params, channel):
                     continue
                 kb = channel.kappa_bar
-                ladder = _pencil_levels(params, channel, "upper", range(n_max + 1))
+                ladder, points = _pencil_levels(params, channel, "upper", range(n_max + 1))
+                work["pencil_points"] += points
                 for level, estimate in enumerate(ladder):
                     state = bound_state(params, channel, level)
                     if state.is_special:
@@ -476,6 +478,7 @@ def run_verification(cfg: RunConfig) -> tuple[dict[str, list], str]:
     summary = (
         f"verified {len(deltas)} shot and {len(table['check']) - len(deltas)} bracketed levels: "
         f"max |dE| = {max(deltas, default=0.0):.3e}, failures = {table['passed'].count(False)}; "
+        f"the pencils had {work['pencil_points']} points; "
         f"shooting took {work['sweeps']} Numerov sweeps ({work['steps']} Numerov steps) and "
         f"{work['newton_steps']} Newton steps; "
         f"edge-state integration took {work['rk4_steps']} RK4 steps"

@@ -8,7 +8,9 @@ Two pieces of machinery, both blind to the closed-form solutions:
   S = |kappa_bar +/- 1/2| and B = 2 b kappa_bar from
   ``core.equation_constants``.  ``solve_bound_level`` takes a first
   estimate of the level from a Sturm count on the three-point form of that
-  equation, a symmetric tridiagonal pencil (LAPACK ``stebz``),
+  equation, a symmetric tridiagonal pencil (LAPACK ``stebz``) of 120 + 12 n
+  points for its deepest level n, corrected to fourth order by Numerov's
+  h^2/12 term on the eigenvector of one tridiagonal solve (LAPACK ``gtsv``),
   then finds it with ``shoot_eigenvalue``: Numerov shooting on a grid boxed
   for that estimate (``core.level_extent``), with node-count bisection to
   keep the level and a matching-defect Newton step, taken from either side
@@ -132,10 +134,12 @@ class EigenResult:
     inputs only.  ``r_min``, ``r_max`` and ``step_count`` give the grid of
     the shot that found the level.  From ``solve_bound_level``, lambda_ / b^2,
     r |b|, the work counters and ``step_count`` are those of the problem in
-    units of 1/|b|, which (sgn(b), kappa_bar, component, n) fix.  ``seconds``
-    is the wall time of the whole solve and ``pencil_seconds`` the part of it
-    spent estimating the level (0.0 from ``shoot_eigenvalue``, which takes no
-    estimate); these two are the only fields that are not deterministic.
+    units of 1/|b|, which (sgn(b), kappa_bar, component, n) fix.
+    ``pencil_points`` counts the interior points of the pencils built for the
+    estimate (0 from ``shoot_eigenvalue`` and for an ``estimate`` passed in).
+    ``seconds`` is the wall time of the whole solve and ``pencil_seconds`` the
+    part of it spent estimating the level (0.0 where no pencil was built);
+    these two are the only fields that are not deterministic.
     """
 
     lambda_: float
@@ -149,6 +153,7 @@ class EigenResult:
     step_count: int
     seconds: float = 0.0
     pencil_seconds: float = 0.0
+    pencil_points: int = 0
 
 
 def _regular_start(s: float, coulomb: float, mu: float, r0: float,
@@ -230,7 +235,8 @@ class _ShootingWorkspace:
         self.S, self.B = equation_constants(params.b, channel.kappa_bar, component)
         self.base = self.S * self.S + self.B * self.r
         ddx12 = self.h * self.h / 12.0
-        if ddx12 * float(np.max(np.abs(self.base))) > 0.5:
+        # S^2 + B r is linear in r and rounds monotonically: |base| is largest at an end
+        if ddx12 * max(abs(self.base[0]), abs(self.base[-1])) > 0.5:
             raise NoBracketError(f"{n} steps are too coarse for the Numerov step on "
                                  f"[{config.r_min}, {config.r_max}]")
         self.f_base = 1.0 - ddx12 * self.base
@@ -477,10 +483,12 @@ def shoot_eigenvalue(
     )
 
 
-# interior points of the pencil that estimates a level, shots of its polish,
-# the fewest Numerov steps a shot keeps above its first marched point, the
-# highest first point in units of (1/2 + S)/|B|, and the most series terms
-_PENCIL_POINTS = 300
+# interior points of the pencil whose deepest level has n nodes, _PENCIL_BASE
+# + _PENCIL_PER_NODE n, shots of its polish, the fewest Numerov steps a shot
+# keeps above its first marched point, the highest first point in units of
+# (1/2 + S)/|B|, and the most series terms
+_PENCIL_BASE = 120
+_PENCIL_PER_NODE = 12
 _MAX_SHOTS = 3
 _MIN_EDGE_STEPS = 64
 _SERIES_START = 0.25
@@ -502,58 +510,98 @@ def _unit(params: ModelParams, channel: Channel) -> tuple[ModelParams, float]:
     return replace(params, b=math.copysign(1.0, params.b)), params.b_squared
 
 
+def _fourth_order(mu: np.ndarray, d: np.ndarray, e: np.ndarray, rho: np.ndarray,
+                  h: float, s: float, coulomb: float, ghost: float) -> np.ndarray:
+    """The pencil's eigenvalues ``mu`` corrected by Numerov's fourth-order term.
+
+    The three-point form -delta^2 v / h^2 + (S^2 + B rho) v = mu rho^2 v
+    leaves out the h^2/12 (g v)'' of -v'' = -g v, g = S^2 + B rho - mu rho^2;
+    with it the scheme is Numerov's.  To first order it moves the eigenvalue
+    by Delta mu = sum v delta^2(g v) / (12 sum u^2), where u = rho v is the
+    eigenvector of the symmetric matrix (d, e), from one LAPACK ``dgtsv``
+    solve of (T - mu) u = 1, a step of inverse iteration; g v is
+    g_0 ``ghost`` v_1 at the ghost point rho_0 = rho_1 e^(-h) and 0 at the
+    wall (a deferred correction: Pereyra, Numer. Math. 10, 316, 1967).
+    Summed by parts, with delta^2 v = h^2 g v on the eigenvector, the
+    numerator reads h^2 sum (g v)^2 + ``ghost`` v_1^2 (g_0 - g_1).  A solve
+    that meets an exactly singular pivot gives NaN.
+    """
+    from scipy.linalg.lapack import dgtsv  # here, not at the top: scipy is slow to import
+
+    rho0 = rho[0] * math.exp(-h)
+    q, r2 = s * s + coulomb * rho, rho * rho
+    out = np.empty(mu.size)
+    for i, lam in enumerate(mu):
+        u, info = dgtsv(e, d - lam, e, np.ones(d.size), overwrite_d=1, overwrite_b=1)[3:]
+        v = u / rho
+        g = q - lam * r2
+        g0 = s * s + coulomb * rho0 - lam * rho0 * rho0
+        gv = g * v
+        numerator = h * h * (gv @ gv) + ghost * (g0 - g[0]) * v[0] * v[0]
+        out[i] = lam + numerator / (12.0 * (u @ u)) if info == 0 else math.nan
+    return out
+
+
 def _pencil_levels(
     params: ModelParams,
     channel: Channel,
     component: Component,
     levels: range,
-) -> list[float]:
+) -> tuple[list[float], int]:
     """Blind estimates of the separation eigenvalues of the ``levels``, a
-    range of consecutive node counts, from one Sturm-count bisection.
+    range of consecutive node counts, from one Sturm-count bisection, and the
+    interior points of the pencils built for them.
 
     In units of 1/|b| (``_unit``), where it returns lambda = b^2 mu, the
     deepest level decays no slower than about gamma_seed = 1/(2 levels[-1] +
     3), which fixes a seed box from rho_0 = (1/2 + S)/|B| < 3/2, where the
-    levels already oscillate, to 30/gamma_seed.  On it the three-point form
-    of -v'' + (S^2 + B rho) v = mu rho^2 v (x = ln rho, B = 2 sgn(b)
-    kappa_bar), scaled by 1/rho, is the symmetric tridiagonal matrix with
-    d_i = (2/h^2 + S^2 + B rho_i) / rho_i^2 and e_i = -1/(h^2 rho_i rho_(i+1)),
-    i >= 1: a Dirichlet wall at its outer end, and at rho_0 a ghost point
-    v_0 = g v_1, g from ``_regular_start`` at the seed mu = -gamma_seed^2,
-    which subtracts g/(h^2 rho_1^2) from d_1.  LAPACK ``stebz`` bisects its
-    Sturm count for the eigenvalues levels[0] + 1 .. levels[-1] + 1 to 1e-9
-    in mu; each must lie below the window top mu = -1e-8.  Where the deepest
-    does not, or the outer root of S^2 + B rho - mu rho^2 at its estimate
-    lies past the wall, the pencil is built again out to that root at the
-    seed mu, past every such level's (there is none where B > 0).
+    levels already oscillate, to 30/gamma_seed.  On it
+    ``_PENCIL_BASE + _PENCIL_PER_NODE levels[-1]`` interior points carry the
+    three-point form of -v'' + (S^2 + B rho) v = mu rho^2 v (x = ln rho,
+    B = 2 sgn(b) kappa_bar), scaled by 1/rho: the symmetric tridiagonal
+    matrix with d_i = (2/h^2 + S^2 + B rho_i) / rho_i^2 and
+    e_i = -1/(h^2 rho_i rho_(i+1)), i >= 1, a Dirichlet wall at its outer
+    end, and at rho_0 a ghost point v_0 = g v_1, g from ``_regular_start``
+    at the seed mu = -gamma_seed^2, which subtracts g/(h^2 rho_1^2) from d_1.
+    LAPACK ``stebz`` bisects its Sturm count for the eigenvalues
+    levels[0] + 1 .. levels[-1] + 1 to 1e-9 in mu, and ``_fourth_order``
+    corrects each to Numerov's order; each corrected value must lie below
+    the window top mu = -1e-8.  Where one does not, or the outer root of
+    S^2 + B rho - mu rho^2 at the deepest lies past the wall, the pencil is
+    built again out to that root at the seed mu, past every such level's
+    (there is none where B > 0).
     """
     from scipy.linalg.lapack import dstebz  # here, not at the top: scipy is slow to import
 
     if levels[0] < 0:
         raise ValueError("node_target must be nonnegative")
     deepest = levels[-1]
-    if deepest >= _PENCIL_POINTS:
-        raise NoBracketError(f"a {_PENCIL_POINTS}-point pencil has no {deepest}-node level")
     unit, scale = _unit(params, channel)
     s, coulomb = equation_constants(unit.b, channel.kappa_bar, component)
     gamma_seed = 1.0 / (2.0 * deepest + 3.0)
+    points, built = _PENCIL_BASE + _PENCIL_PER_NODE * deepest, 0
     def outer_root(mu: float) -> float:  # of S^2 + B rho - mu rho^2: < 0 if B > 0, min if none
         return (math.sqrt(max(coulomb**2 + 4.0 * mu * s * s, 0.0)) - coulomb) / (-2.0 * mu)
     box, reach = 30.0 / gamma_seed, outer_root(-gamma_seed**2)
     for top in (box, reach) if reach > box else (box,):
-        x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(top), _PENCIL_POINTS + 2)
+        x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(top), points + 2)
         h, rho = x[1] - x[0], np.exp(x[1:-1])
         v0, v1 = _regular_start(s, coulomb, -gamma_seed**2, math.exp(x[0]), float(rho[0]))
         d = (2.0 / h**2 + s * s + coulomb * rho) / (rho * rho)
         d[0] -= v0 / v1 / (h * rho[0]) ** 2
         e = -1.0 / (h**2 * rho[:-1] * rho[1:])
         m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, levels[0] + 1, deepest + 1, 1e-9, "E")
-        if info == 0 and m == len(levels) and w[m - 1] < -1e-8 and outer_root(w[m - 1]) <= top:
+        built += points
+        found = info == 0 and m == len(levels)
+        if found:
+            w = _fourth_order(w[:m], d, e, rho, h, s, coulomb, v0 / v1)
+            found = bool(np.all(w < -1e-8))
+        if found and outer_root(w[-1]) <= top:
             break
-    if info != 0 or m != len(levels) or not w[m - 1] < -1e-8:
+    if not found:
         raise NoBracketError(f"the pencil puts no {deepest}-node level below the "
                              "window top -1e-8 b^2")
-    return (scale * w[:m]).tolist()
+    return (scale * w).tolist(), built
 
 
 def _shot_config(
@@ -605,7 +653,7 @@ def solve_bound_level(
     E = sqrt(lambda + M^2 + b^2), r_min = rho_min / |b| and r_max = rho_max / |b|.
     A negative ``estimate`` of lambda passed in, such as one of a channel's
     ladder of estimates from one pencil, takes the place of the pencil; the
-    result's ``pencil_seconds`` is then 0.0.
+    result's ``pencil_seconds`` and ``pencil_points`` are then 0.
     The shot's box is set by ``level_extent`` at the estimate's mu: nominally
     from rho_min = 1e-6/sqrt(-mu), over which ``step_count`` sets the step,
     to rho_max, e^(-30) past the outer turning point of a level there.  The
@@ -622,10 +670,11 @@ def solve_bound_level(
     start = time.perf_counter()
     unit, scale = _unit(params, channel)
     if estimate is None:
-        mu_box = _pencil_levels(unit, channel, component, range(node_target, node_target + 1))[0]
+        [mu_box], pencil_points = _pencil_levels(unit, channel, component,
+                                                 range(node_target, node_target + 1))
         pencil_seconds = time.perf_counter() - start
     elif estimate < 0.0:
-        mu_box, pencil_seconds = estimate / scale, 0.0
+        mu_box, pencil_seconds, pencil_points = estimate / scale, 0.0, 0
     else:
         raise ValueError(f"every bound lambda is negative, got the estimate {estimate}")
     sweeps = steps = newton_steps = 0
@@ -640,7 +689,8 @@ def solve_bound_level(
             return replace(shot, lambda_=scale * shot.lambda_, energy_pair=(e, -e),
                            r_min=shot.r_min / abs(params.b), r_max=shot.r_max / abs(params.b),
                            sweeps=sweeps, steps=steps, newton_steps=newton_steps,
-                           seconds=time.perf_counter() - start, pencil_seconds=pencil_seconds)
+                           seconds=time.perf_counter() - start, pencil_seconds=pencil_seconds,
+                           pencil_points=pencil_points)
         mu_box = shot.lambda_
     raise ConvergenceError(
         f"the {node_target}-node level still moved more than 10% from its box "

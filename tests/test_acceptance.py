@@ -109,7 +109,7 @@ def test_ladder_estimates_give_the_one_level_solves(oracle_grid):
     worst = 0.0
     for params, channel, level, _, single in oracle_grid:
         if level == 0:
-            ladder = oracle._pencil_levels(params, channel, "upper", range(N_MAX + 1))
+            ladder, _ = oracle._pencil_levels(params, channel, "upper", range(N_MAX + 1))
         shot = solve_bound_level(params, channel, "upper", level, estimate=ladder[level])
         assert shot.node_count == single.node_count == level
         assert shot.pencil_seconds == 0.0

@@ -81,9 +81,9 @@ def test_pencil_estimates_lie_inside_their_shots_brackets(tmp_path):
         ladder.warmup()
         for params, channel in ladder._channels():
             levels = range(workloads.LADDER_LEVELS)
-            together = oracle._pencil_levels(params, channel, "upper", levels)
+            together, _ = oracle._pencil_levels(params, channel, "upper", levels)
             for n in levels:
-                [alone] = oracle._pencil_levels(params, channel, "upper", range(n, n + 1))
+                [alone], _ = oracle._pencil_levels(params, channel, "upper", range(n, n + 1))
                 energy = workloads.closed_form_level(params, channel, n)
                 lam = energy * energy - params.mass**2 - params.b_squared
                 for estimate in (alone, together[n]):

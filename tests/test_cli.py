@@ -536,15 +536,18 @@ class TestVerifyCommand:
             ("oracle", "-1", "1"), ("zero_component", "-1", "0")]
         oracle_rows = [r for r in rows if r["check"] == "oracle"]
         assert max(float(r["delta_e"]) for r in oracle_rows) < 1e-7
-        # the summary line ends with the shooting work, each level shot from
-        # its channel's ladder of estimates, and the work of the edge-state
-        # brackets, one scan of the pair M (1 -/+ 1e-9) per channel
+        # the summary line ends with the pencils' points, the shooting work,
+        # each level shot from its channel's ladder of estimates, and the
+        # work of the edge-state brackets, one scan of the pair
+        # M (1 -/+ 1e-9) per channel
         params = ModelParams(1.0, 0.0, 1.0)
-        shots = []
+        shots, points = [], 0
         for kappa in (-2, -1):
             channel = Channel.from_kappa(kappa)
-            ladder = oracle._pencil_levels(params, channel, "upper", range(2))
+            ladder, built = oracle._pencil_levels(params, channel, "upper", range(2))
+            points += built
             shots.append(solve_bound_level(params, channel, "upper", 1, estimate=ladder[1]))
+        assert points == 2 * (120 + 12 * 1)
         sweeps = sum(shot.sweeps for shot in shots)
         steps = sum(shot.steps for shot in shots)
         newton_steps = sum(shot.newton_steps for shot in shots)
@@ -555,6 +558,7 @@ class TestVerifyCommand:
         rk4_steps = sum(report.steps for report in reports)
         assert rk4_steps > 0
         assert capsys.readouterr().err.strip().endswith(
+            f"the pencils had {points} points; "
             f"shooting took {sweeps} Numerov sweeps ({steps} Numerov steps) and "
             f"{newton_steps} Newton steps; "
             f"edge-state integration took {rk4_steps} RK4 steps")
@@ -1168,7 +1172,8 @@ class TestOptionsPerSubcommand:
             grids.append((tuple(b_grid), tuple(a_grid)))
             table = {name: [] for name in cli._VERIFY_COLUMNS}
             cli._add_row(table, passed=True)
-            return table, dict.fromkeys(("sweeps", "steps", "newton_steps", "rk4_steps"), 0)
+            return table, dict.fromkeys(
+                ("pencil_points", "sweeps", "steps", "newton_steps", "rk4_steps"), 0)
 
         monkeypatch.setattr(cli, "verification_grid_rows", record)
         assert run_cli("verify", *argv) == 0

@@ -163,13 +163,15 @@ class TestShootEigenvalue:
             assert res.energy_pair[0] == pytest.approx(energy(params, ch, n), abs=1e-8)
 
     def test_work_counters_pinned(self):
-        # one shot from the pencil estimate, started at the series radius: an
-        # outward and an inward sweep per Newton step, and no other; the last
-        # Newton candidate is returned without a step that only confirms it
+        # one shot from the fourth-order pencil estimate, started at the
+        # series radius: an outward and an inward sweep per Newton step, and
+        # no other; the last Newton candidate is returned without a step that
+        # only confirms it.  The pencil has 120 + 12 n interior points
         for _ in range(2):
             res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
-            assert (res.sweeps, res.newton_steps, res.steps) == (6, 3, 8283)
+            assert (res.sweeps, res.newton_steps, res.steps) == (4, 2, 5522)
             assert res.step_count == 2197
+            assert res.pencil_points == 144
 
     @pytest.mark.parametrize("kappa, n", [(-1, 0), (-1, 4), (-3, 2), (-5, 5)])
     def test_newton_path_marches_two_sweeps_per_step(self, kappa, n, monkeypatch):
@@ -178,7 +180,7 @@ class TestShootEigenvalue:
         # at the returned level itself, the Newton correction is within the
         # tolerance and the joined solution has n nodes
         ch = Channel.from_kappa(kappa)
-        [lam] = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(n, n + 1))
+        [lam], _ = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(n, n + 1))
         config = oracle._shot_config(PARAMS_POS, ch, "upper", lam, 6000)
         swept = []
         sweep = _ShootingWorkspace.sweep
@@ -247,7 +249,7 @@ class TestShootEigenvalue:
                                 lambda_bracket=(1.5 * res.lambda_, 0.5 * res.lambda_),
                                 tolerance=1e-10)
         shot = shoot_eigenvalue(PARAMS_POS, ch, "upper", 2, config)
-        assert shot.seconds > 0.0 and shot.pencil_seconds == 0.0
+        assert shot.seconds > 0.0 and shot.pencil_seconds == 0.0 and shot.pencil_points == 0
         _, report = integrate_first_order(PARAMS_POS, ch, 1.0, sample_count=240, fineness=2e-2)
         assert report.seconds > 0.0
 
@@ -265,7 +267,7 @@ class TestShootEigenvalue:
         # of 1/|b|
         ch = Channel.from_kappa(kappa)
         params = oracle._unit(ModelParams(1.0, 0.0, b), ch)[0]
-        [mu_box] = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
+        [mu_box], _ = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
         edge = oracle._shot_config(params, ch, "upper", mu_box, 6000)
         nominal = replace(edge, r_min=1e-6 / math.sqrt(-mu_box), step_count=6000)
         skip = nominal.step_count - edge.step_count
@@ -362,25 +364,33 @@ class TestShootEigenvalue:
         # the pencil's inner end (1/2 + S)/|B| is a ghost point v_0 = g v_1,
         # g from the series at the seed mu; it changes d_0 alone, and d and e,
         # finite, are the symmetric form of the generalized problem
-        # T v = mu rho^2 v whose first row holds the ghost point
+        # T v = mu rho^2 v whose first row holds the ghost point; stebz finds
+        # that problem's eigenvalues, which the estimates then correct
         import scipy.linalg
         import scipy.linalg.lapack
 
         calls = []
         stebz = scipy.linalg.lapack.dstebz
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
-                            lambda d, e, *args: calls.append((d.copy(), e.copy())) or stebz(d, e, *args))
+
+        def recorded(d, e, *args):
+            out = stebz(d, e, *args)
+            calls.append((d.copy(), e.copy(), out[1][: out[0]].copy()))
+            return out
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", recorded)
         ch, n = Channel.from_kappa(kappa, params.a), 5
         try:
-            estimates = oracle._pencil_levels(params, ch, component, range(n + 1))
+            estimates, points = oracle._pencil_levels(params, ch, component, range(n + 1))
+            assert points == 120 + 12 * n
         except NoBracketError:
             estimates = None  # a channel that cannot bind: the matrix is still checked
-        [(d, e)] = calls
+        [(d, e, second_order)] = calls
+        assert d.size == 120 + 12 * n  # interior points, sized for the deepest level
         assert np.isfinite(d).all() and np.isfinite(e).all()
         s, coulomb = equation_constants(math.copysign(1.0, params.b), ch.kappa_bar, component)
         gamma_seed = 1.0 / (2 * n + 3)
         x = np.linspace(math.log((0.5 + s) / abs(coulomb)), math.log(30.0 / gamma_seed),
-                        oracle._PENCIL_POINTS + 2)
+                        d.size + 2)
         h, rho = x[1] - x[0], np.exp(x)
         v0, v1 = (math.fsum(frobenius_terms(s, coulomb, -gamma_seed**2, r)) for r in rho[:2])
         ghost = math.exp(-s * h) * v0 / v1
@@ -394,7 +404,7 @@ class TestShootEigenvalue:
             t_off = np.full(inner.size - 1, -1.0 / h**2)
             dense = np.diag(t_main) + np.diag(t_off, 1) + np.diag(t_off, -1)
             want = scipy.linalg.eigh(dense, np.diag(inner**2), eigvals_only=True)[: n + 1]
-            np.testing.assert_allclose(np.array(estimates) / params.b**2, want, rtol=1e-7)
+            np.testing.assert_allclose(second_order, want, rtol=1e-7)
 
     def test_a_channel_that_cannot_bind_starts_at_the_series_radius(self):
         # with b kappa_bar > 0 (B >= 0) level_extent has no inner end, and the
@@ -442,7 +452,7 @@ class TestShootEigenvalue:
         monkeypatch.setattr(oracle, "shoot_eigenvalue", recorded)
         res = solve_bound_level(PARAMS_POS, ch, "upper", 2, estimate=1.4 * true_lam)
         assert len(shots) == 2
-        assert res.pencil_seconds == 0.0
+        assert res.pencil_seconds == 0.0 and res.pencil_points == 0
         assert abs(res.energy_pair[0] - exact) <= 1e-8
         assert res.sweeps == sum(shot.sweeps for shot in shots)
         assert res.steps == sum(shot.steps for shot in shots)
@@ -459,7 +469,7 @@ class TestShootEigenvalue:
         # level n + 1's ladder estimate fed to level n: the shot's node count
         # keeps it on the n-node level, or it fails; it never returns level n + 1
         ch = Channel.from_kappa(kappa, params.a)
-        ladder = oracle._pencil_levels(params, ch, "upper", range(6))
+        ladder, _ = oracle._pencil_levels(params, ch, "upper", range(6))
         for n in range(5):
             exact = abs(bound_state(params, ch, n).energy)
             try:
@@ -475,19 +485,18 @@ class TestShootEigenvalue:
                 solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2, estimate=estimate)
 
     def test_ladder_is_one_pencil_per_range(self):
-        # one Sturm bisection for levels 0..n_max, boxed for the deepest level;
-        # the one-level pencil is the range of one level
+        # one Sturm bisection for levels 0..n_max, boxed and sized for the
+        # deepest level; the one-level pencil is the range of one level
         ch = Channel.from_kappa(-3)
-        ladder = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(5))
+        ladder, points = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(5))
         assert len(ladder) == 5 and all(a < b < 0.0 for a, b in zip(ladder, ladder[1:]))
-        [deepest] = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(4, 5))
+        [deepest], alone = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(4, 5))
+        assert points == alone == 120 + 12 * 4
         assert abs(ladder[4] - deepest) <= 2e-9  # the bisection's absolute tolerance 1e-9 b^2
         exact = [bound_state(PARAMS_POS, ch, n).energy ** 2 - 2.0 for n in range(5)]
-        assert all(abs(est - lam) <= 0.1 * abs(lam) for est, lam in zip(ladder, exact))
+        assert all(abs(est - lam) <= 1e-3 * abs(lam) for est, lam in zip(ladder, exact))
         with pytest.raises(ValueError):
             oracle._pencil_levels(PARAMS_POS, ch, "upper", range(-1, 3))
-        with pytest.raises(NoBracketError):
-            oracle._pencil_levels(PARAMS_POS, ch, "upper", range(0, 300))
 
     def test_shot_that_never_settles_raises(self, monkeypatch):
         configs = []
@@ -505,17 +514,79 @@ class TestShootEigenvalue:
             solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
         assert len(configs) == 3
 
-    def test_pencil_rejects_levels_it_cannot_hold(self, capfd):
+    def test_pencil_holds_deep_levels_and_rejects_negative_ones(self, capfd):
         ch = Channel.from_kappa(-3)
         with pytest.raises(ValueError):
             solve_bound_level(PARAMS_POS, ch, "upper", -1)
-        # 150: the pencil's box reaches past the level, but the 300-point grid
-        # puts it so shallow that the shot's 6000 steps are too coarse for its
-        # box (not an untyped ValueError); 300: beyond the pencil
+        # a pencil of 300 points put the 150-node level so shallow that the
+        # shot's 6000 steps were too coarse for its box, and had no 300-node
+        # level at all (NoBracketError); sized for the level, with 120 + 12 n
+        # points, and built again out to the outer root at its seed mu, it
+        # sets a box the shot finds the level on
         for n in (150, 300):
-            with pytest.raises(NoBracketError):
-                solve_bound_level(PARAMS_POS, ch, "upper", n)
+            res = solve_bound_level(PARAMS_POS, ch, "upper", n)
+            assert res.node_count == n and res.pencil_points == 2 * (120 + 12 * n)
+            assert abs(res.energy_pair[0] - abs(bound_state(PARAMS_POS, ch, n).energy)) <= 1e-7, n
         assert capfd.readouterr() == ("", "")  # no LAPACK parameter complaint
+
+    @pytest.mark.parametrize("b", [-0.3, -0.01])
+    def test_deep_estimate_boxes_its_own_level(self, b):
+        # kappa_bar = 12.7, n = 81: the 300-point pencil's estimate lay 46%
+        # below the level, and the box level_extent sets there cut the level
+        # off ("82 nodes, expected 81"); the fourth-order estimate boxes it
+        params, ch = ModelParams(1.0, 0.7, b), Channel.from_kappa(12, 0.7)
+        state = bound_state(params, ch, 81)
+        [estimate], _ = oracle._pencil_levels(params, ch, "upper", range(81, 82))
+        lam = state.energy**2 - params.mass**2 - params.b_squared
+        assert abs(estimate - lam) <= 1e-3 * abs(lam)
+        res = solve_bound_level(params, ch, "upper", 81)
+        assert res.node_count == 81
+        assert abs(res.energy_pair[0] - abs(state.energy)) <= 1e-7
+
+    @pytest.mark.parametrize("params, kappa", [(PARAMS_POS, -3), (ModelParams(1.0, -0.6, 1.7), -7),
+                                               (ModelParams(1.0, 0.3, -0.8), 20)])
+    @pytest.mark.parametrize("n", [5, 14, 40])
+    def test_fourth_order_correction_is_numerovs_term(self, params, kappa, n, monkeypatch):
+        # each second-order eigenvalue mu_h moves by
+        # sum v delta^2(g v) / (12 sum u^2), g = S^2 + B rho - mu_h rho^2,
+        # u = rho v its eigenvector (here from LAPACK's symmetric tridiagonal
+        # eigensolver, not inverse iteration), g v from the ghost ratio at
+        # rho_0 and 0 at the wall; that takes the estimate from O(h^2) to
+        # O(h^4) of the level
+        import scipy.linalg
+
+        calls = []
+        correct = oracle._fourth_order
+        monkeypatch.setattr(oracle, "_fourth_order",
+                            lambda *args: calls.append(args) or correct(*args))
+        ch = Channel.from_kappa(kappa, params.a)
+        [estimate], _ = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
+        [(mu, d, e, rho, h, s, coulomb, ghost)] = calls
+        [mu_h] = mu
+        values, vectors = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n, n))
+        assert values[0] == pytest.approx(mu_h, abs=2e-9)
+        u = vectors[:, 0]
+        v = u / rho
+        rho_all = np.concatenate(([rho[0] * math.exp(-h)], rho, [0.0]))
+        gv = (s * s + coulomb * rho_all - mu_h * rho_all**2) * np.concatenate(
+            ([ghost * v[0]], v, [0.0]))
+        delta = (v @ (gv[2:] - 2.0 * gv[1:-1] + gv[:-2])) / (12.0 * (u @ u))
+        assert estimate / params.b_squared == pytest.approx(mu_h + delta, abs=1e-6 * abs(delta))
+        lam = bound_state(params, ch, n).energy ** 2 - params.mass**2 - params.b_squared
+        second_order = mu_h * params.b_squared
+        assert abs(estimate - lam) <= min(5e-4 * abs(lam), abs(second_order - lam) / 40)
+
+    @pytest.mark.parametrize("info, scale", [(1, 1.0), (0, math.nan)])
+    def test_a_failed_correction_is_a_typed_error(self, info, scale, monkeypatch):
+        # a singular solve, or a vector that is not finite, leaves no
+        # corrected value below the window top: NoBracketError, not another
+        # exception
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv",
+                            lambda dl, d, du, b, **kwargs: (dl, d, du, scale * b, info))
+        with pytest.raises(NoBracketError, match="window top"):
+            solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
 
     @pytest.mark.parametrize("b, kappa, a, n", [(-0.07, 2, -1.1331, 39), (-0.005, 1, -0.136, 44)])
     def test_pencil_reaches_past_its_seed_box(self, b, kappa, a, n):
@@ -529,7 +600,8 @@ class TestShootEigenvalue:
         lam = state.energy**2 - params.mass**2 - params.b_squared
         coulomb = equation_constants(math.copysign(1.0, b), ch.kappa_bar, "upper")[1]
         assert abs(coulomb) * params.b_squared / -lam > 30.0 * (2 * n + 3)
-        [estimate] = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
+        [estimate], points = oracle._pencil_levels(params, ch, "upper", range(n, n + 1))
+        assert points == 2 * (120 + 12 * n)  # both builds count
         assert 1.5 * estimate < lam < 0.5 * estimate
         result = solve_bound_level(params, ch, "upper", n)
         assert abs(result.energy_pair[0] - abs(state.energy)) <= 1e-7
@@ -621,14 +693,14 @@ class TestShootEigenvalue:
             return abs(value - reference) / np.spacing(abs(reference))
 
         params = ModelParams(1.0, channel.kappa_bar - channel.kappa, sign)
-        ladder = oracle._pencil_levels(params, channel, component, range(n + 1))
+        ladder, _ = oracle._pencil_levels(params, channel, component, range(n + 1))
         ref = solve_bound_level(params, channel, component, n)
         assert ref.node_count == n
         for size in (1e-150, 1e-100, 1e-3, 1e3, 1e80, 1e150):
             b = sign * size
             scaled = replace(params, b=b)
             mus = [lam / (b * b) for lam in oracle._pencil_levels(scaled, channel, component,
-                                                                  range(n + 1))]
+                                                                  range(n + 1))[0]]
             assert max(map(ulps, mus, ladder)) <= 4, b
             res = solve_bound_level(scaled, channel, component, n)
             assert ulps(res.lambda_ / (b * b), ref.lambda_) <= 4, b
