@@ -313,20 +313,23 @@ def sample_state(
     )
 
 
-def residuals(params: ModelParams, state: BoundState,
-              forms: tuple[WavefunctionForm, WavefunctionForm], r) -> float:
+def residuals(params: ModelParams, state: BoundState, r) -> float:
     """Worst residual of the first- and second-order radial equations on the
-    grid ``r`` for ``forms``, the state's pair from :func:`state_wavefunctions`,
+    grid ``r`` for the state's forms from :func:`state_wavefunctions`,
     relative to the larger component's peak there.  The second-order ones
     read -u'' + V u = lambda u, lambda = E^2 - M^2 - b^2,
-    V = (S^2 - 1/4)/r^2 + B/r with S and B from ``equation_constants``."""
+    V = (S^2 - 1/4)/r^2 + B/r with S and B from ``equation_constants``;
+    inf where the forms cannot be built or are 0 at every point of ``r``."""
+    try:
+        g_form, f_form = state_wavefunctions(params, state)
+    except ValueError:
+        return math.inf
     r = np.asarray(r, dtype=float)
-    g_form, f_form = forms
     g, dg, d2g = g_form.derivatives(r)
     f, df, d2f = f_form.derivatives(r)
     scale = max(float(np.max(np.abs(g))), float(np.max(np.abs(f))))
     if scale == 0.0:
-        return 0.0
+        return math.inf
     kb = state.channel.kappa_bar
     m, b, e = params.mass, params.b, state.energy
     w = kb / r + b

@@ -207,12 +207,10 @@ def _emit(table: dict, fmt: str, out: Optional[str], meta: Optional[dict] = None
         lines = [f"# {key}={_format_cell(value)}" for key, value in (meta or {}).items()]
         lines += _csv_lines(table)
         text = "\n".join(lines) + "\n" if lines else ""
-    elif fmt == "json":
+    else:
         rows = [dict(zip(table, cells)) for cells in zip(*table.values())]
         payload = {"meta": meta, "rows": rows} if meta else rows
         text = json.dumps(payload, indent=2) + "\n"
-    else:
-        raise UsageError(f"unknown output format {fmt!r} (use csv or json)")
     if out:
         try:
             with open(out, "w", newline="") as fh:
@@ -370,15 +368,6 @@ def _add_row(table: dict[str, list], **cells) -> None:
 _EDGE_DELTA = 1e-9
 
 
-def _closed_form_residual(params: ModelParams, state, r_grid: np.ndarray) -> float:
-    """The worst closed-form residual of ``state`` on ``r_grid``; inf where it cannot be built."""
-    try:
-        wavefunctions = state_wavefunctions(params, state)
-    except ValueError:
-        return math.inf
-    return residuals(params, state, wavefunctions, r_grid)
-
-
 def verification_grid_rows(
     mass: float,
     b_values,
@@ -427,7 +416,7 @@ def verification_grid_rows(
                     for key in ("sweeps", "steps", "newton_steps"):
                         work[key] += getattr(shot, key)
                     delta = abs(e_analytic - shot.energy_pair[0])
-                    residual = _closed_form_residual(params, state, r_grid)
+                    residual = residuals(params, state, r_grid)
                     passed = delta <= 1e-7 and mass <= abs(state.energy) and residual < 1e-8
                     _add_row(
                         table, check="oracle", b=b, a=a, kappa=kappa, kappa_bar=kb, n=level,
@@ -447,7 +436,7 @@ def verification_grid_rows(
                 work["rk4_steps"] += sum(rep.steps for _, rep in marches)
                 bracketed = (all(rep.classification == "growing" for _, rep in marches)
                              and all(count_sign_changes(tail) == 1 for tail in zip(*tails)))
-                residual = _closed_form_residual(params, edge, r_grid)
+                residual = residuals(params, edge, r_grid)
                 _add_row(
                     table, check="zero_component", b=b, a=a, kappa=kappa, kappa_bar=kb, n=0,
                     e_analytic=centre, delta_e=_EDGE_DELTA * abs(centre), residual=residual,
@@ -512,15 +501,19 @@ def _fields_read_by(command: str) -> list:
     return [f for f in fields(RunConfig) if command in f.metadata["reads"]]
 
 
-def load_config_file(path: str) -> dict:
-    """Flat key=value text; '#' starts a comment.
+def _flag(f) -> str:
+    return "--" + (f.metadata["flag"] or f.name.replace("_", "-"))
+
+
+def load_config_file(path: str) -> list[str]:
+    """The flags that flat key=value text names; '#' starts a comment.
 
     Keys are RunConfig field names, with '-' read as '_': ``output_format=json``,
-    not the flag name ``format``.  Each value is converted to the type its
-    field is annotated with (Optional[X] read as X).
+    not the flag name ``format``.  A line becomes ``--flag=value``; a boolean
+    key's 1, true or yes becomes its bare flag, and 0, false or no nothing.
     """
-    types = _field_types()
-    values = {}
+    by_name = {f.name: f for f in fields(RunConfig)}
+    argv = []
     try:
         with open(path) as fh:
             text = fh.read()
@@ -534,18 +527,15 @@ def load_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = stripped.split("=", 1)
         key, raw = key.strip().replace("-", "_"), raw.strip()
-        kind = types.get(key)
-        if kind is None:
+        if key not in by_name:
             raise UsageError(f"unknown config key {key!r}")
-        if kind is bool:
-            if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
-                raise UsageError(f"boolean expected for {key}, got {raw!r}")
-            values[key] = raw.lower() in ("1", "true", "yes")
-        elif kind is tuple:
-            values[key] = float_list(raw)
-        else:
-            values[key] = kind(raw)
-    return values
+        if _field_types()[key] is not bool:
+            argv.append(f"{_flag(by_name[key])}={raw}")
+        elif raw.lower() in ("1", "true", "yes"):
+            argv.append(_flag(by_name[key]))
+        elif raw.lower() not in ("0", "false", "no"):
+            raise UsageError(f"boolean expected for {key}, got {raw!r}")
+    return argv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -574,12 +564,11 @@ def build_parser() -> _Parser:
         sub = subs.add_parser(command, help=help_text, allow_abbrev=False)
         for f in _fields_read_by(command):
             meta, kind = f.metadata, types[f.name]
-            flag = "--" + (meta["flag"] or f.name.replace("_", "-"))
             if kind is bool:
-                sub.add_argument(flag, dest=f.name, action="store_true", default=None,
+                sub.add_argument(_flag(f), dest=f.name, action="store_true", default=None,
                                  help=meta["help"])
             else:
-                sub.add_argument(flag, dest=f.name, type=float_list if kind is tuple else kind,
+                sub.add_argument(_flag(f), dest=f.name, type=float_list if kind is tuple else kind,
                                  choices=meta["choices"], default=None, help=meta["help"])
         if command in PRESETS:
             sub.add_argument("--preset", choices=tuple(PRESETS[command]), default=None)
@@ -587,24 +576,30 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _set_fields(args: argparse.Namespace) -> dict:
+    """The RunConfig fields a parse of one subcommand's flags set."""
+    return {f.name: getattr(args, f.name) for f in _fields_read_by(args.command)
+            if getattr(args, f.name) is not None}
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """The run's config.
 
     Merge precedence: RunConfig defaults < the subcommand's defaults < config
-    file < preset < flags.  A config key the subcommand does not read is a
-    usage error, as its flag would be, and so is b = 0, where nothing binds.
+    file < preset < flags.  The subcommand's parser reads the config file's
+    flags as it reads argv's, and b = 0, where nothing binds, is a usage error.
     """
-    flags = dict(vars(args))
-    command, config, preset = flags.pop("command"), flags.pop("config"), flags.pop("preset", None)
-    merged = dict(_COMMAND_DEFAULTS.get(command, {}))
-    from_file = load_config_file(config) if config else {}
-    foreign = set(from_file) - {f.name for f in _fields_read_by(command)}
-    if foreign:
-        raise UsageError(f"the {command} subcommand reads no config key {sorted(foreign)}")
-    merged.update(from_file)
-    if preset:
-        merged.update(PRESETS[command][preset])
-    merged.update((key, value) for key, value in flags.items() if value is not None)
+    merged = dict(_COMMAND_DEFAULTS.get(args.command, {}))
+    if args.config:
+        flags = load_config_file(args.config)
+        try:
+            from_file = build_parser().parse_args([args.command, *flags])
+        except UsageError as exc:
+            raise UsageError(f"{args.config}: {exc}") from exc
+        merged.update(_set_fields(from_file))
+    if getattr(args, "preset", None):
+        merged.update(PRESETS[args.command][args.preset])
+    merged.update(_set_fields(args))
     if merged.get("b") == 0:
         raise UsageError("b = 0: the window M <= |E| < M* is empty, and no channel binds")
     return RunConfig(**merged)

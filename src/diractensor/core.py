@@ -27,6 +27,7 @@ Branch = Literal["particle", "antiparticle"]
 
 #: Sign of the energy root selected by each branch.
 BRANCH_SIGN = {"particle": 1.0, "antiparticle": -1.0}
+_SUPPRESSION = 30.0  # e-folds below the turning-point value, past level_extent's ends
 
 
 class UnboundChannelError(ValueError):
@@ -149,27 +150,26 @@ def equation_constants(b: float, kappa_bar: float, component: Component) -> tupl
     return abs(kappa_bar + half), 2.0 * b * kappa_bar
 
 
-def level_extent(s: float, coulomb: float, lam: float,
-                 suppression: float = 30.0) -> tuple[float, float]:
+def level_extent(s: float, coulomb: float, lam: float) -> tuple[float, float]:
     """The radii below and beyond which a level of v'' = Q v, Q = S^2 + B r -
     lam r^2 in x = ln r (S and B from ``equation_constants``), at lam < 0,
-    lies e^(-suppression) or more below its value at its turning points, in
-    the unit of length that B and lam are given in.
+    lies e^(-30) (``_SUPPRESSION``) or more below its value at its turning
+    points, in the unit of length that B and lam are given in.
 
     The solutions of that equation grow or decay by the WKB exponent, the
     integral of sqrt(Q) dx.  Every inner turning point lies above S^2/|B|,
     and the exponent from r up to there is at least S (ln(4/t) - 2),
-    t = |B| r / S^2: so the inner end is 4 S^2/|B| e^(-2 - suppression/S),
+    t = |B| r / S^2: so the inner end is 4 S^2/|B| e^(-2 - 30/S),
     held below (1 + 2S)/(2|B|), where the oracle's series of the regular
     solution still converges fast.  It is 0 where B >= 0 or S = 0, and where
     S is small it lies absurdly low or underflows to 0, so callers put a
     floor under it.  The outer end is where the exponent from the outer root
-    of Q (its minimum where it has none) reaches ``suppression``: Newton
+    of Q (its minimum where it has none) reaches 30: Newton
     steps on sqrt(Q) - k ln(2 sqrt(m Q) + 2 m r - beta) + S ln(P/r), the
     antiderivative of sqrt(Q)/r, with m = -lam, beta = |B|,
     k = beta/(2 sqrt(m)) and P = 2 S sqrt(Q) + beta r - 2 S^2."""
     s2, beta, m = s * s, abs(coulomb), -lam
-    inner = (min(4.0 * s2 * math.exp(-2.0 - suppression / s), 0.5 + s) / beta
+    inner = (min(4.0 * s2 * math.exp(-2.0 - _SUPPRESSION / s), 0.5 + s) / beta
              if coulomb < 0 and s > 0 else 0.0)
     root_m, disc, centre = math.sqrt(m), beta * beta - 4.0 * m * s2, beta / (2.0 * m)
     k, e = beta / (2.0 * root_m), math.sqrt(abs(disc))
@@ -178,13 +178,13 @@ def level_extent(s: float, coulomb: float, lam: float,
     start = centre + e / (2.0 * m) if disc >= 0.0 else centre
     if disc < 0.0:  # G at the minimum of Q
         base += e / (2.0 * root_m) + s * math.log(beta / (2.0 * s * root_m + e))
-    r = start + suppression / root_m
+    r = start + _SUPPRESSION / root_m
     for _ in range(50):
         root_q = math.sqrt(m * (r - centre) ** 2 - 0.25 * disc / m)
         t = beta * r - 2.0 * s2  # P / r, free of cancellation where t < 0 (only if disc < 0)
         p = (2.0 * s * root_q + t) / r if t >= 0.0 else -disc * r / (2.0 * s * root_q - t)
         g = root_q - k * math.log(2.0 * root_m * root_q + 2.0 * m * r - beta) + s * math.log(p)
-        step = (g - base - suppression) * r / root_q
+        step = (g - base - _SUPPRESSION) * r / root_q
         r = max(r - step, 0.5 * (start + r))
         if abs(step) <= 1e-12 * r:
             break

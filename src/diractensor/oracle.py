@@ -484,12 +484,13 @@ def shoot_eigenvalue(
 
 
 # interior points of the pencil whose deepest level has n nodes, _PENCIL_BASE
-# + _PENCIL_PER_NODE n, shots of its polish, the fewest Numerov steps a shot
-# keeps above its first marched point, the highest first point in units of
-# (1/2 + S)/|B|, and the most series terms
+# + _PENCIL_PER_NODE n, shots of its polish, each of _STEP_COUNT nominal steps,
+# the fewest steps a shot keeps above its first marched point, the highest
+# first point in units of (1/2 + S)/|B|, and the most series terms
 _PENCIL_BASE = 120
 _PENCIL_PER_NODE = 12
 _MAX_SHOTS = 3
+_STEP_COUNT = 6000
 _MIN_EDGE_STEPS = 64
 _SERIES_START = 0.25
 _SERIES_TERMS = 20
@@ -641,7 +642,6 @@ def solve_bound_level(
     channel: Channel,
     component: Component,
     node_target: int,
-    step_count: int = 6000,
     *,
     estimate: Optional[float] = None,
 ) -> EigenResult:
@@ -655,7 +655,7 @@ def solve_bound_level(
     ladder of estimates from one pencil, takes the place of the pencil; the
     result's ``pencil_seconds`` and ``pencil_points`` are then 0.
     The shot's box is set by ``level_extent`` at the estimate's mu: nominally
-    from rho_min = 1e-6/sqrt(-mu), over which ``step_count`` sets the step,
+    from rho_min = 1e-6/sqrt(-mu), over which ``_STEP_COUNT`` steps set the step,
     to rho_max, e^(-30) past the outer turning point of a level there.  The
     steps below its first marched point (``_shot_config``), where the series
     of the regular solution gives the first two values, are not marched;
@@ -679,7 +679,7 @@ def solve_bound_level(
         raise ValueError(f"every bound lambda is negative, got the estimate {estimate}")
     sweeps = steps = newton_steps = 0
     for _ in range(_MAX_SHOTS):
-        config = _shot_config(unit, channel, component, mu_box, step_count)
+        config = _shot_config(unit, channel, component, mu_box, _STEP_COUNT)
         shot = shoot_eigenvalue(unit, channel, component, node_target, config)
         sweeps += shot.sweeps
         steps += shot.steps

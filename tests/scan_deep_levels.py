@@ -14,13 +14,15 @@ anything else untyped.
 * ``wide``: b in +/-{0.01, 0.3, 3, 300}, a in {-0.45, 0, 0.7}, kappa in
   +/-{1, 2, 4, 12, 60}, n in {0, 9, ..., 99, 110, 130, 160}.
 
-Run from the repository root (the wide scan takes about a minute)::
+Run from the repository root (each scan takes a few seconds)::
 
     PYTHONPATH=src python tests/scan_deep_levels.py [probe] [wide]
 
 It prints, per scan, the levels, the pass / silent / typed / untyped counts,
 the Numerov sweeps and Newton steps of the levels that returned, and the
-pencil points of every solve.
+pencil points of every solve; then the levels shot more than once (re-boxed)
+and the levels that returned from a pencil built twice (more pencil points
+than the one build of 120 + 12 n).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import Counter
 import numpy as np
 
 from diractensor import (Channel, ModelParams, ShootingError, bound_state, bound_states_exist,
-                         solve_bound_level)
+                         oracle, solve_bound_level)
 
 GATE = 1e-7
 
@@ -90,14 +92,29 @@ def classify(params, channel, n, expected):
 
 
 def scan(levels) -> dict:
-    """Outcome per key, and the totals of the solves that returned."""
-    outcomes, work = {}, Counter()
-    for key, params, channel, n, expected in levels:
-        outcome, detail = classify(params, channel, n, expected)
-        outcomes[key] = outcome
-        if not isinstance(detail, Exception):
-            work.update(sweeps=detail.sweeps, newton_steps=detail.newton_steps,
-                        pencil_points=detail.pencil_points)
+    """Outcome per key, the totals of the solves that returned, and the
+    counts of levels shot more than once and of pencils built twice."""
+    outcomes, work, shots = {}, Counter(), []
+    shoot = oracle.shoot_eigenvalue
+
+    def counted(*args):
+        shots.append(args)
+        return shoot(*args)
+
+    oracle.shoot_eigenvalue = counted  # solve_bound_level calls it by this name
+    try:
+        for key, params, channel, n, expected in levels:
+            shots.clear()
+            outcome, detail = classify(params, channel, n, expected)
+            outcomes[key] = outcome
+            work["reshot"] += len(shots) > 1
+            if not isinstance(detail, Exception):
+                work.update(sweeps=detail.sweeps, newton_steps=detail.newton_steps,
+                            pencil_points=detail.pencil_points)
+                one_build = oracle._PENCIL_BASE + oracle._PENCIL_PER_NODE * n
+                work["rebuilt"] += detail.pencil_points > one_build
+    finally:
+        oracle.shoot_eigenvalue = shoot
     return {"outcomes": outcomes, "work": work}
 
 
@@ -111,7 +128,8 @@ def main(argv) -> int:
         print(f"{name}: {len(result['outcomes'])} levels, "
               + " / ".join(f"{counts[o]} {o}" for o in ("pass", "silent", "typed", "untyped"))
               + f"; {work['sweeps']} sweeps, {work['newton_steps']} Newton steps, "
-              f"{work['pencil_points']} pencil points; {time.perf_counter() - start:.1f} s")
+              f"{work['pencil_points']} pencil points; {work['reshot']} levels shot more than "
+              f"once, {work['rebuilt']} pencils built twice; {time.perf_counter() - start:.1f} s")
     return 0
 
 

@@ -190,12 +190,13 @@ class TestWavefunctions:
 
     def test_residual_gate_can_fail(self):
         # verify's residual gate (< 1e-8 on its window) passes the closed form
-        # and fails the same state with its energy 1e-6 off
+        # and fails the same state with its energy 1e-6 off, and on a window
+        # where the state underflows to 0 at every point, which checks nothing
         state = bound_state(PARAMS_POS, channel_for(-3), 2)
         r = np.geomspace(0.01, 30.0, 120)
-        assert residuals(PARAMS_POS, state, state_wavefunctions(PARAMS_POS, state), r) < 1e-8
-        detuned = replace(state, energy=state.energy * (1.0 + 1e-6))
-        assert residuals(PARAMS_POS, detuned, state_wavefunctions(PARAMS_POS, detuned), r) > 1e-8
+        assert residuals(PARAMS_POS, state, r) < 1e-8
+        assert residuals(PARAMS_POS, replace(state, energy=state.energy * (1.0 + 1e-6)), r) > 1e-8
+        assert residuals(PARAMS_POS, state, np.geomspace(1e4, 1e5, 20)) == math.inf
 
     def test_unit_norm_by_quadrature(self):
         for params, kappa, a, n_g in [

@@ -70,6 +70,24 @@ def test_shoot_ladder_levels_pass_check_level(tmp_path, n):
         assert op.check(op.call()) == [], op.label
 
 
+@pytest.mark.parametrize("seed, index", [(37, 4), (86, 6), (193, 4)])
+def test_reboxed_ladder_levels_pass_check_level(tmp_path, seed, index, monkeypatch):
+    # n = 0 of a shoot-ladder channel with kappa_bar in (-0.94, -0.59), as
+    # the worker draws it after its warm-up: the pencil's ghost ratio at its
+    # seed mu leaves this estimate 9-42% off, so the first shot lands more
+    # than 10% from the mu that boxed it and the level needs the re-box
+    workloads = _load("workloads")
+    ladder = workloads.ShootLadder(seed, PERFBENCH.parent, tmp_path)
+    ladder.warmup()
+    params, channel = ladder._channels()[index]
+    assert -0.94 < channel.kappa_bar < -0.59
+    op = ladder._op(params, channel, 0)
+    assert op.check(op.call()) == [], op.label
+    monkeypatch.setattr(oracle, "_MAX_SHOTS", 1)
+    with pytest.raises(oracle.ConvergenceError):
+        op.call()
+
+
 def test_pencil_estimates_lie_inside_their_shots_brackets(tmp_path):
     # levels n = 0..14 of the shoot-ladder channels of seeds 1-5, as the
     # worker draws them: the pencil's estimate mu of each level, alone and

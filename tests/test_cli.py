@@ -381,6 +381,16 @@ class TestWavefunctionCommand:
         assert meta["energy"] == "1.0"
         assert meta["n_f"] == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        ((), "wavefunction needs --kappa"),
+        (("--kappa", "-1", "--branch", "both"), "wavefunction needs --branch plus or minus"),
+        (("--kappa", "-2", "--special"), "--special selects the zero-upper-component state"),
+    ])
+    def test_request_without_one_level_is_usage_error(self, argv, message, capsys):
+        assert run_cli("wavefunction", *argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
+
     def test_boundary_values_tiny(self, tmp_path):
         out = tmp_path / "wf.csv"
         run_cli("wavefunction", "--kappa", "-1", "--n", "1", "--out", str(out))
@@ -1041,18 +1051,21 @@ class TestConfigHandling:
         bound2 = [r for r in rows2 if r["bound_flag"] == "true"]
         assert all(float(r["E"]) < math.sqrt(2.0) for r in bound2)
 
-    def test_bad_config_key(self, tmp_path):
+    def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_option=3\n")
         assert run_cli("spectrum", "--config", str(cfg)) == 1
+        assert "unknown config key 'no_such_option'" in capsys.readouterr().err
 
-    def test_malformed_config_line(self, tmp_path):
+    def test_malformed_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("just a line without equals\n")
+        cfg.write_text("b=1\njust a line without equals\n")
         assert run_cli("spectrum", "--config", str(cfg)) == 1
+        assert f"{cfg}:2: expected key=value" in capsys.readouterr().err
 
-    def test_missing_config_file(self):
+    def test_missing_config_file(self, capsys):
         assert run_cli("spectrum", "--config", "/nonexistent/path.cfg") == 1
+        assert "cannot read config file /nonexistent/path.cfg" in capsys.readouterr().err
 
     def test_preset_subcommand_mismatch(self):
         assert run_cli("spectrum", "--preset", "fig3a") == 1
@@ -1060,30 +1073,61 @@ class TestConfigHandling:
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("spectrum", "--frobnicate") == 1
 
-    def test_load_config_file_types(self, tmp_path):
+    def test_load_config_file_names_the_flags(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("a_values=-2,-1,0\nconjugate=true\nbranch=both\n")
-        values = load_config_file(str(cfg))
-        assert values == {"a_values": (-2.0, -1.0, 0.0), "conjugate": True, "branch": "both"}
+        cfg.write_text("a_values=-2,-1,0\nconjugate=true\nspecial=no\nbranch=both\n"
+                       "output-format = json\n")
+        assert load_config_file(str(cfg)) == [
+            "--a-values=-2,-1,0", "--conjugate", "--branch=both", "--format=json"]
 
-    def test_load_config_file_every_field(self, tmp_path):
-        expected = {
-            "mass": 2.5, "a": -0.5, "b": 1.5, "kappa_min": -7, "kappa_max": -2, "n_max": 3,
-            "branch": "minus", "output_format": "json", "out": "table.json", "conjugate": False,
-            "kappa": -3, "n": 2, "special": True, "r_min": 0.001, "r_max": 40.0, "points": 250,
-            "grid": "linear", "a_values": (-1.0, 0.5), "kappa_bar_min": -8.0,
-            "kappa_bar_max": -1.5, "inject_energy_error": 0.002,
-        }
-        assert set(expected) == {f.name for f in fields(RunConfig)}
-        text = "".join(f"{key}={value}\n" for key, value in expected.items()
-                       if not isinstance(value, tuple))
-        text += "a_values=-1, 0.5\n"
+    # a value other than the default for every RunConfig field: its config
+    # text and the value it parses to
+    EVERY_FIELD = {
+        "mass": ("2.5", 2.5), "a": ("-0.5", -0.5), "b": ("1.5", 1.5),
+        "kappa_min": ("-7", -7), "kappa_max": ("-2", -2), "n_max": ("3", 3),
+        "branch": ("minus", "minus"), "output_format": ("json", "json"),
+        "out": ("table.json", "table.json"), "conjugate": ("true", True),
+        "kappa": ("-3", -3), "n": ("2", 2), "special": ("yes", True),
+        "r_min": ("0.001", 0.001), "r_max": ("40", 40.0), "points": ("250", 250),
+        "grid": ("linear", "linear"), "a_values": ("-1, 0.5", (-1.0, 0.5)),
+        "kappa_bar_min": ("-8", -8.0), "kappa_bar_max": ("-1.5", -1.5),
+        "inject_energy_error": ("0.002", 0.002),
+    }
+
+    def test_every_field_covered(self):
+        assert set(self.EVERY_FIELD) == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("command", ["spectrum", "fig3", "wavefunction", "verify"])
+    def test_config_key_and_flag_give_the_same_run_config(self, command, tmp_path):
+        read = [f for f in fields(RunConfig) if command in f.metadata["reads"]]
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        values = load_config_file(str(cfg))
-        assert values == expected
-        for key, value in values.items():
-            assert type(value) is type(expected[key]), key
+        cfg.write_text("".join(f"{f.name}={self.EVERY_FIELD[f.name][0]}\n" for f in read))
+        flags = [cli._flag(f) if isinstance(self.EVERY_FIELD[f.name][1], bool)
+                 else f"{cli._flag(f)}={self.EVERY_FIELD[f.name][0]}" for f in read]
+        by_file = cli._resolve_config(build_parser().parse_args([command, "--config", str(cfg)]))
+        by_flags = cli._resolve_config(build_parser().parse_args([command, *flags]))
+        expected = RunConfig(**{**cli._COMMAND_DEFAULTS.get(command, {}),
+                                **{f.name: self.EVERY_FIELD[f.name][1] for f in read}})
+        assert by_file == by_flags == expected
+        for f in read:
+            assert type(getattr(by_file, f.name)) is type(self.EVERY_FIELD[f.name][1]), f.name
+
+    @pytest.mark.parametrize("command, line, table_fn, flag", [
+        ("verify", "output_format=xml", "verification_grid_rows", "--format"),
+        ("spectrum", "branch=sideways", "run_spectrum", "--branch"),
+        ("wavefunction", "grid=cubic", "run_wavefunction", "--grid"),
+    ])
+    def test_bad_choice_in_config_exits_before_the_table(self, command, line, table_fn, flag,
+                                                          monkeypatch, tmp_path, capsys):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the table was built from a config the parser refuses")
+
+        monkeypatch.setattr(cli, table_fn, no_table)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kappa=-1\n{line}\n" if command == "wavefunction" else f"{line}\n")
+        assert run_cli(command, "--config", str(cfg)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {cfg}: argument {flag}: invalid choice")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command,key", [("fig3", "kappa_bar_min"), ("fig3", "kappa_bar_max"),
@@ -1148,11 +1192,16 @@ class TestOptionsPerSubcommand:
         assert run_cli(*argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_config_key_the_subcommand_does_not_read_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, text, flag", [
+        ("spectrum", "b=2\npoints=5\n", "--points=5"),
+        ("wavefunction", "kappa=-1\nkappa_min=abc\n", "--kappa-min=abc"),
+    ])
+    def test_config_key_the_subcommand_does_not_read_is_usage_error(self, command, text, flag,
+                                                                    tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("b=2\npoints=5\n")
-        assert run_cli("spectrum", "--config", str(cfg)) == 1
-        assert "points" in capsys.readouterr().err
+        cfg.write_text(text)
+        assert run_cli(command, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unrecognized arguments: {flag}\n"
 
     def test_verify_tolerance_config_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

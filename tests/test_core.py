@@ -241,29 +241,27 @@ class TestLevelExtent:
     # in units of 1/|b|, with b of the sign that binds each kappa_bar
     @pytest.mark.parametrize("kappa_bar", [1.5, -1.5, -5.0, 20.0, -20.0, -97.74])
     @pytest.mark.parametrize("component", ["upper", "lower"])
-    @pytest.mark.parametrize("suppression", [5.0, 30.0])
-    def test_outer_end_lies_suppression_past_the_outer_turning_point(self, kappa_bar, component,
-                                                                    suppression):
+    def test_outer_end_lies_30_e_folds_past_the_outer_turning_point(self, kappa_bar, component):
         b = -math.copysign(1.0, kappa_bar)
         s, coulomb = equation_constants(b, kappa_bar, component)
         # shallow to deep, the closed-form levels n_bar = |kappa_bar| + n among
         # them, and past mu = -B^2 / (4 S^2), where Q has no real root
         for mu in [-4.0, -1.0, -0.3, -1e-2, -1e-4,
                    *(-(kappa_bar / (abs(kappa_bar) + n)) ** 2 for n in (1, 12, 60))]:
-            inner, outer = level_extent(s, coulomb, mu, suppression)
+            inner, outer = level_extent(s, coulomb, mu)
             start = outer_start(s, coulomb, mu)
             assert 0.0 < inner < start < outer
             exponent = wkb_exponent(s, coulomb, mu, start, outer)
-            assert exponent == pytest.approx(suppression, abs=1e-6), mu
+            assert exponent == pytest.approx(30.0, abs=1e-6), mu
 
     @pytest.mark.parametrize("mu", [-1.21, -1.21 * (1.0 + 1e-9), -1.21 * (1.0 - 1e-9)])
     def test_a_double_root_gives_finite_ordered_ends(self, mu):
         # kappa_bar = -5.5, upper: S = 5 and B = -11, so Q = (1.1 rho - 5)^2 at mu = -1.21
         s, coulomb = equation_constants(1.0, -5.5, "upper")
         assert (s, coulomb) == (5.0, -11.0)
-        inner, outer = level_extent(s, coulomb, mu, 30.0)
+        inner, outer = level_extent(s, coulomb, mu)
         assert math.isfinite(outer) and 0.0 < inner < 5.0 / 1.1 < outer
-        assert outer == pytest.approx(level_extent(s, coulomb, -1.21, 30.0)[1], rel=1e-6)
+        assert outer == pytest.approx(level_extent(s, coulomb, -1.21)[1], rel=1e-6)
         start = outer_start(s, coulomb, mu)
         assert wkb_exponent(s, coulomb, mu, start, outer) == pytest.approx(30.0, abs=1e-6)
 
@@ -271,7 +269,7 @@ class TestLevelExtent:
         # kappa_bar = -1.5, upper: S = 1, B = -3, and Q > 0 for mu < -9/4
         s, coulomb = equation_constants(1.0, -1.5, "upper")
         for mu in (-2.26, -4.0, -100.0):
-            inner, outer = level_extent(s, coulomb, mu, 30.0)
+            inner, outer = level_extent(s, coulomb, mu)
             minimum = coulomb / (2.0 * mu)
             assert math.isfinite(outer) and 0.0 < inner < minimum < outer
             assert wkb_exponent(s, coulomb, mu, minimum, outer) == pytest.approx(30.0, abs=1e-6)
@@ -280,18 +278,18 @@ class TestLevelExtent:
         # b kappa_bar > 0: B > 0 and no level; the outer end is that of -B
         for kappa_bar, b in ((3.0, 1.0), (-3.0, -1.0)):
             s, coulomb = equation_constants(b, kappa_bar, "upper")
-            inner, outer = level_extent(s, coulomb, -0.25, 30.0)
+            inner, outer = level_extent(s, coulomb, -0.25)
             assert inner == 0.0
-            assert outer == level_extent(s, -coulomb, -0.25, 30.0)[1]
+            assert outer == level_extent(s, -coulomb, -0.25)[1]
 
     def test_a_zero_exponent_has_no_inner_end(self):
         # kappa_bar = -1/2, upper: S = 0, where the inner end 4 S^2/|B|
-        # e^(-2 - suppression/S) is 0, not a division by zero; the outer end
+        # e^(-2 - 30/S) is 0, not a division by zero; the outer end
         # is measured as at any S
         s, coulomb = equation_constants(1.0, -0.5, "upper")
         assert (s, coulomb) == (0.0, -1.0)
         for mu in (-1.0, -1e-2):
-            inner, outer = level_extent(s, coulomb, mu, 30.0)
+            inner, outer = level_extent(s, coulomb, mu)
             start = outer_start(s, coulomb, mu)
             assert inner == 0.0 and 0.0 < start < outer
             assert wkb_exponent(s, coulomb, mu, start, outer) == pytest.approx(30.0, abs=1e-6)

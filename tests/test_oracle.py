@@ -14,6 +14,7 @@ from diractensor import (
     EigenResult,
     ModelParams,
     NoBracketError,
+    NodeMismatchError,
     ShootingConfig,
     ShootingError,
     bound_state,
@@ -147,13 +148,14 @@ class TestShootEigenvalue:
         lams = [solve_bound_level(PARAMS_POS, ch, "upper", n).lambda_ for n in range(5)]
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
-    def test_grid_refinement_order(self):
+    def test_grid_refinement_order(self, monkeypatch):
         # global error must drop by ~2^4 per step halving
         ch = Channel.from_kappa(-2)
-        reference = solve_bound_level(PARAMS_POS, ch, "upper", 3, step_count=16000).lambda_
-        err_coarse = solve_bound_level(PARAMS_POS, ch, "upper", 3, step_count=2000).lambda_ - reference
-        err_fine = solve_bound_level(PARAMS_POS, ch, "upper", 3, step_count=4000).lambda_ - reference
-        assert abs(err_coarse) / abs(err_fine) > 10.0
+        lam = {}
+        for steps in (16000, 2000, 4000):
+            monkeypatch.setattr(oracle, "_STEP_COUNT", steps)
+            lam[steps] = solve_bound_level(PARAMS_POS, ch, "upper", 3).lambda_
+        assert abs(lam[2000] - lam[16000]) / abs(lam[4000] - lam[16000]) > 10.0
 
     def test_agreement_with_analytic_sample(self):
         for kappa, a, b, n in [(-3, 0.5, 1.0, 2), (2, -0.5, -2.0, 1), (-1, 0.0, 0.5, 4)]:
@@ -302,7 +304,7 @@ class TestShootEigenvalue:
             big_b = abs(2.0 * b * ch.kappa_bar)
             s_ch, coulomb = equation_constants(b, ch.kappa_bar, component)
             assert s_ch == pytest.approx(s, rel=1e-12)
-            [r_e] = {level_extent(s_ch, coulomb, lam, 30.0)[0] for lam in (-b * b, -1e-3 * b * b)}
+            [r_e] = {level_extent(s_ch, coulomb, lam)[0] for lam in (-b * b, -1e-3 * b * b)}
             t = big_b * r_e / (s_ch * s_ch)
             u = math.sqrt(1.0 - t)
             wkb = s_ch * (math.log((1.0 + u) ** 2 / t) - 2.0 * u)
@@ -328,7 +330,7 @@ class TestShootEigenvalue:
                     ch = Channel.from_kappa(kappa, sign * size - kappa)
                     s, coulomb = equation_constants(params.b, ch.kappa_bar, component)
                     cap = (0.5 + s) / abs(coulomb)
-                    r_e = level_extent(s, coulomb, -0.5 * b * b, 30.0)[0]
+                    r_e = level_extent(s, coulomb, -0.5 * b * b)[0]
                     assert 0.0 < r_e <= cap * (1.0 + 1e-12), (b, size, component)
                     capped += r_e >= cap * (1.0 - 1e-12)
         assert capped > 0
@@ -429,13 +431,13 @@ class TestShootEigenvalue:
 
     @pytest.mark.parametrize("params", LADDER_PARAMS, ids=lambda p: f"b={p.b}_a={p.a}")
     @pytest.mark.parametrize("size", [1, 7, 20, 40])
-    def test_deep_ladder_matches_closed_forms(self, params, size):
+    def test_deep_ladder_matches_closed_forms(self, params, size, monkeypatch):
         # at |kappa| = 40 and n >= 20, 6000 steps leave |dE| up to 3.4e-7,
         # a grid-accuracy limit of the shot, not of the estimate
         ch = Channel.from_kappa(size if params.b < 0 else -size, params.a)
         for n in range(0, 31, 5):
-            steps = 24000 if size == 40 and n >= 20 else 6000
-            res = solve_bound_level(params, ch, "upper", n, step_count=steps)
+            monkeypatch.setattr(oracle, "_STEP_COUNT", 24000 if size == 40 and n >= 20 else 6000)
+            res = solve_bound_level(params, ch, "upper", n)
             assert res.node_count == n
             assert abs(res.energy_pair[0] - abs(bound_state(params, ch, n).energy)) <= 1e-7, n
 
@@ -513,6 +515,28 @@ class TestShootEigenvalue:
         with pytest.raises(ConvergenceError):
             solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
         assert len(configs) == 3
+
+    def test_bisection_alone_finds_the_level(self, monkeypatch):
+        # a matching defect that throws every Newton step out of the bracket
+        # leaves node-count bisection, which exits at a bracket of the
+        # tolerance's width with the level inside it
+        exact = energy(PARAMS_POS, Channel.from_kappa(-3), 2) ** 2 - 2.0
+        monkeypatch.setattr(oracle, "_matching_defect", lambda *args: (1e300, 1.0))
+        res = solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
+        assert res.node_count == 2 and res.newton_steps > 0
+        assert abs(res.lambda_ - exact) <= 3e-11
+
+    def test_tolerance_no_step_can_meet_raises(self):
+        ch = Channel.from_kappa(-3)
+        [mu], _ = oracle._pencil_levels(PARAMS_POS, ch, "upper", range(2, 3))
+        config = replace(oracle._shot_config(PARAMS_POS, ch, "upper", mu, 6000), tolerance=5e-324)
+        with pytest.raises(ConvergenceError, match="did not reach tolerance"):
+            shoot_eigenvalue(PARAMS_POS, ch, "upper", 2, config)
+
+    def test_converged_solution_with_the_wrong_node_count_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_joined_node_count", lambda *args: 3)
+        with pytest.raises(NodeMismatchError, match="has 3 nodes, expected 2"):
+            solve_bound_level(PARAMS_POS, Channel.from_kappa(-3), "upper", 2)
 
     def test_pencil_holds_deep_levels_and_rejects_negative_ones(self, capfd):
         ch = Channel.from_kappa(-3)
